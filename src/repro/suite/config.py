@@ -8,6 +8,7 @@ applied (required to run Clang output on the C920).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.compiler.model import (
@@ -88,10 +89,17 @@ class RunConfig:
             )
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
-        if self.size_scale <= 0:
-            raise ConfigError("size_scale must be positive")
+        # ``nan < 0`` is false, so finiteness needs its own check.
+        if not math.isfinite(self.noise_sigma) or self.noise_sigma < 0:
+            raise ConfigError(
+                f"noise_sigma must be finite and >= 0, "
+                f"got {self.noise_sigma}"
+            )
+        if not math.isfinite(self.size_scale) or self.size_scale <= 0:
+            raise ConfigError(
+                f"size_scale must be finite and positive, "
+                f"got {self.size_scale}"
+            )
         if self.compiler is not None:
             compiler_by_name(self.compiler)  # validates
 

@@ -10,6 +10,7 @@ the same numbers.
 from __future__ import annotations
 
 import hashlib
+from typing import Callable
 
 import numpy as np
 
@@ -20,6 +21,17 @@ from repro.util.errors import ConfigError
 DEFAULT_NOISE_SIGMA = 0.02
 
 
+def _encode(parts: tuple) -> bytes:
+    """The hashed form of seed parts: each ``repr`` in UTF-8, then a
+    unit separator."""
+    return b"".join(repr(part).encode("utf-8") + b"\x1f" for part in parts)
+
+
+def _seed(encoded: bytes) -> int:
+    digest = hashlib.blake2b(encoded, digest_size=8).digest()
+    return int.from_bytes(digest, "little") & (2**63 - 1)
+
+
 def derive_seed(*parts: object) -> int:
     """Derive a stable 63-bit seed from arbitrary hashable parts.
 
@@ -28,11 +40,22 @@ def derive_seed(*parts: object) -> int:
     """
     if not parts:
         raise ConfigError("derive_seed requires at least one part")
-    digest = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        digest.update(repr(part).encode("utf-8"))
-        digest.update(b"\x1f")
-    return int.from_bytes(digest.digest(), "little") & (2**63 - 1)
+    return _seed(_encode(parts))
+
+
+def seed_deriver(prefix: tuple, suffix: tuple) -> Callable[[object], int]:
+    """``derive_seed(*prefix, part, *suffix)`` as a function of ``part``.
+
+    The fixed parts are encoded once, so a suite seeds each of its
+    kernels by hashing only the kernel name between them.
+    """
+    head = _encode(prefix)
+    tail = _encode(suffix)
+
+    def seed(part: object) -> int:
+        return _seed(head + _encode((part,)) + tail)
+
+    return seed
 
 
 def noise_factors(

@@ -12,12 +12,16 @@ worker pool.
 """
 
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.compiler.vectorizer import analyze
 from repro.kernels.base import Kernel, KernelClass, KernelTraits
 from repro.kernels.registry import all_kernels
+from repro.machine import catalog
 from repro.machine.vector import DType
 from repro.perfmodel.batch import (
     lower_kernels,
@@ -33,10 +37,15 @@ from repro.suite.memo import PredictionMemo, SuiteCaches
 from repro.suite.runner import run_suite
 from repro.suite.sweep import sweep
 from repro.util.errors import ConfigError, ReproError
+from repro.util.rng import derive_seed, noise_factors
 
 THREADS = (1, 5, 8, 64)
 PLACEMENTS = (Placement.BLOCK, Placement.CYCLIC)
 PRECISIONS = (Precision.FP32, Precision.FP64)
+#: Noise run counts on both sides of NumPy's 8-element pairwise-sum
+#: block, so the fold's row reduction is checked where its summation
+#: order changes.
+NOISY_RUNS = (1, 5, 8, 9, 17)
 
 
 def grid_sweep(cpu, engine, **kwargs):
@@ -349,11 +358,42 @@ class TestRunSuiteEngine:
         with pytest.raises(ConfigError):
             run_suite(sg2042, RunConfig(threads=1), engine="gpu")
 
-    def test_noise_and_runs_match_scalar(self, sg2042):
-        config = RunConfig(threads=8, noise_sigma=0.05, runs=3)
-        scalar = run_suite(sg2042, config, engine="scalar")
-        batch = run_suite(sg2042, config, engine="batch")
+    @pytest.mark.parametrize("runs", NOISY_RUNS)
+    @pytest.mark.parametrize("machine", sorted(catalog.all_cpus()))
+    def test_noise_and_runs_match_scalar(self, all_cpus, machine, runs):
+        cpu = all_cpus[machine]
+        config = RunConfig(
+            threads=min(8, cpu.topology.num_cores), noise_sigma=0.05,
+            runs=runs,
+        )
+        scalar = run_suite(cpu, config, engine="scalar")
+        batch = run_suite(cpu, config, engine="batch")
+        # Tracing routes every kernel through the per-kernel loop; the
+        # untraced run takes the whole-suite bulk fold.
+        with telemetry.telemetry_session():
+            traced = run_suite(cpu, config, engine="batch")
         assert batch == scalar
+        assert traced == batch
+
+    @pytest.mark.parametrize("runs", NOISY_RUNS)
+    def test_noise_matches_per_kernel_mean(self, sg2042, runs):
+        """Every noisy time is ``prediction * np.mean(factors)``, with
+        the factors seeded by ``derive_seed`` over the suite identity —
+        on a machine whose name needs escaping and UTF-8."""
+        cpu = replace(sg2042, name="Sophon \"SG2042\" \u2014 'C920' \u00fc")
+        config = RunConfig(threads=8, noise_sigma=0.05, runs=runs)
+        compiler = config.resolve_compiler(cpu)
+        base = run_suite(cpu, replace(config, noise_sigma=0.0))
+        noisy = run_suite(cpu, config)
+        for name, run in noisy.runs.items():
+            seed = derive_seed(
+                cpu.name, name, config.threads, config.placement.value,
+                config.precision.label, config.vectorize, compiler.name,
+                config.flavor.value,
+            )
+            factors = noise_factors(seed, runs, config.noise_sigma)
+            want = float(base.runs[name].seconds * np.mean(factors))
+            assert run.seconds == want, name
 
     def test_vectorize_disabled_matches_scalar(self, sg2042):
         config = RunConfig(threads=4, vectorize=False)

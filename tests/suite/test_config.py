@@ -41,6 +41,25 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             RunConfig(compiler="icc")
 
+    @pytest.mark.parametrize(
+        "sigma", [-0.1, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_bad_noise_sigma_rejected(self, sigma):
+        with pytest.raises(ConfigError, match="noise_sigma"):
+            RunConfig(noise_sigma=sigma)
+
+    @pytest.mark.parametrize(
+        "scale", [0.0, -1.0, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_bad_size_scale_rejected(self, scale):
+        with pytest.raises(ConfigError, match="size_scale"):
+            RunConfig(size_scale=scale)
+
+    def test_zero_sigma_and_tiny_scale_accepted(self):
+        cfg = RunConfig(noise_sigma=0.0, size_scale=1e-9)
+        assert cfg.noise_sigma == 0.0
+        assert cfg.size_scale == 1e-9
+
     def test_with_threads(self):
         cfg = RunConfig(threads=1).with_threads(8, PlacementPolicy.CYCLIC)
         assert cfg.threads == 8

@@ -1,13 +1,22 @@
 """Suite runner tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.kernels.base import KernelClass
-from repro.kernels.registry import get_kernel, kernels_in_class
+from repro.kernels.registry import all_kernels, get_kernel, kernels_in_class
 from repro.machine.vector import DType
+from repro.perfmodel.batch import _prelude, lower_kernels
 from repro.resilience.retry import FailureRecord
 from repro.suite.config import RunConfig
-from repro.suite.runner import SuiteResult, run_suite, verify_kernel
+from repro.suite.runner import (
+    SuiteResult,
+    _scaled_sizes,
+    run_suite,
+    verify_kernel,
+)
+from repro.suite.sweep import sweep
 from repro.util.errors import ConfigError
 
 
@@ -80,6 +89,49 @@ class TestRunSuite:
         assert sg_result.total_seconds() == pytest.approx(
             sum(r.seconds for r in sg_result.runs.values())
         )
+
+
+class TestSharedKernelInstances:
+    """``run_suite`` and ``sweep`` run each suite kernel as its class's
+    shared instance; the batch engine's caches are keyed on kernel
+    identity."""
+
+    def test_shim_keeps_its_own_traits(self, sg2042):
+        kernel = get_kernel("TRIAD")
+        shim = type(kernel)()
+        shim.traits = replace(
+            kernel.traits, reads_per_iter=kernel.traits.reads_per_iter * 4
+        )
+        config = RunConfig(threads=8, noise_sigma=0.0, runs=1)
+        plain = run_suite(sg2042, config, kernels=[kernel]).time("TRIAD")
+        shimmed = run_suite(sg2042, config, kernels=[shim]).time("TRIAD")
+        assert shimmed != plain
+        assert shimmed == run_suite(
+            sg2042, config, kernels=[shim], engine="scalar"
+        ).time("TRIAD")
+        (point,) = sweep(
+            sg2042, [shim], threads=(8,), precisions=(config.precision,)
+        ).points
+        assert point.seconds == shimmed
+
+    def test_fresh_lists_reuse_cache_entries(self, sg2042):
+        caches = (lower_kernels, _prelude, _scaled_sizes)
+        for cache in caches:
+            cache.cache_clear()
+        config = RunConfig(threads=4)
+
+        def calls():
+            run_suite(sg2042, config)
+            run_suite(sg2042, config, kernels=all_kernels())
+            sweep(sg2042, all_kernels(), threads=(1, 4))
+
+        calls()
+        sizes = [cache.cache_info().currsize for cache in caches]
+        assert all(0 < size < cache.cache_info().maxsize
+                   for size, cache in zip(sizes, caches))
+        for _ in range(3):
+            calls()
+        assert [cache.cache_info().currsize for cache in caches] == sizes
 
 
 class TestSuiteResultEdgeCases:
