@@ -5,7 +5,8 @@ The vectorized whole-suite engine (:mod:`repro.perfmodel.batch` +
 operations as NumPy array expressions; nothing it does is allowed to
 change a single bit of any result, failure record or grid ordering.
 These tests pin that contract: golden full grids on the SG2042 and AMD
-Rome, a seeded randomized sweep over every catalog machine, failure-
+Rome, a seeded randomized sweep over every catalog machine, the noisy
+suite-level fold against the per-kernel loop and ``np.mean``, failure-
 policy equivalence (including the scalar-fallback path), cache-counter
 parity, the chaos/reference-mode scalar degradation, and the process
 worker pool.
