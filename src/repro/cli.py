@@ -83,6 +83,44 @@ def _add_registry_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
+    """The sweep grid flags of ``sweep`` and ``trace``."""
+    parser.add_argument("--cpu", default="sg2042")
+    parser.add_argument("--kernels", default="TRIAD,DAXPY,GEMM",
+                        help="comma-separated kernel names, or 'all'")
+    parser.add_argument("--threads", default="1,8,32")
+    parser.add_argument("--placements", default="cyclic,cluster")
+    parser.add_argument("--precisions", default="fp32")
+    parser.add_argument(
+        "--engine", default="batch", choices=["batch", "scalar"],
+        help="prediction engine: 'batch' evaluates each "
+        "configuration's whole kernel list in one vectorized NumPy "
+        "pass, 'scalar' calls the model once per kernel "
+        "(bit-identical results)",
+    )
+
+
+def _parse_grid(args: argparse.Namespace):
+    """``(kernels, threads, placements, precisions)`` from the grid
+    flags; a non-integer thread count is a :class:`ConfigError`."""
+    from repro.suite.config import Placement, Precision
+    from repro.util.errors import ConfigError
+
+    try:
+        threads = [int(t) for t in args.threads.split(",")]
+    except ValueError:
+        raise ConfigError(
+            f"--threads must be comma-separated integers, got "
+            f"{args.threads!r}"
+        ) from None
+    return (
+        _parse_kernels(args.kernels),
+        threads,
+        [Placement.from_label(p) for p in args.placements.split(",")],
+        [Precision.from_label(p) for p in args.precisions.split(",")],
+    )
+
+
 def _sweep_caches(args: argparse.Namespace):
     """Cache layers for ``--store``/``--memo-cap``/``--no-cache``.
 
@@ -337,23 +375,12 @@ def _emit_profile(profiler, out_path: str | None) -> None:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import time
 
-    from repro.suite.config import Placement, Precision
-    from repro.suite.sweep import distributed_sweep, sweep
+    from repro.suite.sweep import sweep
 
     cpu = _resolve_cpu(args)
     if cpu is None:
         return 2
-    if args.hosts > 1 and args.workers > 1:
-        print("error: --hosts and --workers are mutually exclusive "
-              "(a distributed sweep already runs one rank per host)",
-              file=sys.stderr)
-        return 2
-    kernels = _parse_kernels(args.kernels)
-    threads = [int(t) for t in args.threads.split(",")]
-    placements = [Placement.from_label(p)
-                  for p in args.placements.split(",")]
-    precisions = [Precision.from_label(p)
-                  for p in args.precisions.split(",")]
+    kernels, threads, placements, precisions = _parse_grid(args)
     caches, store = _sweep_caches(args)
     profiler = None
     if getattr(args, "profile_out", None) and not getattr(
@@ -372,27 +399,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             profiler.enable()
         started = time.perf_counter()
         try:
-            if args.hosts > 1:
-                result = distributed_sweep(
-                    cpu, kernels, threads, placements, precisions,
-                    hosts=args.hosts,
-                    policy=_failure_policy(args),
-                    retry=_retry_spec(args),
-                    checkpoint=args.checkpoint,
-                    caches=caches,
-                    engine=args.engine,
-                )
-            else:
-                result = sweep(
-                    cpu, kernels, threads, placements, precisions,
-                    policy=_failure_policy(args),
-                    retry=_retry_spec(args),
-                    checkpoint=args.checkpoint,
-                    workers=args.workers,
-                    workers_mode=args.workers_mode,
-                    caches=caches,
-                    engine=args.engine,
-                )
+            result = sweep(
+                cpu, kernels, threads, placements, precisions,
+                policy=_failure_policy(args),
+                retry=_retry_spec(args),
+                checkpoint=args.checkpoint,
+                caches=caches,
+                engine=args.engine,
+            )
         finally:
             elapsed = time.perf_counter() - started
             if profiler is not None:
@@ -508,25 +522,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     with telemetry.telemetry_session() as (recorder, registry):
         if args.target == "sweep":
-            from repro.kernels.registry import get_kernel
-            from repro.suite.config import Placement, Precision
             from repro.suite.sweep import sweep
 
             cpu = _resolve_cpu(args)
             if cpu is None:
                 return 2
-            result = sweep(
-                cpu,
-                [get_kernel(n) for n in args.kernels.split(",")],
-                [int(t) for t in args.threads.split(",")],
-                [Placement.from_label(p)
-                 for p in args.placements.split(",")],
-                [Precision.from_label(p)
-                 for p in args.precisions.split(",")],
-                workers=args.workers,
-                workers_mode=args.workers_mode,
-                engine=args.engine,
-            )
+            result = sweep(cpu, *_parse_grid(args), engine=args.engine)
             summary = result.telemetry
         elif args.target in ALL_EXPERIMENTS:
             ALL_EXPERIMENTS[args.target](fast=args.fast)
@@ -858,35 +859,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep", help="sweep a configuration grid over selected kernels"
     )
-    p_sweep.add_argument("--cpu", default="sg2042")
-    p_sweep.add_argument("--kernels", default="TRIAD,DAXPY,GEMM",
-                         help="comma-separated kernel names")
-    p_sweep.add_argument("--threads", default="1,8,32")
-    p_sweep.add_argument("--placements", default="cyclic,cluster")
-    p_sweep.add_argument("--precisions", default="fp32")
+    _add_grid_flags(p_sweep)
     p_sweep.add_argument("--csv", action="store_true")
     p_sweep.add_argument(
         "--checkpoint", default=None, metavar="FILE.jsonl",
         help="persist completed points here and resume from them",
-    )
-    p_sweep.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="run up to N grid points concurrently (results are "
-        "bit-identical to a serial sweep)",
-    )
-    p_sweep.add_argument(
-        "--workers-mode", default="thread",
-        choices=["thread", "process"],
-        help="worker pool type for --workers > 1: 'thread' shares the "
-        "sweep caches but is GIL-bound, 'process' runs grid points in "
-        "separate interpreters (bit-identical results either way)",
-    )
-    p_sweep.add_argument(
-        "--engine", default="batch", choices=["batch", "scalar"],
-        help="prediction engine: 'batch' evaluates each "
-        "configuration's whole kernel list in one vectorized NumPy "
-        "pass, 'scalar' calls the model once per kernel "
-        "(bit-identical results)",
     )
     p_sweep.add_argument(
         "--profile", action="store_true",
@@ -897,11 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile-out", default=None, metavar="FILE",
         help="write the full pstats text report to FILE instead of "
         "stderr (implies --profile)",
-    )
-    p_sweep.add_argument(
-        "--hosts", type=int, default=1, metavar="N",
-        help="shard the grid across N simulated hosts over the SPMD "
-        "cluster runtime (bit-identical results and cache counters)",
     )
     p_sweep.add_argument(
         "--store", default=None, metavar="DIR",
@@ -969,25 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
         "target",
         help="'sweep' (grid flags below) or an experiment name",
     )
-    p_trace.add_argument("--cpu", default="sg2042")
-    p_trace.add_argument("--kernels", default="TRIAD,DAXPY,GEMM",
-                         help="comma-separated kernel names (sweep)")
-    p_trace.add_argument("--threads", default="1,8,32")
-    p_trace.add_argument("--placements", default="cyclic,cluster")
-    p_trace.add_argument("--precisions", default="fp32")
-    p_trace.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="grid points dispatched concurrently (sweep)",
-    )
-    p_trace.add_argument(
-        "--workers-mode", default="thread",
-        choices=["thread", "process"],
-        help="worker pool type for --workers > 1 (sweep)",
-    )
-    p_trace.add_argument(
-        "--engine", default="batch", choices=["batch", "scalar"],
-        help="prediction engine (sweep)",
-    )
+    _add_grid_flags(p_trace)
     p_trace.add_argument("--fast", action="store_true",
                          help="reduced sweeps (experiment targets)")
     p_trace.add_argument(

@@ -10,10 +10,10 @@ distinct key and counts its hits/misses so sweeps can prove it
 (``SweepResult.cache_stats``).
 
 The cache computes under its lock, so a key is compiled **exactly
-once** even when sweep workers race on it — that exactly-once property
-is what the acceptance counters pin. Compilation *errors* (e.g. an RVV
-version mismatch without rollback) are intentionally not cached; they
-re-raise identically on every call and sit on cold paths.
+once** even when serve's engine threads race on it — that exactly-once
+property is what the acceptance counters pin. Compilation *errors* (e.g.
+an RVV version mismatch without rollback) are intentionally not cached;
+they re-raise identically on every call and sit on cold paths.
 
 With an :class:`~repro.store.ArtifactStore` attached the cache gains a
 *disk tier*: a memory miss probes the store before compiling, and every

@@ -705,6 +705,27 @@ class PredictionServer:
             )
         return cpu
 
+    @staticmethod
+    def _resolve_threads(cpu, value: Any) -> int:
+        """One client thread count, checked against the machine.
+
+        Only a JSON integer (not a boolean) from 1 to the machine's core
+        count is valid. Anything else is the client's error: it is
+        rejected here, before the response cache, admission and the
+        breaker, so it can never count as an engine fault.
+        """
+        cores = cpu.topology.num_cores
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, int)
+            or not 1 <= value <= cores
+        ):
+            raise BadRequest(
+                f"'threads' must be an integer from 1 to {cores} "
+                f"(the cores of {cpu.name}), got {value!r}"
+            )
+        return value
+
     def _resolve_kernel(self, name: Any):
         if not isinstance(name, str) or not name:
             raise BadRequest("'kernel' must be a kernel name string")
@@ -713,10 +734,11 @@ class PredictionServer:
         except ReproError as exc:
             raise NotFound(str(exc))
 
-    def _resolve_config(self, body: dict[str, Any]) -> RunConfig:
+    def _resolve_config(self, cpu, body: dict[str, Any]) -> RunConfig:
+        threads = self._resolve_threads(cpu, body.get("threads", 1))
         try:
             return RunConfig(
-                threads=int(body.get("threads", 1)),
+                threads=threads,
                 placement=str(body.get("placement", "block")),
                 precision=str(body.get("precision", "fp64")),
                 vectorize=bool(body.get("vectorize", True)),
@@ -766,7 +788,7 @@ class PredictionServer:
     async def _predict(self, body: dict[str, Any]) -> _RequestOutcome:
         kernel = self._resolve_kernel(body.get("kernel"))
         cpu = self._resolve_cpu(body)
-        config = self._resolve_config(body)
+        config = self._resolve_config(cpu, body)
         deadline_s = self._deadline_s(body)
         key = predict_key(cpu, config, kernel.name)
         cached = self.respcache.get(key)
@@ -855,8 +877,10 @@ class PredictionServer:
             self._resolve_kernel(name)
             for name in self._str_list(body, "kernels", ["TRIAD"])
         ]
+        threads = body.get("threads", [1])
+        if not isinstance(threads, list) or not threads:
+            raise BadRequest("'threads' must be a non-empty list")
         try:
-            threads = [int(t) for t in body.get("threads", [1])]
             placements = [
                 Placement.from_label(p)
                 for p in self._str_list(body, "placements", ["block"])
@@ -875,6 +899,8 @@ class PredictionServer:
                 f"sweep grid has {cells} cells; the service caps at "
                 f"{MAX_SWEEP_CELLS}"
             )
+        for t in threads:
+            self._resolve_threads(cpu, t)
         deadline_s = self._deadline_s(body)
         key = sweep_key(
             cpu, [k.name for k in kernels], threads, placements,

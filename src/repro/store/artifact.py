@@ -1,7 +1,7 @@
 """Content-addressed on-disk artifact store: the cold path's warm tier.
 
 Warm sweeps are memo-bound, but every *fresh process* — a CI job, a
-``repro serve`` cold start, one shard of a distributed sweep — pays the
+``repro serve`` cold start, a ``repro sweep --store`` run — pays the
 full per-kernel ``analyze()`` and SoA-lowering cost again because those
 artifacts live only in process memory. The :class:`ArtifactStore`
 persists them: small JSON artifacts addressed by a stable content

@@ -1,6 +1,6 @@
 """Garbage collection for long-lived artifact stores.
 
-A store directory shared by CI jobs, serve instances and sweep shards
+A store directory shared by CI jobs, serve instances and sweeps
 grows without bound: every new machine, flavor combo or response key
 adds artifacts, and nothing ever deleted them. :func:`prune_store`
 bounds it two ways, composable in one pass:

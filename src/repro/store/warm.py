@@ -2,7 +2,7 @@
 
 Warming compiles the kernel catalog once and persists every report —
 plus the suite's SoA lowering — so later processes (CI jobs, ``repro
-serve`` cold starts, distributed sweep shards) start near-warm from
+serve`` cold starts, later sweeps) start near-warm from
 disk. Warming is idempotent and incremental: artifacts already on disk
 are restored (counted), not recompiled, so re-running ``repro warm``
 after a partial run only fills the gaps.

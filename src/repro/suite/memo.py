@@ -177,8 +177,8 @@ class PredictionMemo:
     """Thread-safe content-addressed memo of kernel predictions.
 
     Lookups and stores take the lock; the prediction itself is computed
-    outside it so parallel sweep workers never serialize on the model.
-    Two workers racing on one cold key may both compute it — the results
+    outside it so serve's engine threads never serialize on the model.
+    Two threads racing on one cold key may both compute it — the results
     are identical by purity, so the last store wins harmlessly (the
     miss counter then reflects computations performed, not unique keys).
 

@@ -14,7 +14,7 @@ Usage::
     from repro.telemetry.export import write_trace
 
     with telemetry.telemetry_session() as (recorder, registry):
-        result = sweep(cpu, kernels, threads=(1, 8), workers=2)
+        result = sweep(cpu, kernels, threads=(1, 8))
         write_trace("trace.json", recorder.records())
         print(result.telemetry.render())
 
@@ -116,9 +116,8 @@ def telemetry_session(max_spans: int = DEFAULT_MAX_SPANS):
     for the duration of the block; yields ``(recorder, registry)``.
 
     Sessions nest: the previous pair (usually the no-op defaults) is
-    restored on exit. Worker *threads* record into the session
-    installed by the main thread; worker *processes* install their own
-    session and their spans/metrics are merged back by the sweep.
+    restored on exit. Every thread of the process records into the
+    installed session.
     """
     session_recorder = TraceRecorder(max_spans=max_spans)
     session_metrics = MetricsRegistry()
@@ -135,8 +134,7 @@ class TelemetrySummary:
 
     Carried on ``SuiteResult.telemetry`` / ``SweepResult.telemetry``
     (``None`` when telemetry was off) and rendered by the CLI's
-    ``run``/``sweep``/``trace`` output. Picklable: process-pool sweep
-    workers hand it back inside their ``SuiteResult``.
+    ``run``/``sweep``/``trace`` output.
 
     Attributes:
         span_count: Finished spans recorded so far.

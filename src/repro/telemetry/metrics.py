@@ -13,10 +13,9 @@ Instrument kinds:
 * **Gauge** — last-written point-in-time value (``set``).
 * **Histogram** — count/total/min/max of observed values (``observe``).
 
-Snapshots (:class:`MetricsSnapshot`) are plain picklable data: sweep
-worker processes snapshot their registry and the parent merges
-(counters add, gauges last-write-wins, histograms combine), so a
-multi-process sweep still produces one coherent registry.
+Snapshots (:class:`MetricsSnapshot`) are plain, immutable
+point-in-time data: what ``--metrics-out`` dumps and what
+:class:`~repro.telemetry.TelemetrySummary` carries.
 
 When telemetry is off the pipeline talks to :data:`NULL_METRICS`, whose
 instruments do nothing; hot call sites additionally guard on
@@ -84,18 +83,6 @@ class HistogramStat:
     minimum: float | None = None
     maximum: float | None = None
 
-    def combine(self, other: "HistogramStat") -> "HistogramStat":
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            return other
-        return HistogramStat(
-            count=self.count + other.count,
-            total=self.total + other.total,
-            minimum=min(self.minimum, other.minimum),
-            maximum=max(self.maximum, other.maximum),
-        )
-
     @property
     def mean(self) -> float | None:
         return self.total / self.count if self.count else None
@@ -130,20 +117,6 @@ class Histogram:
                 count=self._count, total=self._total,
                 minimum=self._min, maximum=self._max,
             )
-
-    def combine(self, stat: HistogramStat) -> None:
-        """Fold a foreign (e.g. worker-process) stat into this
-        histogram."""
-        if stat.count == 0:
-            return
-        with self._lock:
-            if self._count == 0:
-                self._min, self._max = stat.minimum, stat.maximum
-            else:
-                self._min = min(self._min, stat.minimum)
-                self._max = max(self._max, stat.maximum)
-            self._count += stat.count
-            self._total += stat.total
 
 
 class LatencyWindow:
@@ -266,9 +239,6 @@ class NullMetrics:
     def snapshot(self) -> MetricsSnapshot:
         return MetricsSnapshot()
 
-    def merge(self, snapshot: MetricsSnapshot) -> None:
-        pass
-
 
 NULL_METRICS = NullMetrics()
 
@@ -325,13 +295,3 @@ class MetricsRegistry:
         return MetricsSnapshot(
             counters=counters, gauges=gauges, histograms=histograms
         )
-
-    def merge(self, snapshot: MetricsSnapshot) -> None:
-        """Fold a foreign snapshot in: counters add, gauges last-write-
-        wins, histograms combine."""
-        for name, value in snapshot.counters.items():
-            self.counter(name).inc(value)
-        for name, value in snapshot.gauges.items():
-            self.gauge(name).set(value)
-        for name, stat in snapshot.histograms.items():
-            self.histogram(name).combine(stat)

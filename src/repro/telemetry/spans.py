@@ -1,4 +1,4 @@
-"""Nestable, thread- and process-safe spans with monotonic timing.
+"""Nestable, thread-safe spans with monotonic timing.
 
 A *span* is one timed phase of the pipeline — a suite run, a batched
 prediction pass, a compile-cache fill, a retry attempt. Spans nest: the
@@ -7,9 +7,8 @@ active records that span as its parent, and an exported trace reproduces
 the call tree.
 
 Timing is monotonic (``time.monotonic_ns``) for durations; start times
-are mapped onto the wall clock through a per-recorder anchor so spans
-recorded by different processes (sweep workers) stay comparable and a
-merged trace orders correctly by start time.
+are mapped onto the wall clock through a per-recorder anchor, so an
+exported trace carries epoch timestamps.
 
 The :class:`TraceRecorder` is ring-buffered: memory is bounded by
 ``max_spans`` and the oldest spans are dropped (and counted) once the
@@ -38,8 +37,7 @@ DEFAULT_MAX_SPANS = 100_000
 
 @dataclass(frozen=True)
 class SpanRecord:
-    """One finished span. Immutable, hashable, picklable — records
-    travel from sweep worker processes back to the parent trace.
+    """One finished span. Immutable, hashable, picklable.
 
     Attributes:
         name: Phase name (e.g. ``"suite.run"``, ``"predict.batch"``).
@@ -163,9 +161,6 @@ class NullRecorder:
     def records(self) -> list[SpanRecord]:
         return []
 
-    def merge(self, records) -> None:
-        pass
-
     def __len__(self) -> int:
         return 0
 
@@ -232,16 +227,6 @@ class TraceRecorder:
             if len(self._spans) == self._max_spans:
                 self._dropped += 1
             self._spans.append(record)
-
-    def merge(self, records) -> None:
-        """Fold foreign :class:`SpanRecord`\\ s (e.g. from a sweep worker
-        process) into this trace; they sort in with local spans by start
-        time in :meth:`records`."""
-        with self._lock:
-            for record in records:
-                if len(self._spans) == self._max_spans:
-                    self._dropped += 1
-                self._spans.append(record)
 
     def records(self) -> list[SpanRecord]:
         """All finished spans, ordered by start time (then pid/id for a

@@ -157,6 +157,57 @@ class TestPredict:
         assert body["error"]["retryable"] is True
 
 
+class TestThreadValidation:
+    """A bad thread count is the client's error: 400, never an engine
+    fault that counts towards the circuit breaker."""
+
+    @pytest.mark.parametrize("path, body", [
+        ("/predict", {"kernel": "TRIAD", "threads": 9999}),
+        ("/predict", {"kernel": "TRIAD", "threads": 8.9}),
+        ("/predict", {"kernel": "TRIAD", "threads": True}),
+        ("/sweep", {"kernels": ["TRIAD"], "threads": []}),
+        ("/sweep", {"kernels": ["TRIAD"], "threads": "16"}),
+        ("/sweep", {"kernels": ["TRIAD"], "threads": [8.9]}),
+        ("/sweep", {"kernels": ["TRIAD"], "threads": [True]}),
+        ("/sweep", {"kernels": ["TRIAD"], "threads": [9999]}),
+    ])
+    def test_bad_threads_400(self, path, body):
+        async def scenario(server):
+            return await http_request(server.port, "POST", path, body)
+
+        status, _, reply = with_server(default_config(), scenario)
+        assert status == 400
+        assert reply["error"]["code"] == "bad_request"
+        assert reply["error"]["retryable"] is False
+
+    def test_bad_threads_leave_the_breaker_closed(self):
+        async def scenario(server):
+            bad = [
+                await http_request(
+                    server.port, "POST", "/predict",
+                    {"kernel": "TRIAD", "threads": 9999},
+                )
+                for _ in range(6)
+            ]
+            good = await http_request(
+                server.port, "POST", "/predict",
+                {"kernel": "TRIAD", "threads": 8},
+            )
+            ready = await http_request(server.port, "GET", "/readyz")
+            metrics = await http_request(server.port, "GET", "/metrics")
+            return bad, good, ready, metrics
+
+        bad, good, ready, metrics = with_server(default_config(), scenario)
+        assert [status for status, _, _ in bad] == [400] * 6
+        assert good[0] == 200
+        assert ready[0] == 200 and ready[2]["breaker"] == "closed"
+        lines = dict(
+            line.rsplit(" ", 1)
+            for line in metrics[2].decode().splitlines() if " " in line
+        )
+        assert int(lines.get("counter serve.engine_faults", 0)) == 0
+
+
 class TestSweepAndExplain:
     def test_sweep_long_format(self):
         async def scenario(server):

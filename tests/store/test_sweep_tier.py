@@ -22,12 +22,7 @@ from repro.store import ArtifactStore, StoreWarning
 from repro.store.warm import warm_store
 from repro.suite.config import Placement, Precision
 from repro.suite.memo import CacheCounters, SuiteCaches
-from repro.suite.sweep import (
-    SweepFailure,
-    SweepResult,
-    distributed_sweep,
-    sweep,
-)
+from repro.suite.sweep import SweepFailure, SweepResult, sweep
 
 KERNELS = (get_kernel("TRIAD"), get_kernel("GEMM"))
 GRID = dict(
@@ -212,50 +207,3 @@ class TestGuards:
         )
         _persist_sweep(store, key, failed)
         assert store.artifact_count("sweep") == 0
-
-
-class TestDistributed:
-    def test_distributed_probes_the_tier_before_sharding(
-        self, store, sg2042, reference
-    ):
-        _sweep(store, cpu=sg2042)
-        restored = distributed_sweep(
-            sg2042, kernels=KERNELS, hosts=2,
-            caches=SuiteCaches.persistent(store), **GRID,
-        )
-        assert restored.restored
-        assert restored == reference
-
-    def test_distributed_persists_like_single_host(self, store, sg2042):
-        result = distributed_sweep(
-            sg2042, kernels=KERNELS, hosts=2,
-            caches=SuiteCaches.persistent(store), **GRID,
-        )
-        assert not result.restored
-        assert store.artifact_count("sweep") == 1
-        assert _sweep(store, cpu=sg2042).restored
-
-    def test_counter_parity_over_identical_stores(self, tmp_path, sg2042):
-        # Two stores prepared identically (warm + full-grid prime), then
-        # a *sub-grid* request on each: the single-host and distributed
-        # drivers must take the same page-tier path and finish with
-        # identical cache counters — the acceptance-criteria contract.
-        sub = dict(GRID, threads=(8,))
-        stores = []
-        for name in ("single", "dist"):
-            s = ArtifactStore(tmp_path / name)
-            warm_store(s, sg2042, KERNELS)
-            _sweep(s, cpu=sg2042)
-            stores.append(s)
-
-        single_caches = SuiteCaches.persistent(stores[0])
-        single = sweep(
-            sg2042, kernels=KERNELS, caches=single_caches, **sub
-        )
-        dist_caches = SuiteCaches.persistent(stores[1])
-        dist = distributed_sweep(
-            sg2042, kernels=KERNELS, hosts=2, caches=dist_caches, **sub
-        )
-        assert dist == single
-        assert not single.restored and not dist.restored
-        assert dist_caches.stats() == single_caches.stats()

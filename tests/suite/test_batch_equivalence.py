@@ -359,6 +359,10 @@ class TestRunSuiteEngine:
         with pytest.raises(ConfigError):
             run_suite(sg2042, RunConfig(threads=1), engine="gpu")
 
+    def test_unknown_sweep_engine_rejected(self, sg2042):
+        with pytest.raises(ConfigError):
+            sweep(sg2042, kernels=all_kernels()[:1], engine="gpu")
+
     @pytest.mark.parametrize("runs", NOISY_RUNS)
     @pytest.mark.parametrize("machine", sorted(catalog.all_cpus()))
     def test_noise_and_runs_match_scalar(self, all_cpus, machine, runs):
@@ -444,45 +448,6 @@ class TestForcedScalarDegradation:
                 policy="skip", engine="batch",
             )
         assert batch == scalar
-
-
-class TestProcessWorkers:
-    def test_process_pool_bit_identical(self, sg2042):
-        kernels = all_kernels()[:10]
-        grid = dict(
-            threads=(1, 8), placements=PLACEMENTS,
-        )
-        serial = sweep(sg2042, kernels=kernels, **grid)
-        proc = sweep(
-            sg2042, kernels=kernels, workers=2,
-            workers_mode="process", **grid,
-        )
-        assert proc == serial
-
-    def test_unknown_workers_mode_rejected(self, sg2042):
-        with pytest.raises(ConfigError):
-            sweep(
-                sg2042, kernels=all_kernels()[:1],
-                workers_mode="fiber",
-            )
-
-    def test_unknown_sweep_engine_rejected(self, sg2042):
-        with pytest.raises(ConfigError):
-            sweep(sg2042, kernels=all_kernels()[:1], engine="gpu")
-
-    def test_reference_mode_falls_back_to_threads(self, sg2042):
-        # reference_mode() is process-local state: process workers must
-        # not be used (they would silently run the fast path). The
-        # result must still equal the reference.
-        kernels = all_kernels()[:6]
-        with reference_mode():
-            ref = sweep(
-                sg2042, kernels=kernels, threads=(1, 8),
-                caches=SuiteCaches.disabled(), workers=2,
-                workers_mode="process",
-            )
-        plain = sweep(sg2042, kernels=kernels, threads=(1, 8))
-        assert ref == plain
 
 
 class TestMemoPeekPut:

@@ -1,12 +1,11 @@
 """Golden equivalence: the fast path is bit-identical to the reference.
 
-The prediction engine's fast path stacks three optimizations — placement
-symmetry-class dedup, compile/prediction memoization, and parallel sweep
-workers. None of them is allowed to change a single bit of any result.
-These tests pin that contract against the naive reference
-(:func:`reference_mode` + :meth:`SuiteCaches.disabled`), across all 64
-kernels, the SG2042 and an x86 catalog machine, block/cyclic placements,
-a resumed checkpoint and ``workers > 1``.
+The prediction engine's fast path stacks two optimizations — placement
+symmetry-class dedup and compile/prediction memoization. Neither is
+allowed to change a single bit of any result. These tests pin that
+contract against the naive reference (:func:`reference_mode` +
+:meth:`SuiteCaches.disabled`), across all 64 kernels, the SG2042 and an
+x86 catalog machine, block/cyclic placements and a resumed checkpoint.
 """
 
 import pytest
@@ -62,12 +61,8 @@ class TestSweepEquivalence:
         # exactly (cache_stats is excluded by field(compare=False)).
         assert fast == sg_reference
 
-    def test_parallel_sweep_bit_identical(self, sg2042, sg_reference):
-        fast = fast_sweep(sg2042, workers=4)
-        assert fast == sg_reference
-
     def test_x86_machine_bit_identical(self, amd_rome):
-        assert fast_sweep(amd_rome, workers=2) == reference_sweep(amd_rome)
+        assert fast_sweep(amd_rome) == reference_sweep(amd_rome)
 
     def test_resumed_checkpoint_bit_identical(
         self, sg2042, sg_reference, tmp_path
@@ -75,12 +70,12 @@ class TestSweepEquivalence:
         ckpt = tmp_path / "sweep.jsonl"
         fast_sweep(sg2042, checkpoint=ckpt)
         # Simulate a mid-grid kill: drop the latter half of the record
-        # lines, keeping the header, then resume with workers.
+        # lines, keeping the header, then resume.
         lines = ckpt.read_text().splitlines()
         assert len(lines) > 3
         keep = 1 + (len(lines) - 1) // 2
         ckpt.write_text("\n".join(lines[:keep]) + "\n")
-        resumed = fast_sweep(sg2042, checkpoint=ckpt, workers=4)
+        resumed = fast_sweep(sg2042, checkpoint=ckpt)
         assert resumed == sg_reference
 
     def test_compile_cache_compiles_each_kernel_exactly_once(self, sg2042):
@@ -134,12 +129,10 @@ class TestChaosInteraction:
         # fault hook) and keeps working under the plan.
         assert result.cache_stats.compile_misses == 64
 
-    def test_sweep_under_fault_plan_forces_serial_and_matches(self, sg2042):
+    def test_sweep_under_inert_fault_plan_matches(self, sg2042):
         kernels = all_kernels()[:4]
         with chaos.inject_faults(transient_plan(seed=7, probability=0.0)):
-            guarded = sweep(
-                sg2042, kernels=kernels, threads=(1, 8), workers=8
-            )
+            guarded = sweep(sg2042, kernels=kernels, threads=(1, 8))
         plain = sweep(sg2042, kernels=kernels, threads=(1, 8))
         assert guarded == plain
 
@@ -168,11 +161,3 @@ class TestPredictionMemoUnit:
         assert len(memo) == 0
         assert memo.hits == 0
         assert memo.misses == 0
-
-
-class TestWorkerValidation:
-    def test_workers_must_be_positive(self, sg2042):
-        from repro.util.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            sweep(sg2042, kernels=all_kernels()[:1], workers=0)

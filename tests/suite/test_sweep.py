@@ -1,13 +1,18 @@
 """Sweep utility tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.kernels.registry import get_kernel
-from repro.resilience.retry import FailurePolicy
-from repro.suite import sweep as sweep_module
 from repro.suite.config import Placement, Precision
 from repro.suite.sweep import sweep
 from repro.util.errors import ConfigError
+
+_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 @pytest.fixture(scope="module")
@@ -92,87 +97,18 @@ class TestSweep:
             small_sweep.filtered(threads=8, bogus=1)
 
 
-class TestBrokenProcessPool:
-    """A worker process dying mid-sweep degrades gracefully: the crash
-    becomes a FailureRecord and the remaining grid runs in-process."""
-
-    class _DoomedPool:
-        """Stand-in pool whose every future carries BrokenProcessPool,
-        like a real pool after a worker is OOM-killed."""
-
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            from concurrent.futures import Future
-            from concurrent.futures.process import BrokenProcessPool
-
-            future = Future()
-            future.set_exception(
-                BrokenProcessPool("a child process terminated abruptly")
-            )
-            return future
-
-    def _broken_sweep(self, sg2042, monkeypatch, **kwargs):
-        monkeypatch.setattr(
-            sweep_module, "ProcessPoolExecutor", self._DoomedPool
+class TestSerialDispatch:
+    def test_import_loads_no_process_pool(self):
+        """Sweeps run serially: importing the module must not pull in
+        the process-pool machinery."""
+        script = (
+            "import sys, repro.suite.sweep;"
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'}"
+            " & set(sys.modules)))"
         )
-        kernels = [get_kernel(n) for n in ("TRIAD", "GEMM")]
-        return sweep(
-            sg2042, kernels, threads=(1, 8),
-            placements=(Placement.CLUSTER,),
-            precisions=(Precision.FP32,),
-            workers=2, workers_mode="process", **kwargs,
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=_SRC),
         )
-
-    def test_crash_recorded_and_rest_runs_in_process(
-        self, sg2042, monkeypatch
-    ):
-        result = self._broken_sweep(sg2042, monkeypatch)
-        # The first grid point is the crash casualty...
-        assert len(result.failures) == 1
-        failure = result.failures[0]
-        assert failure.kernel == "*"
-        assert failure.error_type == "BrokenProcessPool"
-        assert "in-process" in failure.message
-        # ...and never a raw traceback: the message is one line.
-        assert "Traceback" not in failure.message
-        # The remaining grid point ran in-process: 1 point x 2 kernels.
-        assert len(result.points) == 2
-        assert {p.threads for p in result.points} == {8}
-
-    def test_fallback_points_match_a_serial_sweep(
-        self, sg2042, monkeypatch
-    ):
-        kernels = [get_kernel(n) for n in ("TRIAD", "GEMM")]
-        serial = sweep(
-            sg2042, kernels, threads=(1, 8),
-            placements=(Placement.CLUSTER,),
-            precisions=(Precision.FP32,),
-        )
-        broken = self._broken_sweep(sg2042, monkeypatch)
-        by_key = {
-            (p.kernel, p.threads): p.seconds for p in serial.points
-        }
-        for p in broken.points:
-            assert p.seconds == by_key[(p.kernel, p.threads)]
-
-    def test_abort_policy_still_converts_the_crash(
-        self, sg2042, monkeypatch
-    ):
-        """Even under ABORT, a pool crash is an infrastructure failure,
-        not a kernel failure: the sweep degrades instead of raising
-        BrokenProcessPool at the caller."""
-        result = self._broken_sweep(
-            sg2042, monkeypatch, policy=FailurePolicy.ABORT
-        )
-        assert [f.error_type for f in result.failures] == [
-            "BrokenProcessPool"
-        ]
-        assert len(result.points) == 2
+        assert proc.stdout.strip() == "[]"

@@ -1,14 +1,10 @@
-"""Unit tests: counters, gauges, histograms, snapshots, merging."""
+"""Unit tests: counters, gauges, histograms, snapshots."""
 
 import threading
 
 import pytest
 
-from repro.telemetry.metrics import (
-    NULL_METRICS,
-    HistogramStat,
-    MetricsRegistry,
-)
+from repro.telemetry.metrics import NULL_METRICS, MetricsRegistry
 from repro.util.errors import ConfigError
 
 
@@ -76,31 +72,6 @@ class TestSnapshotAndMerge:
         reg.counter("a").inc()
         assert snap.counters["a"] == 1
         assert reg.snapshot().counters["a"] == 2
-
-    def test_merge_semantics(self):
-        main = MetricsRegistry()
-        main.counter("runs").inc(2)
-        main.gauge("entries").set(5)
-        main.histogram("pause").observe(1.0)
-
-        worker = MetricsRegistry()
-        worker.counter("runs").inc(3)
-        worker.gauge("entries").set(7)
-        worker.histogram("pause").observe(3.0)
-
-        main.merge(worker.snapshot())
-        snap = main.snapshot()
-        assert snap.counters["runs"] == 5            # counters add
-        assert snap.gauges["entries"] == 7           # last write wins
-        stat = snap.histograms["pause"]              # histograms combine
-        assert stat.count == 2 and stat.total == 4.0
-        assert stat.minimum == 1.0 and stat.maximum == 3.0
-
-    def test_histogram_stat_combine_identity(self):
-        empty = HistogramStat()
-        one = HistogramStat(count=1, total=2.0, minimum=2.0, maximum=2.0)
-        assert empty.combine(one) == one
-        assert one.combine(empty) == one
 
     def test_render_format(self):
         reg = MetricsRegistry()

@@ -9,7 +9,6 @@ from repro import telemetry
 from repro.telemetry.spans import (
     NULL_RECORDER,
     NULL_SPAN,
-    SpanRecord,
     TraceRecorder,
 )
 from repro.util.errors import ConfigError
@@ -92,16 +91,6 @@ class TestRingBuffer:
         assert rec.dropped == 2
         assert len(rec) == 3
 
-    def test_merge_respects_capacity(self):
-        rec = TraceRecorder(max_spans=2)
-        other = TraceRecorder()
-        for i in range(3):
-            with other.span(f"w{i}"):
-                pass
-        rec.merge(other.records())
-        assert len(rec) == 2
-        assert rec.dropped == 1
-
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             TraceRecorder(max_spans=0)
@@ -155,8 +144,6 @@ class TestNullObjects:
         assert NULL_RECORDER.records() == []
         assert len(NULL_RECORDER) == 0
         assert NULL_RECORDER.dropped == 0
-        NULL_RECORDER.merge([SpanRecord("x", 0, 0, 1, None, 0, 0)])
-        assert NULL_RECORDER.records() == []
 
 
 class TestSession:

@@ -1,8 +1,15 @@
 """CLI tests for the analysis/measure/sweep/chart surfaces."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestAnalyze:
@@ -70,12 +77,6 @@ class TestSweep:
         scalar_out = capsys.readouterr().out
         assert batch_out == scalar_out
 
-    def test_workers_mode_process(self, capsys):
-        assert main(["sweep", "--kernels", "TRIAD", "--threads", "1,8",
-                     "--placements", "block", "--precisions", "fp64",
-                     "--workers", "2", "--workers-mode", "process"]) == 0
-        assert "best overall" in capsys.readouterr().out
-
     def test_profile_writes_report_to_stderr(self, capsys):
         assert main(["sweep", "--kernels", "TRIAD", "--threads", "1",
                      "--placements", "block", "--precisions", "fp64",
@@ -101,6 +102,31 @@ class TestSweep:
                      "--profile-out", str(out_file)]) == 0
         assert "profile written" in capsys.readouterr().err
         assert "cumulative" in out_file.read_text()
+
+
+class TestGridFlags:
+    """``sweep`` and ``trace sweep`` parse one set of grid flags."""
+
+    @pytest.mark.parametrize("command", [["sweep"], ["trace", "sweep"]])
+    def test_non_integer_threads_is_one_error_line(self, command,
+                                                   tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *command, "--kernels", "TRIAD",
+             "--threads", "1,x"],
+            capture_output=True, text=True, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=_SRC),
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "--threads" in lines[0]
+        assert "Traceback" not in proc.stderr
+
+    def test_trace_sweep_accepts_all_kernels(self, capsys, tmp_path):
+        assert main(["trace", "sweep", "--kernels", "all",
+                     "--threads", "1", "--placements", "block",
+                     "--trace-out", str(tmp_path / "trace.json")]) == 0
+        assert "sweep" in capsys.readouterr().out
 
 
 class TestChartFlag:
