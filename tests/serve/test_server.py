@@ -170,6 +170,11 @@ class TestThreadValidation:
         ("/sweep", {"kernels": ["TRIAD"], "threads": [8.9]}),
         ("/sweep", {"kernels": ["TRIAD"], "threads": [True]}),
         ("/sweep", {"kernels": ["TRIAD"], "threads": [9999]}),
+        # Either side of sg2042's 1..64 cores.
+        ("/predict", {"kernel": "TRIAD", "threads": 0}),
+        ("/predict", {"kernel": "TRIAD", "threads": 65}),
+        ("/sweep", {"kernels": ["TRIAD"], "threads": [0]}),
+        ("/sweep", {"kernels": ["TRIAD"], "threads": [1, 65]}),
     ])
     def test_bad_threads_400(self, path, body):
         async def scenario(server):
@@ -179,6 +184,18 @@ class TestThreadValidation:
         assert status == 400
         assert reply["error"]["code"] == "bad_request"
         assert reply["error"]["retryable"] is False
+
+    @pytest.mark.parametrize("path, body", [
+        ("/predict", {"kernel": "TRIAD", "threads": 1}),
+        ("/predict", {"kernel": "TRIAD", "threads": 64}),
+        ("/sweep", {"kernels": ["TRIAD"], "threads": [1, 64]}),
+    ])
+    def test_edge_threads_accepted(self, path, body):
+        async def scenario(server):
+            return await http_request(server.port, "POST", path, body)
+
+        status, _, _ = with_server(default_config(), scenario)
+        assert status == 200
 
     def test_bad_threads_leave_the_breaker_closed(self):
         async def scenario(server):

@@ -122,6 +122,28 @@ class TestGridFlags:
         assert "--threads" in lines[0]
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", [["sweep"], ["trace", "sweep"]])
+    @pytest.mark.parametrize("flag, value", [
+        ("--threads", "0"), ("--placements", "foo"),
+    ])
+    def test_bad_grid_value_is_one_error_line(self, command, flag, value,
+                                              capsys):
+        assert main([*command, "--kernels", "TRIAD", "--threads", "1",
+                     flag, value]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--workers", "2"],
+        ["sweep", "--hosts", "2"],
+        ["trace", "sweep", "--workers-mode", "thread"],
+    ])
+    def test_dispatch_flags_are_unrecognized(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_trace_sweep_accepts_all_kernels(self, capsys, tmp_path):
         assert main(["trace", "sweep", "--kernels", "all",
                      "--threads", "1", "--placements", "block",
