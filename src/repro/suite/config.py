@@ -23,7 +23,7 @@ from repro.compiler.model import (
 from repro.machine.cpu import CPUModel
 from repro.machine.vector import DType
 from repro.openmp.affinity import PlacementPolicy
-from repro.util.errors import ConfigError
+from repro.util.errors import ConfigError, as_int
 
 #: Public aliases matching the paper's vocabulary.
 Precision = DType
@@ -81,6 +81,11 @@ class RunConfig:
             object.__setattr__(
                 self, "flavor", VectorFlavor(self.flavor.lower())
             )
+        # Both counts seed the noise by ``repr`` and size its (kernel,
+        # run) matrix, so they are stored as plain ints: ``True``,
+        # ``2.0`` and ``np.int64(8)`` must not pass for 1, 2 and 8.
+        for name in ("threads", "runs"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if self.precision not in (DType.FP32, DType.FP64):

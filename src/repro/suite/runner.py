@@ -21,7 +21,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -53,7 +52,7 @@ from repro.resilience.retry import (
 from repro.resilience.validate import validate_cpu
 from repro.suite.config import RunConfig
 from repro.util.errors import ConfigError, ReproError, SimulationError
-from repro.util.rng import noise_factors, seed_deriver
+from repro.util.rng import noise_means, seed_deriver
 from repro.util.stats import arithmetic_mean
 
 
@@ -143,20 +142,23 @@ class SuiteResult:
         )
 
 
-def _noise_seeds(
-    cpu: CPUModel, config: RunConfig, compiler
-) -> Callable[[str], int] | None:
-    """Per-kernel noise seed of one suite, as a function of the kernel
-    name: ``derive_seed(cpu.name, name, threads, placement, precision,
-    vectorize, compiler, flavor)``.
+def _noise_means(
+    cpu: CPUModel, config: RunConfig, compiler, kernels: list[Kernel]
+) -> list[float] | None:
+    """Each kernel's mean noise factor over ``config.runs`` runs.
+
+    Kernel ``name`` is seeded with ``derive_seed(cpu.name, name, threads,
+    placement, precision, vectorize, compiler, flavor)``, and
+    :func:`~repro.util.rng.noise_means` averages the whole suite in one
+    pass with the bits of one ``np.random.default_rng(seed)`` per kernel.
 
     ``None`` under zero sigma (the deterministic default of sweeps and
-    golden tests): the factors would be exactly ones and their mean
-    exactly 1.0, so each run is its prediction, bit for bit, without
-    the seed, the RNG setup and the NumPy round-trip."""
+    golden tests): every mean would be exactly 1.0, so each run is its
+    prediction, bit for bit, without the seeds and the NumPy
+    round-trip."""
     if config.noise_sigma == 0:
         return None
-    return seed_deriver(
+    seed = seed_deriver(
         (cpu.name,),
         (
             config.threads, config.placement.value,
@@ -164,30 +166,10 @@ def _noise_seeds(
             config.flavor.value,
         ),
     )
-
-
-def _noisy_averages(
-    base_seconds: list[float],
-    names: list[str],
-    seeds: Callable[[str], int],
-    config: RunConfig,
-) -> list[float]:
-    """Each prediction times the mean of its kernel's ``config.runs``
-    noise factors.
-
-    The mean is ``np.add.reduce(factors) / runs``, which is what
-    ``np.mean`` computes; reducing the rows of one C-ordered
-    (kernel, run) matrix sums each row exactly as the 1-D reduction
-    does, so a whole suite folds in one pass with every bit of the
-    per-kernel result.
-    """
-    runs = config.runs
-    factors = np.array([
-        noise_factors(seeds(name), runs, config.noise_sigma)
-        for name in names
-    ])
-    means = np.add.reduce(factors, axis=1) / runs
-    return (np.array(base_seconds, dtype=np.float64) * means).tolist()
+    return noise_means(
+        [seed(kernel.name) for kernel in kernels], config.runs,
+        config.noise_sigma,
+    ).tolist()
 
 
 def _resolve_report(
@@ -576,7 +558,7 @@ def _run_one_kernel(
     prefetched: dict[
         str, tuple[VectorizationReport, ExecutionResult | None]
     ] | None = None,
-    seeds: Callable[[str], int] | None = None,
+    noise_mean: float | None = None,
 ) -> KernelRun:
     """The per-kernel unit of work the failure policy isolates."""
     chaos.raise_if_fault(FaultSite.RUN, kernel.name, kernel.klass)
@@ -606,12 +588,9 @@ def _run_one_kernel(
             prediction = _predict_scalar(
                 kernel, cpu, cores, config.precision, report, size
             )
-    if seeds is None:
-        seconds = prediction.seconds
-    else:
-        (seconds,) = _noisy_averages(
-            [prediction.seconds], [kernel.name], seeds, config
-        )
+    seconds = prediction.seconds
+    if noise_mean is not None:
+        seconds *= noise_mean
     if not math.isfinite(seconds) or seconds <= 0:
         raise SimulationError(
             f"{kernel.name}: run-averaged time is not a positive finite "
@@ -629,16 +608,14 @@ def _run_one_kernel(
 def _bulk_runs(
     kernels: list[Kernel],
     prefetched: _Prefetched,
-    config: RunConfig,
-    seeds: Callable[[str], int] | None,
+    means: list[float] | None,
 ) -> dict[str, KernelRun] | None:
     """Assemble a whole suite's :class:`KernelRun`\\ s from a complete
     prefetch, or ``None`` if any kernel needs the per-kernel loop.
 
     Equivalent to :func:`_run_one_kernel` over ``kernels`` under the
     caller-checked preconditions (no chaos plan, untraced): each run is
-    ``prediction.seconds``, noise-averaged by the same
-    :func:`_noisy_averages` for all kernels at once, plus the same
+    ``prediction.seconds`` times its kernel's noise mean, plus the same
     finiteness guard; a guard failure rejects the whole bulk so the
     loop raises the identical :class:`SimulationError`.
     """
@@ -650,10 +627,8 @@ def _bulk_runs(
             return None
         entries.append(entry)
     seconds = [prediction.seconds for _, prediction in entries]
-    if seeds is not None:
-        seconds = _noisy_averages(
-            seconds, [kernel.name for kernel in kernels], seeds, config
-        )
+    if means is not None:
+        seconds = [s * mean for s, mean in zip(seconds, means)]
     runs: dict[str, KernelRun] = {}
     for kernel, (report, prediction), run_seconds in zip(
         kernels, entries, seconds
@@ -704,15 +679,16 @@ def run_suite(
             fault plan is installed.
         engine: ``"batch"`` (default) predicts the whole kernel list in
             one vectorized pass
-            (:func:`repro.perfmodel.batch.predict_batch`) and folds the
-            noise averaging of all kernels into one array pass.
-            ``"scalar"`` is the reference: one :func:`simulate_kernel`
-            call per kernel, bit-identical to batch. Scalar is also the
-            fallback: batch silently degrades to it while a chaos fault
-            plan or :func:`reference_mode` is active (both are per-call
-            state a batched evaluation cannot replay), and per kernel
-            wherever the batch pass abstains — so failure semantics are
-            byte-identical too.
+            (:func:`repro.perfmodel.batch.predict_batch`) and assembles
+            the suite in one pass. ``"scalar"`` is the reference: one
+            :func:`simulate_kernel` call per kernel, bit-identical to
+            batch. Either engine averages the noise of all kernels in
+            one :func:`~repro.util.rng.noise_means` pass. Scalar is
+            also the fallback: batch silently degrades to it while a
+            chaos fault plan or :func:`reference_mode` is active (both
+            are per-call state a batched evaluation cannot replay), and
+            per kernel wherever the batch pass abstains — so failure
+            semantics are byte-identical too.
         prefetched: Pre-computed ``{kernel name: (report, prediction)}``
             from :func:`grid_prefetch` — a sweep passes this so a whole
             grid is predicted in one pass. When given, the batch
@@ -775,11 +751,13 @@ def run_suite(
                 memo_prefix
             )
 
-        seeds = _noise_seeds(cpu, config, compiler)
+        # One noise pass for the whole suite; the bulk fold and the
+        # per-kernel loop both multiply by its means.
+        means = _noise_means(cpu, config, compiler, kernels)
         # Bulk fold: when every kernel arrived prefetched with a real
         # prediction and nothing can intervene per kernel (no chaos
         # plan, no tracing spans), the per-kernel policy loop below is
-        # pure assembly plus noise averaging — do both in one pass.
+        # pure assembly plus noise scaling — do both in one pass.
         # Any kernel that would take a different branch (missing entry,
         # batch abstention, non-finite time) drops to the loop, so
         # failure semantics and counters stay byte-identical.
@@ -788,7 +766,7 @@ def run_suite(
             and not traced
             and chaos.active_plan() is None
         ):
-            bulk = _bulk_runs(kernels, prefetched, config, seeds)
+            bulk = _bulk_runs(kernels, prefetched, means)
             if bulk is not None:
                 return SuiteResult(
                     cpu_name=cpu.name,
@@ -803,7 +781,8 @@ def run_suite(
 
         runs: dict[str, KernelRun] = {}
         failures: list[FailureRecord] = []
-        for kernel in kernels:
+        for i, kernel in enumerate(kernels):
+            mean = None if means is None else means[i]
             # First attempt runs inline for every policy: the fault-free
             # path pays only this try/except, keeping the hardened
             # runner seed-identical and essentially free next to the
@@ -813,12 +792,12 @@ def run_suite(
                     with rec.span("kernel.run", kernel=kernel.name):
                         runs[kernel.name] = _run_one_kernel(
                             kernel, cpu, config, compiler, cores, caches,
-                            memo_prefix, prefetched, seeds,
+                            memo_prefix, prefetched, mean,
                         )
                 else:
                     runs[kernel.name] = _run_one_kernel(
                         kernel, cpu, config, compiler, cores, caches,
-                        memo_prefix, prefetched, seeds,
+                        memo_prefix, prefetched, mean,
                     )
                 continue
             except ReproError as exc:
@@ -839,9 +818,9 @@ def run_suite(
             try:
                 with rec.span("retry", kernel=kernel.name) as retry_span:
                     run, engine_attempts = call_with_retry(
-                        lambda k=kernel: _run_one_kernel(
+                        lambda k=kernel, m=mean: _run_one_kernel(
                             k, cpu, config, compiler, cores, caches,
-                            memo_prefix, prefetched, seeds,
+                            memo_prefix, prefetched, m,
                         ),
                         RetrySpec(
                             max_retries=spec.max_retries - 1,

@@ -7,6 +7,8 @@ swallowing programming errors (``TypeError`` etc.).
 
 from __future__ import annotations
 
+import operator
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro package."""
@@ -43,3 +45,18 @@ class IsaError(ReproError):
 class CompilationError(ReproError):
     """The compiler model was asked something it cannot answer (unknown
     kernel IR construct, incompatible target/ISA combination)."""
+
+
+def as_int(name: str, value: object) -> int:
+    """``value`` as a Python int, for a parameter that counts something.
+
+    Integer types (NumPy's included) convert through
+    :func:`operator.index`. Bools, floats (even integral ones such as
+    ``2.0``) and strings raise :class:`ConfigError` naming ``name``.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{name} must be an int, got {value!r}")

@@ -1,5 +1,6 @@
 """RunConfig tests."""
 
+import numpy as np
 import pytest
 
 from repro.compiler.model import (
@@ -12,6 +13,7 @@ from repro.compiler.model import (
 from repro.machine.vector import DType
 from repro.openmp.affinity import PlacementPolicy
 from repro.suite.config import RunConfig
+from repro.suite.runner import run_suite
 from repro.util.errors import ConfigError
 
 
@@ -64,6 +66,25 @@ class TestConstruction:
         cfg = RunConfig(threads=1).with_threads(8, PlacementPolicy.CYCLIC)
         assert cfg.threads == 8
         assert cfg.placement is PlacementPolicy.CYCLIC
+
+    @pytest.mark.parametrize("field", ["threads", "runs"])
+    @pytest.mark.parametrize(
+        "value", [True, False, 2.0, 3.0, 2.5, "5", None, np.float64(4.0)]
+    )
+    def test_non_int_counts_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["threads", "runs"])
+    def test_numpy_int_counts_stored_as_int(self, field):
+        cfg = RunConfig(**{field: np.int64(8)})
+        assert type(getattr(cfg, field)) is int
+        assert cfg == RunConfig(**{field: 8})
+
+    def test_numpy_int_threads_seed_like_int(self, sg2042):
+        assert run_suite(sg2042, RunConfig(threads=np.int64(8))) == (
+            run_suite(sg2042, RunConfig(threads=8))
+        )
 
 
 class TestCompilerResolution:

@@ -1,18 +1,56 @@
 """Deterministic RNG tests."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.kernels.registry import kernel_names
 from repro.util.errors import ConfigError
-from repro.util.rng import derive_seed, noise_factors, seed_deriver
+from repro.util.rng import (
+    _seed_words,
+    derive_seed,
+    noise_factors,
+    noise_means,
+    seed_deriver,
+)
 
 #: A machine name whose ``repr`` escapes quotes and whose UTF-8 form is
 #: multi-byte.
 ODD_MACHINE = "Sophon \"SG2042\" \u2014 C920 'v0.7.1' \u00fcn\u00ef"
 #: The per-kernel tail of a suite's noise seed (see ``run_suite``).
 SUITE_SUFFIX = (8, "block", "fp32", True, "xuantie-gcc-8.4", "vls")
+#: The 64 noise seeds of one SG2042 suite.
+SUITE_SEEDS = [
+    seed_deriver(("sg2042",), SUITE_SUFFIX)(name) for name in kernel_names()
+]
+#: Seeds at the edges of the 32-bit words NumPy splits a seed into.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]
+#: Arguments both noise functions reject: (seed, count, sigma).
+BAD_NOISE_ARGS = [
+    (1, 0, 0.02),
+    (1, -3, 0.02),
+    (1, 2.5, 0.02),
+    (1, 5.0, 0.02),
+    (1, True, 0.02),
+    (1, "5", 0.02),
+    (1, 5, -0.1),
+    (1, 5, float("nan")),
+    (1, 5, float("inf")),
+    (1, 5, float("-inf")),
+    (1, 5, "0.02"),
+    (-1, 5, 0.02),
+    (True, 5, 0.02),
+    (1.0, 5, 0.02),
+    ("1", 5, 0.02),
+]
+
+
+def mean_of_factors(seed, runs, sigma):
+    """The reference mean: ``np.mean`` over ``noise_factors``."""
+    return np.add.reduce(noise_factors(seed, runs, sigma)) / runs
 
 
 class TestDeriveSeed:
@@ -97,3 +135,118 @@ class TestNoiseFactors:
     def test_sigma_validation(self):
         with pytest.raises(ConfigError):
             noise_factors(1, 5, sigma=-0.1)
+
+    @pytest.mark.parametrize("seed, count, sigma", BAD_NOISE_ARGS)
+    def test_bad_arguments_rejected(self, seed, count, sigma):
+        with pytest.raises(ConfigError):
+            noise_factors(seed, count, sigma)
+
+    def test_numpy_ints_accepted(self):
+        assert np.array_equal(
+            noise_factors(np.uint64(7), np.int32(5)), noise_factors(7, 5)
+        )
+
+    def test_seed_above_63_bits_accepted(self):
+        assert noise_factors(2**70, 3).shape == (3,)
+
+    def test_calls_default_rng(self, monkeypatch):
+        calls = []
+        real = np.random.default_rng
+
+        def spy(seed):
+            calls.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        noise_factors(42, 5)
+        assert calls == [42]
+
+
+class TestSeedWords:
+    @given(st.lists(st.integers(0, 2**63 - 1), max_size=8))
+    def test_match_seed_sequence(self, seeds):
+        words = _seed_words(seeds)
+        assert words.shape == (len(seeds), 4)
+        for seed, row in zip(seeds, words):
+            want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            assert row.tolist() == want.tolist(), seed
+
+    def test_edge_and_suite_seeds(self):
+        want = [
+            np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+            for seed in EDGE_SEEDS + SUITE_SEEDS
+        ]
+        assert _seed_words(EDGE_SEEDS + SUITE_SEEDS).tolist() == want
+
+
+class TestNoiseMeans:
+    @pytest.mark.parametrize(
+        "seeds",
+        [SUITE_SEEDS[:1], SUITE_SEEDS[:13], SUITE_SEEDS, EDGE_SEEDS,
+         [7, 7, 3, 7]],
+        ids=["suite1", "suite13", "suite64", "edges", "repeats"],
+    )
+    @pytest.mark.parametrize("sigma", [0.02, 0.5, 3.0])
+    @pytest.mark.parametrize("runs", [1, 5, 8, 9, 17])
+    def test_bit_identical_to_noise_factors(self, seeds, sigma, runs):
+        want = np.array([mean_of_factors(s, runs, sigma) for s in seeds])
+        got = noise_means(seeds, runs, sigma)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.02])
+    def test_empty_suite(self, sigma):
+        means = noise_means([], 5, sigma)
+        assert means.shape == (0,)
+        assert means.dtype == np.float64
+
+    def test_zero_sigma_is_exactly_one(self):
+        assert noise_means(SUITE_SEEDS[:3], 5, 0.0).tolist() == [1.0] * 3
+
+    @pytest.mark.parametrize("seed, count, sigma", BAD_NOISE_ARGS)
+    def test_bad_arguments_rejected(self, seed, count, sigma):
+        with pytest.raises(ConfigError):
+            noise_means([3, seed], count, sigma)
+
+    @pytest.mark.parametrize("seed", [2**63, 2**64 - 1, 2**70])
+    def test_seeds_above_derive_seed_range_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seeds"):
+            noise_means([3, seed], 5)
+
+    def test_numpy_int_seeds(self):
+        seeds = np.array(SUITE_SEEDS[:4], dtype=np.int64)
+        assert noise_means(seeds, 5).tobytes() == (
+            noise_means(SUITE_SEEDS[:4], 5).tobytes()
+        )
+
+    def test_concurrent_calls_match_serial(self):
+        # Each call owns its generator: interleaving calls from several
+        # threads, switching as often as the interpreter allows, must
+        # not let one call's state leak into another's draws.
+        jobs = [
+            (SUITE_SEEDS[i % 64:i % 64 + 13], 1 + i % 9)
+            for i in range(200)
+        ]
+        want = [noise_means(seeds, runs).tobytes() for seeds, runs in jobs]
+        got = [None] * len(jobs)
+
+        def work(offset):
+            for i in range(offset, len(jobs), 4):
+                seeds, runs = jobs[i]
+                got[i] = noise_means(seeds, runs).tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(offset,))
+                for offset in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == want
