@@ -888,8 +888,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--no-cache", action="store_true",
-        help="disable the compile cache and prediction memo (the "
-        "scalar-reference cold path; incompatible with --store)",
+        help="switch off the counted compile cache and prediction memo "
+        "(the in-process suite-compilation, SoA-lowering and "
+        "batch-prelude LRUs still apply; incompatible with --store)",
     )
     p_sweep.add_argument(
         "--stats-out", default=None, metavar="FILE",

@@ -29,6 +29,7 @@ from repro.compiler.ir import Loop, LoopNest
 from repro.compiler.vectorizer import (
     VectorizationReport,
     analyze,
+    analyze_suite,
     suite_statistics,
 )
 
@@ -42,6 +43,7 @@ __all__ = [
     "compiler_by_name",
     "VectorizationReport",
     "analyze",
+    "analyze_suite",
     "suite_statistics",
     "derive_features",
     "features_agree",

@@ -42,7 +42,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store import ArtifactStore
 
 #: One compilation's identity: everything ``analyze`` reads.
-CompileKey = tuple[str, str | None, str, str, str | None, VectorFlavor, bool]
+CompileKey = tuple[
+    str, str | None, str, str, str | None, bool, VectorFlavor, bool
+]
 
 
 def compile_key(
@@ -55,9 +57,10 @@ def compile_key(
     """Key identifying one compilation.
 
     Compilers and kernels are registry singletons keyed by unique names;
-    the target ISA contributes its name and version so custom machines
-    with re-tuned ISAs of the same name still collide only when equal in
-    the fields ``analyze`` consults.
+    the target ISA contributes its name, version and whether it has a
+    vector unit at all, so custom machines with re-tuned ISAs of the
+    same name still collide only when equal in the fields ``analyze``
+    consults.
     """
     return (
         compiler.name,
@@ -65,6 +68,7 @@ def compile_key(
         kernel.name,
         target.name,
         target.version,
+        target.is_scalar_only,
         flavor,
         rollback,
     )
@@ -149,11 +153,11 @@ class CompileCache:
         """
         from repro.store.codecs import jsonable_parts
 
-        (name, rvv, kernels, target_name, target_version, flavor,
-         rollback) = suite_key
+        (name, rvv, kernels, target_name, target_version, scalar_only,
+         flavor, rollback) = suite_key
         return jsonable_parts((
             "suite", name, rvv, tuple(k.name for k in kernels),
-            target_name, target_version, flavor, rollback,
+            target_name, target_version, scalar_only, flavor, rollback,
         ))
 
     def _suite_disk_get(
@@ -320,7 +324,8 @@ class CompileCache:
         """
         suite_key = (
             compiler.name, compiler.rvv_version, kernels,
-            target.name, target.version, flavor, rollback,
+            target.name, target.version, target.is_scalar_only, flavor,
+            rollback,
         )
         # Per-configuration site: the unconditional (possibly-null) span
         # here costs one context manager per grid point, not per kernel.

@@ -85,6 +85,22 @@ class Compiler:
                     f"{self.name}: quirk for {kernel} must be positive"
                 )
 
+    def __hash__(self) -> int:
+        # The generated dataclass hash fails on the ``kernel_quirks``
+        # mappingproxy; hash its sorted items instead (equal mappings,
+        # equal hashes). Compilers key the suite compile LRU, so compute
+        # once and cache on the (frozen) instance.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((
+                self.name, self.family, self.rvv_version, self.flavors,
+                self.blockers, self.runtime_scalar_features,
+                self.vla_efficiency,
+                tuple(sorted(self.kernel_quirks.items())),
+            ))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
     def supports_flavor(self, flavor: VectorFlavor) -> bool:
         return flavor in self.flavors
 

@@ -9,11 +9,12 @@ the resulting efficiency into the kernel's vector throughput.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.compiler.model import Compiler, VectorFlavor
 from repro.kernels.base import Kernel
 from repro.machine.vector import VectorISA
-from repro.util.errors import CompilationError
+from repro.util.errors import CompilationError, ReproError
 
 
 @dataclass(frozen=True)
@@ -133,6 +134,33 @@ def analyze(
         efficiency=efficiency,
         reason=reason,
     )
+
+
+@lru_cache(maxsize=256)
+def analyze_suite(
+    compiler: Compiler,
+    kernels: tuple[Kernel, ...],
+    target: VectorISA,
+    flavor: VectorFlavor = VectorFlavor.VLS,
+    rollback: bool = False,
+) -> tuple[VectorizationReport | None, ...]:
+    """:func:`analyze` for a whole kernel tuple, one entry per kernel.
+
+    An entry is ``None`` where :func:`analyze` raises a
+    :class:`~repro.util.errors.ReproError`; the caller re-runs that
+    kernel alone to surface the error. LRU-cached on every input
+    ``analyze`` reads, by value (kernels by identity, as registry
+    kernels are shared instances), so a suite compiled once per
+    configuration is reused at every thread count and placement, and a
+    repeated call returns the same tuple of the same report objects.
+    """
+    out: list[VectorizationReport | None] = []
+    for kernel in kernels:
+        try:
+            out.append(analyze(compiler, kernel, target, flavor, rollback))
+        except ReproError:
+            out.append(None)
+    return tuple(out)
 
 
 def suite_statistics(

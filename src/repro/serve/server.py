@@ -741,10 +741,12 @@ class PredictionServer:
                 threads=threads,
                 placement=str(body.get("placement", "block")),
                 precision=str(body.get("precision", "fp64")),
-                vectorize=bool(body.get("vectorize", True)),
+                # Raw JSON values: RunConfig rejects anything but a
+                # bool, so "false" is a 400, not a truthy True.
+                vectorize=body.get("vectorize", True),
                 compiler=body.get("compiler"),
                 flavor=str(body.get("flavor", "vls")),
-                rollback=bool(body.get("rollback", False)),
+                rollback=body.get("rollback", False),
                 # Serving is deterministic: one run, exact model output.
                 runs=1,
                 noise_sigma=0.0,

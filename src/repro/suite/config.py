@@ -9,7 +9,10 @@ applied (required to run Clang output on the C920).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from repro.compiler.model import (
     CLANG_16,
@@ -31,6 +34,17 @@ Placement = PlacementPolicy
 
 #: The paper averages every reported result over five runs.
 DEFAULT_RUNS = 5
+
+
+def _as_float(name: str, value: object) -> float:
+    """``value`` as a Python float; bools and non-reals raise
+    :class:`ConfigError` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} must be finite, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -94,6 +108,22 @@ class RunConfig:
             )
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
+        # Flags and reals are stored as plain ``bool`` and ``float`` for
+        # the same reason: the noise seed hashes ``repr(vectorize)`` and
+        # flags are read by truthiness, so ``1``, ``np.True_`` or
+        # ``"false"`` must not pass for a flag, nor ``True`` for a sigma.
+        for name in ("vectorize", "rollback"):
+            value = getattr(self, name)
+            if type(value) is not bool:
+                if not isinstance(value, np.bool_):
+                    raise ConfigError(
+                        f"{name} must be a bool, got {value!r}"
+                    )
+                object.__setattr__(self, name, bool(value))
+        for name in ("noise_sigma", "size_scale"):
+            value = getattr(self, name)
+            if type(value) is not float:
+                object.__setattr__(self, name, _as_float(name, value))
         # ``nan < 0`` is false, so finiteness needs its own check.
         if not math.isfinite(self.noise_sigma) or self.noise_sigma < 0:
             raise ConfigError(
@@ -106,6 +136,11 @@ class RunConfig:
                 f"got {self.size_scale}"
             )
         if self.compiler is not None:
+            if not isinstance(self.compiler, str):
+                raise ConfigError(
+                    f"compiler must be a compiler id string or None, "
+                    f"got {self.compiler!r}"
+                )
             compiler_by_name(self.compiler)  # validates
 
     def with_threads(self, threads: int, placement: Placement | None = None

@@ -352,8 +352,10 @@ def sweep(
         caches: Cache layers shared by every grid point; defaults to a
             fresh :class:`SuiteCaches` (compile cache + prediction memo
             enabled), so each (kernel, flavor, rollback) is compiled
-            exactly once per sweep. Pass ``SuiteCaches.disabled()`` to
-            reproduce the uncached behaviour.
+            exactly once per sweep. ``SuiteCaches.disabled()`` switches
+            off the counted, store-backed compile cache and prediction
+            memo; the pure in-process LRUs (suite compilation, SoA
+            lowering, batch prelude) still apply.
         engine: Prediction engine forwarded to :func:`run_suite`:
             ``"batch"`` (default) evaluates each configuration's whole
             kernel list in one vectorized NumPy pass, ``"scalar"`` is

@@ -3,11 +3,21 @@
 import pytest
 
 from repro.compiler.cache import CompileCache, compile_key
-from repro.compiler.model import CLANG_16, XUANTIE_GCC_8_4, VectorFlavor
+from repro.compiler.model import (
+    CLANG_16,
+    GCC_8_3,
+    XUANTIE_GCC_8_4,
+    VectorFlavor,
+)
 from repro.compiler.vectorizer import analyze
 from repro.kernels.registry import all_kernels, get_kernel
-from repro.machine.vector import rvv_0_7_1, rvv_1_0
+from repro.machine.vector import VectorISA, avx2, rvv_0_7_1, rvv_1_0
+from repro.store import ArtifactStore
 from repro.util.errors import CompilationError
+
+#: AVX2's name on a core without a vector unit: ``analyze`` compiles
+#: nothing for it, so it must never share AVX2's reports.
+NO_UNIT_AVX2 = VectorISA("AVX2", 0)
 
 
 class TestCompileCache:
@@ -75,8 +85,47 @@ class TestCompileCache:
                         VectorFlavor.VLA, False),
             compile_key(XUANTIE_GCC_8_4, kernel, rvv_0_7_1(),
                         VectorFlavor.VLS, True),
+            compile_key(XUANTIE_GCC_8_4, kernel,
+                        VectorISA("RVV v0.7.1", 0, version="0.7.1"),
+                        VectorFlavor.VLS, False),
         ]
         assert len({base, *varied}) == len(varied) + 1
+
+
+class TestSameNamedIsa:
+    """A target without a vector unit gets its own reports, whatever
+    its name: ``analyze`` reads ``is_scalar_only``, so the keys do."""
+
+    def _counts(self, reports):
+        return sum(1 for report in reports if report.vectorized)
+
+    def test_in_memory_composite_and_per_key(self):
+        kernels = tuple(all_kernels())
+        cache = CompileCache()
+        assert self._counts(
+            cache.analyze_suite(GCC_8_3, kernels, avx2())
+        ) == 30
+        assert self._counts(
+            cache.analyze_suite(GCC_8_3, kernels, NO_UNIT_AVX2)
+        ) == 0
+        report = cache.analyze(GCC_8_3, get_kernel("TRIAD"), NO_UNIT_AVX2)
+        assert report == analyze(GCC_8_3, get_kernel("TRIAD"), NO_UNIT_AVX2)
+        assert not report.vectorized
+
+    def test_two_caches_over_one_store(self, tmp_path):
+        kernels = tuple(all_kernels())
+        store = ArtifactStore(tmp_path / "store")
+        CompileCache(store=store).analyze_suite(GCC_8_3, kernels, avx2())
+        assert not CompileCache(store=store).analyze(
+            GCC_8_3, get_kernel("TRIAD"), NO_UNIT_AVX2
+        ).vectorized
+        reports = CompileCache(store=store).analyze_suite(
+            GCC_8_3, kernels, NO_UNIT_AVX2
+        )
+        assert reports == [
+            analyze(GCC_8_3, kernel, NO_UNIT_AVX2) for kernel in kernels
+        ]
+        assert self._counts(reports) == 0
 
 
 class TestSuiteResolution:

@@ -1,18 +1,35 @@
 """Auto-vectorization decision tests: every published statistic and
 every kernel the paper names."""
 
+import dataclasses
+from types import MappingProxyType
+
 import pytest
 
 from repro.compiler.model import (
     CLANG_16,
     GCC_8_3,
+    GCC_11_2,
     VectorFlavor,
     XUANTIE_GCC_8_4,
 )
-from repro.compiler.vectorizer import analyze, suite_statistics
+from repro.compiler.vectorizer import (
+    analyze,
+    analyze_suite,
+    suite_statistics,
+)
 from repro.kernels.registry import all_kernels, get_kernel
-from repro.machine.vector import avx2, rvv_0_7_1, rvv_1_0, scalar_only
-from repro.util.errors import CompilationError
+from repro.machine.vector import (
+    VectorISA,
+    avx2,
+    rvv_0_7_1,
+    rvv_1_0,
+    scalar_only,
+)
+from repro.registry import default_registry
+from repro.util.errors import CompilationError, ReproError
+
+COMPILERS = (XUANTIE_GCC_8_4, GCC_8_3, GCC_11_2, CLANG_16)
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +163,79 @@ class TestReports:
         for kernel in kernels:
             report = analyze(XUANTIE_GCC_8_4, kernel, rvv_0_7_1())
             assert 0 < report.efficiency <= 1
+
+
+class TestAnalyzeSuite:
+    """``analyze_suite``: per-kernel ``analyze`` for a whole tuple,
+    LRU-cached on every input ``analyze`` reads."""
+
+    @pytest.mark.parametrize("rollback", [False, True])
+    @pytest.mark.parametrize("flavor", list(VectorFlavor))
+    @pytest.mark.parametrize("compiler", COMPILERS, ids=lambda c: c.name)
+    def test_matches_per_kernel_analyze(self, kernels, compiler, flavor,
+                                        rollback):
+        isas = {
+            cpu.core.isa for cpu in default_registry().machines().values()
+        }
+        suite = tuple(kernels)
+        for isa in isas:
+            entries = analyze_suite(compiler, suite, isa, flavor, rollback)
+            assert len(entries) == len(suite)
+            for kernel, entry in zip(suite, entries):
+                try:
+                    expected = analyze(compiler, kernel, isa, flavor,
+                                       rollback)
+                except ReproError:
+                    assert entry is None
+                else:
+                    assert entry == expected
+
+    def test_repeat_returns_the_same_tuple(self, kernels):
+        analyze_suite.cache_clear()
+        suite = tuple(kernels)
+        first = analyze_suite(XUANTIE_GCC_8_4, suite, rvv_0_7_1(),
+                              VectorFlavor.VLS, False)
+        second = analyze_suite(XUANTIE_GCC_8_4, tuple(kernels),
+                               rvv_0_7_1(), VectorFlavor.VLS, False)
+        assert second is first
+        assert analyze_suite.cache_info().misses == 1
+
+    def test_same_named_scalar_only_isa_gets_its_own_entry(self, kernels):
+        suite = tuple(kernels)
+        vector = analyze_suite(GCC_8_3, suite, avx2(), VectorFlavor.VLS,
+                               False)
+        no_unit = analyze_suite(GCC_8_3, suite, VectorISA("AVX2", 0),
+                                VectorFlavor.VLS, False)
+        assert sum(report.vectorized for report in vector) == 30
+        assert not any(report.vectorized for report in no_unit)
+
+    def test_compiler_differing_in_any_field_gets_its_own_entry(self):
+        suite = (get_kernel("TRIAD"), get_kernel("JACOBI_2D"))
+        variants = [
+            dataclasses.replace(CLANG_16, **change) for change in (
+                {"name": "Clang 17"},
+                {"family": "gcc"},
+                {"rvv_version": "0.7.1"},
+                {"flavors": (VectorFlavor.VLS,)},
+                {"blockers": frozenset()},
+                {"runtime_scalar_features": frozenset()},
+                {"vla_efficiency": 0.5},
+                {"kernel_quirks": MappingProxyType({})},
+            )
+        ]
+        assert len(variants) == len(dataclasses.fields(CLANG_16))
+        analyze_suite.cache_clear()
+        for compiler in (CLANG_16, *variants):
+            analyze_suite(compiler, suite, rvv_1_0(), VectorFlavor.VLS,
+                          False)
+        info = analyze_suite.cache_info()
+        assert (info.hits, info.misses) == (0, len(variants) + 1)
+
+    @pytest.mark.parametrize("compiler", COMPILERS, ids=lambda c: c.name)
+    def test_compiler_hash_agrees_with_equality(self, compiler):
+        copy = dataclasses.replace(compiler)
+        assert copy == compiler and hash(copy) == hash(compiler)
+        as_dict = dataclasses.replace(
+            compiler, kernel_quirks=dict(compiler.kernel_quirks)
+        )
+        assert as_dict == compiler and hash(as_dict) == hash(compiler)

@@ -225,6 +225,44 @@ class TestThreadValidation:
         assert int(lines.get("counter serve.engine_faults", 0)) == 0
 
 
+class TestConfigFieldTypes:
+    """Flags and the compiler id reach ``RunConfig`` as sent: a value of
+    the wrong JSON type is the client's 400, never read by truthiness
+    and never a 500."""
+
+    DAXPY = {"cpu": "sg2042", "kernel": "DAXPY", "threads": 1,
+             "precision": "fp32"}
+
+    @pytest.mark.parametrize("extra", [
+        {"vectorize": "false"},
+        {"vectorize": 0},
+        {"rollback": "false"},
+        {"compiler": 5},
+    ])
+    def test_wrong_types_400(self, extra):
+        async def scenario(server):
+            return await http_request(
+                server.port, "POST", "/predict", {**self.DAXPY, **extra}
+            )
+
+        status, _, reply = with_server(default_config(), scenario)
+        assert status == 400
+        assert reply["error"]["code"] == "bad_request"
+        assert reply["error"]["retryable"] is False
+
+    def test_vectorize_false_runs_scalar(self):
+        async def scenario(server):
+            return await http_request(
+                server.port, "POST", "/predict",
+                {**self.DAXPY, "vectorize": False},
+            )
+
+        status, _, body = with_server(default_config(), scenario)
+        assert status == 200
+        assert body["seconds"] == 1.25
+        assert body["vector_executed"] is False
+
+
 class TestSweepAndExplain:
     def test_sweep_long_format(self):
         async def scenario(server):

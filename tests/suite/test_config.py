@@ -86,6 +86,46 @@ class TestConstruction:
             run_suite(sg2042, RunConfig(threads=8))
         )
 
+    @pytest.mark.parametrize("field", ["vectorize", "rollback"])
+    @pytest.mark.parametrize(
+        "value", [1, 0, 1.0, np.int64(1), "yes", "false", "", None]
+    )
+    def test_non_bool_flags_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["vectorize", "rollback"])
+    @pytest.mark.parametrize("value", [np.True_, np.False_])
+    def test_numpy_bool_flags_stored_as_bool(self, field, value):
+        cfg = RunConfig(**{field: value})
+        assert type(getattr(cfg, field)) is bool
+        assert cfg == RunConfig(**{field: bool(value)})
+
+    def test_numpy_bool_vectorize_seeds_like_bool(self, sg2042):
+        assert run_suite(sg2042, RunConfig(vectorize=np.True_)) == (
+            run_suite(sg2042, RunConfig())
+        )
+
+    @pytest.mark.parametrize("field", ["noise_sigma", "size_scale"])
+    @pytest.mark.parametrize(
+        "value", [True, False, np.True_, "0.02", None, 1j, 10**400]
+    )
+    def test_non_real_or_bool_reals_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["noise_sigma", "size_scale"])
+    @pytest.mark.parametrize("value", [1, np.int64(1), np.float32(0.5)])
+    def test_reals_stored_as_float(self, field, value):
+        cfg = RunConfig(**{field: value})
+        assert type(getattr(cfg, field)) is float
+        assert cfg == RunConfig(**{field: float(value)})
+
+    @pytest.mark.parametrize("value", [5, 5.0, b"gcc-8.3", ("gcc-8.3",)])
+    def test_non_string_compiler_rejected(self, value):
+        with pytest.raises(ConfigError, match="compiler"):
+            RunConfig(compiler=value)
+
 
 class TestCompilerResolution:
     """Section 2.1/3.3 toolchain selection."""

@@ -4,11 +4,14 @@ from dataclasses import replace
 
 import pytest
 
+import repro.compiler.vectorizer as vectorizer
+import repro.suite.runner as runner
+from repro.compiler.vectorizer import analyze, analyze_suite
 from repro.kernels.base import KernelClass
 from repro.kernels.registry import all_kernels, get_kernel, kernels_in_class
 from repro.machine.vector import DType
 from repro.perfmodel.batch import _prelude, lower_kernels
-from repro.resilience.retry import FailureRecord
+from repro.resilience.retry import FailureRecord, RetrySpec
 from repro.suite.config import RunConfig
 from repro.suite.runner import (
     SuiteResult,
@@ -115,7 +118,7 @@ class TestSharedKernelInstances:
         assert point.seconds == shimmed
 
     def test_fresh_lists_reuse_cache_entries(self, sg2042):
-        caches = (lower_kernels, _prelude, _scaled_sizes)
+        caches = (lower_kernels, _prelude, _scaled_sizes, analyze_suite)
         for cache in caches:
             cache.cache_clear()
         config = RunConfig(threads=4)
@@ -132,6 +135,45 @@ class TestSharedKernelInstances:
         for _ in range(3):
             calls()
         assert [cache.cache_info().currsize for cache in caches] == sizes
+
+
+class TestSuiteCompileReuse:
+    """Uncached suites compile once per compile configuration: every
+    thread count and placement reuses one tuple of report objects."""
+
+    def test_thread_counts_share_reports_without_analyze(
+        self, sg2042, monkeypatch
+    ):
+        first = run_suite(sg2042, RunConfig(threads=1))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].name)
+            return analyze(*args, **kwargs)
+
+        # The suite LRU's binding and the per-kernel path's.
+        monkeypatch.setattr(vectorizer, "analyze", counting)
+        monkeypatch.setattr(runner, "analyze", counting)
+        second = run_suite(sg2042, RunConfig(threads=64))
+        assert calls == []
+        assert all(
+            second.runs[name].report is run.report
+            for name, run in first.runs.items()
+        )
+
+    def test_failed_compilations_keep_the_policy_loop(self, sg2042):
+        # XuanTie GCC cannot emit VLA: every kernel's entry is None, so
+        # each one fails in the per-kernel loop, retries included.
+        config = RunConfig(flavor="vla")
+        kernels = [get_kernel("TRIAD"), get_kernel("DOT")]
+        retry = RetrySpec(max_retries=2)
+        batch = run_suite(sg2042, config, kernels=kernels, policy="retry",
+                          retry=retry)
+        scalar = run_suite(sg2042, config, kernels=kernels,
+                           policy="retry", retry=retry, engine="scalar")
+        assert batch == scalar
+        assert [f.attempts for f in batch.failures] == [3, 3]
+        assert all("VLA" in f.message for f in batch.failures)
 
 
 class TestSuiteResultEdgeCases:
