@@ -344,8 +344,15 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     cpu = _resolve_cpu(args)
     if cpu is None:
         return 2
-    with _telemetry_scope(args):
+    with _telemetry_scope(args) as recorder:
         print(explain_kernel(args.kernel, cpu))
+        if recorder is not None:
+            from repro import telemetry
+
+            summary = telemetry.TelemetrySummary.capture(
+                recorder, telemetry.metrics()
+            )
+            print(f"\n{summary.render()}")
     return 0
 
 

@@ -167,7 +167,9 @@ class AdaptiveWindow:
     A p99-latency guardrail bounds the failure mode where batching
     itself is the latency problem: when the observed request p99
     exceeds ``guardrail_p99_s``, the window is scaled by
-    ``guardrail / p99`` regardless of arrival pressure.
+    ``guardrail / p99`` regardless of arrival pressure. At the floor
+    it can only shrink a window that is clamped back to the floor, so
+    p99 is read only when the window is above it.
     """
 
     def __init__(
@@ -212,7 +214,11 @@ class AdaptiveWindow:
             pressure = 1.0 if expected > 1.0 else 0.0
         pressure = min(max(pressure, 0.0), 1.0)
         window = floor + pressure * (cap - floor)
-        if self.guardrail_p99_s is not None and self.latency is not None:
+        if (
+            window > floor
+            and self.guardrail_p99_s is not None
+            and self.latency is not None
+        ):
             p99 = self.latency.percentile(99)
             if p99 is not None and p99 > self.guardrail_p99_s:
                 window *= self.guardrail_p99_s / p99

@@ -8,7 +8,6 @@ paper's figures summarize statistically, one kernel at a time.
 
 from __future__ import annotations
 
-from repro import telemetry
 from repro.analysis.roofline import classify_kernels
 from repro.compiler.analysis import DECISIVE_FEATURES, derive_features
 from repro.compiler.model import CLANG_16, VectorFlavor, XUANTIE_GCC_8_4
@@ -24,7 +23,11 @@ from repro.util.units import format_bytes, format_seconds
 
 
 def explain_kernel(kernel_name: str, cpu: CPUModel) -> str:
-    """Render the full model view of one kernel on one machine."""
+    """Render the full model view of one kernel on one machine.
+
+    The text depends only on the kernel and the machine, never on a
+    telemetry session: ``explain --telemetry`` prints its digest after
+    it, and serve's ``/explain`` bodies carry none."""
     kernel = get_kernel(kernel_name)
     traits = kernel.traits
     lines = [
@@ -97,12 +100,4 @@ def explain_kernel(kernel_name: str, cpu: CPUModel) -> str:
             f"({result.bound}-bound, served by {result.serving_level}, "
             f"{'vector' if result.vector_executed else 'scalar'} path)"
         )
-
-    if telemetry.active():
-        # Under a live session (``explain --telemetry``) the explanation
-        # ends with the spans/metrics its own model calls recorded.
-        summary = telemetry.TelemetrySummary.capture(
-            telemetry.recorder(), telemetry.metrics()
-        )
-        lines += ["", summary.render()]
     return "\n".join(lines)

@@ -95,9 +95,10 @@ class SuiteResult:
     #:    is active (see :mod:`repro.telemetry` and the ``telemetry``
     #:    field); prefer those for new code.
     cache_stats: CacheCounters | None = field(default=None, compare=False)
-    #: Telemetry digest of the session this suite ran under (``None``
-    #: when telemetry was off). Excluded from equality like
-    #: ``cache_stats``: identical results may carry different timings.
+    #: Telemetry digest of this call (``None`` when telemetry was off):
+    #: the spans it recorded on its thread, plus the session's metrics
+    #: when it returned. Excluded from equality like ``cache_stats``:
+    #: identical results may carry different timings.
     telemetry: "telemetry.TelemetrySummary | None" = field(
         default=None, compare=False
     )
@@ -705,6 +706,9 @@ def run_suite(
     # One boolean, hoisted out of the per-kernel loop: the telemetry-off
     # path pays a local-variable check per kernel, nothing more.
     traced = rec.active
+    # The summary covers this call's spans only, so its cost does not
+    # grow with the session's age.
+    mark = rec.mark() if traced else None
     with rec.span(
         "suite.run", cpu=cpu.name, threads=config.threads,
         placement=config.placement.value,
@@ -854,7 +858,7 @@ def run_suite(
             reg.counter("suite.kernel_failures").inc(len(failures))
         if stats is not None:
             stats.publish(reg)
-        summary = telemetry.TelemetrySummary.capture(rec, reg)
+        summary = telemetry.TelemetrySummary.capture(rec, reg, since=mark)
     return SuiteResult(
         cpu_name=cpu.name,
         config=config,

@@ -99,10 +99,10 @@ class SweepResult:
     #:    is active (see :mod:`repro.telemetry` and the ``telemetry``
     #:    field); prefer those for new code.
     cache_stats: CacheCounters | None = field(default=None, compare=False)
-    #: Telemetry digest of the session the sweep ran under (``None``
-    #: when telemetry was off): span counts, per-phase inclusive times,
-    #: and the final metric values. Excluded from equality like
-    #: ``cache_stats``.
+    #: Telemetry digest of this sweep (``None`` when telemetry was
+    #: off): counts and per-phase inclusive times of the spans it
+    #: recorded on its thread, and the session's metric values when it
+    #: returned. Excluded from equality like ``cache_stats``.
     telemetry: "telemetry.TelemetrySummary | None" = field(
         default=None, compare=False
     )
@@ -383,6 +383,7 @@ def sweep(
             cpu, kernel_list, threads, placements, precisions, runs,
             noise_sigma, policy, retry, checkpoint, caches, engine,
         )
+    mark = rec.mark()
     with rec.span(
         "sweep", cpu=cpu.name, kernels=len(kernel_list),
         grid_points=len(threads) * len(placements) * len(precisions),
@@ -405,7 +406,7 @@ def sweep(
         result.cache_stats.publish(reg)
     return replace(
         result,
-        telemetry=telemetry.TelemetrySummary.capture(rec, reg),
+        telemetry=telemetry.TelemetrySummary.capture(rec, reg, since=mark),
     )
 
 

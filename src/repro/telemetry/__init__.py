@@ -130,15 +130,21 @@ def telemetry_session(max_spans: int = DEFAULT_MAX_SPANS):
 
 @dataclass(frozen=True)
 class TelemetrySummary:
-    """Digest of a telemetry session at a point in time.
+    """Digest of a telemetry session's spans and metrics.
 
     Carried on ``SuiteResult.telemetry`` / ``SweepResult.telemetry``
     (``None`` when telemetry was off) and rendered by the CLI's
-    ``run``/``sweep``/``trace`` output.
+    ``run``/``sweep``/``trace`` output. A result's summary covers only
+    the spans its own call recorded on its thread (a marked
+    :meth:`capture`), plus the session's metrics when the call
+    returned. ``repro trace <experiment>``, ``explain --telemetry`` and
+    serve's drain summary capture the whole session.
 
     Attributes:
-        span_count: Finished spans recorded so far.
-        dropped_spans: Spans evicted by the ring buffer.
+        span_count: Finished spans covered (all the session holds, or
+            the calling thread's since the mark).
+        dropped_spans: Spans evicted by the ring buffer (since the mark,
+            when there is one).
         phase_counts: Spans per phase (span name).
         phase_seconds: *Inclusive* seconds per phase — a parent span's
             time contains its children's, so phases do not sum to wall
@@ -159,8 +165,17 @@ class TelemetrySummary:
         cls,
         session_recorder: TraceRecorder | NullRecorder,
         session_metrics: MetricsRegistry | NullMetrics,
+        since: int | None = None,
     ) -> "TelemetrySummary":
-        records = session_recorder.records()
+        """Summarize the session's spans, or with ``since`` (a
+        :meth:`TraceRecorder.mark`) only those the calling thread
+        recorded after it, read from the ring's tail; the metrics are
+        the session's either way."""
+        if since is None:
+            records = session_recorder.records()
+            dropped = session_recorder.dropped
+        else:
+            records, dropped = session_recorder.since(since)
         phase_counts: dict[str, int] = {}
         phase_seconds: dict[str, float] = {}
         for record in records:
@@ -171,7 +186,7 @@ class TelemetrySummary:
         snapshot = session_metrics.snapshot()
         return cls(
             span_count=len(records),
-            dropped_spans=session_recorder.dropped,
+            dropped_spans=dropped,
             phase_counts=phase_counts,
             phase_seconds=phase_seconds,
             counters=dict(snapshot.counters),

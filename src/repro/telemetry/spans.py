@@ -13,7 +13,11 @@ exported trace carries epoch timestamps.
 The :class:`TraceRecorder` is ring-buffered: memory is bounded by
 ``max_spans`` and the oldest spans are dropped (and counted) once the
 buffer is full, so tracing an arbitrarily long sweep can never exhaust
-memory.
+memory. It also counts every record it has ever appended:
+:meth:`TraceRecorder.mark` returns that count, and
+:meth:`TraceRecorder.since` reads back only the records appended after a
+mark, from the tail of the ring, so a summary of one call costs what
+that call recorded however old the session is.
 
 When telemetry is off the pipeline talks to the :data:`NULL_RECORDER`
 instead — its ``span()`` hands back a shared do-nothing context manager,
@@ -161,6 +165,12 @@ class NullRecorder:
     def records(self) -> list[SpanRecord]:
         return []
 
+    def mark(self) -> int:
+        return 0
+
+    def since(self, mark: int) -> tuple[list[SpanRecord], int]:
+        return [], 0
+
     def __len__(self) -> int:
         return 0
 
@@ -190,6 +200,7 @@ class TraceRecorder:
         self._spans: deque[SpanRecord] = deque(maxlen=max_spans)
         self._max_spans = max_spans
         self._dropped = 0
+        self._appended = 0
         self._ids = itertools.count(1)
         self._local = threading.local()
         # Wall anchor: start times become epoch-relative (comparable
@@ -227,6 +238,7 @@ class TraceRecorder:
             if len(self._spans) == self._max_spans:
                 self._dropped += 1
             self._spans.append(record)
+            self._appended += 1
 
     def records(self) -> list[SpanRecord]:
         """All finished spans, ordered by start time (then pid/id for a
@@ -235,6 +247,28 @@ class TraceRecorder:
             spans = list(self._spans)
         spans.sort(key=lambda r: (r.start_ns, r.pid, r.span_id))
         return spans
+
+    def mark(self) -> int:
+        """The number of records ever appended: a position for
+        :meth:`since`."""
+        with self._lock:
+            return self._appended
+
+    def since(self, mark: int) -> tuple[list[SpanRecord], int]:
+        """The calling thread's records appended after ``mark``, in
+        append order, and how many records (of any thread) appended
+        after it the ring has since evicted.
+
+        Only the ring's tail is visited: the cost is the number of
+        records appended after the mark, not the ring's size.
+        """
+        tid = threading.get_ident()
+        with self._lock:
+            newer = self._appended - mark
+            kept = min(newer, len(self._spans))
+            tail = list(itertools.islice(reversed(self._spans), kept))
+        tail.reverse()
+        return [r for r in tail if r.tid == tid], newer - kept
 
     def __len__(self) -> int:
         with self._lock:

@@ -95,6 +95,91 @@ class TestGuardrail:
         assert window.window_s(last) == pytest.approx(0.01)
 
 
+class _CountingLatency(telemetry.LatencyWindow):
+    __slots__ = ("percentile_calls",)
+
+    def __init__(self, maxlen=64):
+        super().__init__(maxlen)
+        self.percentile_calls = 0
+
+    def percentile(self, q):
+        self.percentile_calls += 1
+        return super().percentile(q)
+
+
+def _formula(window, now, p99):
+    """The documented window, guardrail always consulted: the
+    reference the floor shortcut must match bit for bit."""
+    cap, floor = window.cap_s, window.min_s
+    if window._gap_ewma is None or window._last_arrival is None:
+        return floor
+    gap = max(window._gap_ewma, now - window._last_arrival, 1e-9)
+    expected = cap / gap
+    if window.target_batch > 1:
+        pressure = (expected - 1.0) / (window.target_batch - 1.0)
+    else:
+        pressure = 1.0 if expected > 1.0 else 0.0
+    pressure = min(max(pressure, 0.0), 1.0)
+    value = floor + pressure * (cap - floor)
+    if p99 is not None and p99 > window.guardrail_p99_s:
+        value *= window.guardrail_p99_s / p99
+    return min(max(value, floor), cap)
+
+
+class TestGuardrailAtTheFloor:
+    GAPS = (1e-6, 1e-4, 0.0025, 0.01, 1.0)
+    IDLES = (0.0, 0.001, 0.05, 5.0)
+    P99S = (None, 0.001, 0.05, 0.2)
+
+    def _windows(self):
+        for cap, floor, target in ((0.01, 0.0, 8), (0.01, 0.001, 4),
+                                   (0.002, 0.0005, 1)):
+            for gap in self.GAPS:
+                for p99 in self.P99S:
+                    latency = _CountingLatency()
+                    if p99 is not None:
+                        for _ in range(64):
+                            latency.observe(p99)
+                    window = AdaptiveWindow(
+                        cap_s=cap, min_s=floor, target_batch=target,
+                        guardrail_p99_s=0.01, latency=latency,
+                    )
+                    yield window, latency, _fed(window, gap=gap), p99
+
+    def test_windows_match_the_formula(self):
+        fired = 0
+        for window, _, last, p99 in self._windows():
+            for idle in self.IDLES:
+                got = window.window_s(last + idle)
+                assert got == _formula(window, last + idle, p99)
+                if p99 is not None and p99 > 0.01 and got > window.min_s:
+                    fired += 1
+        assert fired > 0  # the table exercises the guardrail
+
+    def test_no_percentile_read_at_the_floor(self):
+        at_floor = 0
+        for window, latency, last, _ in self._windows():
+            for idle in self.IDLES:
+                now = last + idle
+                before = latency.percentile_calls
+                window.window_s(now)
+                if _formula(window, now, None) == window.min_s:
+                    at_floor += 1
+                    assert latency.percentile_calls == before
+        assert at_floor > 0
+
+    def test_cold_start_reads_no_percentile(self):
+        latency = _CountingLatency()
+        latency.observe(1.0)
+        window = AdaptiveWindow(cap_s=0.01, guardrail_p99_s=0.01,
+                                latency=latency)
+        window.observe_arrival(0.0)
+        assert window.window_s(0.0) == 0.0
+        window.observe_arrival(1.0)  # one request a second: idle
+        assert window.window_s(1.0) == 0.0
+        assert latency.percentile_calls == 0
+
+
 class TestCoalescerWiring:
     def test_adaptive_is_off_by_default(self):
         assert CoalescerConfig().adaptive is False

@@ -104,6 +104,29 @@ class TestByteIdentity:
         )
 
 
+class TestExplainBodiesIgnoreServerHistory:
+    def test_uncached_explain_bytes_survive_predict_traffic(self):
+        async def scenario(server):
+            body = {"kernel": "TRIAD"}
+            first = await raw_request(server.port, "POST", "/explain", body)
+            for threads in (1, 2, 4):
+                await raw_request(
+                    server.port, "POST", "/predict",
+                    {"kernel": "DAXPY", "threads": threads},
+                )
+            second = await raw_request(server.port, "POST", "/explain",
+                                       body)
+            return first, second, server.respcache.stats()
+
+        first, second, stats = with_server(
+            default_config(respcache_entries=0), scenario
+        )
+        assert first.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert stats.hits == 0 and stats.stores == 0
+        assert first == second
+        assert b"telemetry:" not in first
+
+
 class TestPersistentTier:
     def test_restart_serves_identical_bytes_from_disk(self, tmp_path):
         """A fresh process (new server, same store) answers the first

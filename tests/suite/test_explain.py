@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import telemetry
 from repro.suite.explain import explain_kernel
 from repro.util.errors import ConfigError
 
@@ -34,6 +35,13 @@ class TestExplainKernel:
     def test_unknown_kernel(self, sg2042):
         with pytest.raises(ConfigError):
             explain_kernel("NOPE", sg2042)
+
+    def test_text_ignores_the_telemetry_session(self, sg2042):
+        plain = explain_kernel("TRIAD", sg2042)
+        with telemetry.telemetry_session():
+            traced = explain_kernel("TRIAD", sg2042)
+        assert traced == plain
+        assert "telemetry:" not in traced
 
 
 class TestExperimentDeterminism:

@@ -105,6 +105,63 @@ class TestRingBuffer:
         assert len(rec) == 0 and rec.dropped == 0
 
 
+class TestMarks:
+    def test_mark_counts_every_append(self):
+        rec = TraceRecorder(max_spans=2)
+        assert rec.mark() == 0
+        for name in ("a", "b", "c"):
+            with rec.span(name):
+                pass
+        assert rec.mark() == 3  # evictions do not lower the count
+
+    def test_since_reads_only_later_records_in_append_order(self):
+        rec = TraceRecorder()
+        with rec.span("before"):
+            pass
+        mark = rec.mark()
+        with rec.span("outer"):
+            with rec.span("inner"):
+                pass
+        records, evicted = rec.since(mark)
+        assert [r.name for r in records] == ["inner", "outer"]
+        assert evicted == 0
+        assert rec.since(rec.mark()) == ([], 0)
+
+    def test_since_reports_evictions_after_the_mark(self):
+        rec = TraceRecorder(max_spans=3)
+        for i in range(4):
+            with rec.span(f"old{i}"):
+                pass
+        mark = rec.mark()
+        for i in range(5):
+            with rec.span(f"new{i}"):
+                pass
+        records, evicted = rec.since(mark)
+        assert [r.name for r in records] == ["new2", "new3", "new4"]
+        assert evicted == 2
+        assert rec.dropped == 6  # the session total, old records included
+
+    def test_since_keeps_the_calling_threads_records(self):
+        rec = TraceRecorder()
+
+        def other():
+            with rec.span("other"):
+                pass
+
+        mark = rec.mark()
+        worker = threading.Thread(target=other)
+        with rec.span("mine"):
+            worker.start()
+            worker.join()
+        records, evicted = rec.since(mark)
+        assert [r.name for r in records] == ["mine"]
+        assert evicted == 0
+
+    def test_null_recorder_marks(self):
+        assert NULL_RECORDER.mark() == 0
+        assert NULL_RECORDER.since(0) == ([], 0)
+
+
 class TestThreadSafety:
     def test_concurrent_spans_keep_per_thread_parents(self):
         rec = TraceRecorder()
