@@ -25,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro import telemetry
+from repro.compiler.model import Compiler
 from repro.compiler.vectorizer import (
     VectorizationReport,
     analyze,
@@ -405,7 +406,7 @@ def grid_prefetch(
     cpu: CPUModel,
     jobs: list[tuple[RunConfig, list[Kernel]] | None],
     caches: SuiteCaches | None,
-) -> list[_Prefetched | None]:
+) -> list[tuple[Compiler, _Prefetched] | None]:
     """Batch-prefetch a whole sweep grid ahead of its suite runs.
 
     ``jobs`` carries one ``(config, kernels)`` pair per grid point (or
@@ -413,8 +414,9 @@ def grid_prefetch(
     share an identical still-to-predict workload are evaluated together
     through :func:`~repro.perfmodel.batch.predict_grid` — for a cold
     sweep that is the entire grid in one 2-D pass — and each returned
-    entry is exactly what :func:`_batch_prefetch` would have produced
-    for that configuration, with identical cache/memo counter activity.
+    entry pairs the compiler the configuration resolved to with exactly
+    what :func:`_batch_prefetch` would have produced for it, with
+    identical cache/memo counter activity.
 
     A ``None`` entry in the result means this configuration could not
     be planned here (e.g. its placement or compiler resolution raises);
@@ -422,6 +424,7 @@ def grid_prefetch(
     error surfaces in the right place with unchanged semantics.
     """
     out: list[_Prefetched | None] = [None] * len(jobs)
+    compilers: list[Compiler | None] = [None] * len(jobs)
     plans: list[_PrefetchPlan | None] = [None] * len(jobs)
     buckets: dict[tuple, list[int]] = {}
     seen: set[tuple] = set()
@@ -441,6 +444,7 @@ def grid_prefetch(
             # Leave this point to run_suite, which reproduces the error
             # under its own policy handling.
             continue
+        compilers[i] = compiler
         use_memo = (
             caches is not None
             and caches.predict is not None
@@ -517,7 +521,10 @@ def grid_prefetch(
         out[i] = _batch_prefetch(
             kernels, cpu, config, compiler, cores, caches, memo_prefix
         )
-    return out
+    return [
+        None if prefetched is None else (compiler, prefetched)
+        for compiler, prefetched in zip(compilers, out)
+    ]
 
 
 def _predict_scalar(
@@ -601,19 +608,23 @@ def _run_one_kernel(
     )
 
 
-def _bulk_runs(
+def fold_seconds(
     kernels: list[Kernel],
     prefetched: _Prefetched,
     means: list[float] | None,
-) -> dict[str, KernelRun] | None:
-    """Assemble a whole suite's :class:`KernelRun`\\ s from a complete
-    prefetch, or ``None`` if any kernel needs the per-kernel loop.
+) -> tuple[
+    list[tuple[VectorizationReport, ExecutionResult]], list[float]
+] | None:
+    """Each kernel's prefetch entry and run-averaged seconds, or
+    ``None`` if any kernel needs the per-kernel loop.
 
-    Equivalent to :func:`_run_one_kernel` over ``kernels`` under the
-    caller-checked preconditions (no chaos plan, untraced): each run is
-    ``prediction.seconds`` times its kernel's noise mean, plus the same
-    finiteness guard; a guard failure rejects the whole bulk so the
-    loop raises the identical :class:`SimulationError`.
+    The rule of :func:`_run_one_kernel` for a prefetched kernel, under
+    the caller-checked preconditions (no chaos plan, untraced): a run is
+    ``prediction.seconds`` times its kernel's noise mean, finite and
+    positive. A missing entry, a batch abstention or a guard failure
+    gives up on the whole suite, so the loop raises the identical
+    :class:`SimulationError`. :func:`_bulk_runs` and a sweep's grid
+    points both fold through here.
     """
     entries = []
     get = prefetched.get
@@ -625,20 +636,36 @@ def _bulk_runs(
     seconds = [prediction.seconds for _, prediction in entries]
     if means is not None:
         seconds = [s * mean for s, mean in zip(seconds, means)]
-    runs: dict[str, KernelRun] = {}
-    for kernel, (report, prediction), run_seconds in zip(
-        kernels, entries, seconds
-    ):
+    for run_seconds in seconds:
         if not math.isfinite(run_seconds) or run_seconds <= 0:
             return None
-        runs[kernel.name] = KernelRun(
+    return entries, seconds
+
+
+def _bulk_runs(
+    kernels: list[Kernel],
+    prefetched: _Prefetched,
+    means: list[float] | None,
+) -> dict[str, KernelRun] | None:
+    """Assemble a whole suite's :class:`KernelRun`\\ s from a complete
+    prefetch, or ``None`` if any kernel needs the per-kernel loop
+    (see :func:`fold_seconds`)."""
+    folded = fold_seconds(kernels, prefetched, means)
+    if folded is None:
+        return None
+    entries, seconds = folded
+    return {
+        kernel.name: KernelRun(
             kernel_name=kernel.name,
             klass=kernel.klass,
             seconds=run_seconds,
             prediction=prediction,
             report=report,
         )
-    return runs
+        for kernel, (report, prediction), run_seconds in zip(
+            kernels, entries, seconds
+        )
+    }
 
 
 def run_suite(

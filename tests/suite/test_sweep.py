@@ -3,12 +3,15 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from repro.kernels.registry import get_kernel
+from repro.store import ArtifactStore, StoreWarning
 from repro.suite.config import Placement, Precision
+from repro.suite.memo import SuiteCaches
 from repro.suite.sweep import sweep
 from repro.util.errors import ConfigError
 
@@ -112,3 +115,59 @@ class TestSerialDispatch:
             env=dict(os.environ, PYTHONPATH=_SRC),
         )
         assert proc.stdout.strip() == "[]"
+
+
+class TestRepeatedKernels:
+    """A kernel named twice is swept once, whatever the path."""
+
+    GRID = dict(threads=(1, 4))
+
+    def test_plain_and_checkpointed_sweeps_agree(self, sg2042, tmp_path):
+        kernels = [get_kernel("TRIAD"), get_kernel("TRIAD"),
+                   get_kernel("COPY")]
+        plain = sweep(sg2042, kernels, **self.GRID)
+        checkpointed = sweep(
+            sg2042, kernels, checkpoint=tmp_path / "sweep.jsonl",
+            **self.GRID,
+        )
+        assert [(p.threads, p.kernel) for p in plain.points] == [
+            (1, "TRIAD"), (1, "COPY"), (4, "TRIAD"), (4, "COPY"),
+        ]
+        assert checkpointed == plain
+
+    def test_store_sweep_restores_on_its_second_call(
+        self, sg2042, tmp_path
+    ):
+        store = ArtifactStore(tmp_path / "store")
+        kernels = [get_kernel("TRIAD"), get_kernel("triad")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", StoreWarning)
+            first = sweep(sg2042, kernels,
+                          caches=SuiteCaches.persistent(store),
+                          **self.GRID)
+            second = sweep(sg2042, kernels,
+                           caches=SuiteCaches.persistent(store),
+                           **self.GRID)
+        assert not first.restored
+        assert second.restored
+        assert second == first
+        assert store.artifact_count("sweep") == 1
+
+    def test_cli_store_sweep_runs_twice_without_warning(self, tmp_path):
+        argv = [
+            sys.executable, "-m", "repro", "sweep", "--kernels",
+            "TRIAD,triad", "--threads", "1,4", "--placements", "block",
+            "--precisions", "fp64", "--store", str(tmp_path / "store"),
+            "--csv",
+        ]
+        outputs = []
+        for _ in range(2):
+            proc = subprocess.run(
+                argv, capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=_SRC),
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert "StoreWarning" not in proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 1 + 2  # header + 2 rows

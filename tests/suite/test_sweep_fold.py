@@ -1,0 +1,303 @@
+"""The sweep's point fold and its CSV rendering.
+
+An untraced batch sweep turns each grid point's prefetched predictions
+straight into that point's ``SweepPoint``\\ s, by the rule
+``run_suite``'s bulk fold uses, without calling ``run_suite``. These
+tests count the calls that remain and pin the fold against the paths
+that still go through ``run_suite``: traced, scalar-engine and
+reference-mode sweeps, and the points the fold gives up on. They also
+pin ``SweepResult.to_csv`` to ``render_csv`` over the same rows.
+"""
+
+import math
+from dataclasses import replace
+
+import pytest
+
+import repro.suite.runner as runner_mod
+import repro.suite.sweep as sweep_mod
+from repro.kernels.registry import get_kernel
+from repro.machine import catalog
+from repro.perfmodel.execution import ExecutionResult
+from repro.perfmodel.placement import reference_mode
+from repro.resilience import chaos
+from repro.resilience.faults import transient_plan
+from repro.resilience.retry import FailurePolicy
+from repro.suite.config import Placement, Precision
+from repro.suite.sweep import SweepFailure, SweepResult, sweep
+from repro.telemetry import telemetry_session
+from repro.util.errors import ConfigError
+from repro.util.tables import render_csv
+
+KERNELS = [get_kernel(name) for name in (
+    "TRIAD", "GEMM", "DOT", "COPY", "PI_REDUCE", "JACOBI_2D",
+)]
+PLACEMENTS = (Placement.BLOCK, Placement.CYCLIC)
+PRECISIONS = (Precision.FP32, Precision.FP64)
+MACHINES = sorted(catalog.all_cpus())
+
+
+def _threads(cpu) -> tuple[int, ...]:
+    return (1, cpu.topology.num_cores)
+
+
+@pytest.fixture
+def run_suite_calls(monkeypatch):
+    """The configs of every ``run_suite`` call the sweep makes."""
+    calls = []
+    real = sweep_mod.run_suite
+
+    def counting(cpu, config, *args, **kwargs):
+        calls.append(config)
+        return real(cpu, config, *args, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "run_suite", counting)
+    return calls
+
+
+def _grid_sweep(cpu, **kwargs):
+    return sweep(
+        cpu, KERNELS, threads=_threads(cpu), placements=PLACEMENTS,
+        precisions=PRECISIONS, **kwargs,
+    )
+
+
+class TestFoldSkipsRunSuite:
+    def test_untraced_batch_sweep_makes_no_run_suite_call(
+        self, sg2042, run_suite_calls
+    ):
+        result = _grid_sweep(sg2042)
+        assert len(result.points) == 2 * 2 * 2 * len(KERNELS)
+        assert run_suite_calls == []
+
+    def test_noisy_sweep_folds_too(self, sg2042, run_suite_calls):
+        _grid_sweep(sg2042, runs=5, noise_sigma=0.05)
+        assert run_suite_calls == []
+
+    def test_traced_sweep_runs_each_grid_point(
+        self, sg2042, run_suite_calls
+    ):
+        with telemetry_session():
+            _grid_sweep(sg2042)
+        assert len(run_suite_calls) == 2 * 2 * 2
+
+    @pytest.mark.parametrize("mode", ["scalar", "reference", "chaos"])
+    def test_other_paths_run_each_grid_point(
+        self, sg2042, run_suite_calls, mode
+    ):
+        if mode == "scalar":
+            _grid_sweep(sg2042, engine="scalar")
+        elif mode == "reference":
+            with reference_mode():
+                _grid_sweep(sg2042)
+        else:
+            with chaos.inject_faults(transient_plan(7, 0.0)):
+                _grid_sweep(sg2042)
+        assert len(run_suite_calls) == 2 * 2 * 2
+
+    def test_checkpointed_sweep_runs_each_grid_point(
+        self, sg2042, run_suite_calls, tmp_path
+    ):
+        _grid_sweep(sg2042, checkpoint=tmp_path / "sweep.jsonl")
+        assert len(run_suite_calls) == 2 * 2 * 2
+
+
+class TestFoldEquivalence:
+    """Folded points equal the per-point ``run_suite`` paths', bit for
+    bit, with the same failures and cache counters."""
+
+    @pytest.mark.parametrize("runs,noise_sigma", [
+        (1, 0.0), (1, 0.05), (5, 0.0), (5, 0.05),
+    ])
+    @pytest.mark.parametrize("machine", MACHINES)
+    def test_fold_equals_run_suite_paths(self, machine, runs, noise_sigma):
+        cpu = catalog.all_cpus()[machine]
+        folded = _grid_sweep(cpu, runs=runs, noise_sigma=noise_sigma)
+        with telemetry_session():
+            traced = _grid_sweep(cpu, runs=runs, noise_sigma=noise_sigma)
+        scalar = _grid_sweep(
+            cpu, runs=runs, noise_sigma=noise_sigma, engine="scalar"
+        )
+        with reference_mode():
+            reference = _grid_sweep(
+                cpu, runs=runs, noise_sigma=noise_sigma
+            )
+        for other in (traced, scalar, reference):
+            assert other.points == folded.points
+            assert other.failures == folded.failures
+            assert other.cache_stats == folded.cache_stats
+        assert [p.seconds for p in folded.points] == [
+            p.seconds for p in reference.points
+        ]
+
+
+class TestFallbackPoints:
+    def test_invalid_thread_count_fails_only_its_point(
+        self, sg2042, run_suite_calls
+    ):
+        grid = dict(
+            threads=(1, 999, 8), placements=(Placement.BLOCK,),
+            precisions=(Precision.FP32,), policy=FailurePolicy.SKIP,
+        )
+        result = sweep(sg2042, KERNELS, **grid)
+        assert [(f.threads, f.kernel) for f in result.failures] == [
+            (999, "*")
+        ]
+        assert [p.threads for p in result.points] == (
+            [1] * len(KERNELS) + [8] * len(KERNELS)
+        )
+        # Only the invalid point reached run_suite; the others folded.
+        assert [c.threads for c in run_suite_calls] == [999]
+        with telemetry_session():
+            traced = sweep(sg2042, KERNELS, **grid)
+        assert traced.points == result.points
+        assert traced.failures == result.failures
+
+    def test_invalid_machine_fails_every_point(
+        self, sg2042, run_suite_calls, monkeypatch
+    ):
+        # Construction validates a CPUModel, so stand in for a machine
+        # that went bad later at the validator both modules call.
+        def invalid(cpu):
+            raise ConfigError(f"machine description {cpu.name!r} is bad")
+
+        monkeypatch.setattr(sweep_mod, "validate_cpu", invalid)
+        monkeypatch.setattr(runner_mod, "validate_cpu", invalid)
+        result = sweep(
+            sg2042, KERNELS, threads=(1, 8), placements=(Placement.BLOCK,),
+            precisions=(Precision.FP32,), policy=FailurePolicy.SKIP,
+        )
+        assert result.points == ()
+        assert [(f.threads, f.kernel, f.error_type)
+                for f in result.failures] == [
+            (1, "*", "ConfigError"), (8, "*", "ConfigError"),
+        ]
+        assert len(run_suite_calls) == 2
+
+    def test_batch_abstention_takes_the_scalar_prediction(
+        self, sg2042, run_suite_calls, monkeypatch
+    ):
+        grid = dict(
+            threads=(1, 8), placements=(Placement.CYCLIC,),
+            precisions=(Precision.FP64,),
+        )
+        expected = sweep(sg2042, KERNELS, engine="scalar", **grid)
+        real = runner_mod.predict_grid
+        abstained = []
+
+        def abstaining(cpu, kernels, *args, **kwargs):
+            out = real(cpu, kernels, *args, **kwargs)
+            names = [kernel.name for kernel in kernels]
+            out[0][names.index("GEMM")] = None
+            abstained.append(out)
+            return out
+
+        monkeypatch.setattr(runner_mod, "predict_grid", abstaining)
+        run_suite_calls.clear()
+        result = sweep(sg2042, KERNELS, **grid)
+        assert len(abstained) == 1
+        assert result.points == expected.points
+        assert result.failures == ()
+        # The abstaining point went through run_suite; the other folded.
+        assert [c.threads for c in run_suite_calls] == [1]
+
+    @pytest.mark.parametrize("bad_seconds", [0.0, -1.0, math.inf, math.nan])
+    def test_unusable_time_fails_only_its_kernel(
+        self, sg2042, run_suite_calls, monkeypatch, bad_seconds
+    ):
+        real = runner_mod.predict_grid
+
+        def corrupting(cpu, kernels, *args, **kwargs):
+            out = real(cpu, kernels, *args, **kwargs)
+            i = [kernel.name for kernel in kernels].index("GEMM")
+            # A time the batch engine's validity mask would have
+            # caught: the fold's own guard must catch it too.
+            bad = object.__new__(ExecutionResult)
+            bad.__dict__.update(vars(out[1][i]), seconds=bad_seconds)
+            out[1][i] = bad
+            return out
+
+        monkeypatch.setattr(runner_mod, "predict_grid", corrupting)
+        result = sweep(
+            sg2042, KERNELS, threads=(1, 8), placements=(Placement.CYCLIC,),
+            precisions=(Precision.FP64,), policy=FailurePolicy.SKIP,
+        )
+        assert [(f.threads, f.kernel, f.error_type)
+                for f in result.failures] == [(8, "GEMM", "SimulationError")]
+        assert [p.threads for p in result.points if p.kernel == "GEMM"] == [1]
+        assert len(result.points) == 2 * len(KERNELS) - 1
+        assert [c.threads for c in run_suite_calls] == [8]
+
+
+def _render_csv(points) -> str:
+    """``render_csv`` over a sweep's rows: the reference rendering."""
+    return render_csv(
+        ("cpu", "threads", "placement", "precision", "kernel", "seconds"),
+        [
+            (p.cpu, p.threads, p.placement.value, p.precision.label,
+             p.kernel, f"{p.seconds:.9f}")
+            for p in points
+        ],
+    )
+
+
+class TestCsv:
+    def test_multi_point_grid(self, sg2042):
+        result = _grid_sweep(sg2042, runs=5, noise_sigma=0.05)
+        assert len(result.points) > 1
+        assert result.to_csv() == _render_csv(result.points)
+
+    def test_grid_with_failures(self, sg2042):
+        with chaos.inject_faults(transient_plan(11, 0.3)):
+            result = _grid_sweep(sg2042, policy=FailurePolicy.SKIP)
+        assert result.failures and result.points
+        assert result.to_csv() == _render_csv(result.points)
+
+    def test_checkpoint_resumed_grid(self, sg2042, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        full = _grid_sweep(sg2042, checkpoint=path)
+        # A kill part-way through: keep the header and the first records.
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:10]) + "\n")
+        resumed = _grid_sweep(sg2042, checkpoint=path)
+        assert resumed == full
+        assert resumed.to_csv() == _render_csv(resumed.points)
+        assert resumed.to_csv() == full.to_csv()
+
+    def test_failures_only_result_renders_the_header(self, sg2042):
+        result = sweep(
+            sg2042, KERNELS, threads=(999,), policy=FailurePolicy.SKIP,
+        )
+        assert result.points == () and result.failures
+        assert result.to_csv() == _render_csv(())
+        assert result.to_csv() == (
+            "cpu,threads,placement,precision,kernel,seconds"
+        )
+
+    def test_comma_in_machine_name_raises(self, sg2042):
+        cpu = replace(sg2042, name="Sophon, SG2042")
+        result = sweep(cpu, KERNELS[:2], threads=(1, 4))
+        with pytest.raises(ConfigError, match="Sophon, SG2042"):
+            result.to_csv()
+
+    def test_comma_in_kernel_name_raises(self, sg2042):
+        point = sweep(sg2042, KERNELS[:1]).points[0]
+        result = SweepResult(
+            points=(point, replace(point, kernel="TRIAD,2")),
+            failures=(),
+        )
+        with pytest.raises(ConfigError, match="TRIAD,2"):
+            result.to_csv()
+
+    def test_interleaved_points_render_like_render_csv(self, sg2042):
+        points = _grid_sweep(sg2042).points
+        shuffled = points[::3] + points[1::3] + points[2::3]
+        result = SweepResult(
+            points=shuffled,
+            failures=(SweepFailure(
+                cpu="sg2042", threads=1, placement=Placement.BLOCK,
+                precision=Precision.FP32, kernel="*",
+                error_type="ConfigError", message="x", attempts=1,
+            ),),
+        )
+        assert result.to_csv() == _render_csv(shuffled)
