@@ -6,7 +6,7 @@ ephemeral port:
 * **perf** — a seeded zipf-weighted workload (hot kernels dominate, the
   shape of real serving traffic) from concurrent keep-alive client
   connections for a fixed duration. Reports throughput, client-side
-  p50/p99 latency and the prediction-memo hit rate into
+  p50/p99 latency and the response-cache hit rate into
   ``BENCH_serve.json``.
 * **hot** — a hot-key zipf workload (a handful of repeating requests,
   the steady state of a dashboard or CI fleet hammering the same
@@ -215,7 +215,6 @@ async def run_phase(config, *, clients, duration_s, seed,
         rank = max(1, -(-len(ordered) * q // 100))
         return ordered[int(rank) - 1]
 
-    hit_rate = summary.gauges.get("serve.cache_hit_rate")
     respcache_rate = summary.gauges.get("serve.respcache.hit_rate")
     stats = {
         "requests": len(statuses),
@@ -224,7 +223,6 @@ async def run_phase(config, *, clients, duration_s, seed,
         "rps": round(len(statuses) / elapsed, 2) if elapsed else 0.0,
         "p50_ms": round(pct(50) * 1e3, 3),
         "p99_ms": round(pct(99) * 1e3, 3),
-        "cache_hit_rate": hit_rate,
         "respcache_hit_rate": respcache_rate,
         "singleflight_merged": summary.counters.get(
             "serve.singleflight.merged", 0

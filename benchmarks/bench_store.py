@@ -7,12 +7,12 @@ artifact store directory:
 
 1. ``repro warm --store DIR`` — persist the compile catalog + SoA;
 2. ``repro sweep --store DIR`` — the priming sweep: computes the grid
-   cold-ish (compiles restored from disk), persists every prediction
-   page and the whole-sweep artifact;
+   cold-ish (compiles restored from disk) and persists the whole-sweep
+   artifact;
 3. ``repro sweep --store DIR`` again — the *second process*: fresh
    interpreter, fresh caches, warmed store. Must restore the whole
    sweep from one artifact read (``restored: true`` in its stats),
-   recompile nothing and re-predict nothing;
+   recompile nothing and write nothing to the store;
 4. ``repro sweep --no-cache --engine scalar`` — the uncached scalar
    reference the speedup is measured against.
 
@@ -95,7 +95,7 @@ def run_benchmark(smoke: bool = False) -> dict:
         cold_stats = json.loads(Path(stats["cold"]).read_text())
 
     # The second process must have restored the whole sweep from disk:
-    # nothing compiled, nothing predicted, one sweep-artifact hit.
+    # nothing compiled, nothing written, one sweep-artifact hit.
     assert not prime_stats["restored"], (
         "the priming sweep found a sweep artifact in a fresh store"
     )
@@ -106,8 +106,9 @@ def run_benchmark(smoke: bool = False) -> dict:
     assert cache["compile_misses"] == 0, (
         f"second process recompiled {cache['compile_misses']} kernels"
     )
-    assert cache["predict_misses"] == 0, (
-        f"second process re-predicted {cache['predict_misses']} points"
+    puts = {ns: st["puts"] for ns, st in second_stats["store"].items()}
+    assert not any(puts.values()), (
+        f"second process wrote store artifacts: {puts}"
     )
     assert second_stats["store"]["sweep"]["hits"] >= 1
     assert "StoreWarning" not in second.stderr, second.stderr

@@ -7,36 +7,39 @@ SG2042, ``noise_sigma=0`` — four ways:
 * **reference**: :func:`reference_mode` (per-core slowest-thread scans,
   per-core sharer map rebuilds) with both cache layers disabled — the
   engine's behaviour before any fast path existed;
-* **fast**: the default warm path — placement symmetry-class dedup,
-  shared compile cache, prediction memo, batch engine;
+* **fast**: the default path — placement symmetry-class dedup, shared
+  compile cache, batch engine;
 * **cold scalar**: ``engine="scalar"`` with caches disabled — what a
   cold (never-before-seen) grid cost before the batch engine;
 * **cold batch**: ``engine="batch"`` with fresh (empty) caches — the
   cold path now: one compile per kernel, one vectorized NumPy pass per
   configuration.
 
-Two more variants measure the persistent store's warm tiers — what a
-*second process* pays over a store a prior process warmed:
+Two more variants measure the persistent store — what a *second
+process* pays over a store a prior process warmed:
 
 * **warm disk**: the identical grid with fresh in-memory caches over
   the warmed store — restores whole from the sweep-level artifact in
   one read;
-* **warm pages**: a different (sub-)grid over the same store — misses
-  the whole-sweep artifact and restores every compile report and
-  prediction from the page tier instead.
+* **warm sub-grid**: a different (sub-)grid over the same store — misses
+  the whole-sweep artifact, restores every compile report from the
+  store and predicts the grid afresh.
 
 Every variant is timed best-of-:data:`BENCH_RUNS` — the same recipe
 measured mode uses for host kernels — with fresh suite caches per
 attempt, so a one-off allocator or scheduler hiccup cannot decide a
-floor. It asserts all six sweeps are **bit-identical** (dataclass
-equality over every float of every point), that the compile cache
-compiled each kernel exactly once, that the store-backed sweeps
-recompiled and re-predicted nothing, and that the speedup floors are
-cleared: warm >= 5x, cold batch-vs-scalar >= 3.2x, and warm-disk vs
-cold scalar >= 8x on the full grid (looser floors on the ``--reduced``
-CI grid, whose runs are too quick to amortize fixed costs). Results
-land in ``BENCH_sweep.json`` next to the repo root to extend the perf
-trajectory.
+floor. Cold scalar, cold batch and warm disk, whose times make the
+cold and warm-disk floors, run in interleaved rounds (one attempt of
+each per round), so each floor's numerator and denominator meet the
+same host states. It asserts all six sweeps are **bit-identical**
+(dataclass equality over every float of every point), that the compile
+cache compiled each kernel exactly once, that the store-backed sweeps
+recompiled nothing and the warm-disk sweep wrote nothing, and that the
+speedup floors are cleared: warm >= 5x, cold batch-vs-scalar >= 3.2x,
+and warm-disk vs cold scalar >= 8x on the full grid (looser floors on
+the ``--reduced`` CI grid, whose runs are too quick to amortize fixed
+costs). Results land in ``BENCH_sweep.json`` next to the repo root to
+extend the perf trajectory.
 
 Run directly (``python benchmarks/bench_sweep.py [--reduced]``) or via
 pytest.
@@ -68,7 +71,7 @@ OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
 
 #: Timing attempts per variant; the best is reported (measured-mode
 #: recipe: best-of is far less noise-sensitive than a single shot).
-BENCH_RUNS = 3
+BENCH_RUNS = 5
 
 #: Telemetry-off instrumentation overhead budget as a fraction of the
 #: cold-batch sweep time (< 2%, per the observability acceptance
@@ -79,18 +82,68 @@ TELEMETRY_OVERHEAD_BUDGET = 0.02
 _MICRO_LOOPS = 50_000
 
 
-def _telemetry_overhead(cold_batch_seconds: float, configs: int,
-                        n_kernels: int) -> dict:
+def _site_counts(configs: int, n_kernels: int) -> dict:
+    """Per-sweep counts of the instrumentation's off-path sites.
+
+    Upper bounds for an untraced batch sweep, which builds its points
+    straight from the whole-grid prefetch: a hoisted flag test per
+    compile miss (at most one per kernel) and per grid point, and one
+    recorder lookup plus one null span per grid point
+    (``compile.resolve``) on top of a few per sweep (``sweep``,
+    ``sweep.prefetch``, ``predict_grid``, the fold test).
+    :func:`_count_recorder_sites` checks the last two on every run.
+    """
+    return {
+        "flag_checks": configs + n_kernels,
+        "lookups": configs + 8,
+        "null_spans": configs + 4,
+    }
+
+
+def _count_recorder_sites(run) -> dict:
+    """Recorder lookups and spans one untraced ``run()`` makes.
+
+    Wraps ``telemetry.recorder`` so each lookup, and each ``span``
+    opened on the recorder it returns, is counted.
+    """
+    from repro import telemetry
+
+    seen = {"lookups": 0, "null_spans": 0}
+    real = telemetry.recorder
+
+    class Counting:
+        def __init__(self, rec):
+            self._rec = rec
+
+        def __getattr__(self, name):
+            return getattr(self._rec, name)
+
+        def span(self, *args, **kwargs):
+            seen["null_spans"] += 1
+            return self._rec.span(*args, **kwargs)
+
+    def counting():
+        seen["lookups"] += 1
+        return Counting(real())
+
+    telemetry.recorder = counting
+    try:
+        run()
+    finally:
+        telemetry.recorder = real
+    return seen
+
+
+def _telemetry_overhead(cold_batch_seconds: float, sites: dict) -> dict:
     """Project the telemetry-off overhead of the instrumented sweep.
 
     Measures the three off-path primitives the instrumentation pays —
-    a hoisted local boolean test (per-kernel guarded sites), a
-    ``telemetry.recorder()`` lookup plus ``.active`` read (per call-site
-    entry), and a full null-span context cycle (per-configuration
-    sites) — then multiplies by deliberately conservative per-sweep
-    site counts. A projection, not a subtraction of two timed sweeps:
-    the cold-batch grid runs in ~15 ms, so a direct ON-vs-OFF delta
-    would be timing noise of the same order as the 2% budget itself.
+    a hoisted local boolean test, a ``telemetry.recorder()`` lookup plus
+    ``.active`` read, and a full null-span context cycle — then
+    multiplies by the per-sweep site counts of :func:`_site_counts`.
+    A projection, not a subtraction of two timed sweeps: the cold-batch
+    grid runs in a few ms, so a direct ON-vs-OFF delta would be timing
+    noise of the same order as the 2% budget itself.
     """
     from repro import telemetry
 
@@ -117,16 +170,12 @@ def _telemetry_overhead(cold_batch_seconds: float, configs: int,
             pass
     span_cost = (time.perf_counter() - start) / _MICRO_LOOPS
 
-    # Conservative per-sweep site counts; the instrumented sources have
-    # strictly fewer (e.g. run_suite hoists one boolean per suite and
-    # tests it once per kernel, giving configs * kernels flag checks).
-    flag_checks = 2 * configs * n_kernels
-    lookups = 8 * configs + 16
-    null_spans = 4 * configs + 8
-    projected = (flag_checks * flag_cost + lookups * lookup_cost
-                 + null_spans * span_cost)
+    projected = (sites["flag_checks"] * flag_cost
+                 + sites["lookups"] * lookup_cost
+                 + sites["null_spans"] * span_cost)
     return {
         "budget_fraction": TELEMETRY_OVERHEAD_BUDGET,
+        "sites": sites,
         "flag_check_ns": round(flag_cost * 1e9, 2),
         "recorder_lookup_ns": round(lookup_cost * 1e9, 2),
         "null_span_ns": round(span_cost * 1e9, 2),
@@ -135,21 +184,34 @@ def _telemetry_overhead(cold_batch_seconds: float, configs: int,
     }
 
 
-def _best_of(make_run, runs: int = BENCH_RUNS):
-    """Best wall time over ``runs`` fresh attempts.
+def _best_of_rounds(variants: dict, rounds: int = BENCH_RUNS) -> dict:
+    """Best wall time of each variant over ``rounds`` rounds.
 
-    ``make_run`` builds and runs one attempt from scratch (fresh suite
-    caches where the variant wants them) and returns
-    ``(sweep_result, caches_or_None)``; the last attempt's pair is
-    returned alongside the best time so the caller can assert on it.
+    Each round runs one fresh attempt of every variant, in order, so
+    variants compared with each other meet the same host states.
+    ``variants`` maps a name to a callable that builds and runs one
+    attempt from scratch and returns ``(sweep_result, caches_or_None)``;
+    the result maps each name to ``(best seconds, last attempt's
+    pair)``.
     """
-    best = float("inf")
-    value = None
-    for _ in range(runs):
-        start = time.perf_counter()
-        value = make_run()
-        best = min(best, time.perf_counter() - start)
-    return best, value
+    best = dict.fromkeys(variants, float("inf"))
+    last = {}
+    for _ in range(rounds):
+        for name, make_run in variants.items():
+            start = time.perf_counter()
+            last[name] = make_run()
+            best[name] = min(best[name], time.perf_counter() - start)
+    return {name: (best[name], last[name]) for name in variants}
+
+
+def _best_of(make_run, runs: int = BENCH_RUNS):
+    """:func:`_best_of_rounds` for one variant."""
+    return _best_of_rounds({None: make_run}, runs)[None]
+
+
+def _store_puts(store: ArtifactStore) -> int:
+    """Artifacts ``store`` has written so far, over every namespace."""
+    return sum(stats.puts for stats in store.stats().values())
 
 
 def _grid(reduced: bool) -> dict:
@@ -183,9 +245,9 @@ def run_benchmark(reduced: bool = False) -> dict:
 
     # Cold comparison: what a never-before-seen grid costs. The scalar
     # side runs uncached (each point recompiles and re-predicts, the
-    # pre-batch cold behaviour); the batch side starts from fresh,
-    # empty suite caches each attempt — every compile and every
-    # prediction it makes is a cold miss.
+    # pre-batch cold behaviour); the batch side starts from a fresh,
+    # empty compile cache each attempt — every compile it makes is a
+    # cold miss.
     def run_cold_scalar():
         return sweep(cpu, kernels=kernels, engine="scalar",
                      caches=SuiteCaches.disabled(), **grid), None
@@ -200,21 +262,15 @@ def run_benchmark(reduced: bool = False) -> dict:
 
     ref_seconds, (ref, _) = _best_of(run_reference)
     fast_seconds, (fast, caches) = _best_of(run_fast)
-    cold_scalar_seconds, (cold_scalar, _) = _best_of(run_cold_scalar)
-    cold_batch_seconds, (cold_batch, cold_caches) = _best_of(
-        run_cold_batch
-    )
 
-    # Warm-disk: the second-process story, two tiers deep. A prior
-    # process warmed the artifact store (compile reports via ``repro
-    # warm``, prediction pages + the whole-sweep artifact via one
-    # priming sweep); every timed attempt then starts from *fresh,
-    # empty* in-memory caches over that store — exactly what a new
-    # process sees. The identical grid restores whole from the
-    # sweep-level artifact in one read (``result.restored``); a
-    # *different* grid over the same configurations misses that tier
-    # and falls back to the page tier, restoring every report and
-    # prediction from disk without recomputing anything.
+    # Warm-disk: the second-process story. A prior process warmed the
+    # artifact store (compile reports via ``repro warm``, the
+    # whole-sweep artifact via one priming sweep); every timed attempt
+    # then starts from *fresh, empty* in-memory caches over that store —
+    # exactly what a new process sees — and restores the identical grid
+    # from the sweep-level artifact in one read (``result.restored``).
+    # A *different* grid over the same store misses that artifact: it
+    # restores every compile report from the store and predicts afresh.
     sub_threads = tuple(grid["threads"][::2])
     sub_grid = dict(grid, threads=sub_threads)
     with tempfile.TemporaryDirectory(prefix="bench-store-") as tmp:
@@ -231,29 +287,38 @@ def run_benchmark(reduced: bool = False) -> dict:
                 disk_caches,
             )
 
-        warm_disk_seconds, (warm_disk, disk_caches) = _best_of(
-            run_warm_disk
-        )
+        # The cold and warm-disk floors divide by the cold-scalar time:
+        # interleave the three so each round meets one host state.
+        puts_before = _store_puts(store)
+        timed = _best_of_rounds({
+            "cold_scalar": run_cold_scalar,
+            "cold_batch": run_cold_batch,
+            "warm_disk": run_warm_disk,
+        })
+        warm_disk_puts = _store_puts(store) - puts_before
+        cold_scalar_seconds, (cold_scalar, _) = timed["cold_scalar"]
+        cold_batch_seconds, (cold_batch, cold_caches) = timed["cold_batch"]
+        warm_disk_seconds, (warm_disk, disk_caches) = timed["warm_disk"]
 
         # The sub-grid sweep persists its own whole-sweep artifact at
         # the end of each attempt; drop any artifact the priming run
-        # did not write so every attempt really measures the page tier
-        # (the unlink is a single small file — measurement noise).
+        # did not write so every attempt really misses that tier (the
+        # unlink is a single small file — measurement noise).
         sweep_dir = Path(tmp) / "sweep"
         primed_artifacts = set(sweep_dir.iterdir())
 
-        def run_warm_pages():
+        def run_warm_subgrid():
             for extra in set(sweep_dir.iterdir()) - primed_artifacts:
                 extra.unlink()
-            page_caches = SuiteCaches.persistent(store)
+            sub_caches = SuiteCaches.persistent(store)
             return (
                 sweep(cpu, kernels=kernels, engine="batch",
-                      caches=page_caches, **sub_grid),
-                page_caches,
+                      caches=sub_caches, **sub_grid),
+                sub_caches,
             )
 
-        warm_pages_seconds, (warm_pages, page_caches) = _best_of(
-            run_warm_pages
+        warm_subgrid_seconds, (warm_subgrid, sub_caches) = _best_of(
+            run_warm_subgrid
         )
 
     assert fast == ref, "fast path diverged from the reference sweep"
@@ -266,34 +331,29 @@ def run_benchmark(reduced: bool = False) -> dict:
         "identical warmed grid should restore from the whole-sweep "
         "artifact"
     )
+    assert warm_disk_puts == 0, (
+        f"warm-disk sweeps wrote {warm_disk_puts} store artifact(s); "
+        f"the store should have served the whole sweep"
+    )
     disk_stats = disk_caches.stats()
     assert disk_stats.compile_misses == 0, (
         f"warm-disk sweep recompiled {disk_stats.compile_misses} "
         f"kernels; the store should have served the whole sweep"
     )
-    assert disk_stats.predict_misses == 0, (
-        f"warm-disk sweep recomputed {disk_stats.predict_misses} "
-        f"predictions; the store should have served the whole sweep"
-    )
     sub_set = set(sub_threads)
-    assert warm_pages.points == tuple(
+    assert warm_subgrid.points == tuple(
         p for p in ref.points if p.threads in sub_set
-    ), "page-tier sweep diverged from the reference"
-    assert not warm_pages.failures
-    assert not warm_pages.restored, (
+    ), "sub-grid sweep over the store diverged from the reference"
+    assert not warm_subgrid.failures
+    assert not warm_subgrid.restored, (
         "the sub-grid must miss the whole-sweep artifact"
     )
-    page_stats = page_caches.stats()
-    assert page_stats.compile_misses == 0, (
-        f"page-tier sweep recompiled {page_stats.compile_misses} "
+    sub_stats = sub_caches.stats()
+    assert sub_stats.compile_misses == 0, (
+        f"sub-grid sweep recompiled {sub_stats.compile_misses} "
         f"kernels; the store should have served every report"
     )
-    assert page_stats.predict_misses == 0, (
-        f"page-tier sweep recomputed {page_stats.predict_misses} "
-        f"predictions; the store should have served every page"
-    )
-    assert page_stats.compile_disk_hits == len(kernels)
-    assert page_stats.predict_disk_hits > 0
+    assert sub_stats.compile_disk_hits == len(kernels)
     stats = caches.stats()
     assert stats.compile_misses == len(kernels), (
         f"expected exactly one compilation per kernel, got "
@@ -308,12 +368,20 @@ def run_benchmark(reduced: bool = False) -> dict:
                * len(grid["precisions"]))
 
     # Telemetry: (a) the off-path instrumentation overhead projection
-    # must clear the <2% budget; (b) a traced cold-batch sweep must stay
-    # bit-identical to the reference (timed once, informational — span
-    # recording is real work the budget does not cover).
-    telemetry_overhead = _telemetry_overhead(
-        cold_batch_seconds, configs, len(kernels)
+    # must clear the <2% budget, with site counts that bound what an
+    # untraced cold sweep really passes; (b) a traced cold-batch sweep
+    # must stay bit-identical to the reference (timed once,
+    # informational — span recording is real work the budget does not
+    # cover).
+    sites = _site_counts(configs, len(kernels))
+    seen = _count_recorder_sites(run_cold_batch)
+    assert (seen["lookups"] <= sites["lookups"]
+            and seen["null_spans"] <= sites["null_spans"]), (
+        f"an untraced cold sweep passed {seen} recorder sites; the "
+        f"projection counts only {sites}"
     )
+    telemetry_overhead = _telemetry_overhead(cold_batch_seconds, sites)
+    telemetry_overhead["seen"] = seen
     assert (telemetry_overhead["projected_fraction"]
             < TELEMETRY_OVERHEAD_BUDGET), (
         f"projected telemetry-off overhead "
@@ -349,19 +417,13 @@ def run_benchmark(reduced: bool = False) -> dict:
         "warm_disk_speedup": round(warm_disk_speedup, 2),
         "warm_disk_speedup_floor": warm_disk_floor,
         "warm_disk_restored": warm_disk.restored,
-        "warm_pages_seconds": round(warm_pages_seconds, 6),
-        "warm_pages_compile_restored": page_stats.compile_disk_hits,
-        "warm_pages_predict_restored": page_stats.predict_disk_hits,
+        "warm_subgrid_seconds": round(warm_subgrid_seconds, 6),
+        "warm_subgrid_compile_restored": sub_stats.compile_disk_hits,
         "bit_identical": True,
         "compile_cache": {
             "misses": stats.compile_misses,
             "hits": stats.compile_hits,
             "entries": stats.compile_entries,
-        },
-        "prediction_memo": {
-            "misses": stats.predict_misses,
-            "hits": stats.predict_hits,
-            "entries": stats.predict_entries,
         },
         "telemetry_overhead": telemetry_overhead,
         "traced_cold_batch_seconds": round(traced_seconds, 6),
@@ -374,7 +436,7 @@ def _report(record: dict) -> str:
         f"{record['predictions']} predictions):\n"
         f"  reference (per-core scan, no caches): "
         f"{record['reference_seconds'] * 1e3:9.1f} ms\n"
-        f"  fast (dedup + caches + batch):        "
+        f"  fast (dedup + compile cache + batch): "
         f"{record['fast_seconds'] * 1e3:9.1f} ms\n"
         f"  speedup: {record['speedup']:6.1f}x  "
         f"(floor {record['speedup_floor']}x)   bit-identical: "
@@ -392,10 +454,9 @@ def _report(record: dict) -> str:
         f"(floor {record['warm_disk_speedup_floor']}x; "
         f"whole-sweep artifact restored: "
         f"{record['warm_disk_restored']})\n"
-        f"  warm pages (sub-grid, page tier):     "
-        f"{record['warm_pages_seconds'] * 1e3:9.1f} ms  "
-        f"({record['warm_pages_compile_restored']} reports + "
-        f"{record['warm_pages_predict_restored']} predictions "
+        f"  warm sub-grid (same store):           "
+        f"{record['warm_subgrid_seconds'] * 1e3:9.1f} ms  "
+        f"({record['warm_subgrid_compile_restored']} reports "
         f"restored)\n"
         f"  compile cache: {record['compile_cache']['misses']} compiled, "
         f"{record['compile_cache']['hits']} reused\n"

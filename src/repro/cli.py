@@ -122,12 +122,12 @@ def _parse_grid(args: argparse.Namespace):
 
 
 def _sweep_caches(args: argparse.Namespace):
-    """Cache layers for ``--store``/``--memo-cap``/``--no-cache``.
+    """Cache layer for ``--store``/``--no-cache``.
 
     Returns ``(caches, store)``; ``caches`` is ``None`` for the sweep
-    default (in-memory layers), ``store`` is the opened artifact store
-    or ``None``. Installing the store as the process default also gives
-    the SoA lowering cache its disk tier.
+    default (in-memory compile cache), ``store`` is the opened artifact
+    store or ``None``. Installing the store as the process default also
+    gives the SoA lowering cache its disk tier.
     """
     from repro.util.errors import ConfigError
 
@@ -137,23 +137,13 @@ def _sweep_caches(args: argparse.Namespace):
         from repro.suite.memo import SuiteCaches
 
         return SuiteCaches.disabled(), None
-    memo_cap = getattr(args, "memo_cap", None)
     if getattr(args, "store", None):
         from repro.store import ArtifactStore, set_default_store
         from repro.suite.memo import SuiteCaches
 
         store = ArtifactStore(args.store)
         set_default_store(store)
-        return SuiteCaches.persistent(store, memo_entry_cap=memo_cap), \
-            store
-    if memo_cap is not None:
-        from repro.compiler.cache import CompileCache
-        from repro.suite.memo import PredictionMemo, SuiteCaches
-
-        return SuiteCaches(
-            compile=CompileCache(),
-            predict=PredictionMemo(max_entries=memo_cap),
-        ), None
+        return SuiteCaches.persistent(store), store
     return None, None
 
 
@@ -636,7 +626,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         drain_timeout_s=args.drain_timeout,
         fault_plan=plan,
         store_path=args.store,
-        memo_cap=args.memo_cap,
         prewarm=not args.no_prewarm,
         prewarm_cpus=tuple(
             name.strip() for name in args.prewarm_cpu.split(",")
@@ -885,17 +874,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--store", default=None, metavar="DIR",
         help="persistent artifact store: compile reports, lowered "
-        "kernels and predictions are read from and written to DIR, so "
-        "a second process starts near-warm (see 'repro warm')",
-    )
-    p_sweep.add_argument(
-        "--memo-cap", type=int, default=None, metavar="N",
-        help="bound the prediction memo's in-memory tier to N entries "
-        "(LRU); with --store, evicted entries stay readable on disk",
+        "kernels and whole-sweep results are read from and written to "
+        "DIR, so a second process starts near-warm (see 'repro warm')",
     )
     p_sweep.add_argument(
         "--no-cache", action="store_true",
-        help="switch off the counted compile cache and prediction memo "
+        help="switch off the counted compile cache "
         "(the in-process suite-compilation, SoA-lowering and "
         "batch-prelude LRUs still apply; incompatible with --store)",
     )
@@ -1025,11 +1009,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent artifact store backing the engine caches; "
         "/readyz reports not-ready until the startup pre-warm from "
         "DIR completes",
-    )
-    p_serve.add_argument(
-        "--memo-cap", type=int, default=None, metavar="N",
-        help="bound the prediction memo's in-memory tier to N entries "
-        "per machine (LRU) so a long-lived server stays bounded",
     )
     p_serve.add_argument(
         "--no-prewarm", action="store_true",

@@ -6,7 +6,7 @@ vectorized pass. The coalescer gathers concurrent ``/predict`` requests
 over a short window, groups them by (machine, configuration), deduplicates
 kernels, and runs each group through one :func:`run_suite` call on a
 worker thread — sharing one process-wide :class:`SuiteCaches` per
-machine digest, so repeat traffic is served from the prediction memo.
+machine digest, so each kernel is compiled once per process.
 
 Robustness is owned here too: jobs whose deadline expired while queued
 are dropped without touching the engine, per-kernel engine faults come
@@ -30,7 +30,7 @@ from repro.resilience.retry import FailurePolicy, RetrySpec
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.errors import DeadlineExceeded, EngineFault, Unavailable
 from repro.suite.config import RunConfig
-from repro.suite.memo import PredictionMemo, SuiteCaches, machine_digest
+from repro.suite.memo import SuiteCaches, machine_digest
 from repro.suite.runner import KernelRun, run_suite
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -41,64 +41,35 @@ class EngineState:
     """Process-wide cache layers, one :class:`SuiteCaches` per machine.
 
     Keyed by :func:`machine_digest`, so two requests naming equal
-    machines (even via different objects) share compile cache and
-    prediction memo entries, while any re-tuned parameter isolates them.
+    machines (even via different objects) share compile cache entries,
+    while any re-tuned parameter isolates them.
 
-    With ``store`` set, every machine's cache bundle is persistent
+    With ``store`` set, every machine's compile cache is persistent
     (:meth:`SuiteCaches.persistent` over the one shared store), so
-    restarts pick up compile reports and prediction pages from disk;
-    ``memo_cap`` bounds each memo's in-memory tier (LRU).
+    restarts pick up compile reports from disk.
     """
 
-    def __init__(
-        self,
-        store: "ArtifactStore | None" = None,
-        memo_cap: int | None = None,
-    ) -> None:
+    def __init__(self, store: "ArtifactStore | None" = None) -> None:
         self._lock = threading.Lock()
         self._caches: dict[int, SuiteCaches] = {}
         self._store = store
-        self._memo_cap = memo_cap
 
     @property
     def store(self) -> "ArtifactStore | None":
         return self._store
-
-    def _build_caches(self) -> SuiteCaches:
-        if self._store is not None:
-            return SuiteCaches.persistent(
-                self._store, memo_entry_cap=self._memo_cap
-            )
-        if self._memo_cap is not None:
-            return SuiteCaches(
-                predict=PredictionMemo(max_entries=self._memo_cap)
-            )
-        return SuiteCaches()
 
     def caches_for(self, cpu: CPUModel) -> SuiteCaches:
         digest = machine_digest(cpu)
         with self._lock:
             caches = self._caches.get(digest)
             if caches is None:
-                caches = self._build_caches()
+                caches = (
+                    SuiteCaches.persistent(self._store)
+                    if self._store is not None
+                    else SuiteCaches()
+                )
                 self._caches[digest] = caches
             return caches
-
-    def stats(self) -> dict[int, "object"]:
-        """``{digest: CacheCounters}`` for every machine served."""
-        with self._lock:
-            items = list(self._caches.items())
-        return {digest: caches.stats() for digest, caches in items}
-
-    def aggregate_hit_rate(self) -> float | None:
-        """Prediction-memo hit rate across all machines (``None`` before
-        any lookup happened)."""
-        hits = misses = 0
-        for counters in self.stats().values():
-            hits += counters.predict_hits
-            misses += counters.predict_misses
-        total = hits + misses
-        return (hits / total) if total else None
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Tiered response cache: repeated predictions for one dict lookup.
 
-The engine-side caches (compile cache, prediction memo) make a repeated
-request *cheap*; this cache makes it *free*. Successful responses are
+The engine (batch model, compile cache) makes a repeated request
+*cheap*; this cache makes it *free*. Successful responses are
 stored fully pre-serialized — body bytes plus a precomputed HTTP head —
 keyed on the full identity of the request: endpoint, machine digest,
 configuration digest and the kernel names. A hot-key hit costs one dict

@@ -27,6 +27,7 @@ all of it is provable end-to-end.
 from __future__ import annotations
 
 import asyncio
+import math
 import sys
 import time
 import warnings
@@ -104,12 +105,10 @@ class ServeConfig:
     idle_timeout_s: float = 30.0
     #: Chaos plan mounted for the server's lifetime (CI smoke tests).
     fault_plan: FaultPlan | None = None
-    #: Artifact-store directory backing the engine caches (persistent
-    #: compile reports + prediction pages). ``None`` keeps the caches
-    #: memory-only, exactly the historical behaviour.
+    #: Artifact-store directory backing the compile cache and the
+    #: response cache. ``None`` keeps both memory-only, exactly the
+    #: historical behaviour.
     store_path: str | None = None
-    #: LRU entry cap on each machine's in-memory prediction memo.
-    memo_cap: int | None = None
     #: With a store configured, pre-warm the engine caches from disk at
     #: startup; ``/readyz`` reports 503 until the pre-warm finishes.
     prewarm: bool = True
@@ -180,9 +179,7 @@ class PredictionServer:
             from repro.store import ArtifactStore
 
             self.store = ArtifactStore(self.config.store_path)
-        self.state = EngineState(
-            store=self.store, memo_cap=self.config.memo_cap
-        )
+        self.state = EngineState(store=self.store)
         # No store (or pre-warm disabled) means nothing to wait for:
         # the server is ready the moment the socket binds, exactly the
         # historical behaviour.
@@ -413,8 +410,8 @@ class PredictionServer:
 
     def _refresh_gauges(self) -> None:
         """Publish the point-in-time gauges (queue depth, breaker state,
-        latency percentiles, cache hit rate) — called on /metrics and at
-        drain so exports are current."""
+        latency percentiles, response-cache state) — called on /metrics
+        and at drain so exports are current."""
         reg = telemetry.metrics()
         reg.gauge("serve.queue_depth").set(self.admission.depth)
         reg.gauge("serve.breaker_state").set(self.breaker.state.code)
@@ -425,9 +422,6 @@ class PredictionServer:
             reg.gauge("serve.latency_p50_ms").set(round(p50 * 1e3, 3))
         if p99 is not None:
             reg.gauge("serve.latency_p99_ms").set(round(p99 * 1e3, 3))
-        hit_rate = self.state.aggregate_hit_rate()
-        if hit_rate is not None:
-            reg.gauge("serve.cache_hit_rate").set(round(hit_rate, 6))
         rc = self.respcache.stats()
         reg.gauge("serve.respcache.entries").set(rc.entries)
         reg.gauge("serve.respcache.bytes").set(rc.bytes)
@@ -755,14 +749,26 @@ class PredictionServer:
             raise BadRequest(f"invalid configuration: {exc}")
 
     def _deadline_s(self, body: dict[str, Any]) -> float:
+        """The request's deadline in seconds, capped at the server's.
+
+        Only a JSON number (not a boolean) that is finite and above 0
+        is valid; ``json`` parses ``NaN`` and ``Infinity`` as floats,
+        so finiteness is checked, not assumed. Anything else is the
+        client's error, rejected before the response cache and
+        admission.
+        """
         raw = body.get("deadline_ms", self.config.default_deadline_ms)
-        try:
-            deadline_ms = float(raw)
-        except (TypeError, ValueError):
-            raise BadRequest(f"'deadline_ms' must be a number, got {raw!r}")
-        if deadline_ms <= 0:
-            raise BadRequest("'deadline_ms' must be positive")
-        return min(deadline_ms, self.config.max_deadline_ms) / 1000.0
+        if (
+            isinstance(raw, bool)
+            or not isinstance(raw, (int, float))
+            or not math.isfinite(raw)
+            or raw <= 0
+        ):
+            raise BadRequest(
+                f"'deadline_ms' must be a finite number above 0, "
+                f"got {raw!r}"
+            )
+        return min(raw, self.config.max_deadline_ms) / 1000.0
 
     def _admit(self) -> None:
         """Common gate: drain state, breaker, admission watermark."""

@@ -2,13 +2,12 @@
 
 The package persists the artifact kinds a fresh process otherwise
 recomputes from scratch — compilation reports, lowered-kernel SoA
-arrays, prediction pages, and whole-sweep results — in a
+arrays, whole-sweep results and serve responses — in a
 content-addressed, versioned, crash-safe on-disk
-:class:`ArtifactStore`. The cache layers
-(:class:`repro.compiler.cache.CompileCache`,
-:class:`repro.suite.memo.PredictionMemo`) accept a store as an optional
-disk tier; :func:`repro.suite.memo.SuiteCaches.persistent` bundles
-them; ``repro warm`` pre-populates a store for a whole catalog, and
+:class:`ArtifactStore`. The compile cache
+(:class:`repro.compiler.cache.CompileCache`) accepts a store as an
+optional disk tier; :func:`repro.suite.memo.SuiteCaches.persistent`
+attaches one; ``repro warm`` pre-populates a store for a whole catalog, and
 ``repro serve`` pre-warms from one before reporting ready.
 
 A process-wide *default store* hook exists for the one cache that is

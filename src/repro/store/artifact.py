@@ -1,6 +1,6 @@
 """Content-addressed on-disk artifact store: the cold path's warm tier.
 
-Warm sweeps are memo-bound, but every *fresh process* — a CI job, a
+Warm sweeps are cheap in process, but every *fresh process* — a CI job, a
 ``repro serve`` cold start, a ``repro sweep --store`` run — pays the
 full per-kernel ``analyze()`` and SoA-lowering cost again because those
 artifacts live only in process memory. The :class:`ArtifactStore`
@@ -25,9 +25,7 @@ Design rules, in priority order:
 Concurrent writers are safe by construction: both compute the same
 bytes for the same key (the cached functions are pure), and
 ``os.replace`` is atomic, so the losing writer merely overwrites the
-winning one with identical content. Page-style artifacts (the
-prediction memo's per-configuration pages) may lose entries under a
-read-merge-write race — a shrunk cache, not a wrong one.
+winning one with identical content.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from typing import Any
 STORE_SCHEMA_VERSION = 1
 
 #: Namespaces the store recognises; one subdirectory per namespace.
-KNOWN_NAMESPACES = ("compile", "predict", "responses", "soa", "sweep")
+KNOWN_NAMESPACES = ("compile", "responses", "soa", "sweep")
 
 
 class StoreWarning(UserWarning):

@@ -1,11 +1,9 @@
 """Bit-exact JSON codecs for the artifacts the store persists.
 
-Four artifact kinds:
+Three artifact kinds:
 
 * ``compile`` — a :class:`VectorizationReport` (the result of
   :func:`repro.compiler.vectorizer.analyze`);
-* ``predict`` — a page of :class:`ExecutionResult` predictions for one
-  memo-key prefix (one configuration);
 * ``soa`` — a :class:`~repro.perfmodel.batch.KernelSoA` lowering of a
   kernel tuple;
 * ``sweep`` — a completed (failure-free) sweep's full point list, the
@@ -30,7 +28,6 @@ from typing import Any
 
 from repro.compiler.model import VectorFlavor
 from repro.compiler.vectorizer import VectorizationReport
-from repro.perfmodel.execution import ExecutionResult
 from repro.util.errors import ReproError
 
 #: Bump when a codec's payload shape changes incompatibly (independent
@@ -98,73 +95,6 @@ def decode_report(payload: dict) -> VectorizationReport:
     except (KeyError, TypeError, ValueError) as exc:
         raise CodecError(f"malformed compile report payload: {exc}")
     return report
-
-
-# -- ExecutionResult -----------------------------------------------------
-
-
-def encode_result(result: ExecutionResult) -> dict:
-    return {
-        "seconds": result.seconds,
-        "seconds_per_rep": result.seconds_per_rep,
-        "serving_level": result.serving_level,
-        "bound": result.bound,
-        "vector_executed": result.vector_executed,
-    }
-
-
-def decode_result(payload: dict) -> ExecutionResult:
-    # Hot path: page restores decode one of these per prediction, so
-    # floats skip the coercion helper when ``json`` already produced
-    # them (finiteness/positivity is still enforced — ``__post_init__``
-    # re-validates every constructed result).
-    try:
-        seconds = payload["seconds"]
-        if type(seconds) is not float:
-            seconds = _finite_float(seconds, "seconds")
-        per_rep = payload["seconds_per_rep"]
-        if type(per_rep) is not float:
-            per_rep = _finite_float(per_rep, "seconds_per_rep")
-        return ExecutionResult(
-            seconds,
-            per_rep,
-            str(payload["serving_level"]),
-            str(payload["bound"]),
-            bool(payload["vector_executed"]),
-        )
-    except (KeyError, TypeError, ValueError, ReproError) as exc:
-        raise CodecError(f"malformed prediction payload: {exc}")
-
-
-# -- prediction pages ----------------------------------------------------
-
-
-def encode_prediction_page(
-    entries: dict[str, ExecutionResult],
-) -> dict:
-    """One configuration's predictions, keyed ``"KERNEL|size"``."""
-    return {
-        "payload_version": PAYLOAD_VERSION,
-        "entries": {
-            slot: encode_result(result)
-            for slot, result in sorted(entries.items())
-        },
-    }
-
-
-def decode_prediction_page(payload: dict) -> dict[str, ExecutionResult]:
-    _require_version(payload, "prediction page")
-    entries = payload.get("entries")
-    if not isinstance(entries, dict):
-        raise CodecError("prediction page has no entries object")
-    return {
-        str(slot): decode_result(raw) for slot, raw in entries.items()
-    }
-
-
-def page_slot(kernel_name: str, size: int) -> str:
-    """The page key of one prediction within its configuration page."""
-    return f"{kernel_name}|{int(size)}"
 
 
 # -- whole-sweep results -------------------------------------------------

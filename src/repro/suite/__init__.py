@@ -11,12 +11,7 @@ and parallel efficiencies.
 
 from repro.resilience.retry import FailurePolicy, FailureRecord, RetrySpec
 from repro.suite.config import Placement, Precision, RunConfig
-from repro.suite.memo import (
-    CacheCounters,
-    PredictionMemo,
-    SuiteCaches,
-    machine_digest,
-)
+from repro.suite.memo import CacheCounters, SuiteCaches, machine_digest
 from repro.suite.report import (
     class_speedups,
     class_summaries,
@@ -40,7 +35,6 @@ __all__ = [
     "FailureRecord",
     "RetrySpec",
     "CacheCounters",
-    "PredictionMemo",
     "SuiteCaches",
     "machine_digest",
 ]

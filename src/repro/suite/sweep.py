@@ -10,11 +10,11 @@ Sweeps are resilient: per-kernel failures degrade to explicit
 the grid, and a JSONL checkpoint (``checkpoint=``) persists completed
 points so a killed sweep resumes mid-grid without recomputing them.
 
-Sweeps are also fast: every grid point shares one compile cache and one
-prediction memo (each kernel is compiled once per sweep, not once per
-grid point — see :mod:`repro.suite.memo`), and the batch engine predicts
-the whole grid in one vectorized pass before the grid points are
-assembled, one after another, in grid order. An untraced batch sweep
+Sweeps are also fast: every grid point shares one compile cache (each
+kernel is compiled once per sweep, not once per grid point — see
+:mod:`repro.suite.memo`), and the batch engine predicts the whole grid
+in one vectorized pass before the grid points are assembled, one after
+another, in grid order. An untraced batch sweep
 turns each grid point's predictions straight into its points, by the
 fold rule :func:`~repro.suite.runner.run_suite` uses
 (:func:`~repro.suite.runner.fold_seconds`). A grid point goes through
@@ -110,7 +110,7 @@ class SweepResult:
     #: earns different hit counts for identical points.
     #:
     #: .. deprecated:: legacy thin view — the same counters are
-    #:    re-exposed as ``cache.compile.*`` / ``cache.predict.*`` gauges
+    #:    re-exposed as ``cache.compile.*`` gauges
     #:    on the telemetry metrics registry whenever a telemetry session
     #:    is active (see :mod:`repro.telemetry` and the ``telemetry``
     #:    field); prefer those for new code.
@@ -387,13 +387,12 @@ def sweep(
         checkpoint: Path of a JSONL checkpoint. Completed points are
             flushed there as the grid progresses and skipped on resume;
             the file's header hash must match this exact grid.
-        caches: Cache layers shared by every grid point; defaults to a
-            fresh :class:`SuiteCaches` (compile cache + prediction memo
-            enabled), so each (kernel, flavor, rollback) is compiled
-            exactly once per sweep. ``SuiteCaches.disabled()`` switches
-            off the counted, store-backed compile cache and prediction
-            memo; the pure in-process LRUs (suite compilation, SoA
-            lowering, batch prelude) still apply.
+        caches: Cache layer shared by every grid point; defaults to a
+            fresh :class:`SuiteCaches` (compile cache enabled), so each
+            (kernel, flavor, rollback) is compiled exactly once per
+            sweep. ``SuiteCaches.disabled()`` switches off the counted,
+            store-backed compile cache; the pure in-process LRUs (suite
+            compilation, SoA lowering, batch prelude) still apply.
         engine: Prediction engine forwarded to :func:`run_suite`:
             ``"batch"`` (default) evaluates each configuration's whole
             kernel list in one vectorized NumPy pass, ``"scalar"`` is
@@ -496,9 +495,9 @@ def _run_sweep(
     # point's predictions up front (uniform points share a single 2-D
     # ``predict_grid`` evaluation), then each grid point folds its slice
     # (or hands it to ``run_suite``). Bit-identical, with identical
-    # cache counter activity — the per-point prefetch this replaces did
-    # the same lookups and stores. Skipped wherever the per-point batch
-    # prefetch would be: scalar engine, chaos plans, reference mode.
+    # compile cache activity — the per-point prefetch this replaces did
+    # the same lookups. Skipped wherever the per-point batch prefetch
+    # would be: scalar engine, chaos plans, reference mode.
     jobs: list[tuple[RunConfig, list[Kernel]] | None] = [None] * len(grid)
     prefetches: list[tuple | None] = [None] * len(grid)
     if (

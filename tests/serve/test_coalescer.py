@@ -2,6 +2,7 @@
 
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.serve.coalescer import (
     PredictJob,
 )
 from repro.serve.errors import DeadlineExceeded, EngineFault
+from repro.store import ArtifactStore
 from repro.suite.config import RunConfig
 from repro.suite.runner import run_suite
 
@@ -143,9 +145,10 @@ class TestRobustness:
         assert snapshot.counters["serve.deadline_exceeded"] == 1
         assert snapshot.counters["suite.kernel_runs"] == 1
 
-    def test_repeat_traffic_hits_the_prediction_memo(self):
+    def test_repeat_traffic_recomputes_identically(self):
         async def main(state):
             loop = asyncio.get_running_loop()
+            windows = []
             with ThreadPoolExecutor(max_workers=1) as executor:
                 coalescer = Coalescer(
                     state, executor, CoalescerConfig(window_s=0.005)
@@ -155,13 +158,24 @@ class TestRobustness:
                     jobs = predict_jobs(loop, ["TRIAD", "GEMM"])
                     for job in jobs:
                         await coalescer.submit(job)
-                    await asyncio.gather(*(j.future for j in jobs))
+                    windows.append(await asyncio.gather(
+                        *(j.future for j in jobs)
+                    ))
                     await asyncio.sleep(0.02)  # separate windows
                 await coalescer.stop()
+            return windows
 
         state = EngineState()
-        asyncio.run(main(state))
-        assert state.aggregate_hit_rate() == pytest.approx(0.5)
+        with telemetry.telemetry_session() as (_, registry):
+            first, second = asyncio.run(main(state))
+        assert [r.seconds for r in second] == [r.seconds for r in first]
+        # Both windows reach the engine: every prediction is computed,
+        # only the compile reports are reused.
+        snapshot = registry.snapshot()
+        assert snapshot.counters["serve.batches"] == 2
+        assert snapshot.counters["suite.kernel_runs"] == 4
+        stats = state.caches_for(catalog.sg2042()).stats()
+        assert (stats.compile_misses, stats.compile_hits) == (2, 2)
 
     def test_breaker_hears_every_success(self):
         breaker = CircuitBreaker(failure_threshold=2)
@@ -173,9 +187,6 @@ class TestRobustness:
         class ExplodingCaches:
             def caches_for(self, cpu):
                 raise RuntimeError("engine blew up")
-
-            def aggregate_hit_rate(self):
-                return None
 
         async def main():
             loop = asyncio.get_running_loop()
@@ -228,6 +239,29 @@ class TestRobustness:
         assert fault.details["fault_site"] == "run"
         assert "TRIAD" in str(fault)
         assert ok.kernel_name == "DAXPY"
+
+
+class TestEngineState:
+    def test_equal_machines_share_one_caches_object(self):
+        state = EngineState()
+        first = state.caches_for(catalog.sg2042())
+        assert state.caches_for(catalog.sg2042()) is first
+
+    def test_retuned_machine_gets_its_own_caches(self):
+        state = EngineState()
+        cpu = catalog.sg2042()
+        retuned = replace(
+            cpu, core=replace(cpu.core, clock_hz=cpu.core.clock_hz + 1)
+        )
+        assert state.caches_for(retuned) is not state.caches_for(cpu)
+
+    def test_store_backs_every_machine(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        state = EngineState(store)
+        assert state.store is store
+        for cpu in (catalog.sg2042(), catalog.amd_rome()):
+            assert state.caches_for(cpu).store is store
+        assert EngineState().caches_for(catalog.sg2042()).store is None
 
 
 class TestLifecycle:

@@ -157,6 +157,91 @@ class TestPredict:
         assert body["error"]["retryable"] is True
 
 
+class TestDeadlineValidation:
+    """Only a finite JSON number above 0 is a deadline. Anything else is
+    the client's 400, raised before the response cache, admission and
+    the engine on every endpoint that takes one."""
+
+    BODIES = {
+        "/predict": '{{"kernel": "TRIAD", "deadline_ms": {}}}',
+        "/sweep": '{{"kernels": ["TRIAD"], "threads": [1], '
+                  '"deadline_ms": {}}}',
+        "/explain": '{{"kernel": "TRIAD", "deadline_ms": {}}}',
+    }
+
+    # Raw JSON text: Python's json parses NaN and Infinity as floats.
+    @pytest.mark.parametrize("raw", [
+        "NaN", "Infinity", "-Infinity", "true", '"250"', "0", "-5",
+        "null",
+    ])
+    def test_bad_deadline_400(self, raw):
+        async def scenario(server):
+            replies = [
+                await http_request(
+                    server.port, "POST", path,
+                    raw_body=body.format(raw).encode(),
+                )
+                for path, body in self.BODIES.items()
+            ]
+            _, _, metrics = await http_request(
+                server.port, "GET", "/metrics"
+            )
+            return (replies, metrics.decode(), server.respcache.stats(),
+                    server.admission.admitted_count)
+
+        replies, metrics, respcache, admitted = with_server(
+            default_config(), scenario
+        )
+        for status, _, reply in replies:
+            assert status == 400
+            assert reply["error"]["code"] == "bad_request"
+            assert reply["error"]["retryable"] is False
+            assert "deadline_ms" in reply["error"]["message"]
+        lines = dict(
+            line.rsplit(" ", 1)
+            for line in metrics.splitlines() if " " in line
+        )
+        assert int(lines.get("counter serve.deadline_exceeded", 0)) == 0
+        assert int(lines.get("counter serve.engine_faults", 0)) == 0
+        assert "counter serve.batches" not in lines
+        assert respcache.hits + respcache.misses == 0
+        assert admitted == 0
+
+    # ``1e12`` is clamped to the server's max_deadline_ms.
+    @pytest.mark.parametrize("raw", ["5000", "5000.5", "1e12"])
+    def test_finite_positive_deadline_200(self, raw):
+        async def scenario(server):
+            return [
+                await http_request(
+                    server.port, "POST", path,
+                    raw_body=body.format(raw).encode(),
+                )
+                for path, body in self.BODIES.items()
+            ]
+
+        replies = with_server(default_config(), scenario)
+        assert [status for status, _, _ in replies] == [200, 200, 200]
+
+    def test_bad_deadline_400_even_when_the_response_is_cached(self):
+        async def scenario(server):
+            good = await http_request(
+                server.port, "POST", "/predict",
+                raw_body=self.BODIES["/predict"].format("5000").encode(),
+            )
+            bad = await http_request(
+                server.port, "POST", "/predict",
+                raw_body=self.BODIES["/predict"].format("NaN").encode(),
+            )
+            return good, bad, server.respcache.stats()
+
+        good, bad, respcache = with_server(default_config(), scenario)
+        assert good[0] == 200
+        assert bad[0] == 400
+        assert bad[2]["error"]["code"] == "bad_request"
+        # Rejected before the lookup: the primed entry was never hit.
+        assert (respcache.hits, respcache.misses) == (0, 1)
+
+
 class TestThreadValidation:
     """A bad thread count is the client's error: 400, never an engine
     fault that counts towards the circuit breaker."""
@@ -486,33 +571,37 @@ class TestMetricsAndDrain:
             "gauge serve.breaker_state",
             "gauge serve.latency_p50_ms",
             "gauge serve.latency_p99_ms",
-            "gauge serve.cache_hit_rate",
         ):
             assert metric in text, f"{metric} missing from:\n{text}"
 
-    def test_repeat_traffic_reports_cache_hits(self):
-        """With the response cache disabled, repeats still reach the
-        engine and the prediction-memo hit rate is reported."""
+    def test_repeat_traffic_without_response_cache_recomputes(self):
+        """With the response cache disabled, every repeat reaches the
+        engine and is computed again, to the same body."""
 
         async def scenario(server):
-            for _ in range(4):
+            replies = [
                 await http_request(
                     server.port, "POST", "/predict",
                     {"kernel": "TRIAD", "threads": 8},
                 )
+                for _ in range(4)
+            ]
             _, _, raw = await http_request(
                 server.port, "GET", "/metrics"
             )
-            return raw.decode()
+            return replies, raw.decode()
 
-        text = with_server(
+        replies, text = with_server(
             default_config(respcache_entries=0), scenario
         )
-        (rate_line,) = [
-            line for line in text.splitlines()
-            if "serve.cache_hit_rate" in line
-        ]
-        assert float(rate_line.rsplit(" ", 1)[1]) == pytest.approx(0.75)
+        assert all(status == 200 for status, _, _ in replies)
+        assert all(body == replies[0][2] for _, _, body in replies)
+        lines = dict(
+            line.rsplit(" ", 1)
+            for line in text.splitlines() if " " in line
+        )
+        assert int(lines["counter serve.batches"]) == 4
+        assert "gauge serve.cache_hit_rate" not in lines
 
     def test_repeat_traffic_hits_the_response_cache(self):
         """By default, repeats are served from the response cache: one

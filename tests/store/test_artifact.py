@@ -52,7 +52,7 @@ class TestRoundTrip:
 
     def test_namespaces_do_not_collide(self, store):
         store.put("compile", KEY, {"v": 1})
-        assert store.get("predict", KEY) is None
+        assert store.get("soa", KEY) is None
         assert store.artifact_count() == 1
 
     def test_overwrite_wins(self, store):

@@ -10,20 +10,14 @@ from repro.compiler.vectorizer import analyze
 from repro.kernels.registry import all_kernels, get_kernel
 from repro.machine.vector import rvv_0_7_1
 from repro.perfmodel.batch import lower_kernels
-from repro.perfmodel.execution import ExecutionResult
 from repro.store import CodecError, jsonable_parts
 from repro.store.codecs import (
-    decode_prediction_page,
     decode_report,
-    decode_result,
     decode_soa,
     decode_sweep_points,
-    encode_prediction_page,
     encode_report,
-    encode_result,
     encode_soa,
     encode_sweep_points,
-    page_slot,
 )
 from repro.suite.config import Placement, Precision
 from repro.suite.sweep import SweepPoint
@@ -32,9 +26,6 @@ from repro.suite.sweep import SweepPoint
 def _json_round_trip(payload):
     """What the store actually does to a payload between put and get."""
     return json.loads(json.dumps(payload))
-
-
-RESULT = ExecutionResult(0.1 + 0.2, 3e-7, "L2", "memory", True)
 
 
 class TestReportCodec:
@@ -58,54 +49,6 @@ class TestReportCodec:
         del payload["efficiency"]
         with pytest.raises(CodecError):
             decode_report(payload)
-
-
-class TestResultCodec:
-    def test_round_trip_is_bit_exact(self):
-        assert decode_result(_json_round_trip(encode_result(RESULT))) \
-            == RESULT
-
-    def test_nonpositive_seconds_rejected(self):
-        payload = encode_result(RESULT) | {"seconds": -1.0}
-        with pytest.raises(CodecError):
-            decode_result(payload)
-
-    def test_nan_rejected(self):
-        # json.loads accepts bare NaN, so a tampered page can deliver
-        # one as a genuine float; the decoder must still refuse it.
-        payload = json.loads(
-            json.dumps(encode_result(RESULT)).replace("3e-07", "NaN")
-        )
-        with pytest.raises(CodecError):
-            decode_result(payload)
-
-    def test_missing_field_rejected(self):
-        payload = encode_result(RESULT)
-        del payload["bound"]
-        with pytest.raises(CodecError):
-            decode_result(payload)
-
-
-class TestPageCodec:
-    def test_round_trip(self):
-        page = {
-            page_slot("TRIAD", 1024): RESULT,
-            page_slot("GEMM", 64): ExecutionResult(
-                1.0, 0.5, "DRAM", "compute", False
-            ),
-        }
-        payload = _json_round_trip(encode_prediction_page(page))
-        assert decode_prediction_page(payload) == page
-
-    def test_entries_must_be_an_object(self):
-        with pytest.raises(CodecError, match="entries"):
-            decode_prediction_page({"payload_version": 1, "entries": []})
-
-    def test_one_bad_entry_poisons_the_page(self):
-        payload = encode_prediction_page({page_slot("TRIAD", 8): RESULT})
-        payload["entries"]["TRIAD|8"]["seconds"] = "soon"
-        with pytest.raises(CodecError):
-            decode_prediction_page(payload)
 
 
 class TestSoaCodec:

@@ -57,30 +57,30 @@ class TestValidation:
 class TestAgeHorizon:
     def test_old_artifacts_drain_out(self, tmp_path):
         store = _store_with(tmp_path, [
-            ("predict", ("old",), {"v": 1}, 7200.0),
-            ("predict", ("new",), {"v": 2}, 60.0),
+            ("soa", ("old",), {"v": 1}, 7200.0),
+            ("soa", ("new",), {"v": 2}, 60.0),
         ])
         report = prune_store(store, max_age_s=3600.0, now=NOW)
         assert report.deleted == 1 and report.scanned == 2
-        assert len(_names(store, "predict")) == 1
-        assert store.get("predict", ("new",)) is not None
-        assert store.get("predict", ("old",)) is None
+        assert len(_names(store, "soa")) == 1
+        assert store.get("soa", ("new",)) is not None
+        assert store.get("soa", ("old",)) is None
 
     def test_deletions_land_on_eviction_counters(self, tmp_path):
         store = _store_with(tmp_path, [
-            ("predict", ("old",), {"v": 1}, 7200.0),
+            ("soa", ("old",), {"v": 1}, 7200.0),
             ("sweep", ("old",), {"v": 2}, 7200.0),
         ])
         prune_store(store, max_age_s=3600.0, now=NOW)
         stats = store.stats()
-        assert stats["predict"].evictions == 1
+        assert stats["soa"].evictions == 1
         assert stats["sweep"].evictions == 1
 
 
 class TestSizeCap:
     def test_oldest_artifacts_go_first_across_namespaces(self, tmp_path):
         store = _store_with(tmp_path, [
-            ("predict", ("a",), {"v": "x" * 64}, 300.0),  # oldest
+            ("soa", ("a",), {"v": "x" * 64}, 300.0),  # oldest
             ("responses", ("b",), {"v": "x" * 64}, 200.0),
             ("compile", ("c",), {"v": "x" * 64}, 100.0),  # newest
         ])
@@ -89,87 +89,87 @@ class TestSizeCap:
                 p.stat().st_size
                 for p in (store.root / ns).iterdir()
             )
-            for ns in ("predict", "responses", "compile")
+            for ns in ("soa", "responses", "compile")
         }
-        # Cap to exactly the newest two: the oldest (predict) goes.
+        # Cap to exactly the newest two: the oldest (soa) goes.
         cap = sizes["responses"] + sizes["compile"]
         report = prune_store(store, max_bytes=cap, now=NOW)
         assert report.deleted == 1
-        assert store.get("predict", ("a",)) is None
+        assert store.get("soa", ("a",)) is None
         assert store.get("responses", ("b",)) is not None
         assert store.get("compile", ("c",)) is not None
         assert report.bytes_after <= cap
 
     def test_zero_cap_empties_the_store(self, tmp_path):
         store = _store_with(tmp_path, [
-            ("predict", ("a",), {"v": 1}, 10.0),
-            ("predict", ("b",), {"v": 2}, 20.0),
+            ("soa", ("a",), {"v": 1}, 10.0),
+            ("soa", ("b",), {"v": 2}, 20.0),
         ])
         report = prune_store(store, max_bytes=0, now=NOW)
         assert report.deleted == 2
         assert report.bytes_after == 0
-        assert _names(store, "predict") == set()
+        assert _names(store, "soa") == set()
 
     def test_age_and_size_compose_in_one_pass(self, tmp_path):
         store = _store_with(tmp_path, [
-            ("predict", ("stale",), {"v": 1}, 7200.0),
-            ("predict", ("old",), {"v": 2}, 600.0),
-            ("predict", ("new",), {"v": 3}, 10.0),
+            ("soa", ("stale",), {"v": 1}, 7200.0),
+            ("soa", ("old",), {"v": 2}, 600.0),
+            ("soa", ("new",), {"v": 3}, 10.0),
         ])
         # Age kills "stale"; the cap then squeezes out "old" as the
         # oldest survivor.
-        new_size = store._path("predict", ("new",)).stat().st_size
+        new_size = store._path("soa", ("new",)).stat().st_size
         report = prune_store(
             store, max_age_s=3600.0, max_bytes=new_size, now=NOW
         )
         assert report.deleted == 2
-        assert store.get("predict", ("new",)) is not None
-        assert store.get("predict", ("old",)) is None
+        assert store.get("soa", ("new",)) is not None
+        assert store.get("soa", ("old",)) is None
 
 
 class TestDryRun:
     def test_dry_run_touches_nothing(self, tmp_path):
         store = _store_with(tmp_path, [
-            ("predict", ("old",), {"v": 1}, 7200.0),
-            ("predict", ("new",), {"v": 2}, 60.0),
+            ("soa", ("old",), {"v": 1}, 7200.0),
+            ("soa", ("new",), {"v": 2}, 60.0),
         ])
         report = prune_store(
             store, max_age_s=3600.0, dry_run=True, now=NOW
         )
         assert report.deleted == 1 and report.dry_run
-        assert len(_names(store, "predict")) == 2  # nothing removed
-        assert store.stats()["predict"].evictions == 0
+        assert len(_names(store, "soa")) == 2  # nothing removed
+        assert store.stats()["soa"].evictions == 0
         assert "would delete 1/2" in report.render()
 
     def test_real_run_renders_deleted(self, tmp_path):
         store = _store_with(tmp_path, [
-            ("predict", ("old",), {"v": 1}, 7200.0),
+            ("soa", ("old",), {"v": 1}, 7200.0),
         ])
         report = prune_store(store, max_age_s=3600.0, now=NOW)
         assert "deleted 1/1" in report.render()
-        assert "predict: deleted 1/1" in report.render()
+        assert "soa: deleted 1/1" in report.render()
 
 
 class TestTmpCleanup:
     def test_orphaned_tmp_files_are_removed_after_grace(self, tmp_path):
         store = _store_with(tmp_path, [
-            ("predict", ("keep",), {"v": 1}, 10.0),
+            ("soa", ("keep",), {"v": 1}, 10.0),
         ])
-        stale = store.root / "predict" / "dead-writer.json.tmp"
+        stale = store.root / "soa" / "dead-writer.json.tmp"
         stale.write_text("{")
         os.utime(stale, (NOW - TMP_GRACE_S - 1, NOW - TMP_GRACE_S - 1))
-        fresh = store.root / "predict" / "live-writer.json.tmp"
+        fresh = store.root / "soa" / "live-writer.json.tmp"
         fresh.write_text("{")
         os.utime(fresh, (NOW - 1, NOW - 1))
         report = prune_store(store, max_age_s=86400.0, now=NOW)
         assert report.tmp_removed == 1
         assert not stale.exists()
         assert fresh.exists()  # might belong to a live writer
-        assert store.get("predict", ("keep",)) is not None
+        assert store.get("soa", ("keep",)) is not None
 
     def test_dry_run_reports_tmp_without_removing(self, tmp_path):
         store = _store_with(tmp_path, [])
-        ns_dir = store.root / "predict"
+        ns_dir = store.root / "soa"
         ns_dir.mkdir(parents=True)
         stale = ns_dir / "dead.json.tmp"
         stale.write_text("{")
@@ -184,7 +184,7 @@ class TestTmpCleanup:
 class TestNamespaceSelection:
     def test_unselected_namespaces_are_untouched(self, tmp_path):
         store = _store_with(tmp_path, [
-            ("predict", ("a",), {"v": 1}, 7200.0),
+            ("soa", ("a",), {"v": 1}, 7200.0),
             ("responses", ("b",), {"v": 2}, 7200.0),
         ])
         report = prune_store(
@@ -192,7 +192,7 @@ class TestNamespaceSelection:
             now=NOW,
         )
         assert report.deleted == 1
-        assert store.get("predict", ("a",)) is not None
+        assert store.get("soa", ("a",)) is not None
         assert store.get("responses", ("b",)) is None
 
     def test_unknown_namespace_directory_is_just_empty(self, tmp_path):

@@ -18,7 +18,8 @@ from repro.kernels.registry import get_kernel
 from repro.perfmodel import reference_mode
 from repro.resilience import chaos
 from repro.resilience.faults import FaultPlan
-from repro.store import ArtifactStore, StoreWarning
+from repro.store import KNOWN_NAMESPACES, ArtifactStore, StoreWarning
+from repro.store.prune import prune_store
 from repro.store.warm import warm_store
 from repro.suite.config import Placement, Precision
 from repro.suite.memo import CacheCounters, SuiteCaches
@@ -100,9 +101,19 @@ class TestRestore:
         result = sweep(sg2042, kernels=KERNELS, **GRID)
         assert not result.restored
 
+    def test_fresh_handle_restores_without_writing(self, store, sg2042):
+        _sweep(store, cpu=sg2042)
+        # A second process: a new store handle, so its counters start
+        # clean. The restore reads one artifact and writes nothing.
+        reader = ArtifactStore(store.root)
+        assert _sweep(reader, cpu=sg2042).restored
+        stats = reader.stats()
+        assert stats["sweep"].hits == 1
+        assert all(ns.puts == 0 for ns in stats.values())
+
 
 class TestGridSensitivity:
-    def test_subgrid_falls_back_to_the_page_tier(
+    def test_subgrid_restores_every_report_and_recomputes(
         self, store, sg2042, reference
     ):
         warm_store(store, sg2042, KERNELS)
@@ -116,8 +127,7 @@ class TestGridSensitivity:
         )
         stats = caches.stats()
         assert stats.compile_misses == 0
-        assert stats.predict_misses == 0
-        assert stats.predict_disk_hits > 0
+        assert stats.compile_disk_hits == len(KERNELS)
 
     def test_runs_and_noise_are_part_of_the_key(self, store, sg2042):
         _sweep(store, cpu=sg2042)
@@ -207,3 +217,85 @@ class TestGuards:
         )
         _persist_sweep(store, key, failed)
         assert store.artifact_count("sweep") == 0
+
+
+class TestLegacyPredictPages:
+    """Older versions kept a ``predict/`` namespace of per-configuration
+    prediction pages. No sweep writes one now, and a store that still
+    holds one is never read: the sweep computes every prediction.
+    ``store prune`` leaves the page alone unless the namespace is
+    named."""
+
+    ARGS = ["sweep", "--cpu", "sg2042", "--kernels", "TRIAD",
+            "--threads", "8", "--placements", "block",
+            "--precisions", "fp64", "--csv"]
+
+    @staticmethod
+    def _write_page(root, cpu):
+        """The page the older version wrote for ``ARGS``'s one
+        configuration, in its envelope, with a wrong time in it."""
+        from repro.openmp.affinity import assign_cores
+        from repro.store import STORE_SCHEMA_VERSION, jsonable_parts
+        from repro.store.artifact import stable_digest
+        from repro.suite.config import RunConfig
+        from repro.suite.memo import machine_digest
+
+        config = RunConfig(threads=8, placement=Placement.BLOCK)
+        key = json.loads(json.dumps(jsonable_parts((
+            machine_digest(cpu),
+            assign_cores(cpu.topology, 8, Placement.BLOCK),
+            config.precision, config.resolve_compiler(cpu).name,
+            config.flavor, config.rollback, True,
+        ))))
+        size = get_kernel("TRIAD").default_size
+        path = root / "predict" / (stable_digest(key) + ".json")
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps({
+            "schema_version": STORE_SCHEMA_VERSION,
+            "namespace": "predict",
+            "key": key,
+            "payload": {"payload_version": 1, "entries": {
+                f"TRIAD|{size}": {
+                    "seconds": 1.0, "seconds_per_rep": 0.5,
+                    "serving_level": "L1", "bound": "compute",
+                    "vector_executed": True,
+                },
+            }},
+        }))
+        return path
+
+    def test_sweep_ignores_the_page_and_prune_runs_over_it(
+        self, tmp_path, sg2042, capsys, recwarn, monkeypatch
+    ):
+        import repro.store
+        from repro.cli import main
+
+        # ``sweep --store`` installs the process default store; put the
+        # old one back afterwards.
+        monkeypatch.setattr(repro.store, "_default_store", None)
+        root = tmp_path / "store"
+        page = self._write_page(root, sg2042)
+        assert main(self.ARGS) == 0
+        plain = capsys.readouterr().out
+        assert main([*self.ARGS, "--store", str(root)]) == 0
+        assert capsys.readouterr().out == plain
+        assert not [w for w in recwarn.list
+                    if issubclass(w.category, StoreWarning)]
+        assert main(["store", "prune", "--store", str(root),
+                     "--max-age-days", "1"]) == 0
+        assert page.is_file()  # an unknown namespace is left alone
+
+    def test_store_sweeps_write_no_page(self, store, sg2042):
+        warm_store(store, sg2042, KERNELS)
+        _sweep(store, cpu=sg2042)
+        _sweep(store, cpu=sg2042, threads=(8,))  # a sub-grid, computed
+        assert "predict" not in KNOWN_NAMESPACES
+        assert "predict" not in store.stats()
+        assert not (store.root / "predict").exists()
+
+    def test_prune_deletes_the_page_when_named(self, tmp_path, sg2042):
+        store = ArtifactStore(tmp_path / "store")
+        page = self._write_page(store.root, sg2042)
+        report = prune_store(store, max_bytes=0, namespaces=("predict",))
+        assert report.deleted == 1
+        assert not page.exists()

@@ -1,9 +1,9 @@
 """Golden equivalence: the fast path is bit-identical to the reference.
 
 The prediction engine's fast path stacks two optimizations — placement
-symmetry-class dedup and compile/prediction memoization. Neither is
-allowed to change a single bit of any result. These tests pin that
-contract against the naive reference (:func:`reference_mode` +
+symmetry-class dedup and the compile cache. Neither is allowed to
+change a single bit of any result. These tests pin that contract
+against the naive reference (:func:`reference_mode` +
 :meth:`SuiteCaches.disabled`), across all 64 kernels, the SG2042 and an
 x86 catalog machine, block/cyclic placements and a resumed checkpoint.
 """
@@ -15,7 +15,7 @@ from repro.resilience.faults import transient_plan
 from repro.kernels.registry import all_kernels
 from repro.perfmodel.placement import reference_mode
 from repro.suite.config import Placement, Precision, RunConfig
-from repro.suite.memo import PredictionMemo, SuiteCaches
+from repro.suite.memo import SuiteCaches
 from repro.suite.runner import run_suite
 from repro.suite.sweep import sweep
 
@@ -88,7 +88,6 @@ class TestSweepEquivalence:
         assert stats.compile_misses == 64
         assert stats.compile_entries == 64
         assert stats.compile_hits == 64 * (configs - 1)
-        assert stats.predict_misses + stats.predict_hits == 64 * configs
 
 
 class TestSuiteEquivalence:
@@ -116,18 +115,16 @@ class TestSuiteEquivalence:
 
 
 class TestChaosInteraction:
-    def test_memo_bypassed_under_active_fault_plan(self, sg2042):
+    def test_compile_cache_works_under_active_fault_plan(self, sg2042):
         caches = SuiteCaches()
         config = RunConfig(threads=2)
-        # Probability zero: the plan injects nothing but stays active,
-        # so the runner must refuse to consult the prediction memo.
-        with chaos.inject_faults(transient_plan(seed=7, probability=0.0)):
-            result = run_suite(sg2042, config, caches=caches)
-        assert result.cache_stats.predict_hits == 0
-        assert result.cache_stats.predict_misses == 0
+        # Probability zero: the plan injects nothing but stays active.
         # The compile cache is still safe (compilation has no RUN-site
         # fault hook) and keeps working under the plan.
+        with chaos.inject_faults(transient_plan(seed=7, probability=0.0)):
+            result = run_suite(sg2042, config, caches=caches)
         assert result.cache_stats.compile_misses == 64
+        assert result == run_suite(sg2042, config)
 
     def test_sweep_under_inert_fault_plan_matches(self, sg2042):
         kernels = all_kernels()[:4]
@@ -135,29 +132,3 @@ class TestChaosInteraction:
             guarded = sweep(sg2042, kernels=kernels, threads=(1, 8))
         plain = sweep(sg2042, kernels=kernels, threads=(1, 8))
         assert guarded == plain
-
-
-class TestPredictionMemoUnit:
-    def test_get_or_compute_counts_hits_and_misses(self):
-        memo = PredictionMemo()
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return "value"
-
-        key = (1, "TRIAD", (0,), "fp64", None, 100)
-        assert memo.get_or_compute(key, compute) == "value"
-        assert memo.get_or_compute(key, compute) == "value"
-        assert len(calls) == 1
-        assert memo.hits == 1
-        assert memo.misses == 1
-        assert len(memo) == 1
-
-    def test_clear_resets_entries_and_counters(self):
-        memo = PredictionMemo()
-        memo.get_or_compute((1,), lambda: "x")
-        memo.clear()
-        assert len(memo) == 0
-        assert memo.hits == 0
-        assert memo.misses == 0

@@ -13,10 +13,10 @@ import json
 from pathlib import Path
 
 #: Span phases the full pipeline must cover in a traced sweep (the
-#: acceptance criterion: compile, predict, memo and suite phases all
-#: present; ``retry`` additionally under a chaos plan).
+#: acceptance criterion: compile, predict and suite phases all present;
+#: ``retry`` additionally under a chaos plan).
 PIPELINE_PHASES = frozenset({
-    "sweep", "suite.run", "compile.analyze", "predict.grid", "memo.peek",
+    "sweep", "suite.run", "compile.analyze", "predict.grid",
 })
 
 _EVENT_KEYS = {"name", "cat", "ph", "ts", "dur", "pid", "tid", "args"}

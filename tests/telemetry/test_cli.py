@@ -40,7 +40,7 @@ class TestTraceCommand:
         assert {s["name"] for s in spans} >= {"sweep", "suite.run"}
         tables = validate_metrics_dump(metrics.read_text())
         assert tables["counter"]["sweep.runs"] == "1"
-        assert "cache.predict.misses" in tables["gauge"]
+        assert "cache.compile.misses" in tables["gauge"]
 
     def test_trace_experiment(self, tmp_path, capsys):
         trace = tmp_path / "exp.json"

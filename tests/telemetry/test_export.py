@@ -50,13 +50,13 @@ class TestChromeTrace:
     def test_document_validates_and_carries_metrics(self):
         reg = MetricsRegistry()
         reg.counter("sweep.runs").inc()
-        reg.gauge("cache.predict.entries").set(12)
+        reg.gauge("cache.compile.entries").set(12)
         doc = chrome_trace(_sample_records(), reg.snapshot())
         events = validate_chrome_trace(doc)
         assert {e["name"] for e in events} == {"sweep", "suite.run"}
         assert doc["otherData"]["counters"] == {"sweep.runs": 1}
         assert doc["otherData"]["gauges"] == {
-            "cache.predict.entries": 12
+            "cache.compile.entries": 12
         }
 
     def test_document_is_json_serializable(self):

@@ -1,7 +1,7 @@
 """Integration: the instrumented pipeline under a telemetry session.
 
 Pins the acceptance criteria: a traced sweep covers the
-compile/predict/memo (and, under chaos, retry) phases, the ``cache.*``
+compile and predict (and, under chaos, retry) phases, the ``cache.*``
 gauges reconcile *exactly* with the legacy ``cache_stats`` view, traced
 results stay bit-identical to untraced ones, and with telemetry off the
 results carry no summary at all.
@@ -69,7 +69,7 @@ class TestSweepTelemetry:
             result = sweep(CPU, KERNELS, **GRID)
         names = {r.name for r in rec.records()}
         assert {"sweep", "sweep.prefetch", "suite.run", "kernel.run",
-                "memo.peek", "compile.resolve", "compile.analyze",
+                "compile.resolve", "compile.analyze",
                 "predict.grid"} <= names
         assert result.telemetry.phase_counts["sweep"] == 1
 
@@ -92,6 +92,20 @@ class TestSweepTelemetry:
         for metric, field_name in stats.METRIC_FIELDS:
             assert gauges[metric] == getattr(stats, field_name), metric
 
+    def test_cache_gauges_cover_the_compile_cache_only(self):
+        with telemetry.telemetry_session() as (rec, _):
+            result = sweep(CPU, KERNELS, **GRID)
+        cache_gauges = {
+            name for name in result.telemetry.gauges
+            if name.startswith("cache.")
+        }
+        assert cache_gauges == {
+            metric for metric, _ in result.cache_stats.METRIC_FIELDS
+        }
+        assert all(name.startswith("cache.compile.")
+                   for name in cache_gauges)
+        assert "memo.peek" not in {r.name for r in rec.records()}
+
     def test_sweep_counters(self):
         with telemetry.telemetry_session():
             result = sweep(CPU, KERNELS, **GRID)
@@ -100,10 +114,9 @@ class TestSweepTelemetry:
         assert counters["sweep.points"] == len(result.points)
         assert counters["suite.runs"] == 4  # grid points
         assert "sweep.failures" not in counters
-        # Every batched prediction fills one memo slot, so the engine
-        # counter equals the memo's miss count exactly.
-        assert (counters["engine.batch.predictions"]
-                == result.telemetry.gauges["cache.predict.misses"])
+        # Every cell is predicted once, the colliding t=1 placements
+        # included.
+        assert counters["engine.batch.predictions"] == len(result.points)
 
     def test_traced_sweep_bit_identical(self):
         plain = sweep(CPU, KERNELS, **GRID)

@@ -144,6 +144,16 @@ class TestGridFlags:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--memo-cap", "10"],
+        ["serve", "--memo-cap", "10"],
+    ])
+    def test_memo_cap_is_unrecognized(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_trace_sweep_accepts_all_kernels(self, capsys, tmp_path):
         assert main(["trace", "sweep", "--kernels", "all",
                      "--threads", "1", "--placements", "block",
@@ -223,9 +233,9 @@ class TestStorePrune:
         from repro.store import ArtifactStore
 
         store = ArtifactStore(tmp_path / "store")
-        store.put("predict", ("old",), {"v": 1})
-        store.put("predict", ("new",), {"v": 2})
-        old = store._path("predict", ("old",))
+        store.put("compile", ("old",), {"v": 1})
+        store.put("compile", ("new",), {"v": 2})
+        old = store._path("compile", ("old",))
         ancient = old.stat().st_mtime - 10 * 86400
         os.utime(old, (ancient, ancient))
         return store
@@ -236,7 +246,7 @@ class TestStorePrune:
                      "--max-age-days", "1", "--dry-run"]) == 0
         out = capsys.readouterr().out
         assert "would delete 1/2" in out
-        assert store.get("predict", ("old",)) is not None
+        assert store.get("compile", ("old",)) is not None
 
     def test_prune_deletes_by_age(self, tmp_path, capsys):
         store = self._populate(tmp_path)
@@ -244,8 +254,8 @@ class TestStorePrune:
                      "--max-age-days", "1"]) == 0
         out = capsys.readouterr().out
         assert "deleted 1/2" in out
-        assert store.get("predict", ("old",)) is None
-        assert store.get("predict", ("new",)) is not None
+        assert store.get("compile", ("old",)) is None
+        assert store.get("compile", ("new",)) is not None
 
     def test_prune_size_cap(self, tmp_path, capsys):
         store = self._populate(tmp_path)
