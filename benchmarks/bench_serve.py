@@ -23,8 +23,11 @@ ephemeral port:
   (with the response cache enabled — faults are never served from it),
   and the drain completes cleanly.
 
-Run directly (``python benchmarks/bench_serve.py [--smoke]``) or via
-pytest. ``--smoke`` shrinks the durations for CI.
+Run directly (``python benchmarks/bench_serve.py [--smoke] [--output
+PATH]``) or via pytest. ``--smoke`` shrinks the durations for CI. A
+direct run writes ``BENCH_serve.json`` at the repo root unless
+``--output`` names another path; the pytest entry writes under its
+temporary directory, so it never replaces the committed record.
 """
 
 from __future__ import annotations
@@ -368,6 +371,10 @@ def main(argv=None) -> int:
     parser.add_argument("--clients", type=int, default=8)
     parser.add_argument("--duration", type=float, default=None,
                         metavar="S", help="seconds per phase")
+    parser.add_argument(
+        "--output", default=str(OUTPUT), metavar="PATH",
+        help="where to write the JSON record (default: repo root)",
+    )
     args = parser.parse_args(argv)
     duration = args.duration or (2.0 if args.smoke else 8.0)
 
@@ -406,8 +413,8 @@ def main(argv=None) -> int:
         "chaos": chaos_stats,
         "contract_failures": failures,
     }
-    OUTPUT.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {OUTPUT}")
+    Path(args.output).write_text(json.dumps(result, indent=2) + "\n")
+    print(f"wrote {args.output}")
 
     if failures:
         for failure in failures:
@@ -420,8 +427,12 @@ def main(argv=None) -> int:
 # -- pytest entry points ---------------------------------------------------
 
 
-def test_serve_bench_smoke():
-    assert main(["--smoke", "--clients", "4"]) == 0
+def test_serve_bench_smoke(tmp_path):
+    # The committed record comes from a direct run; this one stays in
+    # pytest's temporary directory.
+    output = tmp_path / "BENCH_serve.json"
+    assert main(["--smoke", "--clients", "4", "--output", str(output)]) == 0
+    assert json.loads(output.read_text())["clients"] == 4
 
 
 if __name__ == "__main__":

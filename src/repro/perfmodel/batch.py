@@ -34,7 +34,8 @@ point across machines, placements and dtypes.
 
 **Fallback contract.** The batch path never raises per-kernel model
 errors: a kernel whose batch evaluation cannot produce a valid
-(finite, positive) prediction gets ``None`` in the returned list, and
+(finite, positive) prediction gets ``None`` in the returned list (a
+``True`` in :func:`predict_grid`'s ``invalid`` mask), and
 the caller re-runs it through the scalar engine so failure semantics
 (error types, messages, retry accounting) stay byte-identical. Chaos
 fault plans and :func:`~repro.perfmodel.placement.reference_mode` are
@@ -611,15 +612,37 @@ def _predict_batch_impl(
             | (slowest < 0)
         )
 
-    level_names = _level_names(cpu)
+    return _execution_results(
+        invalid, seconds, rep_time, slow_level, slow_compute,
+        pre.vectorized, _level_names(cpu),
+    )
+
+
+def _execution_results(
+    invalid: np.ndarray,
+    seconds: np.ndarray,
+    seconds_per_rep: np.ndarray,
+    level_code: np.ndarray,
+    compute_bound: np.ndarray,
+    vector_executed: Sequence[bool],
+    level_names: tuple[str, ...],
+) -> list[ExecutionResult | None]:
+    """One configuration's ``predict_batch``-shaped result list, built
+    from its per-kernel arrays: ``None`` where ``invalid``, else the
+    kernel's :class:`ExecutionResult`.
+
+    The one place the batch engine builds ``ExecutionResult``\\ s:
+    :func:`predict_batch` and :meth:`GridPrediction.results` both come
+    here.
+    """
     # Bulk-extract to Python scalars once (C-speed) instead of paying a
     # NumPy scalar round-trip per field per kernel in the loop below.
     results: list[ExecutionResult | None] = []
     append = results.append
     new = object.__new__
     for bad, secs, rep, code, compute, vec in zip(
-        invalid.tolist(), seconds.tolist(), rep_time.tolist(),
-        slow_level.tolist(), slow_compute.tolist(), pre.vectorized,
+        invalid.tolist(), seconds.tolist(), seconds_per_rep.tolist(),
+        level_code.tolist(), compute_bound.tolist(), vector_executed,
     ):
         if bad:
             append(None)
@@ -641,6 +664,42 @@ def _predict_batch_impl(
     return results
 
 
+@dataclass(frozen=True, eq=False)
+class GridPrediction:
+    """A whole grid's predictions, as (configuration, kernel) arrays.
+
+    Row ``i`` is configuration ``i`` of the :func:`predict_grid` call,
+    column ``j`` its ``j``-th kernel. ``invalid[i, j]`` marks an
+    abstention, where :func:`predict_batch` gives ``None``. Elsewhere
+    each array holds one field of that cell's :class:`ExecutionResult`:
+    ``seconds`` (finite and positive), ``seconds_per_rep``, the serving
+    level as ``level_code`` (an index into ``level_names``, or -1 for
+    DRAM), ``compute_bound`` and ``vector_executed``. A caller that
+    needs only the times reads the arrays; :meth:`results` builds a
+    row's ``ExecutionResult``\\ s for one that needs them.
+    """
+
+    seconds: np.ndarray  # float64
+    invalid: np.ndarray  # bool
+    seconds_per_rep: np.ndarray  # float64
+    level_code: np.ndarray  # int64
+    compute_bound: np.ndarray  # bool
+    vector_executed: np.ndarray  # bool
+    level_names: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.seconds)
+
+    def results(self, i: int) -> list[ExecutionResult | None]:
+        """Configuration ``i``'s result list, equal to
+        :func:`predict_batch`'s for the same configuration."""
+        return _execution_results(
+            self.invalid[i], self.seconds[i], self.seconds_per_rep[i],
+            self.level_code[i], self.compute_bound[i],
+            self.vector_executed[i].tolist(), self.level_names,
+        )
+
+
 def predict_grid(
     cpu: CPUModel,
     kernels: Sequence[Kernel],
@@ -648,8 +707,12 @@ def predict_grid(
     precisions: Sequence[DType],
     reports: Sequence[VectorizationReport],
     sizes: Sequence[int] | None = None,
-) -> list[list[ExecutionResult | None]]:
+) -> GridPrediction:
     """Predict a whole sweep grid — many configurations — in one pass.
+
+    Returns a columnar :class:`GridPrediction`: (configuration,
+    kernel) arrays, with no per-cell ``ExecutionResult`` until a caller
+    asks :meth:`GridPrediction.results` for a row's.
 
     Telemetry-instrumented front of :func:`_predict_grid_impl` (which
     holds the model documentation): under an active session each call
@@ -670,10 +733,8 @@ def predict_grid(
         out = _predict_grid_impl(
             cpu, kernels, placements, precisions, reports, sizes
         )
-        total = sum(len(batch) for batch in out)
-        predicted = sum(
-            1 for batch in out for r in batch if r is not None
-        )
+        total = out.invalid.size
+        predicted = total - int(np.count_nonzero(out.invalid))
         sp.set(predicted=predicted, abstained=total - predicted)
     reg = telemetry.metrics()
     reg.counter("engine.batch.predictions").inc(predicted)
@@ -689,7 +750,7 @@ def _predict_grid_impl(
     precisions: Sequence[DType],
     reports: Sequence[VectorizationReport],
     sizes: Sequence[int] | None = None,
-) -> list[list[ExecutionResult | None]]:
+) -> GridPrediction:
     """Body of :func:`predict_grid`.
 
     The grid axis is ``zip(placements, precisions)``: one (thread
@@ -701,8 +762,8 @@ def _predict_grid_impl(
     expressions over (configuration, kernel), so a cold sweep pays the
     NumPy dispatch overhead once per *grid*, not once per grid point.
 
-    Returns one ``predict_batch``-shaped list per configuration, in
-    grid order.
+    Returns the grid as one :class:`GridPrediction`, rows in grid
+    order; ``results(i)`` is ``predict_batch``'s list for row ``i``.
     """
     if len(placements) != len(precisions):
         raise SimulationError(
@@ -722,8 +783,18 @@ def _predict_grid_impl(
         raise SimulationError(
             f"{len(kernels)} kernels but {len(reports)} reports"
         )
+    level_names = _level_names(cpu)
     if not placements or not kernels:
-        return [[] for _ in placements]
+        shape = (len(placements), len(kernels))
+        return GridPrediction(
+            seconds=np.zeros(shape),
+            invalid=np.zeros(shape, dtype=bool),
+            seconds_per_rep=np.zeros(shape),
+            level_code=np.full(shape, _DRAM_CODE, dtype=np.int64),
+            compute_bound=np.zeros(shape, dtype=bool),
+            vector_executed=np.zeros(shape, dtype=bool),
+            level_names=level_names,
+        )
 
     sizes_key: tuple[int, ...] | None = None
     if sizes is not None:
@@ -738,26 +809,39 @@ def _predict_grid_impl(
     kernels_key = tuple(kernels)
     reports_key = tuple(reports)
     # One prelude serves every configuration of a precision; evaluate
-    # each precision's configurations as one 2-D group.
+    # each precision's configurations as one 2-D group, then place its
+    # rows at their grid positions (a one-precision grid is one group,
+    # already in grid order).
     groups: dict[DType, list[int]] = {}
     for i, precision in enumerate(precisions):
         groups.setdefault(precision, []).append(i)
-
-    results: list[list[ExecutionResult | None]] = [None] * len(placements)
+    columns: list[np.ndarray] | None = None
     for precision, idxs in groups.items():
         pre = _prelude(cpu, kernels_key, precision, reports_key, sizes_key)
         group = _predict_group(cpu, pre, [placements[i] for i in idxs])
-        for i, res in zip(idxs, group):
-            results[i] = res
-    return results
+        if len(groups) == 1:
+            columns = list(group)
+            break
+        if columns is None:
+            columns = [
+                np.empty((len(placements), len(kernels)), dtype=a.dtype)
+                for a in group
+            ]
+        for column, values in zip(columns, group):
+            column[idxs] = values
+    return GridPrediction(*columns, level_names=level_names)
 
 
 def _predict_group(
     cpu: CPUModel,
     pre: _Prelude,
     placements: list[tuple[int, ...]],
-) -> list[list[ExecutionResult | None]]:
-    """Evaluate one precision's configurations as a 2-D batch."""
+) -> tuple[np.ndarray, ...]:
+    """Evaluate one precision's configurations as a 2-D batch.
+
+    Returns the (configuration, kernel) arrays of
+    :class:`GridPrediction`, in its field order.
+    """
     soa = pre.soa
     pipe = pre.pipe
     num_points = len(placements)
@@ -842,32 +926,10 @@ def _predict_group(
             | (slowest < 0)
         )
 
-    level_names = _level_names(cpu)
-    vectorized = pre.vectorized
-    new = object.__new__
-    out: list[list[ExecutionResult | None]] = []
-    for bad_row, secs_row, rep_row, code_row, compute_row in zip(
-        invalid.tolist(), seconds.tolist(), rep_time.tolist(),
-        slow_level.tolist(), slow_compute.tolist(),
-    ):
-        results: list[ExecutionResult | None] = []
-        append = results.append
-        for bad, secs, rep, code, compute, vec in zip(
-            bad_row, secs_row, rep_row, code_row, compute_row, vectorized,
-        ):
-            if bad:
-                append(None)
-                continue
-            result = new(ExecutionResult)
-            result.__dict__.update(
-                seconds=secs,
-                seconds_per_rep=rep,
-                serving_level=(
-                    "DRAM" if code == _DRAM_CODE else level_names[code]
-                ),
-                bound="compute" if compute else "memory",
-                vector_executed=vec,
-            )
-            append(result)
-        out.append(results)
-    return out
+    vector_executed = np.broadcast_to(
+        np.array(pre.vectorized, dtype=bool), seconds.shape
+    )
+    return (
+        seconds, invalid, rep_time, slow_level, slow_compute,
+        vector_executed,
+    )

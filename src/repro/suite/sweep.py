@@ -14,10 +14,11 @@ Sweeps are also fast: every grid point shares one compile cache (each
 kernel is compiled once per sweep, not once per grid point — see
 :mod:`repro.suite.memo`), and the batch engine predicts the whole grid
 in one vectorized pass before the grid points are assembled, one after
-another, in grid order. An untraced batch sweep
-turns each grid point's predictions straight into its points, by the
-fold rule :func:`~repro.suite.runner.run_suite` uses
-(:func:`~repro.suite.runner.fold_seconds`). A grid point goes through
+another, in grid order. An untraced batch sweep turns each grid point's
+row of predicted seconds straight into its points, by the fold rule
+:func:`~repro.suite.runner.run_suite` uses
+(:func:`~repro.suite.runner.fold_seconds`), with no per-cell
+``ExecutionResult`` in between. A grid point goes through
 ``run_suite`` instead when the sweep is traced (its ``suite.run`` and
 ``kernel.run`` spans), checkpointed (per-kernel records with attempt
 counts), under a chaos plan or ``reference_mode()``, on the scalar
@@ -51,6 +52,7 @@ from repro.resilience.validate import validate_cpu
 from repro.suite.config import Placement, Precision, RunConfig
 from repro.suite.memo import CacheCounters, SuiteCaches, machine_digest
 from repro.suite.runner import (
+    PointPrefetch,
     SuiteResult,
     _noise_means,
     fold_seconds,
@@ -256,20 +258,33 @@ def _sweep_store_key(
     runs: int,
     noise_sigma: float,
     engine: str,
-) -> tuple:
+) -> tuple | None:
     """On-disk key of a whole-sweep artifact: every semantic input of
     the grid. The engine is included out of caution — engines are
     bit-identical by contract, but a stored result must never be able
-    to mask a divergence between them."""
+    to mask a divergence between them.
+
+    Thread counts, ``runs`` and ``noise_sigma`` enter as the values
+    :class:`RunConfig` stores. ``None`` when :class:`RunConfig` rejects
+    one of them: the grid then raises or records that error, so no
+    stored result may stand in for it (``2.0`` must not restore the
+    sweep of ``2``)."""
+    try:
+        configs = [
+            RunConfig(threads=t, runs=runs, noise_sigma=noise_sigma)
+            for t in threads
+        ]
+    except ReproError:
+        return None
     return (
         "sweep-result",
         machine_digest(cpu),
         tuple(k.name for k in kernel_list),
-        tuple(int(t) for t in threads),
+        tuple(config.threads for config in configs),
         tuple(p.value for p in placements),
         tuple(p.label for p in precisions),
-        int(runs),
-        float(noise_sigma),
+        configs[0].runs,
+        configs[0].noise_sigma,
         engine,
     )
 
@@ -475,11 +490,11 @@ def _run_sweep(
     # round-trip exactly); the cache layers stay untouched, which the
     # returned counters reflect honestly.
     store = _sweep_store(checkpoint, caches)
-    if store is not None:
-        store_key = _sweep_store_key(
-            cpu, kernel_list, threads, placements, precisions, runs,
-            noise_sigma, engine,
-        )
+    store_key = None if store is None else _sweep_store_key(
+        cpu, kernel_list, threads, placements, precisions, runs,
+        noise_sigma, engine,
+    )
+    if store_key is not None:
         expected = (len(kernel_list) * len(threads) * len(placements)
                     * len(precisions))
         restored = _stored_sweep(store, store_key, cpu, expected, caches)
@@ -499,7 +514,7 @@ def _run_sweep(
     # the same lookups. Skipped wherever the per-point batch prefetch
     # would be: scalar engine, chaos plans, reference mode.
     jobs: list[tuple[RunConfig, list[Kernel]] | None] = [None] * len(grid)
-    prefetches: list[tuple | None] = [None] * len(grid)
+    prefetches: list[PointPrefetch | None] = [None] * len(grid)
     if (
         engine == "batch"
         and chaos.active_plan() is None
@@ -526,11 +541,12 @@ def _run_sweep(
         ):
             prefetches = grid_prefetch(cpu, jobs, caches)
 
-    # Point fold: a prefetched grid point becomes its points directly,
-    # by the rule run_suite's bulk fold uses, with no SuiteResult in
-    # between. Traced sweeps keep run_suite for its spans, checkpointed
-    # ones for their per-kernel records; an invalid machine raises from
-    # run_suite, once per point, exactly as before.
+    # Point fold: a prefetched grid point's row of seconds becomes its
+    # points directly, by the rule run_suite's bulk fold uses, with no
+    # ExecutionResult or SuiteResult in between. Traced sweeps keep
+    # run_suite for its spans, checkpointed ones for their per-kernel
+    # records; an invalid machine raises from run_suite, once per
+    # point, exactly as before.
     fold = (
         ckpt is None
         and not telemetry.recorder().active
@@ -540,14 +556,13 @@ def _run_sweep(
     points: list[SweepPoint] = []
     failures: list[SweepFailure] = []
     for gp, job, prefetch in zip(grid, jobs, prefetches):
-        if fold and prefetch is not None:
-            compiler, prefetched = prefetch
+        if fold and prefetch is not None and prefetch.seconds is not None:
             folded = fold_seconds(
-                gp.todo, prefetched,
-                _noise_means(cpu, job[0], compiler, gp.todo),
+                prefetch.seconds,
+                _noise_means(cpu, job[0], prefetch.compiler, gp.todo),
             )
             if folded is not None:
-                _append_points(points, cpu_name, gp, folded[1])
+                _append_points(points, cpu_name, gp, folded)
                 continue
         outcome, error = None, None
         try:
@@ -562,7 +577,9 @@ def _run_sweep(
                 outcome = run_suite(
                     cpu, config, kernels=gp.todo, policy=policy,
                     retry=retry, caches=caches, engine=engine,
-                    prefetched=None if prefetch is None else prefetch[1],
+                    prefetched=(
+                        None if prefetch is None else prefetch.prefetched()
+                    ),
                 )
         except ReproError as exc:
             if policy is FailurePolicy.ABORT:
@@ -578,7 +595,7 @@ def _run_sweep(
         failures=tuple(failures),
         cache_stats=caches.stats(),
     )
-    if store is not None:
+    if store_key is not None:
         _persist_sweep(store, store_key, result)
     return result
 

@@ -12,18 +12,21 @@ degrades to a warned recompute.
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.kernels.registry import get_kernel
 from repro.perfmodel import reference_mode
 from repro.resilience import chaos
 from repro.resilience.faults import FaultPlan
+from repro.resilience.retry import FailurePolicy
 from repro.store import KNOWN_NAMESPACES, ArtifactStore, StoreWarning
 from repro.store.prune import prune_store
 from repro.store.warm import warm_store
 from repro.suite.config import Placement, Precision
 from repro.suite.memo import CacheCounters, SuiteCaches
 from repro.suite.sweep import SweepFailure, SweepResult, sweep
+from repro.util.errors import ConfigError
 
 KERNELS = (get_kernel("TRIAD"), get_kernel("GEMM"))
 GRID = dict(
@@ -299,3 +302,67 @@ class TestLegacyPredictPages:
         report = prune_store(store, max_bytes=0, namespaces=("predict",))
         assert report.deleted == 1
         assert not page.exists()
+
+
+class TestRejectedArguments:
+    """The tier engages only for thread counts, ``runs`` and
+    ``noise_sigma`` that :class:`RunConfig` accepts, keyed on the
+    values it stores: a value the plain sweep rejects must not restore
+    the stored sweep of a value it accepts."""
+
+    #: (stored grid, asked grid): each asked grid holds one value
+    #: ``RunConfig`` rejects, whose conversion equals the stored one.
+    CASES = {
+        "runs=2.0": (dict(threads=(4,), runs=2),
+                     dict(threads=(4,), runs=2.0)),
+        "threads=[4.0]": (dict(threads=(4,)), dict(threads=[4.0])),
+        "noise_sigma=True": (dict(threads=(4, 8), noise_sigma=1.0),
+                             dict(threads=(4, 8), noise_sigma=True)),
+        "threads=[4.0, 8]": (dict(threads=(4, 8)),
+                             dict(threads=[4.0, 8])),
+        "threads=['4']": (dict(threads=(4,)), dict(threads=["4"])),
+    }
+
+    @staticmethod
+    def _outcome(call):
+        """A sweep's result, or the error it raised."""
+        try:
+            return call()
+        except ConfigError as exc:
+            return exc
+
+    @pytest.mark.parametrize(
+        "policy", [FailurePolicy.ABORT, FailurePolicy.SKIP]
+    )
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_store_answers_like_no_store(self, store, sg2042, case, policy):
+        stored, asked = self.CASES[case]
+        assert not _sweep(store, cpu=sg2042, **stored).restored
+        assert _sweep(store, cpu=sg2042, **stored).restored
+        before = store.stats()["sweep"]
+
+        plain = self._outcome(lambda: sweep(
+            sg2042, kernels=KERNELS, **dict(GRID, **asked), policy=policy,
+        ))
+        attached = self._outcome(lambda: _sweep(
+            store, cpu=sg2042, **asked, policy=policy,
+        ))
+        if policy is FailurePolicy.ABORT:
+            assert isinstance(plain, ConfigError)
+            assert type(attached) is type(plain)
+            assert str(attached) == str(plain)
+        else:
+            assert plain.failures
+            assert any(f.kernel == "*" for f in plain.failures)
+            assert attached == plain
+            assert attached.failures == plain.failures
+            assert not attached.restored
+        # Neither a lookup nor a write in the sweep namespace.
+        assert store.stats()["sweep"] == before
+        assert store.artifact_count("sweep") == 1
+
+    def test_numpy_thread_counts_still_restore(self, store, sg2042):
+        _sweep(store, cpu=sg2042, threads=(4, 8))
+        restored = _sweep(store, cpu=sg2042, threads=[np.int64(4), 8])
+        assert restored.restored
+        assert restored == _sweep(store, cpu=sg2042, threads=(4, 8))

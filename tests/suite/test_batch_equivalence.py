@@ -209,16 +209,22 @@ class TestPredictGrid:
         placements, precisions = self._grid_axes(cpu)
         grid = predict_grid(cpu, kernels, placements, precisions, reports)
         assert len(grid) == len(placements)
-        for cores, precision, got in zip(placements, precisions, grid):
+        for i, (cores, precision) in enumerate(zip(placements, precisions)):
             want = predict_batch(cpu, kernels, cores, precision, reports)
-            assert got == want, f"{cpu.name} cores={cores} {precision}"
+            assert grid.results(i) == want, (
+                f"{cpu.name} cores={cores} {precision}"
+            )
 
-    def test_random_grids_on_every_machine(self, all_cpus, kernels):
+    @staticmethod
+    def _random_grids(all_cpus, kernels, extra=()):
+        """One seeded random grid per catalog machine: ``(cpu, kernels,
+        placements, precisions, reports)``, with ``extra`` kernels
+        appended to each random subset."""
         rng = random.Random(20260807)
         for cpu in all_cpus.values():
             ncores = cpu.topology.num_cores
             compiler = RunConfig(threads=1).resolve_compiler(cpu)
-            subset = rng.sample(kernels, rng.randint(1, 10))
+            subset = rng.sample(kernels, rng.randint(1, 10)) + list(extra)
             reports = [
                 analyze(compiler, k, cpu.core.isa) for k in subset
             ]
@@ -229,16 +235,63 @@ class TestPredictGrid:
             precisions = [
                 rng.choice((DType.FP32, DType.FP64)) for _ in placements
             ]
+            yield cpu, subset, placements, precisions, reports
+
+    def test_random_grids_on_every_machine(self, all_cpus, kernels):
+        for cpu, subset, placements, precisions, reports in (
+            self._random_grids(all_cpus, kernels)
+        ):
             grid = predict_grid(
                 cpu, subset, placements, precisions, reports
             )
-            for cores, precision, got in zip(
-                placements, precisions, grid
+            for i, (cores, precision) in enumerate(
+                zip(placements, precisions)
             ):
                 want = predict_batch(
                     cpu, subset, cores, precision, reports
                 )
-                assert got == want, f"{cpu.name} cores={cores}"
+                assert grid.results(i) == want, f"{cpu.name} cores={cores}"
+
+    def test_columns_agree_with_results(self, all_cpus, kernels):
+        # The exploder abstains wherever its per-thread chunk overflows,
+        # so every grid also holds invalid cells.
+        abstained = 0
+        for cpu, subset, placements, precisions, reports in (
+            self._random_grids(all_cpus, kernels, [_ExplodingKernel()])
+        ):
+            grid = predict_grid(
+                cpu, subset, placements + [(0,)],
+                precisions + [DType.FP64], reports,
+            )
+            assert grid.seconds.shape == grid.invalid.shape == (
+                len(placements) + 1, len(subset)
+            )
+            assert grid.invalid[-1, -1]
+            for i in range(len(grid)):
+                results = grid.results(i)
+                assert grid.invalid[i].tolist() == [
+                    r is None for r in results
+                ], f"{cpu.name} row {i}"
+                for seconds, result in zip(grid.seconds[i].tolist(),
+                                           results):
+                    if result is not None:
+                        assert seconds == result.seconds, cpu.name
+            abstained += int(grid.invalid.sum())
+        assert abstained >= len(all_cpus)
+
+    def test_traced_grid_counts_abstentions(self, sg2042, kernels):
+        subset = [kernels[0], _ExplodingKernel(), kernels[1]]
+        compiler = RunConfig(threads=1).resolve_compiler(sg2042)
+        reports = [analyze(compiler, k, sg2042.core.isa) for k in subset]
+        placements = [(0,), (0, 8, 32, 40), tuple(range(64))]
+        with telemetry.telemetry_session() as (_, metrics):
+            grid = predict_grid(
+                sg2042, subset, placements,
+                [DType.FP64, DType.FP32, DType.FP64], reports,
+            )
+        assert metrics.counter("engine.batch.abstentions").value == 2
+        assert metrics.counter("engine.batch.predictions").value == 7
+        assert int(grid.invalid.sum()) == 2
 
     def test_explicit_sizes_and_abstentions(self, sg2042, kernels):
         # An exploding kernel abstains (None) identically in the 2-D
@@ -254,9 +307,11 @@ class TestPredictGrid:
         )
         # At 1 and 4 threads the exploder's per-thread chunk overflows
         # and both engines abstain; at 64 threads it stays finite.
-        assert [got[1] is None for got in grid] == [True, True, False]
-        for cores, precision, got in zip(placements, precisions, grid):
-            assert got == predict_batch(
+        assert [
+            grid.results(i)[1] is None for i in range(len(grid))
+        ] == [True, True, False]
+        for i, (cores, precision) in enumerate(zip(placements, precisions)):
+            assert grid.results(i) == predict_batch(
                 sg2042, subset, cores, precision, reports, sizes
             )
 
@@ -276,11 +331,14 @@ class TestPredictGrid:
             )
 
     def test_empty_grid_and_empty_kernels(self, sg2042, kernels):
-        assert predict_grid(sg2042, kernels[:2], [], [], [None, None]) \
-            == []
-        assert predict_grid(
+        empty = predict_grid(sg2042, kernels[:2], [], [], [None, None])
+        assert [empty.results(i) for i in range(len(empty))] == []
+        no_kernels = predict_grid(
             sg2042, [], [(0,), (1,)], [DType.FP64, DType.FP32], []
-        ) == [[], []]
+        )
+        assert [
+            no_kernels.results(i) for i in range(len(no_kernels))
+        ] == [[], []]
 
 
 class _ExplodingKernel(Kernel):

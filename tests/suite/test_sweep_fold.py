@@ -1,12 +1,13 @@
 """The sweep's point fold and its CSV rendering.
 
-An untraced batch sweep turns each grid point's prefetched predictions
-straight into that point's ``SweepPoint``\\ s, by the rule
-``run_suite``'s bulk fold uses, without calling ``run_suite``. These
-tests count the calls that remain and pin the fold against the paths
-that still go through ``run_suite``: traced, scalar-engine and
-reference-mode sweeps, and the points the fold gives up on. They also
-pin ``SweepResult.to_csv`` to ``render_csv`` over the same rows.
+An untraced batch sweep turns each grid point's row of predicted
+seconds straight into that point's ``SweepPoint``\\ s, by the rule
+``run_suite``'s bulk fold uses, without calling ``run_suite`` and
+without building an ``ExecutionResult``. These tests count the calls
+that remain and pin the fold against the paths that still go through
+``run_suite``: traced, scalar-engine and reference-mode sweeps, and the
+points the fold gives up on. They also pin ``SweepResult.to_csv`` to
+``render_csv`` over the same rows.
 """
 
 import math
@@ -14,11 +15,11 @@ from dataclasses import replace
 
 import pytest
 
+import repro.perfmodel.batch as batch_mod
 import repro.suite.runner as runner_mod
 import repro.suite.sweep as sweep_mod
 from repro.kernels.registry import get_kernel
 from repro.machine import catalog
-from repro.perfmodel.execution import ExecutionResult
 from repro.perfmodel.placement import reference_mode
 from repro.resilience import chaos
 from repro.resilience.faults import transient_plan
@@ -100,6 +101,62 @@ class TestFoldSkipsRunSuite:
     ):
         _grid_sweep(sg2042, checkpoint=tmp_path / "sweep.jsonl")
         assert len(run_suite_calls) == 2 * 2 * 2
+
+
+@pytest.fixture
+def built_rows(monkeypatch):
+    """One entry per list of ``ExecutionResult``\\ s the batch engine
+    builds (its length, the kernels of one configuration)."""
+    built = []
+    real = batch_mod._execution_results
+
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        built.append(len(out))
+        return out
+
+    monkeypatch.setattr(batch_mod, "_execution_results", counting)
+    return built
+
+
+class TestFoldBuildsNoResults:
+    """The fold reads a grid point's seconds from the ``predict_grid``
+    arrays; ``ExecutionResult``\\ s are built only for the grid points
+    that go through ``run_suite``."""
+
+    @pytest.mark.parametrize("runs,noise_sigma", [(1, 0.0), (5, 0.05)])
+    def test_untraced_sweep_builds_none(
+        self, sg2042, built_rows, runs, noise_sigma
+    ):
+        result = _grid_sweep(sg2042, runs=runs, noise_sigma=noise_sigma)
+        assert len(result.points) == 2 * 2 * 2 * len(KERNELS)
+        assert built_rows == []
+
+    def test_traced_sweep_builds_each_grid_point(
+        self, sg2042, built_rows, run_suite_calls
+    ):
+        with telemetry_session():
+            _grid_sweep(sg2042)
+        assert len(run_suite_calls) == 2 * 2 * 2
+        assert built_rows == [len(KERNELS)] * (2 * 2 * 2)
+
+    def test_fallback_point_builds_only_its_own(
+        self, sg2042, built_rows, run_suite_calls, monkeypatch
+    ):
+        real = runner_mod.predict_grid
+
+        def abstaining(cpu, kernels, *args, **kwargs):
+            out = real(cpu, kernels, *args, **kwargs)
+            out.invalid[2, 0] = True
+            return out
+
+        expected = _grid_sweep(sg2042, engine="scalar")
+        monkeypatch.setattr(runner_mod, "predict_grid", abstaining)
+        run_suite_calls.clear()
+        result = _grid_sweep(sg2042)
+        assert result.points == expected.points
+        assert len(run_suite_calls) == 1
+        assert built_rows == [len(KERNELS)]
 
 
 class TestFoldEquivalence:
@@ -188,7 +245,7 @@ class TestFallbackPoints:
         def abstaining(cpu, kernels, *args, **kwargs):
             out = real(cpu, kernels, *args, **kwargs)
             names = [kernel.name for kernel in kernels]
-            out[0][names.index("GEMM")] = None
+            out.invalid[0, names.index("GEMM")] = True
             abstained.append(out)
             return out
 
@@ -212,9 +269,7 @@ class TestFallbackPoints:
             i = [kernel.name for kernel in kernels].index("GEMM")
             # A time the batch engine's validity mask would have
             # caught: the fold's own guard must catch it too.
-            bad = object.__new__(ExecutionResult)
-            bad.__dict__.update(vars(out[1][i]), seconds=bad_seconds)
-            out[1][i] = bad
+            out.seconds[1, i] = bad_seconds
             return out
 
         monkeypatch.setattr(runner_mod, "predict_grid", corrupting)
