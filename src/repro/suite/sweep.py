@@ -23,8 +23,9 @@ row of predicted seconds straight into its points, by the fold rule
 ``kernel.run`` spans), checkpointed (per-kernel records with attempt
 counts), under a chaos plan or ``reference_mode()``, on the scalar
 engine, or when the fold gives up on it (an invalid configuration or
-machine, a batch abstention, a time that is not finite and positive).
-Both paths give the same points, failures and cache counters.
+machine, a kernel that failed to compile, a batch abstention, a time
+that is not finite and positive). Both paths give the same points,
+failures and cache counters.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ import pytest
 import repro.perfmodel.batch as batch_mod
 import repro.suite.runner as runner_mod
 import repro.suite.sweep as sweep_mod
+from repro.compiler.cache import CompileCache
 from repro.kernels.registry import get_kernel
 from repro.machine import catalog
 from repro.perfmodel.placement import reference_mode
@@ -257,6 +258,35 @@ class TestFallbackPoints:
         assert result.failures == ()
         # The abstaining point went through run_suite; the other folded.
         assert [c.threads for c in run_suite_calls] == [1]
+
+    def test_kernel_dropped_by_the_prefetch_runs_its_points(
+        self, sg2042, run_suite_calls, built_rows, monkeypatch
+    ):
+        # The prefetch's compile lookup loses GEMM, as a failed
+        # compilation would: each row then covers only part of its
+        # point's kernels, so no point folds, and run_suite compiles
+        # GEMM itself.
+        grid = dict(
+            threads=(1, 8), placements=(Placement.CYCLIC,),
+            precisions=(Precision.FP64,),
+        )
+        expected = sweep(sg2042, KERNELS, engine="scalar", **grid)
+        real = CompileCache.analyze_suite
+
+        def dropping(self, compiler, kernels, *args, **kwargs):
+            entries = real(self, compiler, kernels, *args, **kwargs)
+            return [
+                None if kernel.name == "GEMM" else entry
+                for kernel, entry in zip(kernels, entries)
+            ]
+
+        monkeypatch.setattr(CompileCache, "analyze_suite", dropping)
+        run_suite_calls.clear()
+        result = sweep(sg2042, KERNELS, **grid)
+        assert result.points == expected.points
+        assert result.failures == ()
+        assert [c.threads for c in run_suite_calls] == [1, 8]
+        assert built_rows == [len(KERNELS) - 1] * 2
 
     @pytest.mark.parametrize("bad_seconds", [0.0, -1.0, math.inf, math.nan])
     def test_unusable_time_fails_only_its_kernel(
