@@ -55,8 +55,9 @@ KERNELS = (
 #: Zipf exponent for kernel popularity (1/rank^s).
 ZIPF_S = 1.1
 
-#: Request configurations cycled by the workload (all distinct engine
-#: groups, so coalescing and caching both get exercised).
+#: Request configurations cycled by the workload (each a distinct
+#: response-cache key per kernel, so both the engine and the cache get
+#: exercised).
 THREAD_CHOICES = (1, 8, 32, 64)
 
 #: The hot phase's working set: few enough distinct keys that the
@@ -227,15 +228,11 @@ async def run_phase(config, *, clients, duration_s, seed,
         "p50_ms": round(pct(50) * 1e3, 3),
         "p99_ms": round(pct(99) * 1e3, 3),
         "respcache_hit_rate": respcache_rate,
-        "singleflight_merged": summary.counters.get(
-            "serve.singleflight.merged", 0
-        ),
         "unhandled_errors": summary.counters.get(
             "serve.unhandled_errors", 0
         ),
         "engine_faults": summary.counters.get("serve.engine_faults", 0),
         "shed": summary.counters.get("serve.shed", 0),
-        "coalesced": summary.counters.get("serve.coalesced", 0),
         "batches": summary.counters.get("serve.batches", 0),
         "breaker_transitions": summary.counters.get(
             "serve.breaker_transitions", 0

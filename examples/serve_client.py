@@ -5,8 +5,8 @@ a background thread (in production you'd run ``sg2042-repro serve``),
 then uses nothing but stdlib ``http.client`` to:
 
 * predict one kernel under one configuration,
-* fire a burst of concurrent predictions that the server coalesces
-  into a single batch engine call,
+* predict six kernels under one configuration with one ``/sweep``,
+  which the server answers with a single batch engine call,
 * read the operational metrics the service publishes, and
 * handle a structured error envelope (unknown kernel -> 404 JSON).
 
@@ -17,7 +17,6 @@ import asyncio
 import http.client
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.serve import PredictionServer, ServeConfig
 
@@ -29,9 +28,7 @@ def start_background_server():
 
     def run():
         async def main():
-            server = PredictionServer(
-                ServeConfig(port=0, batch_window_ms=20.0)
-            )
+            server = PredictionServer(ServeConfig(port=0))
             await server.start()
             holder["server"] = server
             holder["loop"] = asyncio.get_running_loop()
@@ -85,18 +82,15 @@ def main():
           f"(served from {body['serving_level']}, "
           f"{body['bound']}-bound) [{status}]")
 
-    # A concurrent burst under one configuration: the server coalesces
-    # these into a single batch engine call.
+    # Many kernels under one configuration: one /sweep, one batch
+    # engine call.
     kernels = ["TRIAD", "DAXPY", "GEMM", "DOT", "COPY", "ADD"]
-    with ThreadPoolExecutor(max_workers=len(kernels)) as pool:
-        results = list(pool.map(
-            lambda k: request(port, "POST", "/predict",
-                              {"kernel": k, "threads": 8}),
-            kernels,
-        ))
-    print("\ncoalesced burst (8 threads):")
-    for kernel, (status, body) in zip(kernels, results):
-        print(f"  {kernel:<8} {body['seconds']:.4f}s [{status}]")
+    status, body = request(port, "POST", "/sweep", {
+        "kernels": kernels, "threads": [8],
+    })
+    print(f"\nsweep of {len(kernels)} kernels (8 threads) [{status}]:")
+    for point in body["points"]:
+        print(f"  {point['kernel']:<8} {point['seconds']:.4f}s")
 
     # Structured error envelope: unknown kernel.
     status, body = request(port, "POST", "/predict",
@@ -109,8 +103,7 @@ def main():
     status, text = request(port, "GET", "/metrics")
     interesting = [
         line for line in text.splitlines()
-        if "serve.batches" in line or "serve.coalesced" in line
-        or "serve.latency_p50_ms" in line
+        if "serve.batches" in line or "serve.latency_p50_ms" in line
     ]
     print("\nmetrics excerpt:")
     for line in interesting:

@@ -616,8 +616,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         max_inflight=args.max_inflight,
         default_deadline_ms=args.deadline_ms,
-        batch_window_ms=args.batch_window_ms,
-        max_batch=args.max_batch,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_s=args.breaker_cooldown,
         on_failure=args.on_failure,
@@ -638,8 +636,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         prewarm_rollback=args.prewarm_rollback,
         respcache_entries=args.respcache_entries,
         respcache_bytes=int(args.respcache_mb * (1 << 20)),
-        adaptive_window=not args.no_adaptive_window,
-        min_window_ms=args.min_window_ms,
         registry_paths=_registry_paths(args),
     )
     return asyncio.run(serve_forever(config))
@@ -966,15 +962,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default per-request deadline when the client sends none",
     )
     p_serve.add_argument(
-        "--batch-window-ms", type=float, default=2.0,
-        help="coalescing window: requests arriving within it are "
-        "batched into one engine call",
-    )
-    p_serve.add_argument(
-        "--max-batch", type=int, default=64,
-        help="largest coalesced batch per engine call",
-    )
-    p_serve.add_argument(
         "--breaker-threshold", type=int, default=5,
         help="consecutive engine faults that open the circuit breaker",
     )
@@ -985,7 +972,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--on-failure", default="retry", choices=["abort", "skip",
                                                   "retry"],
-        help="engine failure policy inside a coalesced batch",
+        help="engine failure policy of /predict and /sweep calls",
     )
     p_serve.add_argument(
         "--retries", type=int, default=2,
@@ -1036,16 +1023,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--respcache-mb", type=float, default=64.0, metavar="MB",
         help="response-cache body-byte budget in megabytes",
-    )
-    p_serve.add_argument(
-        "--no-adaptive-window", action="store_true",
-        help="use a fixed coalescing window instead of adapting it "
-        "to the arrival rate (--batch-window-ms is then exact, not "
-        "a cap)",
-    )
-    p_serve.add_argument(
-        "--min-window-ms", type=float, default=0.0,
-        help="floor of the adaptive coalescing window",
     )
     _add_registry_flag(p_serve)
 

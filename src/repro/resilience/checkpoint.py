@@ -19,7 +19,8 @@ import os
 from pathlib import Path
 from typing import Any
 
-from repro.util.errors import CheckpointError
+from repro.suite.config import RunConfig
+from repro.util.errors import CheckpointError, ReproError
 
 #: Bump when the line format changes incompatibly.
 CHECKPOINT_VERSION = 1
@@ -27,13 +28,27 @@ CHECKPOINT_VERSION = 1
 #: Fields that identify one sweep point inside a checkpoint.
 POINT_FIELDS = ("threads", "placement", "precision", "kernel")
 
-PointKey = tuple[int, str, str, str]
+PointKey = tuple[int | str, str, str, str]
+
+
+def thread_key(threads: object) -> int | str:
+    """A thread count as :class:`~repro.suite.config.RunConfig` stores
+    it, or its ``repr`` when ``RunConfig`` rejects it.
+
+    So ``np.int64(4)`` keys as ``4``, while ``4.0``, ``'4'`` and
+    ``4.5`` never match a point or grid of ``4`` (the plain sweep
+    rejects them), and ``'x'`` keys without raising.
+    """
+    try:
+        return RunConfig(threads=threads).threads
+    except ReproError:
+        return repr(threads)
 
 
 def point_key(
-    threads: int, placement: str, precision: str, kernel: str
+    threads: object, placement: str, precision: str, kernel: str
 ) -> PointKey:
-    return (int(threads), placement, precision, kernel.upper())
+    return (thread_key(threads), placement, precision, kernel.upper())
 
 
 class SweepCheckpoint:

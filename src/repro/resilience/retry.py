@@ -63,8 +63,9 @@ class RetrySpec:
             ``0`` (default) keeps the historical deterministic schedule;
             ``1`` is classic *full jitter* — uniform in
             ``(0, exponential backoff]`` — which decorrelates retries
-            from requests that failed together, so a coalesced batch of
-            failures does not thundering-herd the engine in lockstep.
+            from requests that failed together, so a burst of
+            concurrent failures does not thundering-herd the engine in
+            lockstep.
             The RNG is injectable (:func:`backoff_seconds` /
             :func:`call_with_retry` take ``rng=``), so tests pin a seed
             and stay deterministic.

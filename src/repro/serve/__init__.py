@@ -1,10 +1,11 @@
 """``repro.serve`` — the fault-tolerant prediction service.
 
 A long-running asyncio HTTP/JSON server in front of the prediction
-engine: request coalescing into batch engine calls, per-request
-deadlines, admission control with load shedding, a circuit breaker
-around the engine, structured error envelopes, graceful drain, and a
-mountable chaos plan. See ``docs/SERVE.md`` for the full contract.
+engine: one engine call per request on a worker pool, a response cache
+in front of it, per-request deadlines, admission control with load
+shedding, a circuit breaker around the engine, structured error
+envelopes, graceful drain, and a mountable chaos plan. See
+``docs/SERVE.md`` for the full contract.
 
 Usage::
 
@@ -22,13 +23,6 @@ Or from the CLI::
 
 from repro.serve.admission import AdmissionController
 from repro.serve.breaker import BreakerState, CircuitBreaker
-from repro.serve.coalescer import (
-    AdaptiveWindow,
-    Coalescer,
-    CoalescerConfig,
-    EngineState,
-    PredictJob,
-)
 from repro.serve.errors import (
     BadRequest,
     DeadlineExceeded,
@@ -49,35 +43,29 @@ from repro.serve.respcache import (
 )
 from repro.serve.server import (
     MAX_SWEEP_CELLS,
+    EngineState,
     PredictionServer,
     ServeConfig,
     serve_forever,
 )
-from repro.serve.singleflight import Flight, SingleFlight
 
 __all__ = [
-    "AdaptiveWindow",
     "AdmissionController",
     "BadRequest",
     "BreakerState",
     "CachedResponse",
     "CircuitBreaker",
-    "Coalescer",
-    "CoalescerConfig",
     "DeadlineExceeded",
     "EngineFault",
     "EngineState",
-    "Flight",
     "MAX_SWEEP_CELLS",
     "NotFound",
-    "PredictJob",
     "PredictionServer",
     "RespCacheStats",
     "ResponseCache",
     "ServeConfig",
     "ServeError",
     "Shed",
-    "SingleFlight",
     "Unavailable",
     "config_digest",
     "explain_key",

@@ -1,7 +1,7 @@
 """Admission control: a bounded in-flight budget with load shedding.
 
-The service accepts at most ``max_inflight`` requests at once (queued in
-the coalescer or executing in the engine). Beyond that watermark it
+The service accepts at most ``max_inflight`` requests at once (waiting
+for an engine worker or executing in the engine). Beyond that watermark it
 *sheds*: the client gets an immediate 429-style envelope with a
 ``Retry-After`` hint instead of queueing into a latency collapse.
 

@@ -5,9 +5,8 @@ The engine (batch model, compile cache) makes a repeated request
 stored fully pre-serialized — body bytes plus a precomputed HTTP head —
 keyed on the full identity of the request: endpoint, machine digest,
 configuration digest and the kernel names. A hot-key hit costs one dict
-lookup and one socket write; no JSON is rendered, no coalescing window
-is waited out, no engine thread is touched, and no admission slot is
-consumed.
+lookup and one socket write; no JSON is rendered, no engine thread is
+touched, and no admission slot is consumed.
 
 Two tiers:
 

@@ -3,8 +3,8 @@
 An asyncio HTTP/JSON server (stdlib streams only) in front of the
 prediction engine. Endpoints:
 
-* ``POST /predict`` — one kernel under one configuration; concurrent
-  requests are coalesced into batch engine calls.
+* ``POST /predict`` — one kernel under one configuration, one engine
+  call.
 * ``POST /sweep`` — a bounded configuration grid, returned long-format.
 * ``POST /explain`` — the full model story for one kernel.
 * ``GET /machines`` — every registered machine with its digest.
@@ -29,29 +29,26 @@ from __future__ import annotations
 import asyncio
 import math
 import sys
+import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro import telemetry
 from repro.kernels.registry import get_kernel
+from repro.machine.cpu import CPUModel
 from repro.resilience import chaos
 from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import FailurePolicy, RetrySpec
 from repro.serve import http
 from repro.serve.admission import AdmissionController
 from repro.serve.breaker import BreakerState, CircuitBreaker
-from repro.serve.coalescer import (
-    Coalescer,
-    CoalescerConfig,
-    EngineState,
-    PredictJob,
-)
 from repro.serve.errors import (
     BadRequest,
     DeadlineExceeded,
+    EngineFault,
     NotFound,
     ServeError,
     Shed,
@@ -67,9 +64,13 @@ from repro.serve.respcache import (
     response_etag,
     sweep_key,
 )
-from repro.serve.singleflight import Flight, SingleFlight
 from repro.suite.config import Placement, Precision, RunConfig
+from repro.suite.memo import SuiteCaches, machine_digest
+from repro.suite.runner import SuiteResult, run_suite
 from repro.util.errors import ConfigError, ReproError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.store import ArtifactStore
 
 #: Upper bound on one ``/sweep`` request's grid (points x kernels).
 MAX_SWEEP_CELLS = 512
@@ -87,14 +88,11 @@ class ServeConfig:
     #: Applied when a request carries no ``deadline_ms`` of its own.
     default_deadline_ms: float = 2000.0
     max_deadline_ms: float = 60_000.0
-    #: Coalescing window and batch cap for ``/predict``.
-    batch_window_ms: float = 2.0
-    max_batch: int = 64
     #: Circuit breaker tuning.
     breaker_threshold: int = 5
     breaker_cooldown_s: float = 1.0
     half_open_probes: int = 1
-    #: Engine-side failure policy for coalesced batches.
+    #: Engine-side failure policy of ``/predict`` and ``/sweep`` calls.
     on_failure: str = "retry"
     retries: int = 2
     backoff_base_s: float = 0.0
@@ -123,10 +121,6 @@ class ServeConfig:
     #: body-byte budget for the in-memory tier.
     respcache_entries: int = 2048
     respcache_bytes: int = 64 << 20
-    #: Adapt the coalescing window to load (``batch_window_ms`` becomes
-    #: the cap; the window shrinks toward ``min_window_ms`` when idle).
-    adaptive_window: bool = True
-    min_window_ms: float = 0.0
     #: Extra registry roots layered over the shipped data; the server's
     #: machine map is built from the resulting registry at startup.
     registry_paths: tuple[str, ...] = ()
@@ -169,6 +163,54 @@ def _error_outcome(exc: ServeError) -> _RequestOutcome:
     )
 
 
+def _run_fault(result: SuiteResult, name: str) -> EngineFault | None:
+    """The fault a ``/predict`` engine call stands for, or ``None`` when
+    it produced the kernel's run: a missing run carries its kernel's
+    terminal failure record (retries already spent inside
+    :func:`run_suite`)."""
+    if name in result.runs:
+        return None
+    record = result.failed_kernels().get(name.upper())
+    if record is None:
+        return EngineFault(f"{name}: engine produced no result")
+    return EngineFault.from_failure(record)
+
+
+class EngineState:
+    """Process-wide cache layers, one :class:`SuiteCaches` per machine.
+
+    Keyed by :func:`machine_digest`, so two requests naming equal
+    machines (even via different objects) share compile cache entries,
+    while any re-tuned parameter isolates them.
+
+    With ``store`` set, every machine's compile cache is persistent
+    (:meth:`SuiteCaches.persistent` over the one shared store), so
+    restarts pick up compile reports from disk.
+    """
+
+    def __init__(self, store: "ArtifactStore | None" = None) -> None:
+        self._lock = threading.Lock()
+        self._caches: dict[int, SuiteCaches] = {}
+        self._store = store
+
+    @property
+    def store(self) -> "ArtifactStore | None":
+        return self._store
+
+    def caches_for(self, cpu: CPUModel) -> SuiteCaches:
+        digest = machine_digest(cpu)
+        with self._lock:
+            caches = self._caches.get(digest)
+            if caches is None:
+                caches = (
+                    SuiteCaches.persistent(self._store)
+                    if self._store is not None
+                    else SuiteCaches()
+                )
+                self._caches[digest] = caches
+            return caches
+
+
 class PredictionServer:
     """One serving process: sockets, queues, breaker, caches, drain."""
 
@@ -203,7 +245,8 @@ class PredictionServer:
             max_entries=self.config.respcache_entries,
             max_bytes=self.config.respcache_bytes,
         )
-        self.singleflight = SingleFlight()
+        self._policy = FailurePolicy.from_label(self.config.on_failure)
+        self._retry = self.config.retry_spec()
         # The machine map starts as the registry's view (shipped data
         # plus any --registry-path roots) and grows at runtime through
         # POST /machines registrations.
@@ -214,7 +257,6 @@ class PredictionServer:
         ).machines()
         self._server: asyncio.base_events.Server | None = None
         self._executor: ThreadPoolExecutor | None = None
-        self._coalescer: Coalescer | None = None
         self._draining = False
         self._started = False
         self._chaos_cm = None
@@ -226,7 +268,7 @@ class PredictionServer:
     # -- lifecycle --------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the socket and start the batching loop."""
+        """Start the engine workers and bind the socket."""
         if self._started:
             raise ConfigError("server already started")
         self._started = True
@@ -249,26 +291,6 @@ class PredictionServer:
         self._executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve"
         )
-        self._coalescer = Coalescer(
-            self.state,
-            self._executor,
-            CoalescerConfig(
-                max_batch=self.config.max_batch,
-                window_s=self.config.batch_window_ms / 1000.0,
-                policy=FailurePolicy.from_label(self.config.on_failure),
-                retry=self.config.retry_spec(),
-                adaptive=self.config.adaptive_window,
-                min_window_s=self.config.min_window_ms / 1000.0,
-                # If p99 climbs past a quarter of the default deadline,
-                # batching delay is hurting, not helping — back off.
-                guardrail_p99_s=(
-                    self.config.default_deadline_ms / 1000.0 / 4.0
-                ),
-            ),
-            breaker=self.breaker,
-            latency=self.latency,
-        )
-        self._coalescer.start()
         if self.store is not None:
             # Route module-level artifacts (the suite SoA lowering)
             # through the server's store for the process lifetime.
@@ -357,8 +379,8 @@ class PredictionServer:
             telemetry.metrics().gauge("serve.ready").set(1)
 
     async def drain(self) -> None:
-        """Graceful shutdown: stop accepting, flush in-flight batches,
-        emit final telemetry. Idempotent."""
+        """Graceful shutdown: stop accepting, let in-flight requests
+        finish, emit final telemetry. Idempotent."""
         if not self._started:
             return
         self._draining = True
@@ -371,8 +393,6 @@ class PredictionServer:
         deadline = loop.time() + self.config.drain_timeout_s
         while not self.admission.idle() and loop.time() < deadline:
             await asyncio.sleep(0.01)
-        if self._coalescer is not None:
-            await self._coalescer.stop(drain=True)
         for task in tuple(self._connections):
             task.cancel()
         if self._connections:
@@ -596,8 +616,6 @@ class PredictionServer:
 
     def _machines(self) -> _RequestOutcome:
         """``GET /machines``: every registered machine + its digest."""
-        from repro.suite.memo import machine_digest
-
         payload = {
             "machines": [
                 {
@@ -626,7 +644,6 @@ class PredictionServer:
         background.
         """
         from repro.registry import parse_document, validate_document
-        from repro.suite.memo import machine_digest
 
         try:
             rdoc = parse_document(
@@ -791,6 +808,52 @@ class PredictionServer:
             self.admission.depth
         )
 
+    async def _engine_call(
+        self,
+        work: Callable[[], Any],
+        deadline_s: float,
+        label: str,
+        fault_of: Callable[[Any], EngineFault | None] | None = None,
+    ) -> Any:
+        """Run one admitted request's ``work`` on the engine executor.
+
+        The one path from ``/predict``, ``/sweep`` and ``/explain`` to
+        the engine. The request holds an admission slot until ``work``
+        returns or its deadline passes; a deadline that passes while
+        ``work`` still waits for an engine worker cancels it, so it
+        never runs. Every call that returns reports to the breaker: an
+        exception, or a result that ``fault_of`` maps to an
+        :class:`EngineFault`, is a failure and a 500; any other result
+        is a success. A timeout reports nothing: the deadline is the
+        client's budget, not an engine outcome.
+        """
+        self._admit()
+        try:
+            try:
+                result = await asyncio.wait_for(
+                    asyncio.get_running_loop().run_in_executor(
+                        self._executor, work
+                    ),
+                    timeout=deadline_s,
+                )
+            except asyncio.TimeoutError:
+                telemetry.metrics().counter("serve.deadline_exceeded").inc()
+                raise DeadlineExceeded(
+                    f"{label}: no result within {deadline_s * 1000:.0f} ms"
+                )
+            except Exception as exc:
+                fault = EngineFault.from_exception(exc)
+            else:
+                fault = None if fault_of is None else fault_of(result)
+            if fault is not None:
+                self.breaker.record_failure()
+                telemetry.metrics().counter("serve.engine_faults").inc()
+                raise fault
+            self.breaker.record_success()
+            return result
+        finally:
+            self.admission.release()
+
     # -- endpoints ---------------------------------------------------------
 
     async def _predict(self, body: dict[str, Any]) -> _RequestOutcome:
@@ -802,37 +865,25 @@ class PredictionServer:
         cached = self.respcache.get(key)
         if cached is not None:
             # Hot path: pre-serialized bytes. No admission slot, no
-            # engine work, no JSON rendering, no coalescing wait.
+            # engine work, no JSON rendering.
             return _RequestOutcome(200, cached.body, cached=cached)
-        loop = asyncio.get_running_loop()
-        flight, leads = self.singleflight.join(key)
-        if leads:
-            try:
-                self._admit()
-            except ServeError as exc:
-                # Leader failure (shed, breaker open, drain) fans out
-                # to every waiter as the same structured envelope.
-                self.singleflight.abort(flight, exc)
-                raise
-            try:
-                job = PredictJob(
-                    kernel=kernel,
-                    cpu=cpu,
-                    config=config,
-                    future=loop.create_future(),
-                    deadline=loop.time() + deadline_s,
-                )
-                self.singleflight.launch(flight, job)
-                await self._coalescer.submit(job)
-                run = await self._await_flight(flight, deadline_s, kernel)
-            finally:
-                self.admission.release()
-        else:
-            # Waiter: no admission slot, no engine job — ride the
-            # in-flight computation under this request's own deadline
-            # (which also extends the shared job's parked expiry).
-            flight.extend_deadline(loop.time() + deadline_s)
-            run = await self._await_flight(flight, deadline_s, kernel)
+
+        def work() -> SuiteResult:
+            telemetry.metrics().counter("serve.batches").inc()
+            return run_suite(
+                cpu,
+                config,
+                kernels=[kernel],
+                policy=self._policy,
+                retry=self._retry,
+                caches=self.state.caches_for(cpu),
+            )
+
+        result = await self._engine_call(
+            work, deadline_s, kernel.name,
+            lambda suite: _run_fault(suite, kernel.name),
+        )
+        run = result.runs[kernel.name]
         payload = {
             "kernel": run.kernel_name,
             "cpu": cpu.name,
@@ -854,28 +905,6 @@ class PredictionServer:
         return _RequestOutcome(
             200, response, headers={"ETag": response_etag(response)}
         )
-
-    async def _await_flight(
-        self, flight: Flight, deadline_s: float, kernel
-    ):
-        """Await a shared flight under *this* member's deadline.
-
-        The shield keeps one member's timeout from cancelling the
-        shared future: the job keeps running for other members (and
-        warms the caches either way). The last member to give up
-        cancels a still-parked job so it never consumes an engine slot.
-        """
-        try:
-            return await asyncio.wait_for(
-                asyncio.shield(flight.future), timeout=deadline_s
-            )
-        except asyncio.TimeoutError:
-            self.singleflight.leave(flight)
-            telemetry.metrics().counter("serve.deadline_exceeded").inc()
-            raise DeadlineExceeded(
-                f"{kernel.name}: no result within "
-                f"{deadline_s * 1000:.0f} ms"
-            )
 
     async def _sweep(self, body: dict[str, Any]) -> _RequestOutcome:
         from repro.suite.sweep import sweep
@@ -917,36 +946,16 @@ class PredictionServer:
         cached = self.respcache.get(key)
         if cached is not None:
             return _RequestOutcome(200, cached.body, cached=cached)
-        self._admit()
-        loop = asyncio.get_running_loop()
-        try:
-            work = loop.run_in_executor(
-                self._executor,
-                lambda: sweep(
-                    cpu, kernels, threads, placements, precisions,
-                    runs=1, noise_sigma=0.0,
-                    policy=FailurePolicy.from_label(self.config.on_failure),
-                    retry=self.config.retry_spec(),
-                    caches=self.state.caches_for(cpu),
-                ),
-            )
-            try:
-                result = await asyncio.wait_for(work, timeout=deadline_s)
-            except asyncio.TimeoutError:
-                telemetry.metrics().counter("serve.deadline_exceeded").inc()
-                raise DeadlineExceeded(
-                    f"sweep did not finish within "
-                    f"{deadline_s * 1000:.0f} ms"
-                )
-            except ReproError as exc:
-                self.breaker.record_failure()
-                telemetry.metrics().counter("serve.engine_faults").inc()
-                from repro.serve.errors import EngineFault
-
-                raise EngineFault.from_exception(exc)
-            self.breaker.record_success()
-        finally:
-            self.admission.release()
+        result = await self._engine_call(
+            lambda: sweep(
+                cpu, kernels, threads, placements, precisions,
+                runs=1, noise_sigma=0.0,
+                policy=self._policy,
+                retry=self._retry,
+                caches=self.state.caches_for(cpu),
+            ),
+            deadline_s, "sweep",
+        )
         payload = {
             "cpu": cpu.name,
             "points": [
@@ -991,23 +1000,10 @@ class PredictionServer:
         cached = self.respcache.get(key)
         if cached is not None:
             return _RequestOutcome(200, cached.body, cached=cached)
-        self._admit()
-        loop = asyncio.get_running_loop()
-        try:
-            work = loop.run_in_executor(
-                self._executor,
-                lambda: explain_kernel(kernel.name, cpu),
-            )
-            try:
-                text = await asyncio.wait_for(work, timeout=deadline_s)
-            except asyncio.TimeoutError:
-                telemetry.metrics().counter("serve.deadline_exceeded").inc()
-                raise DeadlineExceeded(
-                    f"explain did not finish within "
-                    f"{deadline_s * 1000:.0f} ms"
-                )
-        finally:
-            self.admission.release()
+        text = await self._engine_call(
+            lambda: explain_kernel(kernel.name, cpu),
+            deadline_s, f"explain {kernel.name}",
+        )
         response = http.json_body(
             {"kernel": kernel.name, "explanation": text}
         )

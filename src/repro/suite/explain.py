@@ -18,6 +18,7 @@ from repro.machine.cpu import CPUModel
 from repro.machine.vector import DType
 from repro.openmp.affinity import PlacementPolicy, assign_cores
 from repro.perfmodel.execution import simulate_kernel
+from repro.suite.config import RunConfig
 from repro.util.errors import ReproError
 from repro.util.units import format_bytes, format_seconds
 
@@ -57,13 +58,21 @@ def explain_kernel(kernel_name: str, cpu: CPUModel) -> str:
     ]
 
     lines += ["", "compilation on the C920 (RVV v0.7.1):"]
-    gcc = analyze(XUANTIE_GCC_8_4, kernel, cpu.core.isa)
-    lines.append(f"  XuanTie GCC 8.4: {gcc.reason}")
-    clang = analyze(
-        CLANG_16, kernel, cpu.core.isa, flavor=VectorFlavor.VLS,
-        rollback=True,
-    )
-    lines.append(f"  Clang 16 (+rollback): {clang.reason}")
+    for label, compiler, rollback in (
+        ("XuanTie GCC 8.4", XUANTIE_GCC_8_4, False),
+        ("Clang 16 (+rollback)", CLANG_16, True),
+    ):
+        try:
+            verdict = analyze(
+                compiler, kernel, cpu.core.isa, flavor=VectorFlavor.VLS,
+                rollback=rollback,
+            ).reason
+        except ReproError as exc:
+            # A compiler that cannot target this machine (GCC 8.4 emits
+            # RVV v0.7.1 only) is an explicit gap, like a failed
+            # prediction below.
+            verdict = f"compilation failed ({type(exc).__name__}: {exc})"
+        lines.append(f"  {label}: {verdict}")
 
     (point,) = classify_kernels(cpu, [kernel], DType.FP64)
     lines += [
@@ -73,6 +82,9 @@ def explain_kernel(kernel_name: str, cpu: CPUModel) -> str:
         f"{point.attainable_flops / 1e9:.2f} GFLOP/s",
     ]
 
+    # Predicted with the machine's default compiler, as run_suite
+    # compiles under a default RunConfig.
+    config = RunConfig()
     lines += ["", f"predicted times on {cpu.name}:"]
     for threads, placement, precision in (
         (1, PlacementPolicy.BLOCK, DType.FP64),
@@ -81,9 +93,13 @@ def explain_kernel(kernel_name: str, cpu: CPUModel) -> str:
         (cpu.num_cores, PlacementPolicy.CLUSTER, DType.FP32),
     ):
         try:
+            report = analyze(
+                config.resolve_compiler(cpu), kernel, cpu.core.isa,
+                flavor=config.flavor, rollback=config.rollback,
+            )
             cores = assign_cores(cpu.topology, threads, placement)
             result = simulate_kernel(
-                kernel, cpu, cores, precision, gcc
+                kernel, cpu, cores, precision, report
             )
         except ReproError as exc:
             # Degrade to an explicit gap: one failed configuration must

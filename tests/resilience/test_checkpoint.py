@@ -3,6 +3,7 @@ without recomputation, and seed-identical resumed results."""
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.kernels.registry import get_kernel
@@ -11,10 +12,11 @@ from repro.resilience.checkpoint import (
     SweepCheckpoint,
     point_key,
 )
+from repro.resilience.retry import FailurePolicy
 from repro.suite.config import Placement, Precision
 from repro.suite import sweep as sweep_mod
 from repro.suite.sweep import sweep
-from repro.util.errors import CheckpointError
+from repro.util.errors import CheckpointError, ConfigError
 
 
 KERNELS = ("TRIAD", "GEMM", "DOT")
@@ -191,6 +193,93 @@ class TestSweepResume:
         # Resume without the faults: everything recomputes cleanly.
         resumed = run_grid(sg2042, checkpoint=path)
         assert len(resumed.points) == 6
+
+
+class TestRejectedThreadCounts:
+    """Checkpoints key thread counts on the values ``RunConfig`` stores
+    (and on the ``repr`` of values it rejects), so a thread count the
+    plain sweep rejects never resumes, or writes, the checkpoint of one
+    it accepts."""
+
+    KERNELS = ("TRIAD", "GEMM")
+    #: Rejected by ``RunConfig``; each but ``'x'`` converts to 4 by int().
+    REJECTED = [4.0, "4", 4.5, "x"]
+    POLICIES = [FailurePolicy.ABORT, FailurePolicy.SKIP]
+
+    def _sweep(self, cpu, threads, **kwargs):
+        kernels = [get_kernel(name) for name in self.KERNELS]
+        return sweep(cpu, kernels, threads=threads, **kwargs)
+
+    @staticmethod
+    def _outcome(call):
+        """A sweep's result, or the error it raised."""
+        try:
+            return call()
+        except ConfigError as exc:
+            return exc
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("threads", REJECTED, ids=repr)
+    def test_no_resume_over_an_accepted_grid(
+        self, sg2042, tmp_path, threads, policy
+    ):
+        path = tmp_path / "sweep.jsonl"
+        self._sweep(sg2042, [4], checkpoint=path)
+        before = path.read_bytes()
+        with pytest.raises(CheckpointError, match="different sweep"):
+            self._sweep(sg2042, [threads], checkpoint=path, policy=policy)
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("threads", REJECTED, ids=repr)
+    def test_fresh_checkpoint_answers_like_no_checkpoint(
+        self, sg2042, tmp_path, threads, policy
+    ):
+        path = tmp_path / "sweep.jsonl"
+        plain = self._outcome(
+            lambda: self._sweep(sg2042, [threads], policy=policy)
+        )
+        checkpointed = self._outcome(lambda: self._sweep(
+            sg2042, [threads], policy=policy, checkpoint=path,
+        ))
+        if policy is FailurePolicy.ABORT:
+            assert isinstance(plain, ConfigError)
+            assert type(checkpointed) is type(plain)
+            assert str(checkpointed) == str(plain)
+        else:
+            assert [f.kernel for f in plain.failures] == ["*"]
+            assert checkpointed.points == plain.points == ()
+            assert checkpointed.failures == plain.failures
+        assert len(path.read_text().splitlines()) == 1  # header only
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_numpy_thread_count_resumes(
+        self, sg2042, tmp_path, monkeypatch, policy
+    ):
+        path = tmp_path / "sweep.jsonl"
+        first = self._sweep(sg2042, [4], checkpoint=path)
+
+        def exploding_run_suite(*args, **kwargs):
+            raise AssertionError("should not recompute anything")
+
+        monkeypatch.setattr(sweep_mod, "run_suite", exploding_run_suite)
+        resumed = self._sweep(
+            sg2042, [np.int64(4)], checkpoint=path, policy=policy
+        )
+        assert [(p.kernel, p.seconds) for p in resumed.points] \
+            == [(p.kernel, p.seconds) for p in first.points]
+        assert len(resumed.points) == 2
+
+    def test_numpy_thread_count_records_plain_ints(
+        self, sg2042, tmp_path
+    ):
+        path = tmp_path / "sweep.jsonl"
+        self._sweep(sg2042, [np.int64(4)], checkpoint=path)
+        records = [json.loads(line)
+                   for line in path.read_text().splitlines()[1:]]
+        assert [r["threads"] for r in records] == [4, 4]
+        resumed = self._sweep(sg2042, [4], checkpoint=path)
+        assert len(resumed.points) == 2
 
 
 class TestCrashSafety:

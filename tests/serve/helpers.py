@@ -1,7 +1,9 @@
-"""Shared async HTTP helpers for the serve tests (stdlib only)."""
+"""Shared async HTTP and engine helpers for the serve tests (stdlib
+only)."""
 
 import asyncio
 import json
+import threading
 
 
 async def http_request(port, method, path, body=None, *,
@@ -57,3 +59,21 @@ async def request_on(reader, writer, method, path, body=None, *,
     if resp_headers.get("content-type", "").startswith("application/json"):
         return status, resp_headers, json.loads(raw) if raw else None
     return status, resp_headers, raw
+
+
+def hold_engine(server):
+    """Occupy a one-worker server's engine until the returned gate is
+    set: requests admitted meanwhile wait in the executor queue behind
+    it. Set the gate before the server drains."""
+    gate = threading.Event()
+    server._executor.submit(gate.wait)
+    return gate
+
+
+async def wait_until(predicate, timeout=5.0):
+    """Yield to the event loop until ``predicate()`` holds."""
+    loop = asyncio.get_running_loop()
+    give_up = loop.time() + timeout
+    while not predicate():
+        assert loop.time() < give_up, "condition never held"
+        await asyncio.sleep(0.001)

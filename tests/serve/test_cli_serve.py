@@ -36,8 +36,7 @@ class TestServeCommand:
     def test_parser_accepts_serve_flags(self):
         args = build_parser().parse_args([
             "serve", "--port", "0", "--max-inflight", "8",
-            "--deadline-ms", "500", "--batch-window-ms", "1",
-            "--max-batch", "16", "--breaker-threshold", "3",
+            "--deadline-ms", "500", "--breaker-threshold", "3",
             "--breaker-cooldown", "0.5", "--on-failure", "skip",
             "--retries", "1", "--engine-workers", "1",
             "--drain-timeout", "2",

@@ -1,11 +1,15 @@
 """Hot-path contract: cached responses are byte-identical, faults are
-never cached, and a deadline that expires while parked costs nothing."""
+never cached, and a deadline that expires while queued costs nothing."""
 
 import asyncio
 import json
 
+import pytest
+
 from repro.resilience.faults import FaultPlan, FaultRule
 from repro.serve import PredictionServer, ServeConfig
+
+from tests.serve.helpers import hold_engine
 
 
 def with_server(config, scenario):
@@ -225,37 +229,44 @@ class TestFaultsAreNeverCached:
         assert entries == 0
 
 
-class TestParkedDeadlineCostsNothing:
-    def test_504_while_parked_consumes_no_engine_slot(self):
-        """A deadline that expires inside the batch window returns 504
-        and the job is cancelled before it ever reaches the engine: no
-        admission slot stays held, no batch is dispatched for it."""
+class TestQueuedDeadlineCostsNothing:
+    #: Request body and engine function per endpoint.
+    ENDPOINTS = {
+        "/predict": ({"kernel": "TRIAD"}, "repro.serve.server.run_suite"),
+        "/sweep": ({"kernels": ["TRIAD"], "threads": [1]},
+                   "repro.suite.sweep.sweep"),
+        "/explain": ({"kernel": "TRIAD"},
+                     "repro.suite.explain.explain_kernel"),
+    }
+
+    @pytest.mark.parametrize("path", sorted(ENDPOINTS))
+    def test_504_while_queued_never_runs(self, path, monkeypatch):
+        """A deadline that expires while the request waits for the
+        engine worker returns 504, and its engine function is cancelled
+        before it ever runs: no admission slot stays held."""
+        body, target = self.ENDPOINTS[path]
+        calls = []
+        monkeypatch.setattr(target, lambda *a, **k: calls.append(a))
 
         async def scenario(server):
-            raw = await raw_request(
-                server.port, "POST", "/predict",
-                {"kernel": "TRIAD", "deadline_ms": 30},
-            )
-            # Give the (still-open) window a beat: the cancelled job
-            # must not turn into a batch behind our back.
-            await asyncio.sleep(0.1)
-            reg_lines = (await raw_request(
-                server.port, "GET", "/metrics"
-            )).decode().splitlines()
-            lines = dict(
-                line.rsplit(" ", 1)
-                for line in reg_lines if " " in line
-            )
-            return raw, lines, server.admission.idle()
+            gate = hold_engine(server)
+            try:
+                raw = await raw_request(
+                    server.port, "POST", path,
+                    {**body, "deadline_ms": 30},
+                )
+            finally:
+                gate.set()
+            return raw, server.admission.idle(), server
 
-        raw, lines, idle = with_server(
-            default_config(
-                batch_window_ms=5000.0, adaptive_window=False
-            ),
-            scenario,
+        raw, idle, server = with_server(
+            default_config(engine_workers=1), scenario
         )
         assert raw.startswith(b"HTTP/1.1 504 ")
         assert b'"code":"deadline_exceeded"' in raw
-        assert idle  # the leader released its slot on timeout
-        assert int(lines["counter serve.deadline_exceeded"]) == 1
-        assert "counter serve.batches" not in lines
+        assert idle  # the request released its slot on timeout
+        # The drain joined the engine worker: the job never ran.
+        assert calls == []
+        counters = server.final_summary.counters
+        assert counters["serve.deadline_exceeded"] == 1
+        assert "serve.batches" not in counters

@@ -11,7 +11,12 @@ from repro.serve import PredictionServer, ServeConfig
 from repro.suite.config import RunConfig
 from repro.suite.runner import run_suite
 
-from tests.serve.helpers import http_request, request_on
+from tests.serve.helpers import (
+    hold_engine,
+    http_request,
+    request_on,
+    wait_until,
+)
 
 
 def with_server(config, scenario):
@@ -86,31 +91,6 @@ class TestPredict:
         assert body["bound"] == direct.prediction.bound
         assert body["cpu"] == catalog.sg2042().name
 
-    def test_concurrent_requests_coalesce(self):
-        async def scenario(server):
-            results = await asyncio.gather(*[
-                http_request(server.port, "POST", "/predict",
-                             {"kernel": name, "threads": 8})
-                for name in ("TRIAD", "DAXPY", "GEMM", "DOT")
-            ])
-            metrics = await http_request(server.port, "GET", "/metrics")
-            return results, metrics
-
-        # A fixed window makes the batching deterministic; under the
-        # (default) adaptive window a cold start dispatches eagerly.
-        results, metrics = with_server(
-            default_config(batch_window_ms=30.0, adaptive_window=False),
-            scenario,
-        )
-        assert all(status == 200 for status, _, _ in results)
-        text = metrics[2].decode()
-        lines = dict(
-            line.rsplit(" ", 1)
-            for line in text.splitlines() if " " in line
-        )
-        assert int(lines["counter serve.coalesced"]) >= 1
-        assert int(lines["counter serve.batches"]) < 4
-
     def test_unknown_kernel_404(self):
         async def scenario(server):
             return await http_request(
@@ -144,13 +124,17 @@ class TestPredict:
 
     def test_microscopic_deadline_504(self):
         async def scenario(server):
-            return await http_request(
-                server.port, "POST", "/predict",
-                {"kernel": "GEMM", "deadline_ms": 0.001},
-            )
+            gate = hold_engine(server)
+            try:
+                return await http_request(
+                    server.port, "POST", "/predict",
+                    {"kernel": "GEMM", "deadline_ms": 0.001},
+                )
+            finally:
+                gate.set()
 
         status, _, body = with_server(
-            default_config(batch_window_ms=20.0), scenario
+            default_config(engine_workers=1), scenario
         )
         assert status == 504
         assert body["error"]["code"] == "deadline_exceeded"
@@ -390,38 +374,55 @@ class TestSweepAndExplain:
         assert body["kernel"] == "TRIAD"
         assert "TRIAD" in body["explanation"]
 
+    def test_explain_on_the_sg2044(self):
+        async def scenario(server):
+            reply = await http_request(
+                server.port, "POST", "/explain",
+                {"kernel": "TRIAD", "cpu": "sophon_sg2044"},
+            )
+            return reply, server.breaker.state.value
+
+        (status, _, body), breaker = with_server(
+            default_config(), scenario
+        )
+        assert status == 200
+        assert "predicted times on Sophon SG2044" in body["explanation"]
+        assert breaker == "closed"
+
 
 class TestBackpressure:
     def test_overload_sheds_with_retry_after(self):
-        """With a 1-request watermark and a wide batch window, a burst
-        must shed all but one request — with structured 429s.
-
-        The kernels are distinct on purpose: identical concurrent
-        requests would legitimately merge into one singleflight leader
-        and never need a second admission slot (see
-        ``tests/serve/test_singleflight.py``)."""
+        """With a 1-request watermark, a request waiting for the held
+        engine keeps the only admission slot: every other request sheds
+        with a structured 429, and the admitted one still gets its 200
+        once the engine frees."""
 
         async def scenario(server):
-            return await asyncio.gather(*[
-                http_request(server.port, "POST", "/predict",
-                             {"kernel": name, "deadline_ms": 5000})
-                for name in ("TRIAD", "DAXPY", "GEMM", "DOT", "COPY",
-                             "ADD")
-            ])
+            gate = hold_engine(server)
+            try:
+                admitted = asyncio.create_task(http_request(
+                    server.port, "POST", "/predict",
+                    {"kernel": "TRIAD", "deadline_ms": 5000},
+                ))
+                await wait_until(lambda: server.admission.depth == 1)
+                shed = await asyncio.gather(*[
+                    http_request(server.port, "POST", "/predict",
+                                 {"kernel": name, "deadline_ms": 5000})
+                    for name in ("DAXPY", "GEMM", "DOT", "COPY", "ADD")
+                ])
+            finally:
+                gate.set()
+            return await admitted, shed
 
-        results = with_server(
-            default_config(max_inflight=1, batch_window_ms=100.0),
-            scenario,
+        admitted, shed = with_server(
+            default_config(max_inflight=1, engine_workers=1), scenario
         )
-        statuses = sorted(status for status, _, _ in results)
-        assert statuses.count(200) >= 1
-        assert statuses.count(429) >= 1
-        assert set(statuses) <= {200, 429}
-        for status, headers, body in results:
-            if status == 429:
-                assert body["error"]["code"] == "shed"
-                assert body["error"]["retryable"] is True
-                assert int(headers["retry-after"]) >= 1
+        assert admitted[0] == 200
+        assert [status for status, _, _ in shed] == [429] * 5
+        for _, headers, body in shed:
+            assert body["error"]["code"] == "shed"
+            assert body["error"]["retryable"] is True
+            assert int(headers["retry-after"]) >= 1
 
     def test_keep_alive_connection_reuse(self):
         async def scenario(server):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -154,6 +154,19 @@ class TestGridFlags:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--batch-window-ms", "2"],
+        ["serve", "--max-batch", "64"],
+        ["serve", "--no-adaptive-window"],
+        ["serve", "--min-window-ms", "0"],
+    ])
+    def test_batching_flags_are_unrecognized(self, argv, capsys):
+        # Parse only: were a flag accepted, main() would start serving.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_trace_sweep_accepts_all_kernels(self, capsys, tmp_path):
         assert main(["trace", "sweep", "--kernels", "all",
                      "--threads", "1", "--placements", "block",
@@ -206,6 +219,13 @@ class TestExplain:
 
     def test_explain_unknown_cpu(self, capsys):
         assert main(["explain", "TRIAD", "--cpu", "z80"]) == 2
+
+    def test_explain_on_the_sg2044(self, capsys):
+        # XuanTie GCC 8.4 cannot target its RVV 1.0: a gap, not an error.
+        assert main(["explain", "TRIAD", "--cpu", "sophon_sg2044"]) == 0
+        out = capsys.readouterr().out
+        assert "XuanTie GCC 8.4: compilation failed" in out
+        assert "predicted times on Sophon SG2044:" in out
 
 
 class TestExtensionExperiments:

@@ -83,6 +83,6 @@ def test_tracing_sweep(capsys):
 
 def test_serve_client(capsys):
     out = run_example("serve_client.py", capsys)
-    assert "coalesced burst" in out
+    assert "sweep of 6 kernels (8 threads) [200]" in out
     assert "code='not_found'" in out
     assert "server drained cleanly" in out
