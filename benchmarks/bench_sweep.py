@@ -15,29 +15,26 @@ SG2042, ``noise_sigma=0`` — four ways:
   cold path now: one compile per kernel, one vectorized NumPy pass per
   configuration.
 
-Two more variants measure the persistent store — what a *second
-process* pays over a store a prior process warmed:
+One more variant measures the persistent store — what a *second
+process* pays over a store a prior process filled:
 
-* **warm disk**: the identical grid with fresh in-memory caches over
-  the warmed store — restores whole from the sweep-level artifact in
-  one read;
-* **warm sub-grid**: a different (sub-)grid over the same store — misses
-  the whole-sweep artifact, restores every compile report from the
-  store and predicts the grid afresh.
+* **warm sub-grid**: a sub-grid of the acceptance grid with fresh
+  in-memory caches over a store that one store-backed sweep of the
+  full grid filled — restores every compile report from the store and
+  predicts the grid afresh.
 
 Every variant is timed best-of-:data:`BENCH_RUNS` — the same recipe
 measured mode uses for host kernels — with fresh suite caches per
 attempt, so a one-off allocator or scheduler hiccup cannot decide a
-floor. Cold scalar, cold batch and warm disk, whose times make the
-cold and warm-disk floors, run in interleaved rounds (one attempt of
-each per round), so each floor's numerator and denominator meet the
-same host states. It asserts all six sweeps are **bit-identical**
-(dataclass equality over every float of every point), that the compile
-cache compiled each kernel exactly once, that the store-backed sweeps
-recompiled nothing and the warm-disk sweep wrote nothing, and that the
-speedup floors are cleared: warm >= 5x, cold batch-vs-scalar >= 3.2x,
-and warm-disk vs cold scalar >= 8x on the full grid (looser floors on
-the ``--reduced`` CI grid, whose runs are too quick to amortize fixed
+floor. Cold scalar and cold batch, whose times make the cold floor,
+run in interleaved rounds (one attempt of each per round), so the
+floor's numerator and denominator meet the same host states. It
+asserts all five sweeps are **bit-identical** (dataclass equality over
+every float of every point), that the compile cache compiled each
+kernel exactly once, that the store-backed sub-grid recompiled
+nothing, and that the speedup floors are cleared: warm >= 5x and cold
+batch-vs-scalar >= 3.2x on the full grid (looser floors on the
+``--reduced`` CI grid, whose runs are too quick to amortize fixed
 costs). Results land in ``BENCH_sweep.json`` next to the repo root to
 extend the perf trajectory.
 
@@ -58,7 +55,6 @@ from repro.kernels.registry import all_kernels
 from repro.machine import catalog
 from repro.perfmodel.placement import reference_mode
 from repro.store import ArtifactStore
-from repro.store.warm import warm_store
 from repro.suite.config import Placement, Precision
 from repro.suite.memo import SuiteCaches
 from repro.suite.sweep import sweep
@@ -209,11 +205,6 @@ def _best_of(make_run, runs: int = BENCH_RUNS):
     return _best_of_rounds({None: make_run}, runs)[None]
 
 
-def _store_puts(store: ArtifactStore) -> int:
-    """Artifacts ``store`` has written so far, over every namespace."""
-    return sum(stats.puts for stats in store.stats().values())
-
-
 def _grid(reduced: bool) -> dict:
     return {
         "threads": REDUCED_THREADS if reduced else FULL_THREADS,
@@ -229,7 +220,6 @@ def run_benchmark(reduced: bool = False) -> dict:
     grid = _grid(reduced)
     floor = 1.5 if reduced else 5.0
     cold_floor = 1.5 if reduced else 3.2
-    warm_disk_floor = 4.0 if reduced else 8.0
 
     def run_reference():
         with reference_mode():
@@ -263,53 +253,29 @@ def run_benchmark(reduced: bool = False) -> dict:
     ref_seconds, (ref, _) = _best_of(run_reference)
     fast_seconds, (fast, caches) = _best_of(run_fast)
 
-    # Warm-disk: the second-process story. A prior process warmed the
-    # artifact store (compile reports via ``repro warm``, the
-    # whole-sweep artifact via one priming sweep); every timed attempt
-    # then starts from *fresh, empty* in-memory caches over that store —
-    # exactly what a new process sees — and restores the identical grid
-    # from the sweep-level artifact in one read (``result.restored``).
-    # A *different* grid over the same store misses that artifact: it
-    # restores every compile report from the store and predicts afresh.
+    # The cold floor divides by the cold-scalar time: interleave the
+    # two so each round meets one host state.
+    timed = _best_of_rounds({
+        "cold_scalar": run_cold_scalar,
+        "cold_batch": run_cold_batch,
+    })
+    cold_scalar_seconds, (cold_scalar, _) = timed["cold_scalar"]
+    cold_batch_seconds, (cold_batch, cold_caches) = timed["cold_batch"]
+
+    # Warm sub-grid: the second-process story. A prior process filled
+    # the artifact store with one store-backed sweep of the full grid;
+    # every timed attempt then starts from *fresh, empty* in-memory
+    # caches over that store — exactly what a new process sees — and
+    # runs a sub-grid: it restores every compile report from the store
+    # and predicts the grid afresh.
     sub_threads = tuple(grid["threads"][::2])
     sub_grid = dict(grid, threads=sub_threads)
     with tempfile.TemporaryDirectory(prefix="bench-store-") as tmp:
         store = ArtifactStore(tmp)
-        warm_store(store, cpu, kernels)
         sweep(cpu, kernels=kernels, engine="batch",
               caches=SuiteCaches.persistent(store), **grid)
 
-        def run_warm_disk():
-            disk_caches = SuiteCaches.persistent(store)
-            return (
-                sweep(cpu, kernels=kernels, engine="batch",
-                      caches=disk_caches, **grid),
-                disk_caches,
-            )
-
-        # The cold and warm-disk floors divide by the cold-scalar time:
-        # interleave the three so each round meets one host state.
-        puts_before = _store_puts(store)
-        timed = _best_of_rounds({
-            "cold_scalar": run_cold_scalar,
-            "cold_batch": run_cold_batch,
-            "warm_disk": run_warm_disk,
-        })
-        warm_disk_puts = _store_puts(store) - puts_before
-        cold_scalar_seconds, (cold_scalar, _) = timed["cold_scalar"]
-        cold_batch_seconds, (cold_batch, cold_caches) = timed["cold_batch"]
-        warm_disk_seconds, (warm_disk, disk_caches) = timed["warm_disk"]
-
-        # The sub-grid sweep persists its own whole-sweep artifact at
-        # the end of each attempt; drop any artifact the priming run
-        # did not write so every attempt really misses that tier (the
-        # unlink is a single small file — measurement noise).
-        sweep_dir = Path(tmp) / "sweep"
-        primed_artifacts = set(sweep_dir.iterdir())
-
         def run_warm_subgrid():
-            for extra in set(sweep_dir.iterdir()) - primed_artifacts:
-                extra.unlink()
             sub_caches = SuiteCaches.persistent(store)
             return (
                 sweep(cpu, kernels=kernels, engine="batch",
@@ -324,30 +290,11 @@ def run_benchmark(reduced: bool = False) -> dict:
     assert fast == ref, "fast path diverged from the reference sweep"
     assert cold_scalar == ref, "scalar engine diverged from the reference"
     assert cold_batch == ref, "batch engine diverged from the reference"
-    assert warm_disk == ref, (
-        "store-restored sweep diverged from the reference"
-    )
-    assert warm_disk.restored, (
-        "identical warmed grid should restore from the whole-sweep "
-        "artifact"
-    )
-    assert warm_disk_puts == 0, (
-        f"warm-disk sweeps wrote {warm_disk_puts} store artifact(s); "
-        f"the store should have served the whole sweep"
-    )
-    disk_stats = disk_caches.stats()
-    assert disk_stats.compile_misses == 0, (
-        f"warm-disk sweep recompiled {disk_stats.compile_misses} "
-        f"kernels; the store should have served the whole sweep"
-    )
     sub_set = set(sub_threads)
     assert warm_subgrid.points == tuple(
         p for p in ref.points if p.threads in sub_set
     ), "sub-grid sweep over the store diverged from the reference"
     assert not warm_subgrid.failures
-    assert not warm_subgrid.restored, (
-        "the sub-grid must miss the whole-sweep artifact"
-    )
     sub_stats = sub_caches.stats()
     assert sub_stats.compile_misses == 0, (
         f"sub-grid sweep recompiled {sub_stats.compile_misses} "
@@ -363,7 +310,6 @@ def run_benchmark(reduced: bool = False) -> dict:
 
     speedup = ref_seconds / fast_seconds
     cold_speedup = cold_scalar_seconds / cold_batch_seconds
-    warm_disk_speedup = cold_scalar_seconds / warm_disk_seconds
     configs = (len(grid["threads"]) * len(grid["placements"])
                * len(grid["precisions"]))
 
@@ -413,10 +359,6 @@ def run_benchmark(reduced: bool = False) -> dict:
         "cold_batch_seconds": round(cold_batch_seconds, 6),
         "cold_speedup": round(cold_speedup, 2),
         "cold_speedup_floor": cold_floor,
-        "warm_disk_seconds": round(warm_disk_seconds, 6),
-        "warm_disk_speedup": round(warm_disk_speedup, 2),
-        "warm_disk_speedup_floor": warm_disk_floor,
-        "warm_disk_restored": warm_disk.restored,
         "warm_subgrid_seconds": round(warm_subgrid_seconds, 6),
         "warm_subgrid_compile_restored": sub_stats.compile_disk_hits,
         "bit_identical": True,
@@ -447,14 +389,7 @@ def _report(record: dict) -> str:
         f"{record['cold_batch_seconds'] * 1e3:9.1f} ms\n"
         f"  cold speedup: {record['cold_speedup']:6.1f}x  "
         f"(floor {record['cold_speedup_floor']}x)\n"
-        f"  warm disk (fresh caches, warmed store):"
-        f"{record['warm_disk_seconds'] * 1e3:8.1f} ms\n"
-        f"  warm disk speedup vs cold scalar: "
-        f"{record['warm_disk_speedup']:6.1f}x  "
-        f"(floor {record['warm_disk_speedup_floor']}x; "
-        f"whole-sweep artifact restored: "
-        f"{record['warm_disk_restored']})\n"
-        f"  warm sub-grid (same store):           "
+        f"  warm sub-grid (fresh caches, store):  "
         f"{record['warm_subgrid_seconds'] * 1e3:9.1f} ms  "
         f"({record['warm_subgrid_compile_restored']} reports "
         f"restored)\n"
@@ -472,13 +407,12 @@ def _report(record: dict) -> str:
 def test_fast_sweep_is_bit_identical_and_faster():
     # CI-friendly: the reduced grid keeps the reference run short, so
     # the asserted floors are deliberately loose; the full floors (5x
-    # warm, 3.2x cold, 8x warm-disk — comfortably cleared) are checked
-    # by the direct run.
+    # warm, 3.2x cold — comfortably cleared) are checked by the direct
+    # run.
     record = run_benchmark(reduced=True)
     print("\n" + _report(record))
     assert record["speedup"] >= record["speedup_floor"]
     assert record["cold_speedup"] >= record["cold_speedup_floor"]
-    assert record["warm_disk_speedup"] >= record["warm_disk_speedup_floor"]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -501,9 +435,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if record["cold_speedup"] < record["cold_speedup_floor"]:
         print("FAIL: cold speedup below floor", file=sys.stderr)
-        return 1
-    if record["warm_disk_speedup"] < record["warm_disk_speedup_floor"]:
-        print("FAIL: warm-disk speedup below floor", file=sys.stderr)
         return 1
     return 0
 

@@ -453,7 +453,6 @@ def _write_sweep_stats(path: str, result, elapsed: float,
         "seconds": elapsed,
         "points": len(result.points),
         "failures": len(result.failures),
-        "restored": result.restored,
         "cache_stats": (
             asdict(result.cache_stats)
             if result.cache_stats is not None else None
@@ -470,45 +469,6 @@ def _write_sweep_stats(path: str, result, elapsed: float,
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"sweep stats written to {path}", file=sys.stderr)
-
-
-def _cmd_warm(args: argparse.Namespace) -> int:
-    from repro.compiler.model import VectorFlavor
-    from repro.store import ArtifactStore, set_default_store
-    from repro.store.warm import warm_store
-
-    registry = _registry(args)
-    known = registry.machine_names()
-    if args.cpu.strip().lower() == "all":
-        names = sorted(known)
-    else:
-        names = [n.strip() for n in args.cpu.split(",")]
-        unknown = [n for n in names if n not in known]
-        if unknown:
-            print(f"unknown machine(s) {unknown}; known: "
-                  f"{sorted(known)}", file=sys.stderr)
-            return 2
-    kernels = _parse_kernels(args.kernels)
-    combos = []
-    for label in args.flavors.split(","):
-        flavor = VectorFlavor(label.strip().lower())
-        combos.append((flavor, False))
-        if args.rollback:
-            combos.append((flavor, True))
-    store = ArtifactStore(args.store)
-    set_default_store(store)
-    for name in names:
-        report = warm_store(
-            store, registry.machine(name), kernels, combos=combos,
-            compiler=args.compiler,
-        )
-        print(report.render())
-    print(
-        f"store {args.store}: {store.artifact_count('compile')} compile "
-        f"+ {store.artifact_count('soa')} soa "
-        f"+ {store.artifact_count('predict')} prediction artifact(s)"
-    )
-    return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -623,17 +583,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         engine_workers=args.engine_workers,
         drain_timeout_s=args.drain_timeout,
         fault_plan=plan,
-        store_path=args.store,
-        prewarm=not args.no_prewarm,
-        prewarm_cpus=tuple(
-            name.strip() for name in args.prewarm_cpu.split(",")
-            if name.strip()
-        ),
-        prewarm_flavors=tuple(
-            label.strip() for label in args.prewarm_flavors.split(",")
-            if label.strip()
-        ),
-        prewarm_rollback=args.prewarm_rollback,
         respcache_entries=args.respcache_entries,
         respcache_bytes=int(args.respcache_mb * (1 << 20)),
         registry_paths=_registry_paths(args),
@@ -869,9 +818,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--store", default=None, metavar="DIR",
-        help="persistent artifact store: compile reports, lowered "
-        "kernels and whole-sweep results are read from and written to "
-        "DIR, so a second process starts near-warm (see 'repro warm')",
+        help="persistent artifact store: compile reports and lowered "
+        "kernels are read from and written to DIR, so a second process "
+        "skips compiling and lowering",
     )
     p_sweep.add_argument(
         "--no-cache", action="store_true",
@@ -887,38 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_registry_flag(p_sweep)
     _add_resilience_flags(p_sweep)
     _add_telemetry_flags(p_sweep)
-
-    p_warm = sub.add_parser(
-        "warm",
-        help="pre-populate a persistent artifact store: compile the "
-        "kernel catalog and persist every report + the SoA lowering",
-    )
-    p_warm.add_argument(
-        "--store", required=True, metavar="DIR",
-        help="artifact store directory (created if missing)",
-    )
-    p_warm.add_argument(
-        "--cpu", default="sg2042",
-        help="machine name, comma-separated list, or 'all'",
-    )
-    p_warm.add_argument(
-        "--kernels", default="all",
-        help="comma-separated kernel names, or 'all' (default: the "
-        "whole 64-kernel catalog)",
-    )
-    p_warm.add_argument(
-        "--flavors", default="vls",
-        help="comma-separated vector flavors to compile (vls,vla)",
-    )
-    p_warm.add_argument(
-        "--rollback", action="store_true",
-        help="additionally warm the RVV-rollback variants",
-    )
-    p_warm.add_argument(
-        "--compiler", default=None,
-        help="compiler short id (default: the platform default)",
-    )
-    _add_registry_flag(p_warm)
 
     p_trace = sub.add_parser(
         "trace",
@@ -990,30 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-plan", default=None, metavar="PLAN.json",
         help="mount this seeded chaos plan inside the server "
         "(resilience drills)",
-    )
-    p_serve.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="persistent artifact store backing the engine caches; "
-        "/readyz reports not-ready until the startup pre-warm from "
-        "DIR completes",
-    )
-    p_serve.add_argument(
-        "--no-prewarm", action="store_true",
-        help="with --store: skip the startup pre-warm (the server is "
-        "ready immediately and warms lazily per request)",
-    )
-    p_serve.add_argument(
-        "--prewarm-cpu", default="sg2042", metavar="NAME[,NAME...]",
-        help="machine(s) the startup pre-warm compiles for",
-    )
-    p_serve.add_argument(
-        "--prewarm-flavors", default="", metavar="FLAVOR[,FLAVOR...]",
-        help="extra vector flavors (vla) the pre-warm also resolves, "
-        "so flavored requests hit warm caches",
-    )
-    p_serve.add_argument(
-        "--prewarm-rollback", action="store_true",
-        help="also pre-warm the RVV-rollback combo for each flavor",
     )
     p_serve.add_argument(
         "--respcache-entries", type=int, default=2048, metavar="N",
@@ -1152,7 +1045,6 @@ def main(argv: list[str] | None = None) -> int:
         "explain": _cmd_explain,
         "trace": _cmd_trace,
         "serve": _cmd_serve,
-        "warm": _cmd_warm,
         "store": _cmd_store,
         "registry": _cmd_registry,
     }

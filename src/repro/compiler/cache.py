@@ -18,7 +18,7 @@ they re-raise identically on every call and sit on cold paths.
 With an :class:`~repro.store.ArtifactStore` attached the cache gains a
 *disk tier*: a memory miss probes the store before compiling, and every
 fresh compilation is written through, so ``analyze()`` results survive
-process restarts (the cold-start cost ``repro serve`` and CI pay).
+process restarts (``repro sweep --store DIR``).
 Disk hits are counted separately from memory hits — ``stats.hits``
 keeps meaning "served from this process's memory" — and any unusable
 artifact degrades to recompute with a :class:`~repro.store.StoreWarning`.
@@ -376,10 +376,6 @@ class CompileCache:
                 entries=len(self._entries),
                 disk_hits=self._disk_hits,
             )
-
-    @property
-    def store(self) -> "ArtifactStore | None":
-        return self._store
 
     def clear(self) -> None:
         """Drop the in-memory tiers (disk artifacts are untouched)."""

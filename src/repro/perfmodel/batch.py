@@ -46,6 +46,7 @@ cannot replay.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -116,11 +117,13 @@ def lower_kernels(kernels: tuple[Kernel, ...]) -> KernelSoA:
     installed, lowerings additionally persist under the ``soa``
     namespace so fresh processes skip the trait walk; the on-disk key
     is the *content* of the lowering inputs (per-kernel trait scalars),
-    so any re-tuned trait self-invalidates.
+    so any re-tuned trait self-invalidates. Only code that imported
+    :mod:`repro.store` can have installed a default store, so a
+    process that never did skips the lookup and never loads the
+    package.
     """
-    from repro.store import default_store
-
-    store = default_store()
+    store_module = sys.modules.get("repro.store")
+    store = None if store_module is None else store_module.default_store()
     if store is None:
         return _lower_kernels_impl(kernels)
 
@@ -163,21 +166,6 @@ def _soa_key_parts(kernels: tuple[Kernel, ...]) -> list:
             float(k.default_size),
         ])
     return ["kernels", rows]
-
-
-def persist_lowering(kernels: tuple[Kernel, ...], store) -> None:
-    """Write ``kernels``' SoA lowering to ``store`` unconditionally.
-
-    ``repro warm`` uses this: :func:`lower_kernels` only writes through
-    on an in-process cache miss, but warming must persist the artifact
-    even when this process already lowered the tuple.
-    """
-    from repro.store.codecs import encode_soa
-
-    store.put(
-        "soa", _soa_key_parts(kernels),
-        encode_soa(_lower_kernels_impl(kernels)),
-    )
 
 
 def _lower_kernels_impl(kernels: tuple[Kernel, ...]) -> KernelSoA:

@@ -1,4 +1,4 @@
-"""Tiered response cache: repeated predictions for one dict lookup.
+"""Response cache: repeated predictions for one dict lookup.
 
 The engine (batch model, compile cache) makes a repeated request
 *cheap*; this cache makes it *free*. Successful responses are
@@ -8,17 +8,10 @@ configuration digest and the kernel names. A hot-key hit costs one dict
 lookup and one socket write; no JSON is rendered, no engine thread is
 touched, and no admission slot is consumed.
 
-Two tiers:
-
-* **Memory** — an LRU dict bounded by entry count *and* total body
-  bytes, so a long-lived server stays bounded no matter how diverse its
-  traffic gets.
-* **Disk (optional)** — the ``"responses"`` namespace of a
-  :class:`repro.store.ArtifactStore`. Responses written by one process
-  are readable by the next, so a restarted server answers hot keys
-  sub-millisecond before the engine is even warm. All the store's
-  degradation rules apply: a torn or stale artifact is a miss, never an
-  error.
+The cache lives in process memory: an LRU dict bounded by entry count
+*and* total body bytes, so a long-lived server stays bounded no matter
+how diverse its traffic gets. A restarted server starts empty and
+refills from the engine.
 
 Correctness rules, in priority order:
 
@@ -27,19 +20,18 @@ Correctness rules, in priority order:
    (``attempts == 1``): a response that embeds retry state would not
    match what an uncached request renders. Engine faults, shed
    responses and every other envelope are never cached.
-2. **Keys are content-addressed and cross-process stable.** Digests are
-   built from canonical JSON (:func:`repro.store.stable_digest` over
-   sorted-key dicts), never ``hash()``, so two processes — or one
-   process before and after a restart — address the same entries.
+2. **Keys are content-addressed.** Digests are built from canonical
+   JSON (:func:`repro.store.stable_digest` over sorted-key dicts), never
+   ``hash()``, so equal requests address one entry and any changed
+   knob addresses another.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from repro import telemetry
 from repro.machine.cpu import CPUModel
@@ -48,18 +40,9 @@ from repro.suite.config import RunConfig
 from repro.suite.memo import machine_digest
 from repro.util.errors import ConfigError
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.store import ArtifactStore
-
-#: A response's identity: JSON-scalar/tuple parts only, so the same
-#: value is both the in-memory dict key and the on-disk artifact key.
+#: A response's identity: endpoint, machine digest, request digest and
+#: kernel names.
 ResponseKey = tuple
-
-#: Store namespace holding persisted responses.
-RESPONSES_NAMESPACE = "responses"
-
-#: Version of the persisted response payload shape.
-RESPONSE_PAYLOAD_VERSION = 1
 
 
 def config_digest(config: RunConfig) -> str:
@@ -133,9 +116,8 @@ def explain_key(cpu: CPUModel, kernel_name: str) -> ResponseKey:
 def response_etag(body: bytes) -> str:
     """The strong ``ETag`` of one response body.
 
-    A content digest, so the same body — rendered fresh, served from
-    memory, or recomposed from the disk tier — always validates against
-    a client's ``If-None-Match``.
+    A content digest, so the same body — rendered fresh or served from
+    memory — always validates against a client's ``If-None-Match``.
     """
     return f'"{hashlib.sha256(body).hexdigest()[:16]}"'
 
@@ -202,7 +184,6 @@ class RespCacheStats:
 
     hits: int = 0
     misses: int = 0
-    disk_hits: int = 0
     stores: int = 0
     evictions: int = 0
     entries: int = 0
@@ -210,28 +191,24 @@ class RespCacheStats:
 
     @property
     def hit_rate(self) -> float | None:
-        """Combined (memory + disk) hit rate; ``None`` before any
-        lookup."""
-        total = self.hits + self.disk_hits + self.misses
+        """Hit rate; ``None`` before any lookup."""
+        total = self.hits + self.misses
         if not total:
             return None
-        return (self.hits + self.disk_hits) / total
+        return self.hits / total
 
 
 class ResponseCache:
-    """LRU-bounded, optionally store-backed map of pre-serialized
-    responses.
+    """LRU-bounded map of pre-serialized responses.
 
-    Thread-safe (the serving loop is single-threaded today, but store
-    I/O degradation warnings can surface from engine threads and the
-    lock keeps the counters honest either way). ``max_entries=0``
-    disables the cache entirely: every lookup misses, nothing is
-    stored — the historical always-render behaviour.
+    Thread-safe (the serving loop is single-threaded today; the lock
+    keeps the counters honest either way). ``max_entries=0`` disables
+    the cache entirely: every lookup misses, nothing is stored — the
+    historical always-render behaviour.
     """
 
     def __init__(
         self,
-        store: "ArtifactStore | None" = None,
         max_entries: int = 2048,
         max_bytes: int = 64 << 20,
     ) -> None:
@@ -241,18 +218,13 @@ class ResponseCache:
             )
         if max_bytes < 1:
             raise ConfigError(f"max_bytes must be >= 1, got {max_bytes}")
-        self._store = store
         self._max_entries = max_entries
         self._max_bytes = max_bytes
         self._lock = threading.Lock()
         self._entries: dict[ResponseKey, CachedResponse] = {}
-        #: Machine digests whose persisted responses must not be
-        #: served this process (see :meth:`invalidate`).
-        self._invalidated: set[str] = set()
         self._bytes = 0
         self._hits = 0
         self._misses = 0
-        self._disk_hits = 0
         self._stores = 0
         self._evictions = 0
 
@@ -260,19 +232,10 @@ class ResponseCache:
     def enabled(self) -> bool:
         return self._max_entries > 0
 
-    @property
-    def store(self) -> "ArtifactStore | None":
-        return self._store
-
     # -- lookups -----------------------------------------------------------
 
     def get(self, key: ResponseKey) -> CachedResponse | None:
-        """The cached response for ``key``, or ``None``.
-
-        Memory first (LRU touch), then the persistent tier; a disk hit
-        is promoted into memory so the recompose cost is paid once per
-        process.
-        """
+        """The cached response for ``key`` (an LRU touch), or ``None``."""
         if not self.enabled:
             return None
         reg = telemetry.metrics()
@@ -285,14 +248,6 @@ class ResponseCache:
                 self._hits += 1
                 reg.counter("serve.respcache.hits").inc()
                 return cached
-        cached = self._disk_get(key)
-        if cached is not None:
-            with self._lock:
-                self._disk_hits += 1
-                self._insert(key, cached)
-            reg.counter("serve.respcache.disk_hits").inc()
-            return cached
-        with self._lock:
             self._misses += 1
         reg.counter("serve.respcache.misses").inc()
         return None
@@ -306,8 +261,7 @@ class ResponseCache:
         """Cache one successful response body (idempotent per key).
 
         Oversized bodies (larger than the whole byte budget) are never
-        cached; everything else is written through to the persistent
-        tier when one is attached.
+        cached.
         """
         if not self.enabled or len(body) > self._max_bytes:
             return
@@ -318,30 +272,15 @@ class ResponseCache:
             self._stores += 1
             self._insert(key, cached)
         telemetry.metrics().counter("serve.respcache.stores").inc()
-        if self._store is not None:
-            from repro.store import jsonable_parts
-
-            self._store.put(
-                RESPONSES_NAMESPACE,
-                tuple(jsonable_parts(key)),
-                {
-                    "payload_version": RESPONSE_PAYLOAD_VERSION,
-                    "status": cached.status,
-                    "content_type": cached.content_type,
-                    "body": body.decode("utf-8"),
-                },
-            )
 
     def invalidate(self, machine_digest_str: str) -> int:
         """Drop every cached response keyed on one machine digest.
 
         The ``POST /machines`` registration hook: the moment a machine
         document is (re-)registered, responses addressed by its digest
-        are evicted from the memory tier and the digest is blocked from
-        the disk tier for the rest of the process — a stale artifact
-        persisted by an earlier run can never shadow the freshly
-        registered machine. Returns the number of memory entries
-        dropped; counted under ``serve.respcache.invalidated``.
+        are evicted, so a stale response can never shadow the freshly
+        registered machine. Returns the number of entries dropped;
+        counted under ``serve.respcache.invalidated``.
         """
         with self._lock:
             victims = [
@@ -350,7 +289,6 @@ class ResponseCache:
             ]
             for key in victims:
                 self._bytes -= len(self._entries.pop(key))
-            self._invalidated.add(machine_digest_str)
         telemetry.metrics().counter(
             "serve.respcache.invalidated"
         ).inc(len(victims))
@@ -382,47 +320,6 @@ class ResponseCache:
                 "serve.respcache.evictions"
             ).inc(evicted)
 
-    def _disk_get(self, key: ResponseKey) -> CachedResponse | None:
-        if self._store is None:
-            return None
-        with self._lock:
-            if len(key) > 1 and key[1] in self._invalidated:
-                return None
-        from repro.store import CodecError, StoreWarning, jsonable_parts
-
-        try:
-            payload = self._store.get(
-                RESPONSES_NAMESPACE, tuple(jsonable_parts(key))
-            )
-        except CodecError:
-            return None  # unstorable key shape: purely in-memory
-        if payload is None:
-            return None
-        if payload.get("payload_version") != RESPONSE_PAYLOAD_VERSION:
-            warnings.warn(
-                f"stored response has payload_version "
-                f"{payload.get('payload_version')!r}; this build reads "
-                f"{RESPONSE_PAYLOAD_VERSION}; recomputing",
-                StoreWarning, stacklevel=3,
-            )
-            return None
-        body = payload.get("body")
-        status = payload.get("status")
-        content_type = payload.get("content_type")
-        if (
-            not isinstance(body, str)
-            or status != 200
-            or not isinstance(content_type, str)
-        ):
-            warnings.warn(
-                "stored response payload is malformed; recomputing",
-                StoreWarning, stacklevel=3,
-            )
-            return None
-        return CachedResponse.for_body(
-            body.encode("utf-8"), content_type=content_type
-        )
-
     # -- reporting ---------------------------------------------------------
 
     def stats(self) -> RespCacheStats:
@@ -430,7 +327,6 @@ class ResponseCache:
             return RespCacheStats(
                 hits=self._hits,
                 misses=self._misses,
-                disk_hits=self._disk_hits,
                 stores=self._stores,
                 evictions=self._evictions,
                 entries=len(self._entries),
@@ -438,7 +334,7 @@ class ResponseCache:
             )
 
     def clear(self) -> None:
-        """Drop the memory tier (disk artifacts are untouched)."""
+        """Drop every cached response."""
         with self._lock:
             self._entries.clear()
             self._bytes = 0

@@ -9,11 +9,10 @@ prediction engine. Endpoints:
 * ``POST /explain`` — the full model story for one kernel.
 * ``GET /machines`` — every registered machine with its digest.
 * ``POST /machines`` — register a user-submitted machine document
-  (validated, digest-invalidated in the response cache, pre-warmed).
+  (validated, digest-invalidated in the response cache).
 * ``GET /healthz`` — liveness (200 while the process runs).
-* ``GET /readyz`` — readiness (503 while draining, while the engine
-  circuit breaker is open, or while the startup pre-warm from a
-  configured artifact store is still running).
+* ``GET /readyz`` — readiness (503 while draining or while the engine
+  circuit breaker is open).
 * ``GET /metrics`` — the telemetry registry as a flat text dump.
 
 The robustness contract (see ``docs/SERVE.md``): every request has a
@@ -30,11 +29,9 @@ import asyncio
 import math
 import sys
 import threading
-import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from repro import telemetry
 from repro.kernels.registry import get_kernel
@@ -69,9 +66,6 @@ from repro.suite.memo import SuiteCaches, machine_digest
 from repro.suite.runner import SuiteResult, run_suite
 from repro.util.errors import ConfigError, ReproError
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.store import ArtifactStore
-
 #: Upper bound on one ``/sweep`` request's grid (points x kernels).
 MAX_SWEEP_CELLS = 512
 
@@ -103,22 +97,8 @@ class ServeConfig:
     idle_timeout_s: float = 30.0
     #: Chaos plan mounted for the server's lifetime (CI smoke tests).
     fault_plan: FaultPlan | None = None
-    #: Artifact-store directory backing the compile cache and the
-    #: response cache. ``None`` keeps both memory-only, exactly the
-    #: historical behaviour.
-    store_path: str | None = None
-    #: With a store configured, pre-warm the engine caches from disk at
-    #: startup; ``/readyz`` reports 503 until the pre-warm finishes.
-    prewarm: bool = True
-    #: Machines to pre-warm (catalog names).
-    prewarm_cpus: tuple[str, ...] = ("sg2042",)
-    #: Extra vector flavors ("vla") the pre-warm also resolves, so
-    #: flavored requests hit warm compile caches / the disk tier.
-    prewarm_flavors: tuple[str, ...] = ()
-    #: Also pre-warm the RVV-rollback combo for each warmed flavor.
-    prewarm_rollback: bool = False
     #: Response cache: entry cap (0 disables it entirely) and total
-    #: body-byte budget for the in-memory tier.
+    #: body-byte budget.
     respcache_entries: int = 2048
     respcache_bytes: int = 64 << 20
     #: Extra registry roots layered over the shipped data; the server's
@@ -182,32 +162,18 @@ class EngineState:
     Keyed by :func:`machine_digest`, so two requests naming equal
     machines (even via different objects) share compile cache entries,
     while any re-tuned parameter isolates them.
-
-    With ``store`` set, every machine's compile cache is persistent
-    (:meth:`SuiteCaches.persistent` over the one shared store), so
-    restarts pick up compile reports from disk.
     """
 
-    def __init__(self, store: "ArtifactStore | None" = None) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._caches: dict[int, SuiteCaches] = {}
-        self._store = store
-
-    @property
-    def store(self) -> "ArtifactStore | None":
-        return self._store
 
     def caches_for(self, cpu: CPUModel) -> SuiteCaches:
         digest = machine_digest(cpu)
         with self._lock:
             caches = self._caches.get(digest)
             if caches is None:
-                caches = (
-                    SuiteCaches.persistent(self._store)
-                    if self._store is not None
-                    else SuiteCaches()
-                )
-                self._caches[digest] = caches
+                caches = self._caches[digest] = SuiteCaches()
             return caches
 
 
@@ -216,19 +182,7 @@ class PredictionServer:
 
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
-        self.store = None
-        if self.config.store_path is not None:
-            from repro.store import ArtifactStore
-
-            self.store = ArtifactStore(self.config.store_path)
-        self.state = EngineState(store=self.store)
-        # No store (or pre-warm disabled) means nothing to wait for:
-        # the server is ready the moment the socket binds, exactly the
-        # historical behaviour.
-        self._prewarm_pending = (
-            self.store is not None and self.config.prewarm
-        )
-        self._previous_store: tuple | None = None
+        self.state = EngineState()
         self.admission = AdmissionController(
             max_inflight=self.config.max_inflight,
             base_retry_after_ms=self.config.base_retry_after_ms,
@@ -241,7 +195,6 @@ class PredictionServer:
         )
         self.latency = telemetry.LatencyWindow()
         self.respcache = ResponseCache(
-            store=self.store,
             max_entries=self.config.respcache_entries,
             max_bytes=self.config.respcache_bytes,
         )
@@ -291,12 +244,6 @@ class PredictionServer:
         self._executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve"
         )
-        if self.store is not None:
-            # Route module-level artifacts (the suite SoA lowering)
-            # through the server's store for the process lifetime.
-            from repro.store import set_default_store
-
-            self._previous_store = (set_default_store(self.store),)
         self._server = await asyncio.start_server(
             self._handle_client, self.config.host, self.config.port
         )
@@ -304,79 +251,6 @@ class PredictionServer:
         reg = telemetry.metrics()
         reg.gauge("serve.breaker_state").set(self.breaker.state.code)
         reg.gauge("serve.draining").set(0)
-        if self._prewarm_pending:
-            reg.gauge("serve.ready").set(0)
-            future = asyncio.get_running_loop().run_in_executor(
-                self._executor, self._prewarm_worker
-            )
-            future.add_done_callback(self._prewarm_finished)
-        else:
-            reg.gauge("serve.ready").set(1)
-
-    def _prewarm_worker(self) -> None:
-        """Warm every configured machine's caches from the store.
-
-        Runs on an engine worker thread before the server reports
-        ready. Failure is never fatal: a machine that cannot warm is
-        logged (``serve.prewarm_errors``) and the server becomes ready
-        anyway — the request path recomputes on demand, bit-identically.
-        """
-        from repro.compiler.model import VectorFlavor
-        from repro.store.warm import warm_caches
-
-        started = time.monotonic()
-        reg = telemetry.metrics()
-        combos: list[tuple[VectorFlavor, bool]] | None = None
-        if self.config.prewarm_flavors or self.config.prewarm_rollback:
-            flavors = [VectorFlavor.VLS]
-            for label in self.config.prewarm_flavors:
-                try:
-                    flavor = VectorFlavor(label.lower())
-                except ValueError:
-                    reg.counter("serve.prewarm_errors").inc()
-                    warnings.warn(
-                        f"prewarm: unknown vector flavor {label!r}",
-                        stacklevel=2,
-                    )
-                    continue
-                if flavor not in flavors:
-                    flavors.append(flavor)
-            combos = [(flavor, False) for flavor in flavors]
-            if self.config.prewarm_rollback:
-                combos.extend((flavor, True) for flavor in flavors)
-        for name in self.config.prewarm_cpus:
-            cpu = self._cpus.get(name)
-            if cpu is None:
-                reg.counter("serve.prewarm_errors").inc()
-                warnings.warn(
-                    f"prewarm: unknown machine {name!r}; known: "
-                    f"{sorted(self._cpus)}",
-                    stacklevel=2,
-                )
-                continue
-            try:
-                resolved = warm_caches(
-                    self.state.caches_for(cpu), cpu, combos=combos
-                )
-                reg.counter("serve.prewarm_kernels").inc(resolved)
-            except Exception as exc:
-                reg.counter("serve.prewarm_errors").inc()
-                warnings.warn(
-                    f"prewarm failed for {name!r}: {exc} "
-                    f"(serving cold; requests recompute on demand)",
-                    stacklevel=2,
-                )
-        reg.gauge("serve.prewarm_seconds").set(
-            round(time.monotonic() - started, 6)
-        )
-
-    def _prewarm_finished(self, future) -> None:
-        self._prewarm_pending = False
-        exc = future.exception() if not future.cancelled() else None
-        if exc is not None:  # pragma: no cover - worker catches its own
-            telemetry.metrics().counter("serve.prewarm_errors").inc()
-        if self._started:
-            telemetry.metrics().gauge("serve.ready").set(1)
 
     async def drain(self) -> None:
         """Graceful shutdown: stop accepting, let in-flight requests
@@ -410,11 +284,6 @@ class PredictionServer:
         if self._previous_telemetry is not None:
             telemetry.install(*self._previous_telemetry)
             self._previous_telemetry = None
-        if self._previous_store is not None:
-            from repro.store import set_default_store
-
-            set_default_store(self._previous_store[0])
-            self._previous_store = None
         self._started = False
 
     @property
@@ -602,11 +471,6 @@ class PredictionServer:
                 retry_after_ms=self.breaker.retry_after_ms(),
                 details={"breaker_state": state.value},
             )
-        if self._prewarm_pending:
-            raise Unavailable(
-                "pre-warming engine caches from the artifact store",
-                retry_after_ms=1000,
-            )
         return _RequestOutcome(
             200,
             http.json_body(
@@ -640,8 +504,7 @@ class PredictionServer:
         ``doc``). Registration is idempotent on the machine digest; a
         changed document under a known name replaces it. Every
         registration invalidates the response cache for the digests
-        involved and pre-warms the new machine's engine caches in the
-        background.
+        involved; the new machine's caches fill on its first request.
         """
         from repro.registry import parse_document, validate_document
 
@@ -674,10 +537,6 @@ class PredictionServer:
                 str(machine_digest(existing))
             )
         telemetry.metrics().counter("serve.machines_registered").inc()
-        if self._executor is not None and not self._draining:
-            asyncio.get_running_loop().run_in_executor(
-                self._executor, self._warm_machine, cpu
-            )
         payload = {
             "name": rdoc.name,
             "cpu": cpu.name,
@@ -686,22 +545,6 @@ class PredictionServer:
             "invalidated_responses": invalidated,
         }
         return _RequestOutcome(201, http.json_body(payload))
-
-    def _warm_machine(self, cpu) -> None:
-        """Background pre-warm of one just-registered machine."""
-        from repro.store.warm import warm_caches
-
-        reg = telemetry.metrics()
-        try:
-            resolved = warm_caches(self.state.caches_for(cpu), cpu)
-            reg.counter("serve.prewarm_kernels").inc(resolved)
-        except Exception as exc:
-            reg.counter("serve.prewarm_errors").inc()
-            warnings.warn(
-                f"pre-warm failed for registered machine "
-                f"{cpu.name!r}: {exc} (serving cold)",
-                stacklevel=2,
-            )
 
     # -- request parsing ---------------------------------------------------
 

@@ -1,14 +1,12 @@
 """``repro.store`` — persistent artifacts for the cold path.
 
-The package persists the artifact kinds a fresh process otherwise
-recomputes from scratch — compilation reports, lowered-kernel SoA
-arrays, whole-sweep results and serve responses — in a
+The package persists two artifact kinds a fresh process otherwise
+recomputes — compilation reports and lowered-kernel SoA arrays — in a
 content-addressed, versioned, crash-safe on-disk
 :class:`ArtifactStore`. The compile cache
 (:class:`repro.compiler.cache.CompileCache`) accepts a store as an
 optional disk tier; :func:`repro.suite.memo.SuiteCaches.persistent`
-attaches one; ``repro warm`` pre-populates a store for a whole catalog, and
-``repro serve`` pre-warms from one before reporting ready.
+attaches one, as ``repro sweep --store DIR`` does.
 
 A process-wide *default store* hook exists for the one cache that is
 module-level rather than object-level (the batch engine's

@@ -1,13 +1,13 @@
 """Content-addressed on-disk artifact store: the cold path's warm tier.
 
-Warm sweeps are cheap in process, but every *fresh process* — a CI job, a
-``repro serve`` cold start, a ``repro sweep --store`` run — pays the
-full per-kernel ``analyze()`` and SoA-lowering cost again because those
-artifacts live only in process memory. The :class:`ArtifactStore`
-persists them: small JSON artifacts addressed by a stable content
-digest of everything the cached value depends on (compiler identity,
-kernel, target ISA, ``machine_digest(cpu)``, configuration), so a
-second process finds the first one's work on disk.
+Warm sweeps are cheap in process, but every *fresh process* — a CI job
+or a ``repro sweep --store`` run — pays the full per-kernel
+``analyze()`` and SoA-lowering cost again because those artifacts live
+only in process memory. The :class:`ArtifactStore` persists them: small
+JSON artifacts addressed by a stable content digest of everything the
+cached value depends on (compiler identity, kernel, target ISA,
+configuration, or the lowering's trait scalars), so a second process
+finds the first one's work on disk.
 
 Design rules, in priority order:
 
@@ -44,7 +44,7 @@ from typing import Any
 STORE_SCHEMA_VERSION = 1
 
 #: Namespaces the store recognises; one subdirectory per namespace.
-KNOWN_NAMESPACES = ("compile", "responses", "soa", "sweep")
+KNOWN_NAMESPACES = ("compile", "soa")
 
 
 class StoreWarning(UserWarning):
@@ -193,7 +193,7 @@ class ArtifactStore:
             "key": self._canonical_key(key_parts),
             "payload": payload,
         }
-        # Unique temp name per writer: two processes warming the same
+        # Unique temp name per writer: two processes filling the same
         # store must not scribble on one temp file.
         tmp = path.with_name(
             f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"

@@ -1,13 +1,11 @@
 """Bit-exact JSON codecs for the artifacts the store persists.
 
-Three artifact kinds:
+Two artifact kinds:
 
 * ``compile`` — a :class:`VectorizationReport` (the result of
   :func:`repro.compiler.vectorizer.analyze`);
 * ``soa`` — a :class:`~repro.perfmodel.batch.KernelSoA` lowering of a
-  kernel tuple;
-* ``sweep`` — a completed (failure-free) sweep's full point list, the
-  whole-grid warm tier a second process restores in one read.
+  kernel tuple.
 
 Bit-identity matters more than compactness here: every float travels
 through ``json`` as its ``repr``, which Python guarantees to round-trip
@@ -95,61 +93,6 @@ def decode_report(payload: dict) -> VectorizationReport:
     except (KeyError, TypeError, ValueError) as exc:
         raise CodecError(f"malformed compile report payload: {exc}")
     return report
-
-
-# -- whole-sweep results -------------------------------------------------
-
-
-def encode_sweep_points(points) -> dict:
-    """One completed sweep's rows — ``[threads, placement, precision,
-    kernel, seconds]`` — with the CPU name hoisted (a sweep runs one
-    machine, so every row shares it)."""
-    return {
-        "payload_version": PAYLOAD_VERSION,
-        "cpu": points[0].cpu,
-        "points": [
-            [p.threads, p.placement.value, p.precision.label, p.kernel,
-             p.seconds]
-            for p in points
-        ],
-    }
-
-
-def decode_sweep_points(payload: dict, cpu_name: str, expected: int):
-    """Rebuild a stored sweep's point tuple.
-
-    ``expected`` is the requested grid's exact point count (axes x
-    kernels); a failure-free sweep always yields it, so any other
-    length means the artifact does not describe this request.
-    """
-    from repro.suite.config import Placement, Precision
-    from repro.suite.sweep import SweepPoint
-
-    _require_version(payload, "sweep result")
-    if payload.get("cpu") != cpu_name:
-        raise CodecError("sweep payload cpu does not match the request")
-    rows = payload.get("points")
-    if not isinstance(rows, list) or len(rows) != expected:
-        found = len(rows) if isinstance(rows, list) else "no"
-        raise CodecError(
-            f"sweep payload holds {found} point(s); "
-            f"this grid needs {expected}"
-        )
-    placements = {p.value: p for p in Placement}
-    precisions = {p.label: p for p in Precision}
-    out = []
-    append = out.append
-    try:
-        for threads, placement, precision, kernel, seconds in rows:
-            if type(seconds) is not float or not math.isfinite(seconds):
-                seconds = _finite_float(seconds, "seconds")
-            append(SweepPoint(
-                cpu_name, int(threads), placements[placement],
-                precisions[precision], str(kernel), seconds,
-            ))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CodecError(f"malformed sweep payload: {exc}")
-    return tuple(out)
 
 
 # -- KernelSoA -----------------------------------------------------------

@@ -1,9 +1,9 @@
 """Garbage collection for long-lived artifact stores.
 
-A store directory shared by CI jobs, serve instances and sweeps
-grows without bound: every new machine, flavor combo or response key
-adds artifacts, and nothing ever deleted them. :func:`prune_store`
-bounds it two ways, composable in one pass:
+A store directory shared by CI jobs and sweeps grows without bound:
+every new compiler, flavor combo or kernel list adds artifacts, and
+nothing ever deleted them. :func:`prune_store` bounds it two ways,
+composable in one pass:
 
 * **Age** (``max_age_s``): artifacts whose mtime is older than the
   horizon are deleted — stale machines and one-off configurations

@@ -1,8 +1,8 @@
 """Machine digests + per-sweep cache bookkeeping.
 
 :func:`machine_digest` names a machine by its full description, so two
-equal machines share cache entries and store artifacts while any
-re-tuned parameter changes the name.
+equal machines share cache entries while any re-tuned parameter changes
+the name.
 
 :class:`SuiteCaches` bundles the compile cache a sweep shares across
 its grid points; :class:`CacheCounters` is the counters snapshot
@@ -36,9 +36,10 @@ def machine_digest(cpu: CPUModel) -> int:
     content-addressed *and* stable across processes: equal machines
     digest equally even under hash randomization, while any parameter
     change — a cache size, a thrash threshold — changes it. That
-    cross-process stability is what lets the whole-sweep and response
-    store tiers share artifacts between runs. Cached per model object
-    (the serialization walk is far pricier than a dataclass hash).
+    cross-process stability is what lets two server instances compare
+    their machines by digest (``GET /machines``). Cached per model
+    object (the serialization walk is far pricier than a dataclass
+    hash).
     """
     from repro.machine.serialize import cpu_to_dict
 
@@ -117,13 +118,6 @@ class SuiteCaches:
     def persistent(cls, store: "ArtifactStore") -> "SuiteCaches":
         """A compile cache backed by an on-disk artifact store."""
         return cls(compile=CompileCache(store=store))
-
-    @property
-    def store(self) -> "ArtifactStore | None":
-        """The artifact store backing the compile cache (``None`` when
-        it is memory-only). The sweep driver locates the whole-sweep
-        artifact tier through this."""
-        return self.compile.store if self.compile is not None else None
 
     def stats(self) -> CacheCounters:
         if self.compile is None:

@@ -75,13 +75,14 @@ class TestEngineState:
         )
         assert state.caches_for(retuned) is not state.caches_for(cpu)
 
-    def test_store_backs_every_machine(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        state = EngineState(store)
-        assert state.store is store
-        for cpu in (catalog.sg2042(), catalog.amd_rome()):
-            assert state.caches_for(cpu).store is store
-        assert EngineState().caches_for(catalog.sg2042()).store is None
+    def test_engine_state_takes_no_store(self, tmp_path):
+        # Every machine's compile cache lives in process memory; the
+        # server opens no artifact store.
+        with pytest.raises(TypeError):
+            EngineState(ArtifactStore(tmp_path / "store"))
+        with pytest.raises(TypeError):
+            ServeConfig(store_path=str(tmp_path / "store"))
+        assert not (tmp_path / "store").exists()
 
 
 class TestBreakerHearsEveryEngineCall:

@@ -131,35 +131,6 @@ class TestExplainBodiesIgnoreServerHistory:
         assert b"telemetry:" not in first
 
 
-class TestPersistentTier:
-    def test_restart_serves_identical_bytes_from_disk(self, tmp_path):
-        """A fresh process (new server, same store) answers the first
-        request from the persistent response tier, byte-identically."""
-        config = dict(
-            store_path=str(tmp_path / "store"), prewarm=False
-        )
-        request = {"kernel": "DOT", "threads": 16}
-
-        async def warm(server):
-            return await raw_request(
-                server.port, "POST", "/predict", request
-            )
-
-        async def cold_start(server):
-            raw = await raw_request(
-                server.port, "POST", "/predict", request
-            )
-            return raw, server.respcache.stats()
-
-        first = with_server(default_config(**config), warm)
-        second, stats = with_server(
-            default_config(**config), cold_start
-        )
-        assert first.startswith(b"HTTP/1.1 200 OK\r\n")
-        assert second == first
-        assert stats.disk_hits == 1 and stats.hits == 0
-
-
 class TestFaultsAreNeverCached:
     def test_engine_faults_bypass_the_cache(self):
         plan = FaultPlan(seed=11, rules=(

@@ -1,9 +1,8 @@
-"""Response cache unit behaviour: keys, LRU, tiers, pre-serialization."""
+"""Response cache unit behaviour: keys, LRU, pre-serialization."""
 
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -12,14 +11,12 @@ from repro.machine import catalog
 from repro.serve import http
 from repro.serve.respcache import (
     CachedResponse,
-    RESPONSES_NAMESPACE,
     ResponseCache,
     config_digest,
     explain_key,
     predict_key,
     sweep_key,
 )
-from repro.store import ArtifactStore, StoreWarning, jsonable_parts
 from repro.suite.config import Placement, Precision, RunConfig
 from repro.util.errors import ConfigError
 
@@ -183,54 +180,15 @@ class TestMemoryTier:
         with pytest.raises(ConfigError):
             ResponseCache(max_bytes=0)
 
-
-class TestDiskTier:
-    def test_round_trips_through_the_store(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        key = predict_key(
-            catalog.sg2042(), _serving_config(), "TRIAD"
-        )
-        writer = ResponseCache(store=store)
-        body = http.json_body({"kernel": "TRIAD", "seconds": 0.25})
-        writer.put(key, body)
-        # A fresh cache (fresh process, conceptually) restores from
-        # disk and promotes into memory.
-        reader = ResponseCache(store=store)
-        hit = reader.get(key)
-        assert hit is not None
-        assert hit.body == body
-        assert reader.stats().disk_hits == 1
-        assert reader.get(key) is not None
-        assert reader.stats().hits == 1  # second read: memory tier
-
-    def test_malformed_disk_payload_degrades_to_miss(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        key = ("predict", "1", "d", ("TRIAD",))
-        store.put(
-            RESPONSES_NAMESPACE, tuple(jsonable_parts(key)),
-            {"payload_version": 1, "status": 200, "body": 42,
-             "content_type": "application/json"},
-        )
-        cache = ResponseCache(store=store)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert cache.get(key) is None
-        assert any(
-            issubclass(w.category, StoreWarning) for w in caught
-        )
-
-    def test_unknown_payload_version_degrades_to_miss(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        key = ("predict", "1", "d", ("TRIAD",))
-        store.put(
-            RESPONSES_NAMESPACE, tuple(jsonable_parts(key)),
-            {"payload_version": 999, "status": 200, "body": "{}",
-             "content_type": "application/json"},
-        )
-        cache = ResponseCache(store=store)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert cache.get(key) is None
-        assert any(
-            issubclass(w.category, StoreWarning) for w in caught
-        )
+    def test_the_cache_lives_in_process_memory_only(self):
+        # No store parameter, and no disk tier in the counters: a hit
+        # rate is memory hits over lookups.
+        with pytest.raises(TypeError):
+            ResponseCache(store=None)
+        cache = ResponseCache()
+        cache.put(("a",), b"1")
+        for key in (("a",), ("a",), ("b",)):
+            cache.get(key)
+        stats = cache.stats()
+        assert not hasattr(stats, "disk_hits")
+        assert stats.hit_rate == pytest.approx(2 / 3)

@@ -1,6 +1,7 @@
 """End-to-end tests of the prediction service over real sockets."""
 
 import asyncio
+import dataclasses
 
 import pytest
 
@@ -51,6 +52,24 @@ class TestHealth:
         assert health[0] == 200 and health[2] == {"status": "ok"}
         assert ready[0] == 200
         assert ready[2]["breaker"] == "closed"
+
+    def test_no_store_is_ready_immediately(self):
+        # Start-up waits for nothing: the server is ready the moment
+        # its socket binds.
+        async def scenario(server):
+            return await http_request(server.port, "GET", "/readyz")
+
+        status, _, body = with_server(default_config(), scenario)
+        assert status == 200 and body["status"] == "ready"
+
+    @pytest.mark.parametrize("name", [
+        "store_path", "prewarm", "prewarm_cpus", "prewarm_flavors",
+        "prewarm_rollback",
+    ])
+    def test_config_has_no_store_or_prewarm_field(self, name):
+        assert name not in {
+            f.name for f in dataclasses.fields(ServeConfig)
+        }
 
     def test_unknown_route_404(self):
         async def scenario(server):
@@ -574,6 +593,11 @@ class TestMetricsAndDrain:
             "gauge serve.latency_p99_ms",
         ):
             assert metric in text, f"{metric} missing from:\n{text}"
+        # No start-up pre-warm, so no readiness gauge or pre-warm
+        # counters.
+        assert "serve.ready" not in text
+        assert "serve.prewarm" not in text
+        assert "serve.respcache.disk_hits" not in text
 
     def test_repeat_traffic_without_response_cache_recomputes(self):
         """With the response cache disabled, every repeat reaches the

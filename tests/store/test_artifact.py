@@ -55,6 +55,15 @@ class TestRoundTrip:
         assert store.get("soa", KEY) is None
         assert store.artifact_count() == 1
 
+    def test_total_count_covers_the_known_namespaces_only(self, store):
+        store.put("compile", KEY, {"v": 1})
+        store.put("soa", KEY, {"v": 2})
+        # Namespaces an older build wrote are not counted.
+        for leftover in ("predict", "sweep", "responses"):
+            store.put(leftover, KEY, {"v": 3})
+        assert store.artifact_count() == 2
+        assert store.artifact_count("sweep") == 1
+
     def test_overwrite_wins(self, store):
         store.put("compile", KEY, {"v": 1})
         store.put("compile", KEY, {"v": 2})

@@ -14,13 +14,9 @@ from repro.store import CodecError, jsonable_parts
 from repro.store.codecs import (
     decode_report,
     decode_soa,
-    decode_sweep_points,
     encode_report,
     encode_soa,
-    encode_sweep_points,
 )
-from repro.suite.config import Placement, Precision
-from repro.suite.sweep import SweepPoint
 
 
 def _json_round_trip(payload):
@@ -77,59 +73,6 @@ class TestSoaCodec:
         payload["arrays"]["reps"] = payload["arrays"]["reps"][:-1]
         with pytest.raises(CodecError, match="reps"):
             decode_soa(payload, kernels)
-
-
-class TestSweepPointsCodec:
-    def _points(self):
-        return tuple(
-            SweepPoint("sg2042", threads, placement, precision, kernel,
-                       0.1 * threads + 0.01)
-            for threads in (1, 64)
-            for placement in (Placement.BLOCK, Placement.CYCLIC)
-            for precision in (Precision.FP32,)
-            for kernel in ("TRIAD", "GEMM")
-        )
-
-    def test_round_trip_is_bit_exact(self):
-        points = self._points()
-        payload = _json_round_trip(encode_sweep_points(points))
-        assert decode_sweep_points(payload, "sg2042", len(points)) \
-            == points
-
-    def test_wrong_cpu_raises(self):
-        points = self._points()
-        payload = encode_sweep_points(points)
-        with pytest.raises(CodecError, match="cpu"):
-            decode_sweep_points(payload, "c910-dev", len(points))
-
-    def test_wrong_point_count_raises(self):
-        points = self._points()
-        payload = encode_sweep_points(points)
-        with pytest.raises(CodecError, match="needs"):
-            decode_sweep_points(payload, "sg2042", len(points) + 8)
-
-    def test_infinite_seconds_rejected(self):
-        # type(seconds) is float alone would wave Infinity through —
-        # json.loads produces it from bare "Infinity" tokens.
-        points = self._points()
-        payload = encode_sweep_points(points)
-        payload["points"][0][4] = float("inf")
-        with pytest.raises(CodecError, match="finite"):
-            decode_sweep_points(payload, "sg2042", len(points))
-
-    def test_unknown_placement_raises(self):
-        points = self._points()
-        payload = encode_sweep_points(points)
-        payload["points"][0][1] = "diagonal"
-        with pytest.raises(CodecError, match="malformed"):
-            decode_sweep_points(payload, "sg2042", len(points))
-
-    def test_short_row_raises(self):
-        points = self._points()
-        payload = encode_sweep_points(points)
-        payload["points"][0] = payload["points"][0][:3]
-        with pytest.raises(CodecError):
-            decode_sweep_points(payload, "sg2042", len(points))
 
 
 class TestJsonableParts:

@@ -1,0 +1,137 @@
+"""Only a store-backed run loads ``repro.store``.
+
+``lower_kernels`` reads the process-wide default store, and only code
+that imported ``repro.store`` can have installed one. So a run without
+a store never imports the package, while ``repro sweep --store DIR``
+still persists its SoA lowering. The import checks run each case in a
+fresh interpreter, whose ``sys.modules`` starts clean.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+_SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+#: One storeless run per case; each must leave ``repro.store`` unloaded.
+STORELESS = {
+    "run_suite": (
+        "from repro.machine.catalog import sg2042\n"
+        "from repro.suite.config import RunConfig\n"
+        "from repro.suite.runner import run_suite\n"
+        "run_suite(sg2042(), RunConfig())\n"
+    ),
+    "sweep": (
+        "from repro.kernels.registry import get_kernel\n"
+        "from repro.machine.catalog import sg2042\n"
+        "from repro.suite.sweep import sweep\n"
+        "result = sweep(sg2042(), [get_kernel('TRIAD'),"
+        " get_kernel('GEMM')], threads=(1, 8))\n"
+        "assert result.telemetry is None and len(result.points) == 4\n"
+    ),
+    "cli sweep": (
+        "from repro.cli import main\n"
+        "assert main(['sweep', '--kernels', 'TRIAD,GEMM', '--threads',"
+        " '1,8', '--placements', 'block', '--csv']) == 0\n"
+    ),
+}
+
+_REPORT = (
+    "import sys\n"
+    "loaded = sorted(m for m in sys.modules if m.startswith('repro'))\n"
+    "print(json.dumps(loaded))\n"
+)
+
+
+def _run(code: str) -> subprocess.CompletedProcess:
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json\n" + code],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=_SRC),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+@pytest.mark.parametrize("case", sorted(STORELESS))
+def test_storeless_run_never_imports_the_store(case):
+    proc = _run(STORELESS[case] + _REPORT)
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert "repro.perfmodel.batch" in loaded  # the lowering ran
+    assert not [m for m in loaded if m.startswith("repro.store")]
+
+
+def test_cli_store_sweep_still_persists_its_lowering(tmp_path):
+    root = tmp_path / "store"
+    _run(
+        "from repro.cli import main\n"
+        f"assert main(['sweep', '--kernels', 'TRIAD,GEMM', '--threads',"
+        f" '1,8', '--placements', 'block', '--csv', '--store',"
+        f" {str(root)!r}]) == 0\n"
+    )
+    assert len(list((root / "soa").glob("*.json"))) == 1
+    assert list((root / "compile").glob("*.json"))
+
+
+class TestSoaTier:
+    """The one module-level tier: ``lower_kernels`` over the default
+    store. ``__wrapped__`` skips the in-process LRU, as a fresh process
+    would."""
+
+    KERNELS = ("TRIAD", "GEMM", "DOT")
+
+    @pytest.fixture
+    def kernels(self):
+        from repro.kernels.registry import get_kernel
+
+        return tuple(get_kernel(name) for name in self.KERNELS)
+
+    @pytest.fixture
+    def default_store(self, tmp_path):
+        from repro.store import ArtifactStore, set_default_store
+
+        store = ArtifactStore(tmp_path / "store")
+        previous = set_default_store(store)
+        yield store
+        set_default_store(previous)
+
+    @staticmethod
+    def _arrays(soa):
+        from repro.store.codecs import SOA_ARRAY_FIELDS
+
+        return {name: getattr(soa, name).tolist()
+                for name in SOA_ARRAY_FIELDS}
+
+    def test_a_second_process_restores_the_lowering(self, kernels,
+                                                     default_store):
+        from repro.perfmodel.batch import lower_kernels
+        from repro.store import ArtifactStore, set_default_store
+
+        lowered = lower_kernels.__wrapped__(kernels)
+        assert default_store.stats()["soa"].puts == 1
+        reader = ArtifactStore(default_store.root)
+        set_default_store(reader)
+        restored = lower_kernels.__wrapped__(kernels)
+        assert reader.stats()["soa"].hits == 1
+        assert reader.stats()["soa"].puts == 0
+        assert restored.kernels == lowered.kernels
+        assert self._arrays(restored) == self._arrays(lowered)
+
+    def test_an_unusable_lowering_is_relowered_with_a_warning(
+        self, kernels, default_store
+    ):
+        from repro.perfmodel.batch import lower_kernels
+        from repro.store import StoreWarning
+
+        lowered = lower_kernels.__wrapped__(kernels)
+        (path,) = (default_store.root / "soa").glob("*.json")
+        record = json.loads(path.read_text())
+        record["payload"]["arrays"]["reps"].pop()
+        path.write_text(json.dumps(record))
+        with pytest.warns(StoreWarning, match="relowering"):
+            relowered = lower_kernels.__wrapped__(kernels)
+        assert self._arrays(relowered) == self._arrays(lowered)

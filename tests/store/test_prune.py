@@ -69,34 +69,33 @@ class TestAgeHorizon:
     def test_deletions_land_on_eviction_counters(self, tmp_path):
         store = _store_with(tmp_path, [
             ("soa", ("old",), {"v": 1}, 7200.0),
-            ("sweep", ("old",), {"v": 2}, 7200.0),
+            ("compile", ("old",), {"v": 2}, 7200.0),
         ])
         prune_store(store, max_age_s=3600.0, now=NOW)
         stats = store.stats()
         assert stats["soa"].evictions == 1
-        assert stats["sweep"].evictions == 1
+        assert stats["compile"].evictions == 1
 
 
 class TestSizeCap:
     def test_oldest_artifacts_go_first_across_namespaces(self, tmp_path):
         store = _store_with(tmp_path, [
-            ("soa", ("a",), {"v": "x" * 64}, 300.0),  # oldest
-            ("responses", ("b",), {"v": "x" * 64}, 200.0),
+            ("compile", ("a",), {"v": "x" * 64}, 300.0),  # oldest
+            ("soa", ("b",), {"v": "x" * 64}, 200.0),
             ("compile", ("c",), {"v": "x" * 64}, 100.0),  # newest
         ])
         sizes = {
-            ns: sum(
-                p.stat().st_size
-                for p in (store.root / ns).iterdir()
-            )
-            for ns in ("soa", "responses", "compile")
+            key: store._path(ns, key).stat().st_size
+            for ns, key in (("compile", ("a",)), ("soa", ("b",)),
+                            ("compile", ("c",)))
         }
-        # Cap to exactly the newest two: the oldest (soa) goes.
-        cap = sizes["responses"] + sizes["compile"]
+        # Cap to exactly the newest two: the oldest (a compile
+        # report) goes, although its namespace holds the newest too.
+        cap = sizes[("b",)] + sizes[("c",)]
         report = prune_store(store, max_bytes=cap, now=NOW)
         assert report.deleted == 1
-        assert store.get("soa", ("a",)) is None
-        assert store.get("responses", ("b",)) is not None
+        assert store.get("compile", ("a",)) is None
+        assert store.get("soa", ("b",)) is not None
         assert store.get("compile", ("c",)) is not None
         assert report.bytes_after <= cap
 

@@ -49,24 +49,47 @@ class TestCacheCounters:
 
 
 class TestSuiteCaches:
-    def test_default_is_a_memory_only_compile_cache(self):
+    def test_default_is_a_memory_only_compile_cache(self, sg2042):
         caches = SuiteCaches()
         assert isinstance(caches.compile, CompileCache)
-        assert caches.store is None
+        run_suite(sg2042, RunConfig(threads=4), kernels=KERNELS,
+                  caches=caches)
+        assert caches.stats().compile_misses == len(KERNELS)
+        assert caches.stats().compile_disk_hits == 0
+        assert not hasattr(caches, "store")
 
     def test_disabled_has_no_cache_and_zero_counters(self, sg2042):
         caches = SuiteCaches.disabled()
         run_suite(sg2042, RunConfig(threads=4), kernels=KERNELS,
                   caches=caches)
         assert caches.compile is None
-        assert caches.store is None
         assert caches.stats() == CacheCounters()
 
-    def test_persistent_exposes_its_store(self, tmp_path):
+    def test_persistent_writes_compile_reports_to_its_store(self, sg2042,
+                                                           tmp_path):
         store = ArtifactStore(tmp_path / "store")
         caches = SuiteCaches.persistent(store)
-        assert caches.store is store
-        assert caches.compile.store is store
+        run_suite(sg2042, RunConfig(threads=4), kernels=KERNELS,
+                  caches=caches)
+        assert caches.stats().compile_misses == len(KERNELS)
+        # One report per kernel plus the suite's composite.
+        assert store.artifact_count("compile") == len(KERNELS) + 1
+        assert set(store.stats()) == {"compile"}
+
+    def test_persistent_caches_over_one_store_share_reports(self, sg2042,
+                                                            tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        config = RunConfig(threads=4)
+        first = run_suite(sg2042, config, kernels=KERNELS,
+                          caches=SuiteCaches.persistent(store))
+        caches = SuiteCaches.persistent(ArtifactStore(store.root))
+        second = run_suite(sg2042, config, kernels=KERNELS,
+                           caches=caches)
+        assert second == first
+        stats = caches.stats()
+        assert (stats.compile_misses, stats.compile_disk_hits) == (
+            0, len(KERNELS)
+        )
 
     def test_stats_mirror_the_compile_cache(self, sg2042):
         caches = SuiteCaches()

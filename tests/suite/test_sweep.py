@@ -4,15 +4,17 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from repro import telemetry
 from repro.kernels.registry import get_kernel
 from repro.store import ArtifactStore, StoreWarning
 from repro.suite.config import Placement, Precision
 from repro.suite.memo import SuiteCaches
-from repro.suite.sweep import sweep
+from repro.suite.sweep import SweepResult, sweep
 from repro.util.errors import ConfigError
 
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -148,10 +150,33 @@ class TestRepeatedKernels:
             second = sweep(sg2042, kernels,
                            caches=SuiteCaches.persistent(store),
                            **self.GRID)
-        assert not first.restored
-        assert second.restored
         assert second == first
-        assert store.artifact_count("sweep") == 1
+        assert [(p.threads, p.kernel) for p in second.points] == [
+            (1, "TRIAD"), (4, "TRIAD"),
+        ]
+        # The second call restores the one kernel's compile report and
+        # computes its grid again; no whole sweep is stored.
+        assert second.cache_stats.compile_disk_hits == 1
+        assert second.cache_stats.compile_misses == 0
+        assert not (tmp_path / "store" / "sweep").exists()
+
+    def test_traced_store_sweep_runs_its_grid_every_time(
+        self, sg2042, tmp_path
+    ):
+        store = ArtifactStore(tmp_path / "store")
+        kernels = [get_kernel("TRIAD"), get_kernel("GEMM")]
+        with telemetry.telemetry_session():
+            results = [
+                sweep(sg2042, kernels,
+                      caches=SuiteCaches.persistent(store), **self.GRID)
+                for _ in range(2)
+            ]
+        first, second = results
+        assert second == first
+        assert second.telemetry.phase_counts["suite.run"] == 2
+        assert second.telemetry.counters["sweep.runs"] == 2
+        assert "sweep.restored" not in second.telemetry.counters
+        assert "restored" not in {f.name for f in fields(SweepResult)}
 
     def test_cli_store_sweep_runs_twice_without_warning(self, tmp_path):
         argv = [

@@ -149,8 +149,10 @@ class TestGridFlags:
         ["serve", "--memo-cap", "10"],
     ])
     def test_memo_cap_is_unrecognized(self, argv, capsys):
+        # Parse only: were the flag accepted, main() would run the
+        # command (serve would start serving).
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            build_parser().parse_args(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -166,6 +168,39 @@ class TestGridFlags:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--store", "DIR"],
+        ["serve", "--no-prewarm"],
+        ["serve", "--prewarm-cpu", "sg2042"],
+        ["serve", "--prewarm-flavors", "vla"],
+        ["serve", "--prewarm-rollback"],
+    ])
+    def test_serve_store_flags_are_unrecognized(self, argv, capsys):
+        # Parse only, for the same reason.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["warm"],
+        ["warm", "--store", "DIR"],
+        ["warm", "--store", "DIR", "--cpu", "all", "--rollback"],
+    ])
+    def test_warm_is_an_invalid_choice(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "invalid choice: 'warm'" in capsys.readouterr().err
+
+    def test_help_lists_no_warm_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "sweep" in out and "store" in out
+        assert "warm" not in out
 
     def test_trace_sweep_accepts_all_kernels(self, capsys, tmp_path):
         assert main(["trace", "sweep", "--kernels", "all",

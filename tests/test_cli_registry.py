@@ -114,23 +114,43 @@ class TestMachineResolution:
         assert "CLI Machine" in capsys.readouterr().out
 
 
-class TestWarmRegistryMachines:
-    def test_warm_flavors_rollback_on_registry_machine(self, tmp_path,
-                                                       capsys):
-        assert main(["warm", "--store", str(tmp_path / "store"),
-                     "--cpu", "sophon_sg2044", "--kernels", "TRIAD",
-                     "--flavors", "vla", "--rollback"]) == 0
+class TestStoreRegistryMachines:
+    """``sweep --store`` resolves registry machines like every other
+    machine-resolving command, and keys its compile artifacts on
+    them."""
+
+    ARGS = ["sweep", "--kernels", "TRIAD", "--threads", "1",
+            "--placements", "block", "--precisions", "fp64"]
+
+    def _sweep_twice(self, store, *extra):
+        import repro.store
+
+        previous = repro.store.default_store()
+        try:
+            for _ in range(2):
+                assert main([*self.ARGS, "--store", str(store),
+                             *extra]) == 0
+        finally:
+            repro.store.set_default_store(previous)
+
+    def test_store_sweep_on_a_shipped_registry_machine(self, tmp_path,
+                                                      capsys):
+        store = tmp_path / "store"
+        self._sweep_twice(store, "--cpu", "sophon_sg2044")
         out = capsys.readouterr().out
         assert "Sophon SG2044" in out
-        assert "compile" in out
+        assert "disk: 1 reports restored" in out
+        assert list((store / "compile").glob("*.json"))
 
-    def test_warm_user_registry_machine(self, tmp_path, capsys):
+    def test_store_sweep_on_a_user_registry_machine(self, tmp_path,
+                                                   capsys):
         root = tmp_path / "reg"
         _write_envelope(root, "machines", _machine_envelope())
-        assert main(["warm", "--store", str(tmp_path / "store"),
-                     "--cpu", "cli_machine", "--kernels", "TRIAD",
-                     "--registry-path", str(root)]) == 0
-        assert "CLI Machine" in capsys.readouterr().out
+        self._sweep_twice(tmp_path / "store", "--cpu", "cli_machine",
+                          "--registry-path", str(root))
+        out = capsys.readouterr().out
+        assert "CLI Machine" in out
+        assert "disk: 1 reports restored" in out
 
 
 class TestLintRegistry:
