@@ -30,7 +30,9 @@ floor. Cold scalar and cold batch, whose times make the cold floor,
 run in interleaved rounds (one attempt of each per round), so the
 floor's numerator and denominator meet the same host states. It
 asserts all five sweeps are **bit-identical** (dataclass equality over
-every float of every point), that the compile cache compiled each
+every float of every point) and their CSVs **byte-identical** (a CSV
+renders from the result's rows, not its points), that the compile
+cache compiled each
 kernel exactly once, that the store-backed sub-grid recompiled
 nothing, and that the speedup floors are cleared: warm >= 5x and cold
 batch-vs-scalar >= 3.2x on the full grid (looser floors on the
@@ -57,7 +59,7 @@ from repro.perfmodel.placement import reference_mode
 from repro.store import ArtifactStore
 from repro.suite.config import Placement, Precision
 from repro.suite.memo import SuiteCaches
-from repro.suite.sweep import sweep
+from repro.suite.sweep import SweepResult, sweep
 
 FULL_THREADS = (1, 4, 8, 16, 32, 64)
 REDUCED_THREADS = (1, 8, 64)
@@ -81,7 +83,7 @@ _MICRO_LOOPS = 50_000
 def _site_counts(configs: int, n_kernels: int) -> dict:
     """Per-sweep counts of the instrumentation's off-path sites.
 
-    Upper bounds for an untraced batch sweep, which builds its points
+    Upper bounds for an untraced batch sweep, which builds its rows
     straight from the whole-grid prefetch: a hoisted flag test per
     compile miss (at most one per kernel) and per grid point, and one
     recorder lookup plus one null span per grid point
@@ -290,10 +292,22 @@ def run_benchmark(reduced: bool = False) -> dict:
     assert fast == ref, "fast path diverged from the reference sweep"
     assert cold_scalar == ref, "scalar engine diverged from the reference"
     assert cold_batch == ref, "batch engine diverged from the reference"
+    ref_csv = ref.to_csv()
+    for name, result in (("fast path", fast), ("scalar engine", cold_scalar),
+                         ("batch engine", cold_batch)):
+        assert result.to_csv() == ref_csv, (
+            f"{name} CSV differs from the reference sweep's"
+        )
     sub_set = set(sub_threads)
-    assert warm_subgrid.points == tuple(
-        p for p in ref.points if p.threads in sub_set
-    ), "sub-grid sweep over the store diverged from the reference"
+    sub_ref = SweepResult(
+        points=tuple(p for p in ref.points if p.threads in sub_set)
+    )
+    assert warm_subgrid == sub_ref, (
+        "sub-grid sweep over the store diverged from the reference"
+    )
+    assert warm_subgrid.to_csv() == sub_ref.to_csv(), (
+        "sub-grid sweep's CSV differs from the reference's"
+    )
     assert not warm_subgrid.failures
     sub_stats = sub_caches.stats()
     assert sub_stats.compile_misses == 0, (
@@ -342,6 +356,9 @@ def run_benchmark(reduced: bool = False) -> dict:
                        caches=SuiteCaches(), **grid)
         traced_seconds = time.perf_counter() - start
     assert traced == ref, "traced sweep diverged from the reference"
+    assert traced.to_csv() == ref_csv, (
+        "traced sweep's CSV differs from the reference's"
+    )
     assert traced.telemetry is not None and traced.telemetry.span_count
 
     return {
@@ -362,6 +379,7 @@ def run_benchmark(reduced: bool = False) -> dict:
         "warm_subgrid_seconds": round(warm_subgrid_seconds, 6),
         "warm_subgrid_compile_restored": sub_stats.compile_disk_hits,
         "bit_identical": True,
+        "csv_identical": True,
         "compile_cache": {
             "misses": stats.compile_misses,
             "hits": stats.compile_hits,
@@ -382,7 +400,8 @@ def _report(record: dict) -> str:
         f"{record['fast_seconds'] * 1e3:9.1f} ms\n"
         f"  speedup: {record['speedup']:6.1f}x  "
         f"(floor {record['speedup_floor']}x)   bit-identical: "
-        f"{record['bit_identical']}\n"
+        f"{record['bit_identical']}   CSV-identical: "
+        f"{record['csv_identical']}\n"
         f"  cold scalar (uncached):               "
         f"{record['cold_scalar_seconds'] * 1e3:9.1f} ms\n"
         f"  cold batch (fresh caches):            "

@@ -126,8 +126,9 @@ def _sweep_caches(args: argparse.Namespace):
 
     Returns ``(caches, store)``; ``caches`` is ``None`` for the sweep
     default (in-memory compile cache), ``store`` is the opened artifact
-    store or ``None``. Installing the store as the process default also
-    gives the SoA lowering cache its disk tier.
+    store or ``None``. :func:`_default_store_scope` installs the store
+    as the process default for the sweep, which gives the SoA lowering
+    cache its disk tier.
     """
     from repro.util.errors import ConfigError
 
@@ -138,13 +139,28 @@ def _sweep_caches(args: argparse.Namespace):
 
         return SuiteCaches.disabled(), None
     if getattr(args, "store", None):
-        from repro.store import ArtifactStore, set_default_store
+        from repro.store import ArtifactStore
         from repro.suite.memo import SuiteCaches
 
         store = ArtifactStore(args.store)
-        set_default_store(store)
         return SuiteCaches.persistent(store), store
     return None, None
+
+
+@contextmanager
+def _default_store_scope(store):
+    """Install ``store`` (if any) as the process default store, and put
+    the previous default back when the block ends, however it ends."""
+    if store is None:
+        yield
+        return
+    from repro.store import set_default_store
+
+    previous = set_default_store(store)
+    try:
+        yield
+    finally:
+        set_default_store(previous)
 
 
 def _failure_policy(args: argparse.Namespace) -> FailurePolicy:
@@ -391,7 +407,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         import cProfile
 
         profiler = cProfile.Profile()
-    with _telemetry_scope(args), _chaos_context(args):
+    with (_default_store_scope(store), _telemetry_scope(args),
+          _chaos_context(args)):
         if profiler is not None:
             profiler.enable()
         started = time.perf_counter()
@@ -415,15 +432,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(result.to_csv())
     else:
         rows = [
-            (p.kernel, p.threads, p.placement.value, p.precision.label,
-             format_seconds(p.seconds))
-            for p in result.points
+            (kernel, row.threads, row.placement.value,
+             row.precision.label, format_seconds(seconds))
+            for row in result.rows
+            for kernel, seconds in zip(row.kernels, row.seconds)
         ]
         print(render_table(
             ("kernel", "threads", "placement", "precision", "time"),
             rows, title=f"{cpu.name} sweep",
         ))
-        if result.points:
+        if result.rows:
             best_t, best_pl, best_pr = result.best_overall()
             print(f"\nbest overall: {best_t} threads, {best_pl.value}, "
                   f"{best_pr.label}")
@@ -451,7 +469,7 @@ def _write_sweep_stats(path: str, result, elapsed: float,
 
     payload = {
         "seconds": elapsed,
-        "points": len(result.points),
+        "points": result.point_count,
         "failures": len(result.failures),
         "cache_stats": (
             asdict(result.cache_stats)

@@ -21,9 +21,9 @@ Correctness rules, in priority order:
    match what an uncached request renders. Engine faults, shed
    responses and every other envelope are never cached.
 2. **Keys are content-addressed.** Digests are built from canonical
-   JSON (:func:`repro.store.stable_digest` over sorted-key dicts), never
-   ``hash()``, so equal requests address one entry and any changed
-   knob addresses another.
+   JSON (:func:`repro.util.digest.stable_digest` over sorted-key
+   dicts), never ``hash()``, so equal requests address one entry and
+   any changed knob addresses another.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from repro.machine.cpu import CPUModel
 from repro.serve import http
 from repro.suite.config import RunConfig
 from repro.suite.memo import machine_digest
+from repro.util.digest import stable_digest
 from repro.util.errors import ConfigError
 
 #: A response's identity: endpoint, machine digest, request digest and
@@ -52,8 +53,6 @@ def config_digest(config: RunConfig) -> str:
     equal configurations digest equally across processes while any
     changed knob — thread count, flavor, noise — changes the key.
     """
-    from repro.store import stable_digest
-
     return stable_digest({
         "threads": config.threads,
         "precision": config.precision.label,
@@ -93,8 +92,6 @@ def sweep_key(
     response body lists points in request order, so two orderings are
     two distinct — both byte-exact — cache entries.
     """
-    from repro.store import stable_digest
-
     axes = stable_digest({
         "threads": list(threads),
         "placements": [p.value for p in placements],

@@ -803,13 +803,14 @@ class PredictionServer:
             "cpu": cpu.name,
             "points": [
                 {
-                    "kernel": p.kernel,
-                    "threads": p.threads,
-                    "placement": p.placement.value,
-                    "precision": p.precision.label,
-                    "seconds": p.seconds,
+                    "kernel": kernel,
+                    "threads": row.threads,
+                    "placement": row.placement.value,
+                    "precision": row.precision.label,
+                    "seconds": seconds,
                 }
-                for p in result.points
+                for row in result.rows
+                for kernel, seconds in zip(row.kernels, row.seconds)
             ],
             "failures": [
                 {

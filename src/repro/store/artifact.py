@@ -30,7 +30,6 @@ winning one with identical content.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
@@ -38,6 +37,8 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
+
+from repro.util.digest import stable_digest
 
 #: Bump when the artifact file layout changes incompatibly. Readers
 #: treat any other version as a miss (recompute), never an error.
@@ -50,21 +51,6 @@ KNOWN_NAMESPACES = ("compile", "soa")
 class StoreWarning(UserWarning):
     """A store artifact was unusable (torn, stale schema, unwritable
     directory); the operation degraded to recompute."""
-
-
-def stable_digest(*parts: object) -> str:
-    """Hex content digest of arbitrary JSON-able key parts.
-
-    BLAKE2 over the canonical JSON of each part (sorted keys, no
-    whitespace), field-separated — stable across processes, Python
-    versions and dict orderings, unlike ``hash``.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    for part in parts:
-        canonical = json.dumps(part, sort_keys=True, separators=(",", ":"))
-        digest.update(canonical.encode("utf-8"))
-        digest.update(b"\x1f")
-    return digest.hexdigest()
 
 
 @dataclass(frozen=True)

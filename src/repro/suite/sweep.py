@@ -15,8 +15,8 @@ kernel is compiled once per sweep, not once per grid point — see
 :mod:`repro.suite.memo`), and the batch engine predicts the whole grid
 in one vectorized pass before the grid points are assembled, one after
 another, in grid order. An untraced batch sweep turns each grid point's
-row of predicted seconds straight into its points, by the fold rule
-:func:`~repro.suite.runner.run_suite` uses
+row of predicted seconds straight into its :class:`SweepRow`, by the
+fold rule :func:`~repro.suite.runner.run_suite` uses
 (:func:`~repro.suite.runner.fold_seconds`), with no per-cell
 ``ExecutionResult`` in between. A grid point goes through
 ``run_suite`` instead when the sweep is traced (its ``suite.run`` and
@@ -24,21 +24,22 @@ row of predicted seconds straight into its points, by the fold rule
 counts), under a chaos plan or ``reference_mode()``, on the scalar
 engine, or when the fold gives up on it (an invalid configuration or
 machine, a kernel that failed to compile, a batch abstention, a time
-that is not finite and positive). Both paths give the same points,
+that is not finite and positive). Both paths give the same rows,
 failures and cache counters.
+
+A :class:`SweepResult` is a table of those rows, one per emitted grid
+point. The CSV, the CLI's table and the service's ``/sweep`` body read
+the rows; the long-format :class:`SweepPoint`\\ s, one object per cell,
+are built from them only when ``SweepResult.points`` is first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import (
-    dataclass,
-    field,
-    fields as dataclass_fields,
-    replace,
-)
+import threading
+from dataclasses import dataclass, fields as dataclass_fields
 from itertools import product
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from repro import telemetry
 from repro.kernels.base import Kernel
@@ -69,7 +70,7 @@ from repro.util.rng import derive_seed
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One row of a sweep result (long format)."""
+    """One cell of a sweep result (long format)."""
 
     cpu: str
     threads: int
@@ -98,16 +99,49 @@ class SweepFailure:
     site: str | None = None
 
 
+class SweepRow(NamedTuple):
+    """One emitted grid point of a sweep: its configuration, and the
+    names and run-averaged seconds of its kernels, in kernel order.
+
+    Row ``r`` stands for the points ``SweepPoint(r.cpu, r.threads,
+    r.placement, r.precision, kernel, seconds)`` over
+    ``zip(r.kernels, r.seconds)``.
+    """
+
+    cpu: str
+    threads: int
+    placement: Placement
+    precision: Precision
+    kernels: tuple[str, ...]
+    seconds: tuple[float, ...]
+
+
 #: Attribute names ``SweepResult.filtered`` accepts as criteria.
 _POINT_ATTRS = frozenset(f.name for f in dataclass_fields(SweepPoint))
 
+#: Serializes the one-time build of a result's points.
+_POINTS_LOCK = threading.Lock()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False, eq=False)
 class SweepResult:
-    """All points of one sweep, plus any recorded failures."""
+    """All points of one sweep, plus any recorded failures.
 
-    points: tuple[SweepPoint, ...]
-    failures: tuple[SweepFailure, ...] = field(default_factory=tuple)
+    The points are held as a table, ``rows``: one :class:`SweepRow` per
+    emitted grid point, in grid x kernel order. ``to_csv``,
+    ``best_overall`` and ``point_count`` read the rows; ``points``, the
+    long format, is built from them when first read (once, also when
+    two threads read it together), and ``filtered`` and
+    ``best_for_kernel`` read it.
+
+    ``SweepResult(points, failures)`` builds a result from points, in
+    any order: each run of consecutive points sharing their cpu, thread
+    count, placement and precision becomes one row. Equality and hash
+    are over ``points`` and ``failures``.
+    """
+
+    rows: tuple[SweepRow, ...]
+    failures: tuple[SweepFailure, ...] = ()
     #: Final counters of the sweep's shared cache layers (None for a
     #: cache-disabled sweep). Excluded from equality: a resumed sweep
     #: earns different hit counts for identical points.
@@ -117,18 +151,76 @@ class SweepResult:
     #:    on the telemetry metrics registry whenever a telemetry session
     #:    is active (see :mod:`repro.telemetry` and the ``telemetry``
     #:    field); prefer those for new code.
-    cache_stats: CacheCounters | None = field(default=None, compare=False)
+    cache_stats: CacheCounters | None = None
     #: Telemetry digest of this sweep (``None`` when telemetry was
     #: off): counts and per-phase inclusive times of the spans it
     #: recorded on its thread, and the session's metric values when it
     #: returned. Excluded from equality like ``cache_stats``.
-    telemetry: "telemetry.TelemetrySummary | None" = field(
-        default=None, compare=False
-    )
+    telemetry: "telemetry.TelemetrySummary | None" = None
 
-    def __post_init__(self) -> None:
-        if not self.points and not self.failures:
+    def __init__(
+        self,
+        points: Sequence[SweepPoint],
+        failures: tuple[SweepFailure, ...] = (),
+        cache_stats: CacheCounters | None = None,
+        telemetry: "telemetry.TelemetrySummary | None" = None,
+    ) -> None:
+        self._set(
+            _rows_of(
+                (p.cpu, p.threads, p.placement, p.precision, p.kernel,
+                 p.seconds)
+                for p in points
+            ),
+            failures, cache_stats, telemetry, points,
+        )
+
+    @classmethod
+    def _of_rows(
+        cls,
+        rows: tuple[SweepRow, ...],
+        failures: tuple[SweepFailure, ...],
+        cache_stats: CacheCounters | None,
+        telemetry: "telemetry.TelemetrySummary | None" = None,
+    ) -> SweepResult:
+        """A result holding ``rows``; its points are built on demand."""
+        result = object.__new__(cls)
+        result._set(rows, failures, cache_stats, telemetry, None)
+        return result
+
+    def _set(self, rows, failures, cache_stats, telemetry, points) -> None:
+        if not rows and not failures:
             raise ConfigError("sweep produced no points")
+        setattr_ = object.__setattr__
+        setattr_(self, "rows", rows)
+        setattr_(self, "failures", failures)
+        setattr_(self, "cache_stats", cache_stats)
+        setattr_(self, "telemetry", telemetry)
+        setattr_(self, "_points", points)
+
+    @property
+    def points(self) -> tuple[SweepPoint, ...]:
+        """Every cell as a :class:`SweepPoint`, in row order."""
+        points = self._points
+        if points is None:
+            with _POINTS_LOCK:
+                points = self._points
+                if points is None:
+                    points = _points_of(self.rows)
+                    object.__setattr__(self, "_points", points)
+        return points
+
+    @property
+    def point_count(self) -> int:
+        """``len(self.points)``, counted from the rows."""
+        return sum(len(row.kernels) for row in self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.points, self.failures) == (other.points, other.failures)
+
+    def __hash__(self) -> int:
+        return hash((self.points, self.failures))
 
     def filtered(self, **criteria) -> list[SweepPoint]:
         """Points matching all given attribute values.
@@ -163,41 +255,47 @@ class SweepResult:
 
     def best_overall(self) -> tuple[int, Placement, Precision]:
         """Configuration minimizing the summed time over all kernels."""
-        if not self.points:
+        if not self.rows:
             raise ConfigError("sweep has no successful points")
         totals: dict[tuple, float] = {}
-        for p in self.points:
-            key = (p.threads, p.placement, p.precision)
-            totals[key] = totals.get(key, 0.0) + p.seconds
+        for row in self.rows:
+            key = (row.threads, row.placement, row.precision)
+            total = totals.get(key, 0.0)
+            for seconds in row.seconds:
+                total += seconds
+            totals[key] = total
         return min(totals, key=totals.get)
 
     def to_csv(self) -> str:
-        """The points as CSV: a header, then one row per point.
+        """The points as CSV: a header, then one line per point.
 
         The bytes :func:`~repro.util.tables.render_csv` gives for the
-        same rows. A sweep's points come grid point by grid point, so
-        each run of points sharing the four leading cells renders them
-        once. Only the machine and kernel names can hold a comma: the
-        machine name is checked with each such run, each distinct
-        kernel name once.
+        points. Each row renders its four leading cells once, into a
+        ``%``-template of the row's lines that formats all its seconds
+        in one operation (``%.9f`` gives the digits ``{:.9f}`` does).
+        Only the machine and kernel names can hold a comma: the machine
+        name is checked with each row, each distinct kernel name once.
         """
         lines = ["cpu,threads,placement,precision,kernel,seconds"]
-        append = lines.append
-        kernels: set[str] = set()
-        leading = prefix = None
-        for p in self.points:
-            cells = (p.cpu, p.threads, p.placement, p.precision)
-            if cells != leading:
-                _reject_comma(p.cpu)
-                leading = cells
-                prefix = (
-                    f"{p.cpu},{p.threads},{p.placement.value},"
-                    f"{p.precision.label},"
-                )
-            if p.kernel not in kernels:
-                _reject_comma(p.kernel)
-                kernels.add(p.kernel)
-            append(f"{prefix}{p.kernel},{p.seconds:.9f}")
+        checked: set[str] = set()
+        last = names = None
+        for cpu, threads, placement, precision, kernels, seconds in (
+            self.rows
+        ):
+            _reject_comma(cpu)
+            if kernels is not last:
+                # A folded sweep's rows share one kernel tuple.
+                last = kernels
+                for kernel in kernels:
+                    if kernel not in checked:
+                        _reject_comma(kernel)
+                        checked.add(kernel)
+                # Names and head are literal template text: "%" -> "%%".
+                names = [kernel.replace("%", "%%") for kernel in kernels]
+            head = f"{cpu},{threads},{placement.value},{precision.label},"
+            head = head.replace("%", "%%")
+            template = head + (",%.9f\n" + head).join(names) + ",%.9f"
+            lines.append(template % seconds)
         return "\n".join(lines)
 
     def failure_summary(self) -> str:
@@ -219,6 +317,48 @@ def _reject_comma(cell: str) -> None:
     has no quoting)."""
     if "," in cell:
         raise ConfigError(f"CSV cell {cell!r} contains a comma")
+
+
+def _rows_of(cells: Iterable[tuple]) -> tuple[SweepRow, ...]:
+    """Rows of ``(cpu, threads, placement, precision, kernel, seconds)``
+    cells: one per run of consecutive cells sharing their first four."""
+    runs: list[tuple[tuple, list[str], list[float]]] = []
+    leading = None
+    for cpu, threads, placement, precision, kernel, seconds in cells:
+        if leading != (cpu, threads, placement, precision):
+            leading = (cpu, threads, placement, precision)
+            runs.append((leading, [], []))
+        runs[-1][1].append(kernel)
+        runs[-1][2].append(seconds)
+    return tuple(
+        SweepRow(*leading, tuple(kernels), tuple(seconds))
+        for leading, kernels, seconds in runs
+    )
+
+
+def _points_of(rows: tuple[SweepRow, ...]) -> tuple[SweepPoint, ...]:
+    """The rows' cells as points, in row and kernel order.
+
+    ``SweepPoint`` has no ``__post_init__``, so each point skips
+    ``__init__`` (six frozen-attribute writes) and gets its fields
+    written directly: the same equality, hash and repr.
+    """
+    new = object.__new__
+    points = []
+    append = points.append
+    for cpu, threads, placement, precision, kernels, seconds in rows:
+        for kernel, run_seconds in zip(kernels, seconds):
+            point = new(SweepPoint)
+            point.__dict__.update(
+                cpu=cpu,
+                threads=threads,
+                placement=placement,
+                precision=precision,
+                kernel=kernel,
+                seconds=run_seconds,
+            )
+            append(point)
+    return tuple(points)
 
 
 def _grid_hash(
@@ -250,12 +390,13 @@ def _grid_hash(
 @dataclass
 class _GridPoint:
     """One configuration of the sweep grid, pre-split against the
-    checkpoint into already-completed and still-to-run kernels."""
+    checkpoint into already-completed kernels (``restored``: name ->
+    the record's ``(cpu, seconds)``) and still-to-run ones."""
 
     threads: int
     placement: Placement
     precision: Precision
-    restored: dict[str, SweepPoint]
+    restored: dict[str, tuple[str, float]]
     todo: list[Kernel]
 
 
@@ -274,14 +415,15 @@ def sweep(
     caches: SuiteCaches | None = None,
     engine: str = "batch",
 ) -> SweepResult:
-    """Run the full configuration grid and collect long-format points.
+    """Run the full configuration grid and collect its points.
 
     Grid points run one after another, in grid order; with the batch
     engine their predictions come from one whole-grid pass made before
     the first point runs, and an untraced, uncheckpointed sweep builds
-    each grid point's points from that pass directly (see the module
+    each grid point's row from that pass directly (see the module
     docstring for the points that still run through
-    :func:`run_suite`). Points come in grid x kernel order.
+    :func:`run_suite`). Rows, and so points, come in grid x kernel
+    order.
 
     A kernel named twice is run once: the first kernel of each name is
     kept, before the grid is hashed or run.
@@ -346,14 +488,14 @@ def sweep(
     # write, so the registry and ``cache_stats`` reconcile exactly.
     reg = telemetry.metrics()
     reg.counter("sweep.runs").inc()
-    reg.counter("sweep.points").inc(len(result.points))
+    reg.counter("sweep.points").inc(result.point_count)
     if result.failures:
         reg.counter("sweep.failures").inc(len(result.failures))
     if result.cache_stats is not None:
         result.cache_stats.publish(reg)
-    return replace(
-        result,
-        telemetry=telemetry.TelemetrySummary.capture(rec, reg, since=mark),
+    return SweepResult._of_rows(
+        result.rows, result.failures, result.cache_stats,
+        telemetry.TelemetrySummary.capture(rec, reg, since=mark),
     )
 
 
@@ -413,8 +555,8 @@ def _run_sweep(
         ):
             prefetches = grid_prefetch(cpu, jobs, caches)
 
-    # Point fold: a prefetched grid point's row of seconds becomes its
-    # points directly, by the rule run_suite's bulk fold uses, with no
+    # Row fold: a prefetched grid point's row of seconds becomes its
+    # SweepRow directly, by the rule run_suite's bulk fold uses, with no
     # ExecutionResult or SuiteResult in between. Traced sweeps keep
     # run_suite for its spans, checkpointed ones for their per-kernel
     # records; an invalid machine raises from run_suite, once per
@@ -425,7 +567,9 @@ def _run_sweep(
         and _machine_valid(cpu)
     )
     cpu_name = cpu.name
-    points: list[SweepPoint] = []
+    # Without a checkpoint every grid point runs every kernel.
+    names = tuple(kernel.name for kernel in kernel_list)
+    rows: list[SweepRow] = []
     failures: list[SweepFailure] = []
     for gp, job, prefetch in zip(grid, jobs, prefetches):
         if fold and prefetch is not None and prefetch.seconds is not None:
@@ -434,7 +578,10 @@ def _run_sweep(
                 _noise_means(cpu, job[0], prefetch.compiler, gp.todo),
             )
             if folded is not None:
-                _append_points(points, cpu_name, gp, folded)
+                rows.append(SweepRow(
+                    cpu_name, gp.threads, gp.placement, gp.precision,
+                    names, tuple(folded),
+                ))
                 continue
         outcome, error = None, None
         try:
@@ -458,14 +605,12 @@ def _run_sweep(
                 raise
             error = exc
         _collect_point(
-            cpu_name, kernel_list, ckpt, points, failures, gp, outcome,
+            cpu_name, kernel_list, ckpt, rows, failures, gp, outcome,
             error,
         )
 
-    return SweepResult(
-        points=tuple(points),
-        failures=tuple(failures),
-        cache_stats=caches.stats(),
+    return SweepResult._of_rows(
+        tuple(rows), tuple(failures), caches.stats()
     )
 
 
@@ -500,7 +645,7 @@ def _checkpoint_grid(
                            list(kernel_list))
             )
             continue
-        restored: dict[str, SweepPoint] = {}
+        restored: dict[str, tuple[str, float]] = {}
         todo: list[Kernel] = []
         for kernel in kernel_list:
             key = point_key(
@@ -508,13 +653,8 @@ def _checkpoint_grid(
             )
             if ckpt is not None and ckpt.has(key):
                 record = ckpt.completed[key]
-                restored[kernel.name] = SweepPoint(
-                    cpu=record.get("cpu", cpu.name),
-                    threads=t,
-                    placement=placement,
-                    precision=precision,
-                    kernel=kernel.name,
-                    seconds=float(record["seconds"]),
+                restored[kernel.name] = (
+                    record.get("cpu", cpu.name), float(record["seconds"])
                 )
             else:
                 todo.append(kernel)
@@ -526,7 +666,7 @@ def _collect_point(
     cpu_name: str,
     kernel_list: list[Kernel],
     ckpt: SweepCheckpoint | None,
-    points: list[SweepPoint],
+    rows: list[SweepRow],
     failures: list[SweepFailure],
     gp: _GridPoint,
     outcome: SuiteResult | None,
@@ -537,7 +677,7 @@ def _collect_point(
     Called in grid order, so checkpoint records and result rows come
     out deterministic.
     """
-    fresh: dict[str, SweepPoint] = {}
+    fresh: dict[str, tuple[str, float]] = {}
     if error is not None:
         failures.append(
             _sweep_failure(
@@ -547,15 +687,7 @@ def _collect_point(
         )
     elif outcome is not None:
         for name, run in outcome.runs.items():
-            point = SweepPoint(
-                cpu=cpu_name,
-                threads=gp.threads,
-                placement=gp.placement,
-                precision=gp.precision,
-                kernel=name,
-                seconds=run.seconds,
-            )
-            fresh[name] = point
+            fresh[name] = (cpu_name, run.seconds)
             if ckpt is not None:
                 ckpt.record({
                     "cpu": cpu_name,
@@ -574,11 +706,15 @@ def _collect_point(
             )
             for record in outcome.failures
         )
-    # Emit points in kernel order regardless of restore/run split.
+    # Emit the cells in kernel order regardless of restore/run split.
+    cells = []
     for kernel in kernel_list:
-        point = gp.restored.get(kernel.name) or fresh.get(kernel.name)
-        if point is not None:
-            points.append(point)
+        cell = gp.restored.get(kernel.name) or fresh.get(kernel.name)
+        if cell is not None:
+            cpu, seconds = cell
+            cells.append((cpu, gp.threads, gp.placement, gp.precision,
+                          kernel.name, seconds))
+    rows.extend(_rows_of(cells))
 
 
 def _machine_valid(cpu: CPUModel) -> bool:
@@ -589,34 +725,6 @@ def _machine_valid(cpu: CPUModel) -> bool:
     except ReproError:
         return False
     return True
-
-
-def _append_points(
-    points: list[SweepPoint],
-    cpu_name: str,
-    gp: _GridPoint,
-    seconds: list[float],
-) -> None:
-    """Append a folded grid point's points, in kernel order.
-
-    ``SweepPoint`` has no ``__post_init__``, so each point skips
-    ``__init__`` (six frozen-attribute writes) and gets its fields
-    written directly: the same equality, hash and repr.
-    """
-    new = object.__new__
-    append = points.append
-    t, placement, precision = gp.threads, gp.placement, gp.precision
-    for kernel, run_seconds in zip(gp.todo, seconds):
-        point = new(SweepPoint)
-        point.__dict__.update(
-            cpu=cpu_name,
-            threads=t,
-            placement=placement,
-            precision=precision,
-            kernel=kernel.name,
-            seconds=run_seconds,
-        )
-        append(point)
 
 
 def _sweep_failure(

@@ -61,6 +61,34 @@ async def request_on(reader, writer, method, path, body=None, *,
     return status, resp_headers, raw
 
 
+async def raw_request(port, method, path, body=None):
+    """The full response — status line, headers, body — as raw bytes.
+
+    ``http_request`` parses JSON bodies; byte-identity needs the exact
+    wire image, so this reads the close-delimited response whole.
+    """
+    payload = json.dumps(body).encode() if body is not None else b""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(
+            (
+                f"{method} {path} HTTP/1.1\r\n"
+                f"Host: test\r\n"
+                f"Content-Length: {len(payload)}\r\n"
+                f"Connection: close\r\n\r\n"
+            ).encode()
+            + payload
+        )
+        await writer.drain()
+        return await reader.read(-1)
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
+
+
 def hold_engine(server):
     """Occupy a one-worker server's engine until the returned gate is
     set: requests admitted meanwhile wait in the executor queue behind

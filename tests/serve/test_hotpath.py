@@ -2,14 +2,13 @@
 never cached, and a deadline that expires while queued costs nothing."""
 
 import asyncio
-import json
 
 import pytest
 
 from repro.resilience.faults import FaultPlan, FaultRule
 from repro.serve import PredictionServer, ServeConfig
 
-from tests.serve.helpers import hold_engine
+from tests.serve.helpers import hold_engine, raw_request
 
 
 def with_server(config, scenario):
@@ -28,34 +27,6 @@ def default_config(**overrides):
     base = dict(port=0, drain_timeout_s=2.0)
     base.update(overrides)
     return ServeConfig(**base)
-
-
-async def raw_request(port, method, path, body=None):
-    """The full response — status line, headers, body — as raw bytes.
-
-    The test helpers parse JSON bodies; byte-identity needs the exact
-    wire image, so this reads the close-delimited response whole.
-    """
-    payload = json.dumps(body).encode() if body is not None else b""
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    try:
-        writer.write(
-            (
-                f"{method} {path} HTTP/1.1\r\n"
-                f"Host: test\r\n"
-                f"Content-Length: {len(payload)}\r\n"
-                f"Connection: close\r\n\r\n"
-            ).encode()
-            + payload
-        )
-        await writer.drain()
-        return await reader.read(-1)
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
 
 
 class TestByteIdentity:

@@ -78,6 +78,40 @@ class TestKeys:
             sg, ["TRIAD"], [8, 1], [Placement.BLOCK], [Precision.FP64]
         )
 
+    def test_keys_are_pinned(self):
+        config = RunConfig(
+            threads=8, placement=Placement.CYCLIC, precision=Precision.FP32,
+        )
+        assert config_digest(config) == "8e72588a0d2783b03800934ea5e1f15c"
+        assert sweep_key(
+            catalog.sg2042(), ["TRIAD", "GEMM"], [1, 8],
+            [Placement.BLOCK], [Precision.FP64],
+        ) == (
+            "sweep", "1150852492293290706",
+            "90a6a35678db2cef8642c71a1af754df", ("TRIAD", "GEMM"),
+        )
+
+    def test_keys_never_import_the_store(self):
+        # The server opens no store, so building its keys must not
+        # load the store package.
+        script = (
+            "import sys\n"
+            "from repro.machine import catalog\n"
+            "from repro.serve.respcache import config_digest, sweep_key\n"
+            "from repro.suite.config import Placement, Precision, "
+            "RunConfig\n"
+            "config_digest(RunConfig())\n"
+            "sweep_key(catalog.sg2042(), ['TRIAD'], [1],"
+            " [Placement.BLOCK], [Precision.FP64])\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith('repro.store')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=_SRC), check=True,
+        )
+        assert proc.stdout.strip() == "[]"
+
     def test_key_is_stable_across_processes_and_hash_seeds(self):
         cfg = _serving_config(
             threads=8, precision="fp32", placement="cyclic"

@@ -77,6 +77,50 @@ def test_cli_store_sweep_still_persists_its_lowering(tmp_path):
     assert list((root / "compile").glob("*.json"))
 
 
+class TestCliStoreScope:
+    """``repro sweep --store DIR`` installs DIR as the default store for
+    its sweep only: the previous default is back when the command ends,
+    however it ends."""
+
+    ARGS = ["sweep", "--kernels", "TRIAD,GEMM", "--threads", "1,8",
+            "--placements", "block", "--csv"]
+
+    def test_a_later_storeless_sweep_writes_nothing_there(
+        self, tmp_path, capsys
+    ):
+        import repro.store
+        from repro.cli import main
+        from repro.kernels.registry import get_kernel
+        from repro.machine.catalog import sg2042
+        from repro.perfmodel.batch import lower_kernels
+        from repro.suite.sweep import sweep
+
+        prior = repro.store.default_store()
+        root = tmp_path / "store"
+        # A cleared LRU makes each lowering consult the default store,
+        # as a first lowering in a fresh process would.
+        lower_kernels.cache_clear()
+        assert main([*self.ARGS, "--store", str(root)]) == 0
+        assert repro.store.default_store() is prior
+        assert len(list((root / "soa").glob("*.json"))) == 1
+        lower_kernels.cache_clear()
+        sweep(sg2042(), [get_kernel("DOT"), get_kernel("COPY")],
+              threads=(1, 8))
+        assert len(list((root / "soa").glob("*.json"))) == 1
+
+    def test_a_failed_sweep_restores_the_default_too(self, tmp_path,
+                                                     capsys):
+        import repro.store
+        from repro.cli import main
+
+        prior = repro.store.default_store()
+        args = [*self.ARGS, "--store", str(tmp_path / "store")]
+        args[args.index("1,8")] = "1,999"
+        assert main(args) == 2
+        assert "999" in capsys.readouterr().err
+        assert repro.store.default_store() is prior
+
+
 class TestSoaTier:
     """The one module-level tier: ``lower_kernels`` over the default
     store. ``__wrapped__`` skips the in-process LRU, as a fresh process

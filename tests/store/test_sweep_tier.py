@@ -216,14 +216,10 @@ class TestLegacySweepArtifacts:
         })
 
     def test_sweep_ignores_an_older_builds_sweep_artifact(
-        self, tmp_path, sg2042, capsys, recwarn, monkeypatch
+        self, tmp_path, sg2042, capsys, recwarn
     ):
-        import repro.store
         from repro.cli import main
 
-        # ``sweep --store`` installs the process default store; put the
-        # old one back afterwards.
-        monkeypatch.setattr(repro.store, "_default_store", None)
         root = tmp_path / "store"
         artifact = self._write_sweep(root, sg2042)
         assert main(self.ARGS) == 0
@@ -306,14 +302,10 @@ class TestLegacyPredictPages:
         })
 
     def test_sweep_ignores_the_page_and_prune_runs_over_it(
-        self, tmp_path, sg2042, capsys, recwarn, monkeypatch
+        self, tmp_path, sg2042, capsys, recwarn
     ):
-        import repro.store
         from repro.cli import main
 
-        # ``sweep --store`` installs the process default store; put the
-        # old one back afterwards.
-        monkeypatch.setattr(repro.store, "_default_store", None)
         root = tmp_path / "store"
         page = self._write_page(root, sg2042)
         assert main(self.ARGS) == 0

@@ -1,16 +1,23 @@
-"""The sweep's point fold and its CSV rendering.
+"""The sweep's row fold, its result table and its CSV rendering.
 
 An untraced batch sweep turns each grid point's row of predicted
-seconds straight into that point's ``SweepPoint``\\ s, by the rule
-``run_suite``'s bulk fold uses, without calling ``run_suite`` and
-without building an ``ExecutionResult``. These tests count the calls
-that remain and pin the fold against the paths that still go through
-``run_suite``: traced, scalar-engine and reference-mode sweeps, and the
-points the fold gives up on. They also pin ``SweepResult.to_csv`` to
-``render_csv`` over the same rows.
+seconds straight into that point's ``SweepRow``, by the rule
+``run_suite``'s bulk fold uses, without calling ``run_suite``, without
+building an ``ExecutionResult`` and without building a ``SweepPoint``.
+These tests count the calls and objects that remain and pin the fold
+against the paths that still go through ``run_suite``: traced,
+scalar-engine and reference-mode sweeps, and the points the fold gives
+up on. They also pin ``SweepResult.to_csv`` to ``render_csv`` over the
+same points.
 """
 
+import asyncio
 import math
+import random
+import struct
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -26,10 +33,11 @@ from repro.resilience import chaos
 from repro.resilience.faults import transient_plan
 from repro.resilience.retry import FailurePolicy
 from repro.suite.config import Placement, Precision
-from repro.suite.sweep import SweepFailure, SweepResult, sweep
+from repro.suite.sweep import SweepFailure, SweepPoint, SweepResult, sweep
 from repro.telemetry import telemetry_session
 from repro.util.errors import ConfigError
 from repro.util.tables import render_csv
+from tests.serve.helpers import http_request
 
 KERNELS = [get_kernel(name) for name in (
     "TRIAD", "GEMM", "DOT", "COPY", "PI_REDUCE", "JACOBI_2D",
@@ -158,6 +166,167 @@ class TestFoldBuildsNoResults:
         assert result.points == expected.points
         assert len(run_suite_calls) == 1
         assert built_rows == [len(KERNELS)]
+
+
+@pytest.fixture
+def built_points(monkeypatch):
+    """Every ``SweepPoint`` built: one entry per ``__init__`` call, and
+    one per point of each table-to-points build (``_points_of``)."""
+    built = []
+    real_init = SweepPoint.__init__
+    real_points_of = sweep_mod._points_of
+
+    def counting_init(self, *args, **kwargs):
+        built.append("init")
+        real_init(self, *args, **kwargs)
+
+    def counting_points_of(rows):
+        points = real_points_of(rows)
+        built.extend(["rows"] * len(points))
+        return points
+
+    monkeypatch.setattr(SweepPoint, "__init__", counting_init)
+    monkeypatch.setattr(sweep_mod, "_points_of", counting_points_of)
+    return built
+
+
+def _post_sweep(body: dict) -> dict:
+    """One ``/sweep`` request to an in-process server; its JSON body."""
+    from repro.serve.server import PredictionServer, ServeConfig
+
+    async def main():
+        server = PredictionServer(ServeConfig(port=0, drain_timeout_s=2.0))
+        await server.start()
+        try:
+            return await http_request(server.port, "POST", "/sweep", body)
+        finally:
+            await server.drain()
+
+    status, _, reply = asyncio.run(main())
+    assert status == 200
+    return reply
+
+
+class TestRowsBuildNoPoints:
+    """The CSV and ``/sweep`` paths read the result's rows; a
+    ``SweepPoint`` is built only when ``.points`` is read, once."""
+
+    @pytest.mark.parametrize("runs,noise_sigma", [(1, 0.0), (5, 0.05)])
+    def test_untraced_sweep_and_csv_build_none(
+        self, sg2042, built_points, runs, noise_sigma
+    ):
+        result = _grid_sweep(sg2042, runs=runs, noise_sigma=noise_sigma)
+        csv = result.to_csv()
+        assert result.point_count == 2 * 2 * 2 * len(KERNELS)
+        assert built_points == []
+        # Reading the points builds each one once, equal to the points
+        # the run_suite path builds.
+        with telemetry_session():
+            expected = _grid_sweep(
+                sg2042, runs=runs, noise_sigma=noise_sigma
+            ).points
+        built_points.clear()
+        assert result.points == expected
+        assert len(built_points) == result.point_count
+        assert result.points is result.points
+        assert len(built_points) == result.point_count
+        assert csv == _render_csv(result.points)
+
+    def test_sweep_request_builds_none(self, built_points):
+        body = _post_sweep({
+            "kernels": ["TRIAD", "DAXPY", "GEMM"], "threads": [1, 8],
+            "placements": ["block", "cyclic"], "precisions": ["fp32"],
+            "deadline_ms": 30000,
+        })
+        assert len(body["points"]) == 3 * 2 * 2
+        assert built_points == []
+
+    def test_concurrent_readers_build_the_points_once(
+        self, sg2042, monkeypatch
+    ):
+        results = [
+            _grid_sweep(sg2042, runs=runs, noise_sigma=0.05)
+            for runs in (1, 2, 3)
+        ]
+        built = []
+        real = sweep_mod._points_of
+
+        def slow(rows):
+            built.append(rows)
+            time.sleep(0.01)  # the other readers arrive while it builds
+            return real(rows)
+
+        monkeypatch.setattr(sweep_mod, "_points_of", slow)
+        barrier = threading.Barrier(8)
+        seen = [[] for _ in results]
+
+        def read():
+            barrier.wait(timeout=30)
+            for result, out in zip(results, seen):
+                out.append(result.points)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [
+                threading.Thread(target=read, daemon=True)
+                for _ in range(8)
+            ]
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert len(built) == len(results)
+        for result, out in zip(results, seen):
+            assert len(out) == 8
+            assert all(points is out[0] for points in out)
+            assert len(out[0]) == result.point_count
+
+    def test_result_from_points_holds_them(self, sg2042):
+        folded = _grid_sweep(sg2042)
+        points = folded.points
+        rebuilt = SweepResult(points=points, failures=())
+        assert rebuilt.points is points
+        assert rebuilt == folded and hash(rebuilt) == hash(folded)
+        assert rebuilt.rows == folded.rows
+        assert rebuilt.to_csv() == folded.to_csv()
+        assert rebuilt != SweepResult(points=points[:-1], failures=())
+        assert rebuilt != SweepResult(
+            points=points, failures=(SweepFailure(
+                cpu="sg2042", threads=1, placement=Placement.BLOCK,
+                precision=Precision.FP32, kernel="*",
+                error_type="ConfigError", message="x", attempts=1,
+            ),),
+        )
+        with pytest.raises(ConfigError, match="no points"):
+            SweepResult(points=(), failures=())
+
+    def test_interleaved_points_make_one_row_per_run(self, sg2042):
+        points = _grid_sweep(sg2042).points
+        shuffled = points[::3] + points[1::3] + points[2::3]
+        result = SweepResult(points=shuffled)
+        assert result.points is shuffled
+        assert result.point_count == len(shuffled)
+        runs = 1 + sum(
+            (a.cpu, a.threads, a.placement, a.precision)
+            != (b.cpu, b.threads, b.placement, b.precision)
+            for a, b in zip(shuffled, shuffled[1:])
+        )
+        assert len(result.rows) == runs
+        assert [
+            (row.cpu, row.threads, row.placement, row.precision, kernel,
+             seconds)
+            for row in result.rows
+            for kernel, seconds in zip(row.kernels, row.seconds)
+        ] == [
+            (p.cpu, p.threads, p.placement, p.precision, p.kernel,
+             p.seconds)
+            for p in shuffled
+        ]
+        assert result.best_overall() == _grid_sweep(sg2042).best_overall()
 
 
 class TestFoldEquivalence:
@@ -373,6 +542,31 @@ class TestCsv:
         )
         with pytest.raises(ConfigError, match="TRIAD,2"):
             result.to_csv()
+
+    def test_percent_format_prints_the_format_spec_digits(self):
+        # to_csv formats a row's seconds with one ``%`` operation; the
+        # digits must be the ``{:.9f}`` ones render_csv's rows use.
+        rng = random.Random(2042)
+        values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                  1.7976931348623157e308, 5e-10, 1.5e-9, 2.5e-9, 1, True]
+        for _ in range(10_000):
+            values.append(struct.unpack(
+                "<d", struct.pack("<Q", rng.getrandbits(64))
+            )[0])
+            values.append(rng.random() * 10.0 ** rng.randint(-12, 6))
+        assert [("%.9f" % v) for v in values] == [
+            f"{v:.9f}" for v in values
+        ]
+
+    def test_percent_signs_render_literally(self, sg2042):
+        point = sweep(sg2042, KERNELS[:2]).points[0]
+        points = (
+            replace(point, cpu="SG2042 @ 100%"),
+            replace(point, cpu="SG2042 @ 100%", kernel="TRIAD%s"),
+            replace(point, kernel="%.9f%%"),
+        )
+        result = SweepResult(points=points, failures=())
+        assert result.to_csv() == _render_csv(points)
 
     def test_interleaved_points_render_like_render_csv(self, sg2042):
         points = _grid_sweep(sg2042).points

@@ -123,15 +123,8 @@ class TestStoreRegistryMachines:
             "--placements", "block", "--precisions", "fp64"]
 
     def _sweep_twice(self, store, *extra):
-        import repro.store
-
-        previous = repro.store.default_store()
-        try:
-            for _ in range(2):
-                assert main([*self.ARGS, "--store", str(store),
-                             *extra]) == 0
-        finally:
-            repro.store.set_default_store(previous)
+        for _ in range(2):
+            assert main([*self.ARGS, "--store", str(store), *extra]) == 0
 
     def test_store_sweep_on_a_shipped_registry_machine(self, tmp_path,
                                                       capsys):
