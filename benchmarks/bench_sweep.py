@@ -5,38 +5,38 @@ threads {1, 4, 8, 16, 32, 64} x {block, cyclic} x {fp32, fp64} on the
 SG2042, ``noise_sigma=0`` — four ways:
 
 * **reference**: :func:`reference_mode` (per-core slowest-thread scans,
-  per-core sharer map rebuilds) with both cache layers disabled — the
-  engine's behaviour before any fast path existed;
-* **fast**: the default path — placement symmetry-class dedup, shared
-  compile cache, batch engine;
-* **cold scalar**: ``engine="scalar"`` with caches disabled — what a
-  cold (never-before-seen) grid cost before the batch engine;
-* **cold batch**: ``engine="batch"`` with fresh (empty) caches — the
+  per-core sharer map rebuilds, one scalar prediction per kernel and
+  grid point) — the engine's behaviour before any fast path existed;
+* **fast**: the default path — placement symmetry-class dedup, the
+  warm compile LRU, batch engine;
+* **cold scalar**: ``engine="scalar"`` from an empty compile LRU — what
+  a cold (never-before-seen) grid cost before the batch engine;
+* **cold batch**: ``engine="batch"`` from an empty compile LRU — the
   cold path now: one compile per kernel, one vectorized NumPy pass per
   configuration.
 
 One more variant measures the persistent store — what a *second
 process* pays over a store a prior process filled:
 
-* **warm sub-grid**: a sub-grid of the acceptance grid with fresh
-  in-memory caches over a store that one store-backed sweep of the
-  full grid filled — restores every compile report from the store and
+* **warm sub-grid**: a sub-grid of the acceptance grid, from an empty
+  compile LRU, over a store that one store-backed sweep of the full
+  grid filled — restores the suite's compile reports from the store and
   predicts the grid afresh.
 
 Every variant is timed best-of-:data:`BENCH_RUNS` — the same recipe
-measured mode uses for host kernels — with fresh suite caches per
-attempt, so a one-off allocator or scheduler hiccup cannot decide a
-floor. Cold scalar and cold batch, whose times make the cold floor,
-run in interleaved rounds (one attempt of each per round), so the
-floor's numerator and denominator meet the same host states. It
+measured mode uses for host kernels — each cold attempt clearing the
+compile LRU first, so a one-off allocator or scheduler hiccup cannot
+decide a floor. Cold scalar and cold batch, whose times make the cold
+floor, run in interleaved rounds (one attempt of each per round), so
+the floor's numerator and denominator meet the same host states. It
 asserts all five sweeps are **bit-identical** (dataclass equality over
 every float of every point) and their CSVs **byte-identical** (a CSV
-renders from the result's rows, not its points), that the compile
-cache compiled each
-kernel exactly once, that the store-backed sub-grid recompiled
-nothing, and that the speedup floors are cleared: warm >= 5x and cold
-batch-vs-scalar >= 3.2x on the full grid (looser floors on the
-``--reduced`` CI grid, whose runs are too quick to amortize fixed
+renders from the result's rows, not its points), that a cold sweep
+calls ``analyze()`` once per kernel and a repeated one not at all, that
+the store-backed sub-grid compiled nothing and read one compile
+artifact, which hit, and that the speedup floors are cleared: warm >=
+5x and cold batch-vs-scalar >= 3.2x on the full grid (looser floors on
+the ``--reduced`` CI grid, whose runs are too quick to amortize fixed
 costs). Results land in ``BENCH_sweep.json`` next to the repo root to
 extend the perf trajectory.
 
@@ -53,6 +53,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro.compiler.vectorizer import analyze_suite
 from repro.kernels.registry import all_kernels
 from repro.machine import catalog
 from repro.perfmodel.placement import reference_mode
@@ -83,18 +84,18 @@ _MICRO_LOOPS = 50_000
 def _site_counts(configs: int, n_kernels: int) -> dict:
     """Per-sweep counts of the instrumentation's off-path sites.
 
-    Upper bounds for an untraced batch sweep, which builds its rows
-    straight from the whole-grid prefetch: a hoisted flag test per
-    compile miss (at most one per kernel) and per grid point, and one
-    recorder lookup plus one null span per grid point
-    (``compile.resolve``) on top of a few per sweep (``sweep``,
-    ``sweep.prefetch``, ``predict_grid``, the fold test).
+    Upper bounds for an untraced batch sweep, which resolves its compile
+    reports once and builds its rows straight from the whole-grid
+    prefetch: a hoisted flag test per compile miss (at most one per
+    kernel) and per grid point, and a few recorder lookups and null
+    spans per sweep (``sweep``, ``sweep.prefetch``, ``compile.resolve``,
+    the compile LRU's miss, ``predict_grid``, the fold test).
     :func:`_count_recorder_sites` checks the last two on every run.
     """
     return {
         "flag_checks": configs + n_kernels,
-        "lookups": configs + 8,
-        "null_spans": configs + 4,
+        "lookups": 8,
+        "null_spans": 4,
     }
 
 
@@ -182,15 +183,39 @@ def _telemetry_overhead(cold_batch_seconds: float, sites: dict) -> dict:
     }
 
 
+def _count_compiles(run) -> int:
+    """``analyze()`` calls one ``run()`` makes.
+
+    Wraps the function where the compile LRU and the runner's per-kernel
+    fallback call it; the timed attempts run unwrapped.
+    """
+    from repro.compiler import vectorizer
+    from repro.suite import runner
+
+    calls = 0
+    real = vectorizer.analyze
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    vectorizer.analyze = runner.analyze = counting
+    try:
+        run()
+    finally:
+        vectorizer.analyze = runner.analyze = real
+    return calls
+
+
 def _best_of_rounds(variants: dict, rounds: int = BENCH_RUNS) -> dict:
     """Best wall time of each variant over ``rounds`` rounds.
 
     Each round runs one fresh attempt of every variant, in order, so
     variants compared with each other meet the same host states.
-    ``variants`` maps a name to a callable that builds and runs one
-    attempt from scratch and returns ``(sweep_result, caches_or_None)``;
-    the result maps each name to ``(best seconds, last attempt's
-    pair)``.
+    ``variants`` maps a name to a callable that runs one attempt and
+    returns ``(sweep_result, store_or_None)``; the result maps each
+    name to ``(best seconds, last attempt's pair)``.
     """
     best = dict.fromkeys(variants, float("inf"))
     last = {}
@@ -225,35 +250,25 @@ def run_benchmark(reduced: bool = False) -> dict:
 
     def run_reference():
         with reference_mode():
-            return sweep(cpu, kernels=kernels,
-                         caches=SuiteCaches.disabled(), **grid), None
+            return sweep(cpu, kernels=kernels, **grid), None
 
     def run_fast():
-        fast_caches = SuiteCaches()
-        return (
-            sweep(cpu, kernels=kernels, caches=fast_caches, **grid),
-            fast_caches,
-        )
+        return sweep(cpu, kernels=kernels, **grid), None
 
-    # Cold comparison: what a never-before-seen grid costs. The scalar
-    # side runs uncached (each point recompiles and re-predicts, the
-    # pre-batch cold behaviour); the batch side starts from a fresh,
-    # empty compile cache each attempt — every compile it makes is a
-    # cold miss.
+    # Cold comparison: what a never-before-seen grid costs. Both sides
+    # start from an empty compile LRU each attempt; the scalar side then
+    # predicts kernel by kernel at each point (the pre-batch cold
+    # behaviour), the batch side the whole grid in one pass.
     def run_cold_scalar():
-        return sweep(cpu, kernels=kernels, engine="scalar",
-                     caches=SuiteCaches.disabled(), **grid), None
+        analyze_suite.cache_clear()
+        return sweep(cpu, kernels=kernels, engine="scalar", **grid), None
 
     def run_cold_batch():
-        batch_caches = SuiteCaches()
-        return (
-            sweep(cpu, kernels=kernels, engine="batch",
-                  caches=batch_caches, **grid),
-            batch_caches,
-        )
+        analyze_suite.cache_clear()
+        return sweep(cpu, kernels=kernels, engine="batch", **grid), None
 
     ref_seconds, (ref, _) = _best_of(run_reference)
-    fast_seconds, (fast, caches) = _best_of(run_fast)
+    fast_seconds, (fast, _) = _best_of(run_fast)
 
     # The cold floor divides by the cold-scalar time: interleave the
     # two so each round meets one host state.
@@ -262,32 +277,35 @@ def run_benchmark(reduced: bool = False) -> dict:
         "cold_batch": run_cold_batch,
     })
     cold_scalar_seconds, (cold_scalar, _) = timed["cold_scalar"]
-    cold_batch_seconds, (cold_batch, cold_caches) = timed["cold_batch"]
+    cold_batch_seconds, (cold_batch, _) = timed["cold_batch"]
 
     # Warm sub-grid: the second-process story. A prior process filled
     # the artifact store with one store-backed sweep of the full grid;
-    # every timed attempt then starts from *fresh, empty* in-memory
-    # caches over that store — exactly what a new process sees — and
-    # runs a sub-grid: it restores every compile report from the store
+    # every timed attempt then starts from an *empty* compile LRU and a
+    # new handle over that store — what a new process sees — and runs a
+    # sub-grid: it restores the suite's compile reports from the store
     # and predicts the grid afresh.
     sub_threads = tuple(grid["threads"][::2])
     sub_grid = dict(grid, threads=sub_threads)
     with tempfile.TemporaryDirectory(prefix="bench-store-") as tmp:
-        store = ArtifactStore(tmp)
         sweep(cpu, kernels=kernels, engine="batch",
-              caches=SuiteCaches.persistent(store), **grid)
+              caches=SuiteCaches.persistent(ArtifactStore(tmp)), **grid)
 
         def run_warm_subgrid():
-            sub_caches = SuiteCaches.persistent(store)
+            analyze_suite.cache_clear()
+            store = ArtifactStore(tmp)
             return (
                 sweep(cpu, kernels=kernels, engine="batch",
-                      caches=sub_caches, **sub_grid),
-                sub_caches,
+                      caches=SuiteCaches.persistent(store), **sub_grid),
+                store,
             )
 
-        warm_subgrid_seconds, (warm_subgrid, sub_caches) = _best_of(
+        warm_subgrid_seconds, (warm_subgrid, sub_store) = _best_of(
             run_warm_subgrid
         )
+        sub_compiles = _count_compiles(run_warm_subgrid)
+    cold_compiles = _count_compiles(run_cold_batch)
+    repeat_compiles = _count_compiles(run_fast)
 
     assert fast == ref, "fast path diverged from the reference sweep"
     assert cold_scalar == ref, "scalar engine diverged from the reference"
@@ -309,18 +327,23 @@ def run_benchmark(reduced: bool = False) -> dict:
         "sub-grid sweep's CSV differs from the reference's"
     )
     assert not warm_subgrid.failures
-    sub_stats = sub_caches.stats()
-    assert sub_stats.compile_misses == 0, (
-        f"sub-grid sweep recompiled {sub_stats.compile_misses} "
-        f"kernels; the store should have served every report"
+    assert sub_compiles == 0, (
+        f"sub-grid sweep compiled {sub_compiles} kernels; the store "
+        f"should have served every report"
     )
-    assert sub_stats.compile_disk_hits == len(kernels)
-    stats = caches.stats()
-    assert stats.compile_misses == len(kernels), (
+    sub_stats = sub_store.stats()["compile"]
+    sub_reads = sub_stats.hits + sub_stats.misses + sub_stats.errors
+    assert (sub_reads, sub_stats.hits) == (1, 1), (
+        f"sub-grid sweep made {sub_reads} compile reads with "
+        f"{sub_stats.hits} hits; expected one composite read, a hit"
+    )
+    assert cold_compiles == len(kernels), (
         f"expected exactly one compilation per kernel, got "
-        f"{stats.compile_misses}"
+        f"{cold_compiles}"
     )
-    assert cold_caches.stats().compile_misses == len(kernels)
+    assert repeat_compiles == 0, (
+        f"a repeated sweep compiled {repeat_compiles} kernels"
+    )
 
     speedup = ref_seconds / fast_seconds
     cold_speedup = cold_scalar_seconds / cold_batch_seconds
@@ -350,10 +373,10 @@ def run_benchmark(reduced: bool = False) -> dict:
     )
     from repro import telemetry
 
+    analyze_suite.cache_clear()
     with telemetry.telemetry_session():
         start = time.perf_counter()
-        traced = sweep(cpu, kernels=kernels, engine="batch",
-                       caches=SuiteCaches(), **grid)
+        traced = sweep(cpu, kernels=kernels, engine="batch", **grid)
         traced_seconds = time.perf_counter() - start
     assert traced == ref, "traced sweep diverged from the reference"
     assert traced.to_csv() == ref_csv, (
@@ -377,13 +400,14 @@ def run_benchmark(reduced: bool = False) -> dict:
         "cold_speedup": round(cold_speedup, 2),
         "cold_speedup_floor": cold_floor,
         "warm_subgrid_seconds": round(warm_subgrid_seconds, 6),
-        "warm_subgrid_compile_restored": sub_stats.compile_disk_hits,
         "bit_identical": True,
         "csv_identical": True,
         "compile_cache": {
-            "misses": stats.compile_misses,
-            "hits": stats.compile_hits,
-            "entries": stats.compile_entries,
+            "cold_compiles": cold_compiles,
+            "repeat_compiles": repeat_compiles,
+            "warm_subgrid_compiles": sub_compiles,
+            "warm_subgrid_store_reads": sub_reads,
+            "warm_subgrid_store_hits": sub_stats.hits,
         },
         "telemetry_overhead": telemetry_overhead,
         "traced_cold_batch_seconds": round(traced_seconds, 6),
@@ -394,26 +418,28 @@ def _report(record: dict) -> str:
     return (
         f"full-grid sweep fast path ({record['mode']} grid, "
         f"{record['predictions']} predictions):\n"
-        f"  reference (per-core scan, no caches): "
+        f"  reference (per-core scan, scalar):    "
         f"{record['reference_seconds'] * 1e3:9.1f} ms\n"
-        f"  fast (dedup + compile cache + batch): "
+        f"  fast (dedup + compile LRU + batch):   "
         f"{record['fast_seconds'] * 1e3:9.1f} ms\n"
         f"  speedup: {record['speedup']:6.1f}x  "
         f"(floor {record['speedup_floor']}x)   bit-identical: "
         f"{record['bit_identical']}   CSV-identical: "
         f"{record['csv_identical']}\n"
-        f"  cold scalar (uncached):               "
+        f"  cold scalar (empty compile LRU):      "
         f"{record['cold_scalar_seconds'] * 1e3:9.1f} ms\n"
-        f"  cold batch (fresh caches):            "
+        f"  cold batch (empty compile LRU):       "
         f"{record['cold_batch_seconds'] * 1e3:9.1f} ms\n"
         f"  cold speedup: {record['cold_speedup']:6.1f}x  "
         f"(floor {record['cold_speedup_floor']}x)\n"
-        f"  warm sub-grid (fresh caches, store):  "
+        f"  warm sub-grid (empty LRU, store):     "
         f"{record['warm_subgrid_seconds'] * 1e3:9.1f} ms  "
-        f"({record['warm_subgrid_compile_restored']} reports "
-        f"restored)\n"
-        f"  compile cache: {record['compile_cache']['misses']} compiled, "
-        f"{record['compile_cache']['hits']} reused\n"
+        f"({record['compile_cache']['warm_subgrid_store_hits']} of "
+        f"{record['compile_cache']['warm_subgrid_store_reads']} compile "
+        f"reads hit)\n"
+        f"  compiles: cold {record['compile_cache']['cold_compiles']}, "
+        f"repeat {record['compile_cache']['repeat_compiles']}, warm "
+        f"sub-grid {record['compile_cache']['warm_subgrid_compiles']}\n"
         f"  telemetry off-path overhead: "
         f"{record['telemetry_overhead']['projected_fraction']:.3%} "
         f"projected (budget "

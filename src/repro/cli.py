@@ -122,22 +122,14 @@ def _parse_grid(args: argparse.Namespace):
 
 
 def _sweep_caches(args: argparse.Namespace):
-    """Cache layer for ``--store``/``--no-cache``.
+    """The ``--store`` tier of a sweep.
 
-    Returns ``(caches, store)``; ``caches`` is ``None`` for the sweep
-    default (in-memory compile cache), ``store`` is the opened artifact
-    store or ``None``. :func:`_default_store_scope` installs the store
-    as the process default for the sweep, which gives the SoA lowering
-    cache its disk tier.
+    Returns ``(caches, store)``: both ``None`` without ``--store``,
+    else the store's compile tier and the opened artifact store.
+    :func:`_default_store_scope` installs the store as the process
+    default for the sweep, which gives the SoA lowering cache its disk
+    tier.
     """
-    from repro.util.errors import ConfigError
-
-    if getattr(args, "no_cache", False):
-        if getattr(args, "store", None):
-            raise ConfigError("--no-cache and --store are contradictory")
-        from repro.suite.memo import SuiteCaches
-
-        return SuiteCaches.disabled(), None
     if getattr(args, "store", None):
         from repro.store import ArtifactStore
         from repro.suite.memo import SuiteCaches
@@ -445,8 +437,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             best_t, best_pl, best_pr = result.best_overall()
             print(f"\nbest overall: {best_t} threads, {best_pl.value}, "
                   f"{best_pr.label}")
-        if result.cache_stats is not None:
-            print(result.cache_stats.render())
     if result.failures:
         print()
         print(result.failure_summary())
@@ -471,10 +461,6 @@ def _write_sweep_stats(path: str, result, elapsed: float,
         "seconds": elapsed,
         "points": result.point_count,
         "failures": len(result.failures),
-        "cache_stats": (
-            asdict(result.cache_stats)
-            if result.cache_stats is not None else None
-        ),
         "store": (
             {
                 namespace: asdict(stats)
@@ -841,15 +827,9 @@ def build_parser() -> argparse.ArgumentParser:
         "skips compiling and lowering",
     )
     p_sweep.add_argument(
-        "--no-cache", action="store_true",
-        help="switch off the counted compile cache "
-        "(the in-process suite-compilation, SoA-lowering and "
-        "batch-prelude LRUs still apply; incompatible with --store)",
-    )
-    p_sweep.add_argument(
         "--stats-out", default=None, metavar="FILE",
-        help="write in-process sweep seconds + cache/store counters "
-        "as JSON to FILE (for cross-process benchmark comparisons)",
+        help="write in-process sweep seconds + store counters as JSON "
+        "to FILE (for cross-process benchmark comparisons)",
     )
     _add_registry_flag(p_sweep)
     _add_resilience_flags(p_sweep)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from repro import telemetry
 from repro.compiler.model import Compiler, VectorFlavor
 from repro.kernels.base import Kernel
 from repro.machine.vector import VectorISA
@@ -153,13 +154,30 @@ def analyze_suite(
     kernels are shared instances), so a suite compiled once per
     configuration is reused at every thread count and placement, and a
     repeated call returns the same tuple of the same report objects.
+
+    This LRU is the process's one in-memory compile cache. Its body
+    runs only on a miss, so under a telemetry session each kernel it
+    compiles records one ``compile.analyze`` span. Two threads that
+    miss together may both compile the suite; ``analyze`` is pure, so
+    their results are equal.
     """
+    rec = telemetry.recorder()
+    traced = rec.active
     out: list[VectorizationReport | None] = []
     for kernel in kernels:
         try:
-            out.append(analyze(compiler, kernel, target, flavor, rollback))
+            if traced:
+                with rec.span(
+                    "compile.analyze", kernel=kernel.name,
+                    flavor=flavor.value, rollback=rollback,
+                ):
+                    report = analyze(compiler, kernel, target, flavor,
+                                     rollback)
+            else:
+                report = analyze(compiler, kernel, target, flavor, rollback)
         except ReproError:
-            out.append(None)
+            report = None
+        out.append(report)
     return tuple(out)
 
 

@@ -43,7 +43,6 @@ from repro.serve.respcache import (
 )
 from repro.serve.server import (
     MAX_SWEEP_CELLS,
-    EngineState,
     PredictionServer,
     ServeConfig,
     serve_forever,
@@ -57,7 +56,6 @@ __all__ = [
     "CircuitBreaker",
     "DeadlineExceeded",
     "EngineFault",
-    "EngineState",
     "MAX_SWEEP_CELLS",
     "NotFound",
     "PredictionServer",

@@ -28,14 +28,12 @@ from __future__ import annotations
 import asyncio
 import math
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro import telemetry
 from repro.kernels.registry import get_kernel
-from repro.machine.cpu import CPUModel
 from repro.resilience import chaos
 from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import FailurePolicy, RetrySpec
@@ -62,7 +60,7 @@ from repro.serve.respcache import (
     sweep_key,
 )
 from repro.suite.config import Placement, Precision, RunConfig
-from repro.suite.memo import SuiteCaches, machine_digest
+from repro.suite.memo import machine_digest
 from repro.suite.runner import SuiteResult, run_suite
 from repro.util.errors import ConfigError, ReproError
 
@@ -156,33 +154,11 @@ def _run_fault(result: SuiteResult, name: str) -> EngineFault | None:
     return EngineFault.from_failure(record)
 
 
-class EngineState:
-    """Process-wide cache layers, one :class:`SuiteCaches` per machine.
-
-    Keyed by :func:`machine_digest`, so two requests naming equal
-    machines (even via different objects) share compile cache entries,
-    while any re-tuned parameter isolates them.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._caches: dict[int, SuiteCaches] = {}
-
-    def caches_for(self, cpu: CPUModel) -> SuiteCaches:
-        digest = machine_digest(cpu)
-        with self._lock:
-            caches = self._caches.get(digest)
-            if caches is None:
-                caches = self._caches[digest] = SuiteCaches()
-            return caches
-
-
 class PredictionServer:
     """One serving process: sockets, queues, breaker, caches, drain."""
 
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
-        self.state = EngineState()
         self.admission = AdmissionController(
             max_inflight=self.config.max_inflight,
             base_retry_after_ms=self.config.base_retry_after_ms,
@@ -504,7 +480,7 @@ class PredictionServer:
         ``doc``). Registration is idempotent on the machine digest; a
         changed document under a known name replaces it. Every
         registration invalidates the response cache for the digests
-        involved; the new machine's caches fill on its first request.
+        involved.
         """
         from repro.registry import parse_document, validate_document
 
@@ -719,7 +695,6 @@ class PredictionServer:
                 kernels=[kernel],
                 policy=self._policy,
                 retry=self._retry,
-                caches=self.state.caches_for(cpu),
             )
 
         result = await self._engine_call(
@@ -795,7 +770,6 @@ class PredictionServer:
                 runs=1, noise_sigma=0.0,
                 policy=self._policy,
                 retry=self._retry,
-                caches=self.state.caches_for(cpu),
             ),
             deadline_s, "sweep",
         )

@@ -11,7 +11,7 @@ and parallel efficiencies.
 
 from repro.resilience.retry import FailurePolicy, FailureRecord, RetrySpec
 from repro.suite.config import Placement, Precision, RunConfig
-from repro.suite.memo import CacheCounters, SuiteCaches, machine_digest
+from repro.suite.memo import SuiteCaches, machine_digest
 from repro.suite.report import (
     class_speedups,
     class_summaries,
@@ -34,7 +34,6 @@ __all__ = [
     "FailurePolicy",
     "FailureRecord",
     "RetrySpec",
-    "CacheCounters",
     "SuiteCaches",
     "machine_digest",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.analysis.roofline import classify_kernels
 from repro.compiler.analysis import DECISIVE_FEATURES, derive_features
-from repro.compiler.model import CLANG_16, VectorFlavor, XUANTIE_GCC_8_4
+from repro.compiler.model import CLANG_16
 from repro.compiler.vectorizer import analyze
 from repro.kernels.ir_defs import ir_for
 from repro.kernels.registry import get_kernel
@@ -57,20 +57,26 @@ def explain_kernel(kernel_name: str, cpu: CPUModel) -> str:
         ) or "(none decisive)"),
     ]
 
-    lines += ["", "compilation on the C920 (RVV v0.7.1):"]
-    for label, compiler, rollback in (
-        ("XuanTie GCC 8.4", XUANTIE_GCC_8_4, False),
-        ("Clang 16 (+rollback)", CLANG_16, True),
-    ):
+    # The machine's default compiler, which the predicted times below
+    # use (run_suite compiles under a default RunConfig); on an RVV
+    # v0.7.1 core also the paper's comparison, Clang's RVV v1.0 output
+    # rolled back.
+    config = RunConfig()
+    compiler = config.resolve_compiler(cpu)
+    isa = cpu.core.isa
+    verdicts = [(compiler.name, compiler, config.rollback)]
+    if isa.version == "0.7.1":
+        verdicts.append(("Clang 16 (+rollback)", CLANG_16, True))
+    lines += ["", f"compilation on the {cpu.core.name} ({isa.name}):"]
+    for label, candidate, rollback in verdicts:
         try:
             verdict = analyze(
-                compiler, kernel, cpu.core.isa, flavor=VectorFlavor.VLS,
+                candidate, kernel, isa, flavor=config.flavor,
                 rollback=rollback,
             ).reason
         except ReproError as exc:
-            # A compiler that cannot target this machine (GCC 8.4 emits
-            # RVV v0.7.1 only) is an explicit gap, like a failed
-            # prediction below.
+            # A compiler that cannot target this machine is an explicit
+            # gap, like a failed prediction below.
             verdict = f"compilation failed ({type(exc).__name__}: {exc})"
         lines.append(f"  {label}: {verdict}")
 
@@ -82,9 +88,6 @@ def explain_kernel(kernel_name: str, cpu: CPUModel) -> str:
         f"{point.attainable_flops / 1e9:.2f} GFLOP/s",
     ]
 
-    # Predicted with the machine's default compiler, as run_suite
-    # compiles under a default RunConfig.
-    config = RunConfig()
     lines += ["", f"predicted times on {cpu.name}:"]
     for threads, placement, precision in (
         (1, PlacementPolicy.BLOCK, DType.FP64),
@@ -94,8 +97,8 @@ def explain_kernel(kernel_name: str, cpu: CPUModel) -> str:
     ):
         try:
             report = analyze(
-                config.resolve_compiler(cpu), kernel, cpu.core.isa,
-                flavor=config.flavor, rollback=config.rollback,
+                compiler, kernel, isa, flavor=config.flavor,
+                rollback=config.rollback,
             )
             cores = assign_cores(cpu.topology, threads, placement)
             result = simulate_kernel(

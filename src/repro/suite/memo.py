@@ -1,12 +1,11 @@
-"""Machine digests + per-sweep cache bookkeeping.
+"""Machine digests + the store tier of a run's compile reports.
 
 :func:`machine_digest` names a machine by its full description, so two
 equal machines share cache entries while any re-tuned parameter changes
 the name.
 
-:class:`SuiteCaches` bundles the compile cache a sweep shares across
-its grid points; :class:`CacheCounters` is the counters snapshot
-surfaced on ``SuiteResult``/``SweepResult``. Predictions themselves are
+:class:`SuiteCaches` carries the optional ``--store`` tier of compile
+reports through ``run_suite`` and ``sweep``. Predictions themselves are
 never cached: every one is computed by the batch engine (or, on the
 scalar, chaos and reference paths, by ``simulate_kernel``).
 """
@@ -14,7 +13,7 @@ scalar, chaos and reference paths, by ``simulate_kernel``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -49,83 +48,19 @@ def machine_digest(cpu: CPUModel) -> int:
     return derive_seed("machine-digest", canonical)
 
 
-@dataclass(frozen=True)
-class CacheCounters:
-    """Hit/miss counters of a sweep's (or suite's) compile cache.
-
-    This is the legacy ad-hoc view carried on
-    ``SuiteResult.cache_stats`` / ``SweepResult.cache_stats``. When a
-    telemetry session is active the same counters are re-exposed as
-    ``cache.compile.*`` gauges on the metrics registry (:meth:`publish`);
-    the two are published from one snapshot, so they always reconcile
-    exactly.
-    """
-
-    compile_hits: int = 0
-    compile_misses: int = 0
-    compile_entries: int = 0
-    compile_disk_hits: int = 0
-
-    #: ``{metric name: CacheCounters field}`` — the telemetry names the
-    #: counters publish under (see docs/OBSERVABILITY.md).
-    METRIC_FIELDS = (
-        ("cache.compile.hits", "compile_hits"),
-        ("cache.compile.misses", "compile_misses"),
-        ("cache.compile.entries", "compile_entries"),
-        ("cache.compile.disk_hits", "compile_disk_hits"),
-    )
-
-    def publish(self, registry) -> None:
-        """Expose these counters as ``cache.*`` gauges on a telemetry
-        metrics registry (:class:`repro.telemetry.MetricsRegistry`).
-
-        Gauges, not counters: each publish is a point-in-time snapshot
-        (last write wins), mirroring the ``cache_stats`` semantics.
-        """
-        for metric_name, field_name in self.METRIC_FIELDS:
-            registry.gauge(metric_name).set(getattr(self, field_name))
-
-    def render(self) -> str:
-        # Disk detail appears only when the persistent tier actually
-        # restored something.
-        out = (
-            f"compile cache: {self.compile_misses} compiled, "
-            f"{self.compile_hits} reused"
-        )
-        if self.compile_disk_hits:
-            out += f"; disk: {self.compile_disk_hits} reports restored"
-        return out
-
-
 @dataclass
 class SuiteCaches:
-    """The cache layer shared across one sweep's grid points.
+    """The ``--store`` disk tier a run resolves its compile reports
+    through.
 
-    ``compile`` may be ``None`` to disable it; ``SuiteCaches()`` with no
-    arguments enables it (the default a sweep builds for itself).
+    ``SuiteCaches()`` has none: reports resolve through the
+    in-process :func:`~repro.compiler.vectorizer.analyze_suite` LRU
+    alone, as they do with no ``caches`` at all.
     """
 
-    compile: CompileCache | None = field(default_factory=CompileCache)
-
-    @classmethod
-    def disabled(cls) -> "SuiteCaches":
-        """Caches object with the compile cache off — the pre-cache
-        behaviour, used by the golden equivalence tests and the sweep
-        benchmark."""
-        return cls(compile=None)
+    compile: CompileCache | None = None
 
     @classmethod
     def persistent(cls, store: "ArtifactStore") -> "SuiteCaches":
-        """A compile cache backed by an on-disk artifact store."""
-        return cls(compile=CompileCache(store=store))
-
-    def stats(self) -> CacheCounters:
-        if self.compile is None:
-            return CacheCounters()
-        stats = self.compile.stats
-        return CacheCounters(
-            compile_hits=stats.hits,
-            compile_misses=stats.misses,
-            compile_entries=stats.entries,
-            compile_disk_hits=stats.disk_hits,
-        )
+        """Compile reports read from and written to ``store``."""
+        return cls(compile=CompileCache(store))

@@ -1,10 +1,8 @@
 """Counter / gauge / histogram registry for the prediction pipeline.
 
 One :class:`MetricsRegistry` lives per telemetry session and absorbs
-the signals that used to be scattered ad-hoc fields: compile-cache
-hit/miss counts (``cache.*`` gauges published from
-:class:`~repro.suite.memo.CacheCounters`), suite/kernel run counts,
-retry/backoff activity, and batch-engine fallbacks. The full metric
+the signals that used to be scattered ad-hoc fields: suite/kernel run
+counts, retry/backoff activity, and batch-engine fallbacks. The full metric
 name table lives in ``docs/OBSERVABILITY.md``.
 
 Instrument kinds:

@@ -58,3 +58,35 @@ def kernels():
 @pytest.fixture(scope="session")
 def kernels_by_name(kernels):
     return {k.name: k for k in kernels}
+
+
+@pytest.fixture
+def compile_counts(monkeypatch):
+    """Counts of ``analyze()`` calls and of ``analyze_suite`` lookups,
+    from a cleared compile LRU.
+
+    The process-wide :func:`~repro.compiler.vectorizer.analyze_suite`
+    LRU is cleared first, so a count does not depend on which tests ran
+    before; every binding the program calls is wrapped.
+    """
+    from repro.compiler import cache, vectorizer
+    from repro.suite import runner
+
+    counts = {"analyze": 0, "analyze_suite": 0}
+    real_analyze = vectorizer.analyze
+    real_suite = vectorizer.analyze_suite
+
+    def analyze(*args, **kwargs):
+        counts["analyze"] += 1
+        return real_analyze(*args, **kwargs)
+
+    def analyze_suite(*args, **kwargs):
+        counts["analyze_suite"] += 1
+        return real_suite(*args, **kwargs)
+
+    real_suite.cache_clear()
+    monkeypatch.setattr(vectorizer, "analyze", analyze)
+    monkeypatch.setattr(runner, "analyze", analyze)
+    monkeypatch.setattr(runner, "analyze_suite", analyze_suite)
+    monkeypatch.setattr(cache, "analyze_suite", analyze_suite)
+    return counts

@@ -1,20 +1,13 @@
 """The one engine-call path of ``/predict``, ``/sweep`` and ``/explain``:
-engine state, breaker outcomes, faults, and concurrent misses."""
+the compile cache it shares, breaker outcomes, faults, and concurrent
+misses."""
 
 import asyncio
-from dataclasses import replace
 
 import pytest
 
-from repro.machine import catalog
 from repro.resilience.faults import FaultPlan, FaultRule
-from repro.serve import (
-    BreakerState,
-    EngineState,
-    PredictionServer,
-    ServeConfig,
-)
-from repro.store import ArtifactStore
+from repro.serve import BreakerState, PredictionServer, ServeConfig
 
 from tests.serve.helpers import http_request
 
@@ -61,25 +54,26 @@ def triad_faults():
     ))
 
 
-class TestEngineState:
-    def test_equal_machines_share_one_caches_object(self):
-        state = EngineState()
-        first = state.caches_for(catalog.sg2042())
-        assert state.caches_for(catalog.sg2042()) is first
+class TestOneCompileCache:
+    def test_machines_sharing_an_isa_compile_once(self, compile_counts):
+        """The SG2042 and its two-socket build share a core ISA and a
+        compiler, so ``/predict`` of TRIAD on both compiles it once:
+        the server keeps no compile cache per machine."""
 
-    def test_retuned_machine_gets_its_own_caches(self):
-        state = EngineState()
-        cpu = catalog.sg2042()
-        retuned = replace(
-            cpu, core=replace(cpu.core, clock_hz=cpu.core.clock_hz + 1)
-        )
-        assert state.caches_for(retuned) is not state.caches_for(cpu)
+        async def scenario(server):
+            return [
+                (await http_request(
+                    server.port, "POST", "/predict",
+                    {"kernel": "TRIAD", "cpu": name},
+                ))[0]
+                for name in ("sg2042", "sg2042_2s")
+            ]
 
-    def test_engine_state_takes_no_store(self, tmp_path):
-        # Every machine's compile cache lives in process memory; the
-        # server opens no artifact store.
-        with pytest.raises(TypeError):
-            EngineState(ArtifactStore(tmp_path / "store"))
+        statuses, _ = with_server(default_config(), scenario)
+        assert statuses == [200, 200]
+        assert compile_counts["analyze"] == 1
+
+    def test_server_takes_no_store(self, tmp_path):
         with pytest.raises(TypeError):
             ServeConfig(store_path=str(tmp_path / "store"))
         assert not (tmp_path / "store").exists()
@@ -162,12 +156,13 @@ class TestBreakerHearsEveryEngineCall:
 
 class TestEngineFaults:
     @pytest.mark.parametrize("path", ["/predict", "/sweep"])
-    def test_whole_call_failure(self, path):
-        async def scenario(server):
-            def exploding(cpu):
-                raise RuntimeError("caches unavailable")
+    def test_whole_call_failure(self, path, monkeypatch):
+        def exploding(*args, **kwargs):
+            raise RuntimeError("engine unavailable")
 
-            server.state.caches_for = exploding
+        monkeypatch.setattr(ENGINE_FUNCTIONS[path], exploding)
+
+        async def scenario(server):
             return await http_request(
                 server.port, "POST", path, ENDPOINTS[path]
             )

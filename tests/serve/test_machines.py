@@ -149,41 +149,33 @@ class TestRegistration:
         # The faster clock must show through immediately.
         assert fresh[2]["seconds"] < cold[2]["seconds"]
 
-    def test_registration_queues_no_engine_work(self):
-        """Registering a machine compiles nothing: its compile cache
-        stays empty until its first request fills it."""
-        cpu = default_registry().machine("sg2042")
+    def test_registration_queues_no_engine_work(self, compile_counts):
+        """Registering a machine compiles nothing: its kernels compile
+        on its first request."""
         envelope = machine_envelope()
 
         async def scenario(server):
-            created = await http_request(
+            return await http_request(
                 server.port, "POST", "/machines", envelope
             )
-            return created, server
 
-        created, server = with_server(default_config(), scenario)
+        created = with_server(default_config(), scenario)
         assert created[0] == 201
-        # The drain waited for every queued engine job; none touched the
-        # new machine's caches.
-        custom = server._cpus["custom_sg2042"]
-        assert server.state.caches_for(custom).stats().compile_entries == 0
-        assert server.state.caches_for(cpu).stats().compile_entries == 0
+        # The drain waited for every queued engine job; none compiled.
+        assert compile_counts["analyze"] == 0
 
         async def first_request(server):
             await http_request(
                 server.port, "POST", "/machines", envelope
             )
-            predict = await http_request(
+            return await http_request(
                 server.port, "POST", "/predict",
                 {"kernel": "TRIAD", "cpu": "custom_sg2042", "threads": 8},
             )
-            return predict, server
 
-        predict, server = with_server(default_config(), first_request)
+        predict = with_server(default_config(), first_request)
         assert predict[0] == 200
-        custom = server._cpus["custom_sg2042"]
-        stats = server.state.caches_for(custom).stats()
-        assert (stats.compile_entries, stats.compile_misses) == (1, 1)
+        assert compile_counts["analyze"] == 1
 
     def test_invalidate_drops_memory_entries(self):
         async def scenario(server):

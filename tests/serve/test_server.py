@@ -406,6 +406,11 @@ class TestSweepAndExplain:
         )
         assert status == 200
         assert "predicted times on Sophon SG2044" in body["explanation"]
+        # Its own core and the compiler its predicted times use.
+        assert (
+            "compilation on the XuanTie C930 (RVV v1.0):\n"
+            "  Clang 16: vectorized" in body["explanation"]
+        )
         assert breaker == "closed"
 
 

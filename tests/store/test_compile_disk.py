@@ -1,17 +1,33 @@
-"""CompileCache disk tier: cross-cache restores, suite composites."""
+"""The store's compile tier: one artifact per compiled suite.
+
+A store-backed sweep writes its suite's reports as one ``compile/``
+artifact; a later process restores them in one read and compiles
+nothing. An unusable artifact warns and recomputes, to the same CSV as
+a sweep without a store. Counts of ``analyze()`` calls start from a
+cleared compile LRU (the ``compile_counts`` fixture).
+"""
 
 import json
+import warnings
+from dataclasses import replace
 
 import pytest
 
-from repro.compiler.cache import CompileCache
-from repro.compiler.model import XUANTIE_GCC_8_4
-from repro.compiler.vectorizer import analyze
-from repro.kernels.registry import all_kernels, get_kernel
-from repro.machine.vector import rvv_0_7_1
+from repro.compiler.model import XUANTIE_GCC_8_4, VectorFlavor
+from repro.compiler.vectorizer import analyze, analyze_suite
+from repro.kernels.registry import get_kernel
 from repro.store import ArtifactStore, StoreWarning
+from repro.store.codecs import encode_report, jsonable_parts
+from repro.suite.config import Placement, Precision
+from repro.suite.memo import SuiteCaches
+from repro.suite.sweep import sweep
 
-KERNELS = tuple(all_kernels()[:6])
+KERNELS = ("TRIAD", "GEMM", "DOT", "COPY", "PI_REDUCE", "JACOBI_2D")
+GRID = dict(
+    threads=(1, 8, 32),
+    placements=(Placement.BLOCK, Placement.CYCLIC),
+    precisions=(Precision.FP32, Precision.FP64),
+)
 
 
 @pytest.fixture
@@ -19,105 +35,94 @@ def store(tmp_path):
     return ArtifactStore(tmp_path / "store")
 
 
-def _suite_artifacts(store):
-    """The composite suite artifacts among the compile namespace."""
-    out = []
-    for path in (store.root / "compile").glob("*.json"):
-        record = json.loads(path.read_text())
-        if "reports" in record["payload"]:
-            out.append(path)
-    return out
+def _sweep(cpu, store=None):
+    return sweep(
+        cpu, [get_kernel(name) for name in KERNELS],
+        caches=None if store is None else SuiteCaches.persistent(store),
+        **GRID,
+    )
 
 
-class TestDiskTier:
-    def test_second_cache_restores_instead_of_compiling(self, store):
-        kernel = get_kernel("TRIAD")
-        isa = rvv_0_7_1()
-        first = CompileCache(store=store)
-        report = first.analyze(XUANTIE_GCC_8_4, kernel, isa)
-        assert first.stats.misses == 1
-
-        second = CompileCache(store=store)
-        restored = second.analyze(XUANTIE_GCC_8_4, kernel, isa)
-        assert restored == report == analyze(XUANTIE_GCC_8_4, kernel, isa)
-        assert second.stats.misses == 0
-        assert second.stats.disk_hits == 1
-        assert second.stats.hits == 0
-
-    def test_disk_hit_becomes_memory_entry(self, store):
-        kernel = get_kernel("TRIAD")
-        isa = rvv_0_7_1()
-        CompileCache(store=store).analyze(XUANTIE_GCC_8_4, kernel, isa)
-        cache = CompileCache(store=store)
-        cache.analyze(XUANTIE_GCC_8_4, kernel, isa)
-        cache.analyze(XUANTIE_GCC_8_4, kernel, isa)
-        stats = cache.stats
-        assert (stats.hits, stats.disk_hits, stats.misses) == (1, 1, 0)
-        assert stats.calls == 2
-
-    def test_no_store_means_no_disk_counters(self):
-        cache = CompileCache()
-        cache.analyze(XUANTIE_GCC_8_4, get_kernel("TRIAD"), rvv_0_7_1())
-        assert cache.stats.disk_hits == 0
-
-    def test_corrupt_report_recompiles_with_warning(self, store):
-        kernel = get_kernel("TRIAD")
-        isa = rvv_0_7_1()
-        first = CompileCache(store=store)
-        report = first.analyze(XUANTIE_GCC_8_4, kernel, isa)
-        for path in (store.root / "compile").glob("*.json"):
-            record = json.loads(path.read_text())
-            record["payload"]["efficiency"] = "very"
-            path.write_text(json.dumps(record))
-        fresh = CompileCache(store=store)
-        with pytest.warns(StoreWarning, match="unusable"):
-            again = fresh.analyze(XUANTIE_GCC_8_4, kernel, isa)
-        assert again == report
-        assert fresh.stats.misses == 1
+def _compile_artifacts(store):
+    return sorted((store.root / "compile").glob("*.json"))
 
 
-class TestSuiteComposite:
-    def test_suite_restore_costs_one_read(self, store):
-        isa = rvv_0_7_1()
-        primer = CompileCache(store=store)
-        reports = primer.analyze_suite(XUANTIE_GCC_8_4, KERNELS, isa)
-        assert primer.stats.misses == len(KERNELS)
-        assert len(_suite_artifacts(store)) == 1
+def _rewrite_payload(path, edit):
+    record = json.loads(path.read_text())
+    edit(record["payload"])
+    path.write_text(json.dumps(record))
 
-        # Fresh cache over a *separate handle* so read counters start
-        # clean: the whole suite must come back from one artifact.
-        reader_store = ArtifactStore(store.root)
-        fresh = CompileCache(store=reader_store)
-        restored = fresh.analyze_suite(XUANTIE_GCC_8_4, KERNELS, isa)
-        assert restored == reports
-        assert fresh.stats.disk_hits == len(KERNELS)
-        assert fresh.stats.misses == 0
-        assert reader_store.stats()["compile"].hits == 1
 
-    def test_suite_restore_populates_per_kernel_entries(self, store):
-        isa = rvv_0_7_1()
-        CompileCache(store=store).analyze_suite(
-            XUANTIE_GCC_8_4, KERNELS, isa
+class TestOneArtifactPerSuite:
+    def test_sweep_writes_one_composite(self, sg2042, store):
+        result = _sweep(sg2042, store)
+        assert result == _sweep(sg2042)
+        (path,) = _compile_artifacts(store)
+        payload = json.loads(path.read_text())["payload"]
+        assert len(payload["reports"]) == len(KERNELS)
+        assert store.stats()["compile"].puts == 1
+
+    def test_fresh_process_restores_in_one_read(self, sg2042, store,
+                                                compile_counts):
+        first = _sweep(sg2042, store)
+        compiled = compile_counts["analyze"]
+        compile_counts["analyze_suite"] = 0
+        # A new handle over the same directory: fresh read counters, and
+        # the LRU emptied as a new process's is.
+        analyze_suite.cache_clear()
+        reader = ArtifactStore(store.root)
+        restored = _sweep(sg2042, reader)
+        assert restored == first
+        assert restored.to_csv() == first.to_csv()
+        assert compiled == len(KERNELS)
+        assert compile_counts["analyze"] == compiled
+        assert compile_counts["analyze_suite"] == 0
+        stats = reader.stats()["compile"]
+        assert (stats.hits, stats.misses, stats.errors) == (1, 0, 0)
+        assert stats.puts == 0
+
+
+class TestUnusableArtifacts:
+    def test_wrong_length_warns_and_recomputes(self, sg2042, store):
+        _sweep(sg2042, store)
+        (path,) = _compile_artifacts(store)
+        _rewrite_payload(
+            path, lambda payload: payload["reports"].pop()
         )
-        fresh = CompileCache(store=store)
-        fresh.analyze_suite(XUANTIE_GCC_8_4, KERNELS, isa)
-        # Per-kernel analyze() calls now hit memory, not disk.
-        fresh.analyze(XUANTIE_GCC_8_4, KERNELS[0], isa)
-        assert fresh.stats.hits == 1
-
-    def test_corrupt_composite_falls_back_to_per_kernel(self, store):
-        isa = rvv_0_7_1()
-        primer = CompileCache(store=store)
-        reports = primer.analyze_suite(XUANTIE_GCC_8_4, KERNELS, isa)
-        suite_path = _suite_artifacts(store)[0]
-        record = json.loads(suite_path.read_text())
-        record["payload"]["reports"] = record["payload"]["reports"][:-1]
-        suite_path.write_text(json.dumps(record))
-
-        fresh = CompileCache(store=store)
         with pytest.warns(StoreWarning, match="suite compile artifact"):
-            restored = fresh.analyze_suite(XUANTIE_GCC_8_4, KERNELS, isa)
-        assert restored == reports
-        # The per-kernel artifacts are intact: nothing recompiled.
-        assert fresh.stats.misses == 0
-        assert fresh.stats.disk_hits == len(KERNELS)
+            recovered = _sweep(sg2042, ArtifactStore(store.root))
+        assert recovered.to_csv() == _sweep(sg2042).to_csv()
+
+    def test_corrupt_report_warns_and_recomputes(self, sg2042, store):
+        _sweep(sg2042, store)
+        (path,) = _compile_artifacts(store)
+
+        def corrupt(payload):
+            payload["reports"][0]["efficiency"] = "very"
+
+        _rewrite_payload(path, corrupt)
+        with pytest.warns(StoreWarning, match="unusable"):
+            recovered = _sweep(sg2042, ArtifactStore(store.root))
+        assert recovered.to_csv() == _sweep(sg2042).to_csv()
+
+    def test_per_kernel_artifacts_are_never_read(self, sg2042, store):
+        """An artifact in the old per-kernel layout, with a wrong
+        efficiency, changes nothing: only suite artifacts are read."""
+        kernel = get_kernel("TRIAD")
+        isa = sg2042.core.isa
+        report = analyze(XUANTIE_GCC_8_4, kernel, isa)
+        store.put(
+            "compile",
+            jsonable_parts((
+                XUANTIE_GCC_8_4.name, XUANTIE_GCC_8_4.rvv_version,
+                kernel.name, isa.name, isa.version, isa.is_scalar_only,
+                VectorFlavor.VLS, False,
+            )),
+            encode_report(replace(report, efficiency=report.efficiency
+                                  / 4)),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", StoreWarning)
+            stored = _sweep(sg2042, ArtifactStore(store.root))
+        assert stored.to_csv() == _sweep(sg2042).to_csv()
+        assert len(_compile_artifacts(store)) == 2

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.compiler.vectorizer import analyze_suite
 from repro.kernels.registry import get_kernel
 from repro.perfmodel import reference_mode
 from repro.resilience import chaos
@@ -52,9 +53,8 @@ def store(tmp_path):
 
 @pytest.fixture(scope="module")
 def reference(sg2042):
-    """The uncached scalar answer every warm path must reproduce."""
-    return sweep(sg2042, kernels=KERNELS,
-                 caches=SuiteCaches.disabled(), engine="scalar", **GRID)
+    """The storeless scalar answer every warm path must reproduce."""
+    return sweep(sg2042, kernels=KERNELS, engine="scalar", **GRID)
 
 
 def _envelope(root, namespace, key, payload):
@@ -77,18 +77,20 @@ def _envelope(root, namespace, key, payload):
 
 class TestGridSensitivity:
     def test_subgrid_restores_every_report_and_recomputes(
-        self, store, sg2042, reference
+        self, store, sg2042, reference, compile_counts
     ):
         _sweep(store, cpu=sg2042)  # fills the store
+        analyze_suite.cache_clear()
+        compiled = compile_counts["analyze"]
         sub = dict(GRID, threads=(8,))
-        caches = SuiteCaches.persistent(store)
-        result = sweep(sg2042, kernels=KERNELS, caches=caches, **sub)
+        reader = ArtifactStore(store.root)
+        result = _sweep(reader, cpu=sg2042, **sub)
         assert result.points == tuple(
             p for p in reference.points if p.threads == 8
         )
-        stats = caches.stats()
-        assert stats.compile_misses == 0
-        assert stats.compile_disk_hits == len(KERNELS)
+        assert compile_counts["analyze"] == compiled
+        stats = reader.stats()["compile"]
+        assert (stats.hits, stats.misses, stats.puts) == (1, 0, 0)
 
 
 class TestEveryPathAnswersLikeNoStore:
@@ -98,20 +100,22 @@ class TestEveryPathAnswersLikeNoStore:
 
     @pytest.mark.parametrize("engine", ["batch", "scalar"])
     def test_repeat_sweep_recomputes(self, store, sg2042, reference,
-                                     engine):
+                                     engine, compile_counts):
         first = _sweep(store, cpu=sg2042, engine=engine)
-        caches = SuiteCaches.persistent(store)
-        second = sweep(sg2042, kernels=KERNELS, caches=caches,
-                       engine=engine, **GRID)
+        analyze_suite.cache_clear()
+        compiled = compile_counts["analyze"]
+        reader = ArtifactStore(store.root)
+        second = _sweep(reader, cpu=sg2042, engine=engine)
         assert first == second == reference
         assert [p.seconds for p in second.points] == [
             p.seconds for p in reference.points
         ]
         # Every compile report came from disk; every prediction was
         # computed.
-        stats = caches.stats()
-        assert stats.compile_misses == 0
-        assert stats.compile_disk_hits == len(KERNELS)
+        assert compile_counts["analyze"] == compiled
+        stats = reader.stats()["compile"]
+        assert stats.hits >= 1
+        assert (stats.misses, stats.puts) == (0, 0)
 
     def test_checkpointed_sweep(self, store, sg2042, reference, tmp_path):
         ckpt = tmp_path / "sweep.jsonl"
@@ -124,7 +128,7 @@ class TestEveryPathAnswersLikeNoStore:
         ))
         _sweep(store, cpu=sg2042)  # fills the store
         outcomes = []
-        for caches in (SuiteCaches.persistent(store), SuiteCaches()):
+        for caches in (SuiteCaches.persistent(store), None):
             with chaos.inject_faults(plan):
                 outcomes.append(sweep(
                     sg2042, kernels=KERNELS, caches=caches,
@@ -175,9 +179,9 @@ class TestNoSweepArtifacts:
             runs.append((proc.stdout, json.loads(stats_path.read_text())))
         (first_csv, first), (second_csv, second) = runs
         assert second_csv == first_csv
-        assert first["cache_stats"]["compile_misses"] == 3
-        assert second["cache_stats"]["compile_misses"] == 0
-        assert second["cache_stats"]["compile_disk_hits"] == 3
+        assert first["store"]["compile"]["puts"] == 1
+        assert second["store"]["compile"]["hits"] == 1
+        assert "cache_stats" not in second
         assert "restored" not in second
         assert set(second["store"]) == {"compile", "soa"}
         assert all(ns["puts"] == 0 for ns in second["store"].values())
@@ -388,8 +392,8 @@ class TestRejectedArguments:
 
     def test_numpy_thread_counts_still_restore(self, store, sg2042):
         _sweep(store, cpu=sg2042, threads=(4, 8))
-        caches = SuiteCaches.persistent(store)
-        restored = sweep(sg2042, kernels=KERNELS, caches=caches,
-                         **dict(GRID, threads=[np.int64(4), 8]))
-        assert caches.stats().compile_disk_hits == len(KERNELS)
+        reader = ArtifactStore(store.root)
+        restored = _sweep(reader, cpu=sg2042,
+                          threads=[np.int64(4), 8])
+        assert reader.stats()["compile"].hits == 1
         assert restored == _sweep(store, cpu=sg2042, threads=(4, 8))

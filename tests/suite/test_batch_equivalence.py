@@ -7,8 +7,8 @@ change a single bit of any result, failure record or grid ordering.
 These tests pin that contract: golden full grids on the SG2042 and AMD
 Rome, a seeded randomized sweep over every catalog machine, the noisy
 suite-level fold against the per-kernel loop and ``np.mean``, failure-
-policy equivalence (including the scalar-fallback path), cache-counter
-parity, the chaos/reference-mode scalar degradation, and the process
+policy equivalence (including the scalar-fallback path), equality over
+one store, the chaos/reference-mode scalar degradation, and the process
 worker pool.
 """
 
@@ -33,6 +33,7 @@ from repro.perfmodel.execution import simulate_kernel
 from repro.perfmodel.placement import reference_mode
 from repro.resilience import chaos
 from repro.resilience.faults import transient_plan
+from repro.store import ArtifactStore
 from repro.suite.config import Placement, Precision, RunConfig
 from repro.suite.memo import SuiteCaches
 from repro.suite.runner import run_suite
@@ -65,40 +66,26 @@ def grid_sweep(cpu, engine, **kwargs):
 
 
 class TestGoldenGrids:
-    def test_sg2042_batch_matches_scalar_uncached(self, sg2042):
-        scalar = grid_sweep(
-            sg2042, "scalar", caches=SuiteCaches.disabled()
-        )
+    def test_sg2042_batch_matches_scalar(self, sg2042):
+        scalar = grid_sweep(sg2042, "scalar")
         batch = grid_sweep(sg2042, "batch")
         assert batch == scalar
 
-    def test_amd_rome_batch_matches_scalar_uncached(self, amd_rome):
-        scalar = grid_sweep(
-            amd_rome, "scalar", caches=SuiteCaches.disabled()
-        )
+    def test_amd_rome_batch_matches_scalar(self, amd_rome):
+        scalar = grid_sweep(amd_rome, "scalar")
         batch = grid_sweep(amd_rome, "batch")
         assert batch == scalar
 
-    def test_batch_matches_scalar_with_identical_cache_setup(self, sg2042):
-        # Same caches on both sides: counters must agree too — the
-        # batch engine's suite-level compile lookup scores exactly the
-        # hits and misses the scalar engine's per-kernel lookups do.
-        scalar = grid_sweep(sg2042, "scalar", caches=SuiteCaches())
-        batch = grid_sweep(sg2042, "batch", caches=SuiteCaches())
+    def test_batch_matches_scalar_over_one_store(self, sg2042, tmp_path):
+        # Both engines resolve the suite through the same store tier:
+        # one artifact, written by the first and read by the second.
+        store = ArtifactStore(tmp_path / "store")
+        scalar = grid_sweep(sg2042, "scalar",
+                            caches=SuiteCaches.persistent(store))
+        batch = grid_sweep(sg2042, "batch",
+                           caches=SuiteCaches.persistent(store))
         assert batch == scalar
-        assert batch.cache_stats == scalar.cache_stats
-        configs = sum(
-            1 for _ in THREADS
-        ) * len(PLACEMENTS) * len(PRECISIONS)
-        assert batch.cache_stats.compile_misses == 64
-        assert batch.cache_stats.compile_hits == 64 * (configs - 1)
-
-    def test_batch_with_caches_disabled(self, sg2042):
-        plain = grid_sweep(sg2042, "batch")
-        uncached = grid_sweep(
-            sg2042, "batch", caches=SuiteCaches.disabled()
-        )
-        assert uncached == plain
+        assert store.artifact_count("compile") == 1
 
 
 class TestRandomizedEquivalence:
@@ -468,21 +455,19 @@ class TestRunSuiteEngine:
 
 class TestForcedScalarDegradation:
     def test_chaos_plan_forces_scalar(self, sg2042):
-        caches = SuiteCaches()
         config = RunConfig(threads=2)
         with telemetry.telemetry_session():
             with chaos.inject_faults(
                 transient_plan(seed=7, probability=0.0)
             ):
-                result = run_suite(
-                    sg2042, config, caches=caches, engine="batch"
-                )
+                result = run_suite(sg2042, config, engine="batch")
         # The batch prefetch must not have run: under an active plan
-        # every kernel takes the scalar path, one prediction each.
+        # every kernel takes the scalar path, one prediction each, from
+        # the suite's one compile resolution.
         phases = result.telemetry.phase_counts
         assert phases["predict.scalar"] == 64
         assert "predict.batch" not in phases
-        assert result.cache_stats.compile_misses == 64
+        assert phases["compile.resolve"] == 1
 
     def test_reference_mode_forces_scalar(self, sg2042):
         config = RunConfig(threads=8)

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from repro import telemetry
+from repro.compiler.model import XUANTIE_GCC_8_4
 from repro.kernels.registry import all_kernels
 from repro.registry import registry_with_paths
 from repro.suite.config import RunConfig
@@ -25,8 +26,8 @@ class TestExplainKernel:
     def test_triad_sections(self, sg2042):
         text = explain_kernel("TRIAD", sg2042)
         for section in ("characterization:", "loop features",
-                        "compilation on the C920", "roofline",
-                        "predicted times"):
+                        "compilation on the XuanTie C920 (RVV v0.7.1):",
+                        "roofline", "predicted times"):
             assert section in text
 
     def test_reports_scalar_fp64_vector_fp32(self, sg2042):
@@ -108,14 +109,39 @@ class TestEveryRegistryMachine:
                 checked += 1
         assert checked >= 2 * len(kernels)
 
-    def test_compiler_that_cannot_target_is_a_gap(self):
+    @pytest.mark.parametrize("name", sorted(MACHINES))
+    def test_compile_section_names_the_predicting_compiler(self, name):
+        cpu = MACHINES[name]
+        compiler = RunConfig().resolve_compiler(cpu)
+        text = explain_kernel("TRIAD", cpu)
+        heading = (
+            f"compilation on the {cpu.core.name} ({cpu.core.isa.name}):"
+        )
+        section = text.split(heading + "\n", 1)[1].split("\n\n", 1)[0]
+        labels = [line.split(":", 1)[0].strip()
+                  for line in section.splitlines()]
+        # The default compiler first; on an RVV v0.7.1 core also the
+        # paper's rolled-back Clang.
+        expected = [compiler.name]
+        if cpu.core.isa.version == "0.7.1":
+            expected.append("Clang 16 (+rollback)")
+        assert labels == expected
+        assert "compilation failed" not in section
+
+    def test_compiler_that_cannot_target_is_a_gap(self, monkeypatch):
+        # XuanTie GCC 8.4 emits RVV v0.7.1 only; made the SG2044's
+        # compiler, its compile line and every prediction are gaps.
+        monkeypatch.setattr(
+            RunConfig, "resolve_compiler",
+            lambda self, cpu: XUANTIE_GCC_8_4,
+        )
         text = explain_kernel("TRIAD", MACHINES["sophon_sg2044"])
         assert (
-            "  XuanTie GCC 8.4: compilation failed (CompilationError: "
+            "  GCC 8.4 (XuanTie): compilation failed (CompilationError: "
             in text
         )
-        assert "  Clang 16 (+rollback): vectorized" in text
-        assert "prediction failed" not in text
+        assert "Clang 16 (+rollback)" not in text
+        assert text.count("prediction failed (CompilationError: ") == 4
 
 
 class TestExperimentDeterminism:

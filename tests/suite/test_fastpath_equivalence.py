@@ -1,11 +1,11 @@
 """Golden equivalence: the fast path is bit-identical to the reference.
 
 The prediction engine's fast path stacks two optimizations — placement
-symmetry-class dedup and the compile cache. Neither is allowed to
-change a single bit of any result. These tests pin that contract
-against the naive reference (:func:`reference_mode` +
-:meth:`SuiteCaches.disabled`), across all 64 kernels, the SG2042 and an
-x86 catalog machine, block/cyclic placements and a resumed checkpoint.
+symmetry-class dedup and the batch engine's whole-grid pass. Neither is
+allowed to change a single bit of any result. These tests pin that
+contract against the naive reference (:func:`reference_mode`), across
+all 64 kernels, the SG2042 and an x86 catalog machine, block/cyclic
+placements and a resumed checkpoint.
 """
 
 import pytest
@@ -15,7 +15,6 @@ from repro.resilience.faults import transient_plan
 from repro.kernels.registry import all_kernels
 from repro.perfmodel.placement import reference_mode
 from repro.suite.config import Placement, Precision, RunConfig
-from repro.suite.memo import SuiteCaches
 from repro.suite.runner import run_suite
 from repro.suite.sweep import sweep
 
@@ -25,7 +24,8 @@ PRECISIONS = (Precision.FP32, Precision.FP64)
 
 
 def reference_sweep(cpu, **kwargs):
-    """The pre-optimization behaviour: per-core scans, no caches."""
+    """The pre-optimization behaviour: per-core scans, one scalar
+    prediction per kernel and grid point."""
     with reference_mode():
         return sweep(
             cpu,
@@ -33,7 +33,6 @@ def reference_sweep(cpu, **kwargs):
             threads=THREADS,
             placements=PLACEMENTS,
             precisions=PRECISIONS,
-            caches=SuiteCaches.disabled(),
             **kwargs,
         )
 
@@ -57,8 +56,7 @@ def sg_reference(sg2042):
 class TestSweepEquivalence:
     def test_serial_fast_sweep_bit_identical(self, sg2042, sg_reference):
         fast = fast_sweep(sg2042)
-        # Dataclass equality compares every float of every point
-        # exactly (cache_stats is excluded by field(compare=False)).
+        # Equality compares every float of every point exactly.
         assert fast == sg_reference
 
     def test_x86_machine_bit_identical(self, amd_rome):
@@ -78,16 +76,13 @@ class TestSweepEquivalence:
         resumed = fast_sweep(sg2042, checkpoint=ckpt)
         assert resumed == sg_reference
 
-    def test_compile_cache_compiles_each_kernel_exactly_once(self, sg2042):
-        caches = SuiteCaches()
-        result = fast_sweep(sg2042, caches=caches)
-        stats = result.cache_stats
-        configs = len(THREADS) * len(PLACEMENTS) * len(PRECISIONS)
-        # One flavor/rollback per sweep: 64 unique compile keys, every
-        # other (kernel, grid point) pair a hit.
-        assert stats.compile_misses == 64
-        assert stats.compile_entries == 64
-        assert stats.compile_hits == 64 * (configs - 1)
+    def test_compile_cache_compiles_each_kernel_exactly_once(
+        self, sg2042, compile_counts
+    ):
+        fast_sweep(sg2042)
+        # One flavor/rollback per sweep: one resolution of 64 kernels.
+        assert compile_counts["analyze_suite"] == 1
+        assert compile_counts["analyze"] == 64
 
 
 class TestSuiteEquivalence:
@@ -95,14 +90,9 @@ class TestSuiteEquivalence:
         config = RunConfig(threads=8, placement=Placement.BLOCK)
         with reference_mode():
             ref = run_suite(sg2042, config)
-        fast = run_suite(sg2042, config, caches=SuiteCaches())
+        fast = run_suite(sg2042, config)
         assert fast.runs == ref.runs
         assert fast == ref
-
-    def test_uncached_suite_has_no_cache_stats(self, sg2042):
-        config = RunConfig(threads=2)
-        result = run_suite(sg2042, config)
-        assert result.cache_stats is None
 
     def test_noise_path_unchanged_by_short_circuit(self, sg2042):
         # sigma == 0 short-circuits the noise averaging; a nonzero
@@ -115,16 +105,18 @@ class TestSuiteEquivalence:
 
 
 class TestChaosInteraction:
-    def test_compile_cache_works_under_active_fault_plan(self, sg2042):
-        caches = SuiteCaches()
+    def test_compile_cache_works_under_active_fault_plan(
+        self, sg2042, compile_counts
+    ):
         config = RunConfig(threads=2)
         # Probability zero: the plan injects nothing but stays active.
         # The compile cache is still safe (compilation has no RUN-site
         # fault hook) and keeps working under the plan.
         with chaos.inject_faults(transient_plan(seed=7, probability=0.0)):
-            result = run_suite(sg2042, config, caches=caches)
-        assert result.cache_stats.compile_misses == 64
+            result = run_suite(sg2042, config)
+        assert compile_counts["analyze"] == 64
         assert result == run_suite(sg2042, config)
+        assert compile_counts["analyze"] == 64
 
     def test_sweep_under_inert_fault_plan_matches(self, sg2042):
         kernels = all_kernels()[:4]

@@ -231,7 +231,7 @@ PINNED: dict[str, str] = {
     "amd_rome-quiet": "e4e41fad1f4c9f9696aeaba98102d0db",
     "chaos-retry": "ddff664a8871b98b18a5a8a9fe4f8734",
     "chaos-skip": "93e6b6a6cc89dbb6cea0c94cd6c46cde",
-    "cli-table": "730338a42cd33bdd7ff48f33e1c5d733",
+    "cli-table": "ad1b688032869a6d775a2122c0a808e8",
     "checkpoint-resumed": "c68a5272d522be51fe94cc877927df71",
     "checkpointed": "c68a5272d522be51fe94cc877927df71",
     "intel_broadwell-noisy": "5ae737e3af087086ab0436894d325272",

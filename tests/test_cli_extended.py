@@ -1,5 +1,6 @@
 """CLI tests for the analysis/measure/sweep/chart surfaces."""
 
+import json
 import os
 import subprocess
 import sys
@@ -194,6 +195,20 @@ class TestGridFlags:
         assert exc.value.code == 2
         assert "invalid choice: 'warm'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--no-cache"],
+        ["sweep", "--no-cache", "--store", "DIR"],
+    ])
+    def test_no_cache_is_unrecognized(self, argv, capsys):
+        # Parse only: were the flag accepted, main() would run a sweep.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert (
+            "unrecognized arguments: --no-cache"
+            in capsys.readouterr().err
+        )
+
     def test_help_lists_no_warm_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -207,6 +222,30 @@ class TestGridFlags:
                      "--threads", "1", "--placements", "block",
                      "--trace-out", str(tmp_path / "trace.json")]) == 0
         assert "sweep" in capsys.readouterr().out
+
+
+class TestSweepStatsOut:
+    ARGS = ["sweep", "--cpu", "sg2042", "--kernels", "TRIAD,GEMM",
+            "--threads", "1,8", "--placements", "block",
+            "--precisions", "fp64"]
+
+    def test_record_holds_no_cache_stats(self, tmp_path, capsys):
+        path = tmp_path / "stats.json"
+        assert main([*self.ARGS, "--stats-out", str(path)]) == 0
+        record = json.loads(path.read_text())
+        assert set(record) == {"failures", "points", "seconds", "store"}
+        assert (record["points"], record["store"]) == (4, None)
+        assert "compile cache" not in capsys.readouterr().out
+
+    def test_store_counts_stay_per_namespace(self, tmp_path):
+        path = tmp_path / "stats.json"
+        assert main([*self.ARGS, "--store", str(tmp_path / "store"),
+                     "--stats-out", str(path)]) == 0
+        record = json.loads(path.read_text())
+        assert "cache_stats" not in record
+        compile_counts = record["store"]["compile"]
+        assert (compile_counts["hits"], compile_counts["puts"]) == (0, 1)
+        assert set(record["store"]) <= {"compile", "soa"}
 
 
 class TestChartFlag:
@@ -242,7 +281,7 @@ class TestExplain:
         assert main(["explain", "TRIAD"]) == 0
         out = capsys.readouterr().out
         assert "characterization:" in out
-        assert "XuanTie GCC 8.4" in out
+        assert "  GCC 8.4 (XuanTie): vectorized" in out
         assert "roofline" in out
 
     def test_explain_case_insensitive(self, capsys):
@@ -256,11 +295,20 @@ class TestExplain:
         assert main(["explain", "TRIAD", "--cpu", "z80"]) == 2
 
     def test_explain_on_the_sg2044(self, capsys):
-        # XuanTie GCC 8.4 cannot target its RVV 1.0: a gap, not an error.
+        # Its RVV 1.0 compiles with Clang 16 directly, no rollback.
         assert main(["explain", "TRIAD", "--cpu", "sophon_sg2044"]) == 0
         out = capsys.readouterr().out
-        assert "XuanTie GCC 8.4: compilation failed" in out
+        assert "compilation on the XuanTie C930 (RVV v1.0):" in out
+        assert "  Clang 16: vectorized" in out
+        assert "compilation failed" not in out
         assert "predicted times on Sophon SG2044:" in out
+
+    def test_explain_on_amd_rome(self, capsys):
+        # The compiler its predicted times use, not the C920's.
+        assert main(["explain", "TRIAD", "--cpu", "amd_rome"]) == 0
+        out = capsys.readouterr().out
+        assert "compilation on the Zen 2 (AVX2):\n  GCC 11.2: " in out
+        assert "XuanTie" not in out
 
 
 class TestExtensionExperiments:

@@ -122,28 +122,31 @@ class TestStoreRegistryMachines:
     ARGS = ["sweep", "--kernels", "TRIAD", "--threads", "1",
             "--placements", "block", "--precisions", "fp64"]
 
-    def _sweep_twice(self, store, *extra):
+    def _sweep_twice(self, tmp_path, *extra):
+        """Two sweeps over one store; the second's compile counts."""
+        stats = tmp_path / "stats.json"
         for _ in range(2):
-            assert main([*self.ARGS, "--store", str(store), *extra]) == 0
+            assert main([*self.ARGS, "--store", str(tmp_path / "store"),
+                         "--stats-out", str(stats), *extra]) == 0
+        return json.loads(stats.read_text())["store"]["compile"]
 
     def test_store_sweep_on_a_shipped_registry_machine(self, tmp_path,
                                                       capsys):
-        store = tmp_path / "store"
-        self._sweep_twice(store, "--cpu", "sophon_sg2044")
-        out = capsys.readouterr().out
-        assert "Sophon SG2044" in out
-        assert "disk: 1 reports restored" in out
-        assert list((store / "compile").glob("*.json"))
+        compile_counts = self._sweep_twice(tmp_path, "--cpu",
+                                           "sophon_sg2044")
+        assert "Sophon SG2044" in capsys.readouterr().out
+        assert (compile_counts["hits"], compile_counts["puts"]) == (1, 0)
+        assert len(list((tmp_path / "store" / "compile").glob("*.json"))) == 1
 
     def test_store_sweep_on_a_user_registry_machine(self, tmp_path,
                                                    capsys):
         root = tmp_path / "reg"
         _write_envelope(root, "machines", _machine_envelope())
-        self._sweep_twice(tmp_path / "store", "--cpu", "cli_machine",
-                          "--registry-path", str(root))
-        out = capsys.readouterr().out
-        assert "CLI Machine" in out
-        assert "disk: 1 reports restored" in out
+        compile_counts = self._sweep_twice(
+            tmp_path, "--cpu", "cli_machine", "--registry-path", str(root)
+        )
+        assert "CLI Machine" in capsys.readouterr().out
+        assert (compile_counts["hits"], compile_counts["puts"]) == (1, 0)
 
 
 class TestLintRegistry:
