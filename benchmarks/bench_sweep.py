@@ -8,25 +8,33 @@ SG2042, ``noise_sigma=0`` — four ways:
   per-core sharer map rebuilds, one scalar prediction per kernel and
   grid point) — the engine's behaviour before any fast path existed;
 * **fast**: the default path — placement symmetry-class dedup, the
-  warm compile LRU, batch engine;
-* **cold scalar**: ``engine="scalar"`` from an empty compile LRU — what
-  a cold (never-before-seen) grid cost before the batch engine;
-* **cold batch**: ``engine="batch"`` from an empty compile LRU — the
-  cold path now: one compile per kernel, one vectorized NumPy pass per
+  warm compile and prelude tables, batch engine;
+* **cold scalar**: ``engine="scalar"`` from empty tables — what a cold
+  (never-before-seen) grid cost before the batch engine;
+* **cold batch**: ``engine="batch"`` from empty tables — the cold path
+  now: one compile per kernel, one vectorized NumPy pass per
   configuration.
 
 One more variant measures the persistent store — what a *second
 process* pays over a store a prior process filled:
 
-* **warm sub-grid**: a sub-grid of the acceptance grid, from an empty
-  compile LRU, over a store that one store-backed sweep of the full
-  grid filled — restores the suite's compile reports from the store and
+* **warm sub-grid**: a sub-grid of the acceptance grid, from empty
+  tables, over a store that one store-backed sweep of the full grid
+  filled — restores the suite's compile reports from the store and
   predicts the grid afresh.
 
+And one stream measures the per-configuration tables:
+
+* **class-subset stream**: the grid once for each of the 63 non-empty
+  unions of kernel classes (both precisions, as every variant), from
+  empty tables, then all 63 again. Each kernel is compiled once and
+  each (precision, kernel) prelude row built once, whatever subset
+  brings it, and the repeat builds nothing: exact counts, asserted.
+
 Every variant is timed best-of-:data:`BENCH_RUNS` — the same recipe
-measured mode uses for host kernels — each cold attempt clearing the
-compile LRU first, so a one-off allocator or scheduler hiccup cannot
-decide a floor. Cold scalar and cold batch, whose times make the cold
+measured mode uses for host kernels — each cold attempt emptying the
+tables first (:func:`~repro.kernels.registry.clear_tables`), so a
+one-off allocator or scheduler hiccup cannot decide a floor. Cold scalar and cold batch, whose times make the cold
 floor, run in interleaved rounds (one attempt of each per round), so
 the floor's numerator and denominator meet the same host states. It
 asserts all five sweeps are **bit-identical** (dataclass equality over
@@ -34,7 +42,8 @@ every float of every point) and their CSVs **byte-identical** (a CSV
 renders from the result's rows, not its points), that a cold sweep
 calls ``analyze()`` once per kernel and a repeated one not at all, that
 the store-backed sub-grid compiled nothing and read one compile
-artifact, which hit, and that the speedup floors are cleared: warm >=
+artifact, which hit, the class-subset stream's exact counts, and that
+the speedup floors are cleared: warm >=
 5x and cold batch-vs-scalar >= 3.2x on the full grid (looser floors on
 the ``--reduced`` CI grid, whose runs are too quick to amortize fixed
 costs). Results land in ``BENCH_sweep.json`` next to the repo root to
@@ -47,14 +56,15 @@ pytest.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from repro.compiler.vectorizer import analyze_suite
-from repro.kernels.registry import all_kernels
+from repro.kernels.base import KernelClass
+from repro.kernels.registry import all_kernels, clear_tables, kernels_in_class
 from repro.machine import catalog
 from repro.perfmodel.placement import reference_mode
 from repro.store import ArtifactStore
@@ -89,7 +99,7 @@ def _site_counts(configs: int, n_kernels: int) -> dict:
     prefetch: a hoisted flag test per compile miss (at most one per
     kernel) and per grid point, and a few recorder lookups and null
     spans per sweep (``sweep``, ``sweep.prefetch``, ``compile.resolve``,
-    the compile LRU's miss, ``predict_grid``, the fold test).
+    the compile table's fill, ``predict_grid``, the fold test).
     :func:`_count_recorder_sites` checks the last two on every run.
     """
     return {
@@ -186,8 +196,8 @@ def _telemetry_overhead(cold_batch_seconds: float, sites: dict) -> dict:
 def _count_compiles(run) -> int:
     """``analyze()`` calls one ``run()`` makes.
 
-    Wraps the function where the compile LRU and the runner's per-kernel
-    fallback call it; the timed attempts run unwrapped.
+    Wraps the function where the compile table and the runner's
+    per-kernel fallback call it; the timed attempts run unwrapped.
     """
     from repro.compiler import vectorizer
     from repro.suite import runner
@@ -206,6 +216,64 @@ def _count_compiles(run) -> int:
     finally:
         vectorizer.analyze = runner.analyze = real
     return calls
+
+
+def _class_subsets() -> list[list]:
+    """The 63 non-empty unions of kernel classes, as fresh kernels."""
+    classes = [kernels_in_class(klass) for klass in KernelClass]
+    return [
+        [kernel for i in picked for kernel in classes[i]]
+        for size in range(1, len(classes) + 1)
+        for picked in itertools.combinations(range(len(classes)), size)
+    ]
+
+
+def _class_subset_stream(cpu, grid: dict) -> dict:
+    """Counts of the class-subset stream: the grid for every union of
+    kernel classes from empty tables, then all of them again.
+
+    Counts ``analyze()`` calls and prelude rows built, through wrappers
+    of the functions the tables call to fill a row.
+    """
+    from repro.compiler import vectorizer
+    from repro.perfmodel import batch
+    from repro.suite import runner
+
+    counts = {"analyze": 0, "prelude_rows": 0}
+    real_analyze, real_build = vectorizer.analyze, batch._build_prelude
+
+    def analyze(*args, **kwargs):
+        counts["analyze"] += 1
+        return real_analyze(*args, **kwargs)
+
+    def build(cpu, soa, *args, **kwargs):
+        counts["prelude_rows"] += len(soa)
+        return real_build(cpu, soa, *args, **kwargs)
+
+    subsets = _class_subsets()
+    clear_tables()
+    vectorizer.analyze = runner.analyze = analyze
+    batch._build_prelude = build
+    passes = []
+    try:
+        for _ in range(2):
+            before = dict(counts)
+            start = time.perf_counter()
+            for subset in subsets:
+                sweep(cpu, kernels=subset, **grid)
+            passes.append({
+                "seconds": round(time.perf_counter() - start, 6),
+                **{name: counts[name] - before[name] for name in counts},
+            })
+    finally:
+        vectorizer.analyze = runner.analyze = real_analyze
+        batch._build_prelude = real_build
+    return {
+        "requests": len(subsets),
+        "prelude_tables": len(batch._PRELUDES),
+        "first": passes[0],
+        "repeat": passes[1],
+    }
 
 
 def _best_of_rounds(variants: dict, rounds: int = BENCH_RUNS) -> dict:
@@ -256,15 +324,15 @@ def run_benchmark(reduced: bool = False) -> dict:
         return sweep(cpu, kernels=kernels, **grid), None
 
     # Cold comparison: what a never-before-seen grid costs. Both sides
-    # start from an empty compile LRU each attempt; the scalar side then
+    # start from empty tables each attempt; the scalar side then
     # predicts kernel by kernel at each point (the pre-batch cold
     # behaviour), the batch side the whole grid in one pass.
     def run_cold_scalar():
-        analyze_suite.cache_clear()
+        clear_tables()
         return sweep(cpu, kernels=kernels, engine="scalar", **grid), None
 
     def run_cold_batch():
-        analyze_suite.cache_clear()
+        clear_tables()
         return sweep(cpu, kernels=kernels, engine="batch", **grid), None
 
     ref_seconds, (ref, _) = _best_of(run_reference)
@@ -281,7 +349,7 @@ def run_benchmark(reduced: bool = False) -> dict:
 
     # Warm sub-grid: the second-process story. A prior process filled
     # the artifact store with one store-backed sweep of the full grid;
-    # every timed attempt then starts from an *empty* compile LRU and a
+    # every timed attempt then starts from *empty* tables and a
     # new handle over that store — what a new process sees — and runs a
     # sub-grid: it restores the suite's compile reports from the store
     # and predicts the grid afresh.
@@ -292,7 +360,7 @@ def run_benchmark(reduced: bool = False) -> dict:
               caches=SuiteCaches.persistent(ArtifactStore(tmp)), **grid)
 
         def run_warm_subgrid():
-            analyze_suite.cache_clear()
+            clear_tables()
             store = ArtifactStore(tmp)
             return (
                 sweep(cpu, kernels=kernels, engine="batch",
@@ -306,6 +374,7 @@ def run_benchmark(reduced: bool = False) -> dict:
         sub_compiles = _count_compiles(run_warm_subgrid)
     cold_compiles = _count_compiles(run_cold_batch)
     repeat_compiles = _count_compiles(run_fast)
+    subset_stream = _class_subset_stream(cpu, grid)
 
     assert fast == ref, "fast path diverged from the reference sweep"
     assert cold_scalar == ref, "scalar engine diverged from the reference"
@@ -344,6 +413,23 @@ def run_benchmark(reduced: bool = False) -> dict:
     assert repeat_compiles == 0, (
         f"a repeated sweep compiled {repeat_compiles} kernels"
     )
+    precisions = len(grid["precisions"])
+    assert (subset_stream["first"]["analyze"],
+            subset_stream["first"]["prelude_rows"],
+            subset_stream["prelude_tables"]) == (
+        len(kernels), len(kernels) * precisions, precisions,
+    ), (
+        f"the class-subset stream compiled "
+        f"{subset_stream['first']['analyze']} kernels and built "
+        f"{subset_stream['first']['prelude_rows']} prelude rows in "
+        f"{subset_stream['prelude_tables']} tables; expected each kernel "
+        f"once and each (precision, kernel) row once"
+    )
+    assert (subset_stream["repeat"]["analyze"],
+            subset_stream["repeat"]["prelude_rows"]) == (0, 0), (
+        f"the repeated class-subset stream compiled or built "
+        f"{subset_stream['repeat']}"
+    )
 
     speedup = ref_seconds / fast_seconds
     cold_speedup = cold_scalar_seconds / cold_batch_seconds
@@ -373,7 +459,7 @@ def run_benchmark(reduced: bool = False) -> dict:
     )
     from repro import telemetry
 
-    analyze_suite.cache_clear()
+    clear_tables()
     with telemetry.telemetry_session():
         start = time.perf_counter()
         traced = sweep(cpu, kernels=kernels, engine="batch", **grid)
@@ -409,30 +495,32 @@ def run_benchmark(reduced: bool = False) -> dict:
             "warm_subgrid_store_reads": sub_reads,
             "warm_subgrid_store_hits": sub_stats.hits,
         },
+        "class_subset_stream": subset_stream,
         "telemetry_overhead": telemetry_overhead,
         "traced_cold_batch_seconds": round(traced_seconds, 6),
     }
 
 
 def _report(record: dict) -> str:
+    stream = record["class_subset_stream"]
     return (
         f"full-grid sweep fast path ({record['mode']} grid, "
         f"{record['predictions']} predictions):\n"
         f"  reference (per-core scan, scalar):    "
         f"{record['reference_seconds'] * 1e3:9.1f} ms\n"
-        f"  fast (dedup + compile LRU + batch):   "
+        f"  fast (dedup + warm tables + batch):   "
         f"{record['fast_seconds'] * 1e3:9.1f} ms\n"
         f"  speedup: {record['speedup']:6.1f}x  "
         f"(floor {record['speedup_floor']}x)   bit-identical: "
         f"{record['bit_identical']}   CSV-identical: "
         f"{record['csv_identical']}\n"
-        f"  cold scalar (empty compile LRU):      "
+        f"  cold scalar (empty tables):           "
         f"{record['cold_scalar_seconds'] * 1e3:9.1f} ms\n"
-        f"  cold batch (empty compile LRU):       "
+        f"  cold batch (empty tables):            "
         f"{record['cold_batch_seconds'] * 1e3:9.1f} ms\n"
         f"  cold speedup: {record['cold_speedup']:6.1f}x  "
         f"(floor {record['cold_speedup_floor']}x)\n"
-        f"  warm sub-grid (empty LRU, store):     "
+        f"  warm sub-grid (empty tables, store):  "
         f"{record['warm_subgrid_seconds'] * 1e3:9.1f} ms  "
         f"({record['compile_cache']['warm_subgrid_store_hits']} of "
         f"{record['compile_cache']['warm_subgrid_store_reads']} compile "
@@ -440,6 +528,14 @@ def _report(record: dict) -> str:
         f"  compiles: cold {record['compile_cache']['cold_compiles']}, "
         f"repeat {record['compile_cache']['repeat_compiles']}, warm "
         f"sub-grid {record['compile_cache']['warm_subgrid_compiles']}\n"
+        f"  class-subset stream ({stream['requests']} sweeps, then again):"
+        f" {stream['first']['analyze']} compiles, "
+        f"{stream['first']['prelude_rows']} prelude rows in "
+        f"{stream['prelude_tables']} tables, "
+        f"{stream['first']['seconds'] * 1e3:.1f} ms; repeat "
+        f"{stream['repeat']['analyze']} compiles, "
+        f"{stream['repeat']['prelude_rows']} rows, "
+        f"{stream['repeat']['seconds'] * 1e3:.1f} ms\n"
         f"  telemetry off-path overhead: "
         f"{record['telemetry_overhead']['projected_fraction']:.3%} "
         f"projected (budget "

@@ -1,13 +1,15 @@
 """The ``--store`` disk tier of the suite compile cache.
 
 ``analyze`` is a pure function of (compiler, kernel, target ISA, vector
-flavour, rollback), so its one in-process cache is the
-:func:`~repro.compiler.vectorizer.analyze_suite` LRU. A
-:class:`CompileCache` adds what that LRU cannot: one artifact per
-compiled suite in an :class:`~repro.store.ArtifactStore`, so a second
-process restores a suite's reports in one read instead of compiling
-them (``repro sweep --store DIR``). An unusable artifact degrades to a
-recompute with a :class:`~repro.store.StoreWarning`.
+flavour, rollback), so its one in-process cache is
+:func:`~repro.compiler.vectorizer.analyze_suite`'s table of per-kernel
+rows per compile configuration. A :class:`CompileCache` adds what the
+tables cannot: one artifact per compiled suite in an
+:class:`~repro.store.ArtifactStore`, so a second process restores a
+suite's reports in one read instead of compiling them (``repro sweep
+--store DIR``), and the restored reports become the table's rows. An
+unusable artifact degrades to a recompute with a
+:class:`~repro.store.StoreWarning`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,11 @@ import warnings
 from typing import TYPE_CHECKING
 
 from repro.compiler.model import Compiler, VectorFlavor
-from repro.compiler.vectorizer import VectorizationReport, analyze_suite
+from repro.compiler.vectorizer import (
+    VectorizationReport,
+    analyze_suite,
+    intern_reports,
+)
 from repro.kernels.base import Kernel
 from repro.machine.vector import VectorISA
 
@@ -27,8 +33,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class CompileCache:
     """Store-backed :func:`~repro.compiler.vectorizer.analyze_suite`.
 
-    Holds no memory state: each call reads the suite's artifact, and on
-    a miss compiles through the LRU and writes the artifact when every
+    Holds no memory state: each call reads the suite's artifact and
+    interns its reports into the compile table
+    (:func:`~repro.compiler.vectorizer.intern_reports`), and on a miss
+    compiles through the table and writes the artifact when every
     kernel compiled (a failed compilation is re-raised per kernel by
     the caller, never stored).
     """
@@ -71,12 +79,16 @@ class CompileCache:
                     raise CodecError(
                         "suite report list does not match the kernel list"
                     )
-                return tuple(decode_report(entry) for entry in encoded)
+                decoded = tuple(decode_report(entry) for entry in encoded)
             except (CodecError, KeyError, TypeError) as exc:
                 warnings.warn(
                     f"stored suite compile artifact is unusable ({exc}); "
                     f"recompiling",
                     StoreWarning, stacklevel=3,
+                )
+            else:
+                return intern_reports(
+                    compiler, kernels, target, flavor, rollback, decoded
                 )
         reports = analyze_suite(compiler, kernels, target, flavor, rollback)
         if all(report is not None for report in reports):

@@ -8,12 +8,13 @@ the resulting efficiency into the kernel's vector throughput.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro import telemetry
 from repro.compiler.model import Compiler, VectorFlavor
 from repro.kernels.base import Kernel
+from repro.kernels.registry import SuiteTables, suite, suite_positions
 from repro.machine.vector import VectorISA
 from repro.util.errors import CompilationError, ReproError
 
@@ -137,7 +138,42 @@ def analyze(
     )
 
 
-@lru_cache(maxsize=256)
+class _ReportTable:
+    """One compile configuration's reports, one row per suite kernel.
+
+    A row holds the kernel's report, ``None`` where :func:`analyze`
+    raised, or ``_UNSET`` until a request brings the kernel. Rows are
+    set once, under ``lock``, so every request sees one report object
+    per kernel; reads take no lock. ``whole`` is the rows as one tuple
+    once none is unset.
+    """
+
+    __slots__ = ("rows", "unset", "whole", "lock")
+
+    def __init__(self, key) -> None:
+        self.rows: list = [_UNSET] * len(suite())
+        self.unset = len(self.rows)
+        self.whole: tuple | None = None
+        self.lock = threading.Lock()
+
+    def fill(self, positions, entry) -> None:
+        """Set each unset row of ``positions`` to ``entry(position)``."""
+        rows = self.rows
+        with self.lock:
+            for i in positions:
+                if rows[i] is _UNSET:
+                    rows[i] = entry(i)
+                    self.unset -= 1
+            if not self.unset and self.whole is None:
+                self.whole = tuple(rows)
+
+
+_UNSET = object()
+
+#: Compile reports per (compiler, target ISA, flavour, rollback).
+_REPORTS = SuiteTables(_ReportTable)
+
+
 def analyze_suite(
     compiler: Compiler,
     kernels: tuple[Kernel, ...],
@@ -149,36 +185,96 @@ def analyze_suite(
 
     An entry is ``None`` where :func:`analyze` raises a
     :class:`~repro.util.errors.ReproError`; the caller re-runs that
-    kernel alone to surface the error. LRU-cached on every input
-    ``analyze`` reads, by value (kernels by identity, as registry
-    kernels are shared instances), so a suite compiled once per
-    configuration is reused at every thread count and placement, and a
-    repeated call returns the same tuple of the same report objects.
+    kernel alone to surface the error.
 
-    This LRU is the process's one in-memory compile cache. Its body
-    runs only on a miss, so under a telemetry session each kernel it
-    compiles records one ``compile.analyze`` span. Two threads that
-    miss together may both compile the suite; ``analyze`` is pure, so
-    their results are equal.
+    Suite kernels resolve through the process's one in-memory compile
+    cache: a table per compile configuration (every input ``analyze``
+    reads but the kernel) with one row per suite kernel
+    (:class:`~repro.kernels.registry.SuiteTables`). A request fills
+    the rows it brings that the table lacks, so each kernel is compiled
+    once per compile configuration whatever kernel lists arrive, and is
+    the same report object in every result; the whole suite is the
+    table's one tuple. Under a telemetry session each compilation
+    records one ``compile.analyze`` span. Kernels outside the suite
+    (:func:`~repro.kernels.registry.suite_positions`) compile on every
+    call.
     """
-    rec = telemetry.recorder()
-    traced = rec.active
-    out: list[VectorizationReport | None] = []
-    for kernel in kernels:
-        try:
-            if traced:
-                with rec.span(
-                    "compile.analyze", kernel=kernel.name,
-                    flavor=flavor.value, rollback=rollback,
-                ):
-                    report = analyze(compiler, kernel, target, flavor,
-                                     rollback)
-            else:
-                report = analyze(compiler, kernel, target, flavor, rollback)
-        except ReproError:
-            report = None
-        out.append(report)
-    return tuple(out)
+    if kernels is suite():
+        positions = range(len(kernels))
+    else:
+        positions = suite_positions(kernels)
+        if positions is None:
+            rec = telemetry.recorder()
+            rec = rec if rec.active else None
+            return tuple(
+                _analyze_entry(compiler, kernel, target, flavor, rollback,
+                               rec)
+                for kernel in kernels
+            )
+    table = _REPORTS((compiler, target, flavor, rollback))
+    rows = table.rows
+    if table.whole is None and any(rows[i] is _UNSET for i in positions):
+        shared = suite()
+        rec = telemetry.recorder()
+        rec = rec if rec.active else None
+        table.fill(positions, lambda i: _analyze_entry(
+            compiler, shared[i], target, flavor, rollback, rec
+        ))
+    if kernels is suite():
+        return table.whole
+    return tuple([rows[i] for i in positions])
+
+
+def intern_reports(
+    compiler: Compiler,
+    kernels: tuple[Kernel, ...],
+    target: VectorISA,
+    flavor: VectorFlavor,
+    rollback: bool,
+    reports: tuple[VectorizationReport, ...],
+) -> tuple[VectorizationReport, ...]:
+    """``reports`` of ``kernels`` (read from elsewhere, such as a
+    ``--store`` composite) as the compile table's own objects.
+
+    A row the table lacks takes the given report; a report equal to its
+    row becomes the row's object. A report that differs from its row
+    (a stale artifact) is returned as given and not kept.
+    """
+    positions = suite_positions(kernels)
+    if positions is None:
+        return reports
+    table = _REPORTS((compiler, target, flavor, rollback))
+    given = dict(zip(positions, reports))
+    rows = table.rows
+    if any(rows[i] is _UNSET for i in given):
+        table.fill(given, given.__getitem__)
+    return tuple([
+        rows[i] if rows[i] is report or rows[i] == report else report
+        for i, report in zip(positions, reports)
+    ])
+
+
+def _analyze_entry(
+    compiler: Compiler,
+    kernel: Kernel,
+    target: VectorISA,
+    flavor: VectorFlavor,
+    rollback: bool,
+    rec,
+) -> VectorizationReport | None:
+    """:func:`analyze`, in a ``compile.analyze`` span on ``rec`` (the
+    active recorder, or ``None`` when telemetry is off); ``None`` where
+    it raises a :class:`~repro.util.errors.ReproError`."""
+    try:
+        if rec is None:
+            return analyze(compiler, kernel, target, flavor, rollback)
+        with rec.span(
+            "compile.analyze", kernel=kernel.name, flavor=flavor.value,
+            rollback=rollback,
+        ):
+            return analyze(compiler, kernel, target, flavor, rollback)
+    except ReproError:
+        return None
 
 
 def suite_statistics(

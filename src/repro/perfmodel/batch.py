@@ -11,9 +11,12 @@ of a suite at once — by *lowering* the kernel list into
 structure-of-arrays NumPy inputs (:func:`lower_kernels`) and replaying
 the scalar model as array expressions over the kernel axis:
 
-* per-iteration pipeline times come from the (memoized) scalar
+* per-iteration pipeline times come from the scalar
   :func:`~repro.perfmodel.pipeline.pipeline_time_per_iter`, one float
-  per kernel — they depend on the kernel, not the placement;
+  per kernel — they depend on the kernel, not the placement — and with
+  the other placement-independent arrays form the *prelude*, kept per
+  (machine, precision) as one row per (suite kernel, report), so each
+  is built once per process whatever kernel lists arrive;
 * the serving-level decision becomes a masked first-fit select over the
   cache levels, with sharers/bandwidths taken per *placement symmetry
   class* (:mod:`repro.perfmodel.placement`) as Python scalars from the
@@ -47,17 +50,20 @@ cannot replay.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Sequence
+from operator import is_
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro import telemetry
 from repro.compiler.vectorizer import VectorizationReport
 from repro.kernels.base import Kernel, LoopFeature
+from repro.kernels.registry import SuiteTables, suite, suite_positions
 from repro.machine.cache import Sharing
-from repro.machine.cpu import CoreModel, CPUModel
+from repro.machine.cpu import CPUModel
 from repro.machine.vector import DType
 from repro.perfmodel.execution import ExecutionResult, execution_dtype
 from repro.perfmodel.memory import (
@@ -81,8 +87,8 @@ class KernelSoA:
     """Structure-of-arrays lowering of a kernel list.
 
     One float64 (or bool) entry per kernel for every trait the analytic
-    model reads per iteration. Arrays are read-only views shared through
-    the :func:`lower_kernels` cache; do not mutate them.
+    model reads per iteration. Arrays are read-only, and the suite's
+    lowering is shared by every caller of :func:`lower_kernels`.
     """
 
     kernels: tuple[Kernel, ...]
@@ -107,21 +113,64 @@ def _frozen(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
-@lru_cache(maxsize=256)
 def lower_kernels(kernels: tuple[Kernel, ...]) -> KernelSoA:
     """Lower ``kernels`` into the SoA form the batch engine consumes.
 
-    Cached on the kernel tuple (registry kernels are singletons), so a
-    sweep lowers its suite once, not once per grid point. When a
-    process-wide default :class:`~repro.store.ArtifactStore` is
-    installed, lowerings additionally persist under the ``soa``
-    namespace so fresh processes skip the trait walk; the on-disk key
-    is the *content* of the lowering inputs (per-kernel trait scalars),
-    so any re-tuned trait self-invalidates. Only code that imported
-    :mod:`repro.store` can have installed a default store, so a
-    process that never did skips the lookup and never loads the
+    Suite kernels are rows of one lowering of the whole suite, made once
+    per process (:func:`~repro.kernels.registry.suite`); a kernel tuple
+    takes its rows with one index array, and the suite itself takes the
+    lowering as it is. Kernels outside the suite
+    (:func:`~repro.kernels.registry.suite_positions`) are lowered on
+    every call.
+    """
+    kernels = tuple(kernels)
+    if kernels is suite():
+        return _LOWERING(())
+    positions = suite_positions(kernels)
+    if positions is None:
+        return _lower_kernels_impl(kernels)
+    return _suite_rows(kernels, positions)
+
+
+def _suite_rows(kernels: tuple[Kernel, ...], positions) -> KernelSoA:
+    """The lowering of ``kernels``, taken from the suite's lowering at
+    their ``positions``: a read-only view of a contiguous run of
+    positions, else a read-only gather by one index array."""
+    whole = _LOWERING(())
+    idx = _index(positions)
+    rows = [getattr(whole, name)[idx] for name in _SOA_ARRAYS]
+    if type(idx) is not slice:  # a gather copies; views are read-only
+        for arr in rows:
+            arr.setflags(write=False)
+    return KernelSoA(kernels, *rows)
+
+
+def _index(rows: list[int]) -> slice | np.ndarray:
+    """``rows`` as a slice when they run contiguously upwards (a view,
+    and the cheapest write), else as an index array."""
+    first = rows[0]
+    if rows == list(range(first, first + len(rows))):
+        return slice(first, first + len(rows))
+    return np.array(rows, dtype=np.intp)
+
+
+#: The array fields of :class:`KernelSoA`: all but ``kernels``.
+_SOA_ARRAYS = tuple(f.name for f in fields(KernelSoA))[1:]
+
+
+def _lower_suite(key: tuple) -> KernelSoA:
+    """The lowering of the whole suite.
+
+    When a process-wide default :class:`~repro.store.ArtifactStore` is
+    installed, it is read from the store's ``soa`` namespace, or
+    written there, so a fresh process skips the trait walk; the on-disk
+    key is the *content* of the lowering inputs (per-kernel trait
+    scalars), so any re-tuned trait self-invalidates. Only code that
+    imported :mod:`repro.store` can have installed a default store, so
+    a process that never did skips the lookup and never loads the
     package.
     """
+    kernels = suite()
     store_module = sys.modules.get("repro.store")
     store = None if store_module is None else store_module.default_store()
     if store is None:
@@ -145,6 +194,10 @@ def lower_kernels(kernels: tuple[Kernel, ...]) -> KernelSoA:
     soa = _lower_kernels_impl(kernels)
     store.put("soa", key, encode_soa(soa))
     return soa
+
+
+#: The one lowering of the suite (a single configuration, key ``()``).
+_LOWERING = SuiteTables(_lower_suite)
 
 
 def _soa_key_parts(kernels: tuple[Kernel, ...]) -> list:
@@ -194,79 +247,94 @@ def _level_names(cpu: CPUModel) -> tuple[str, ...]:
     return tuple(level.name for level in cpu.caches.levels)
 
 
-@lru_cache(maxsize=8192)
-def _pipe_seconds(
-    core: CoreModel,
-    traits,
-    dtype: DType,
-    vectorized: bool,
-    efficiency: float,
-) -> float:
-    """Memoized scalar pipeline time — placement-independent, so one
-    entry serves every grid point of a (kernel, dtype, report) triple."""
-    return pipeline_time_per_iter(core, traits, dtype, vectorized,
-                                  efficiency)
-
-
-@dataclass(frozen=True)
-class _Prelude:
+class _Prelude(NamedTuple):
     """Configuration-independent slice of a batched prediction.
 
-    Everything here depends only on (machine, kernels, precision,
-    reports, sizes) — not on the placement — so one instance serves
-    every grid point of a sweep that shares those inputs. That includes
-    the whole *serial* (master-thread) part: a single-core placement has
-    every sharer count at 1 and a DRAM share that is independent of
-    which core hosts the master (``active == 1`` in both branches of
-    :func:`dram_bandwidth_per_thread`), so its value is the same for
-    every placement in the grid.
+    One array entry per kernel. Everything here depends only on
+    (machine, precision, kernel, report, size) — not on the placement —
+    so one prelude serves every grid point of a sweep that shares those
+    inputs. That includes the whole *serial* (master-thread) part: a
+    single-core placement has every sharer count at 1 and a DRAM share
+    that is independent of which core hosts the master (``active == 1``
+    in both branches of :func:`dram_bandwidth_per_thread`), so its value
+    is the same for every placement in the grid.
     """
 
-    soa: KernelSoA
-    size: np.ndarray
-    dtype_bytes: np.ndarray
     pipe: np.ndarray
-    vectorized: tuple[bool, ...]
     footprint_bytes: np.ndarray
     bytes_per_iter: np.ndarray
     par_iters_total: np.ndarray
     serial_time: np.ndarray
-    base_invalid: np.ndarray  # pipeline failures and negative serial part
+    traffic_scale: np.ndarray
+    regions_per_rep: np.ndarray
+    reps: np.ndarray
+    base_invalid: np.ndarray  # bool: pipeline failure, negative serial
+    vectorized: np.ndarray  # bool
+    gather: np.ndarray  # bool
 
 
-@lru_cache(maxsize=512)
+#: The dtype of each :class:`_Prelude` field.
+_PRELUDE_DTYPES = (np.float64,) * 8 + (bool,) * 3
+
+
 def _prelude(
     cpu: CPUModel,
-    kernels: tuple[Kernel, ...],
+    kernels: Sequence[Kernel],
     precision: DType,
-    reports: tuple[VectorizationReport, ...],
-    sizes: tuple[int, ...] | None,
+    reports: Sequence[VectorizationReport],
+    sizes: Sequence[int] | None,
 ) -> _Prelude:
-    """Build (and cache) the placement-independent arrays of a batch.
+    """The placement-independent arrays of a batch.
 
-    A full sweep grid re-keys this only when the precision flips, so the
-    per-kernel Python loop below runs twice per grid, not once per
-    point.
+    Suite kernels at their default sizes take their rows from the
+    (machine, precision) table (:class:`_PreludeTable`), which builds
+    each (kernel, report) row once per process. Explicit sizes and
+    kernels outside the suite build their prelude here, on every call.
     """
-    soa = lower_kernels(kernels)
-    size = soa.default_sizes if sizes is None else _frozen(sizes)
+    if sizes is None:
+        if kernels is suite():
+            return _PRELUDES((cpu, precision)).prelude(None, reports)
+        positions = suite_positions(kernels)
+        if positions is not None:
+            return _PRELUDES((cpu, precision)).prelude(positions, reports)
+    soa = lower_kernels(tuple(kernels))
+    return _build_prelude(
+        cpu, soa, precision, reports,
+        soa.default_sizes if sizes is None else _frozen(sizes),
+    )
+
+
+def _build_prelude(
+    cpu: CPUModel,
+    soa: KernelSoA,
+    precision: DType,
+    reports: Sequence[VectorizationReport],
+    size: np.ndarray,
+) -> _Prelude:
+    """Compute the prelude of ``soa``'s kernels with ``reports`` at
+    problem sizes ``size``.
+
+    Every entry depends only on its own kernel's inputs, so a kernel's
+    values are the same bits in any batch it is built in.
+    """
     isa = cpu.core.isa
+    n = len(soa)
 
     # Per-kernel scalars: executed dtype, whether vector code runs,
     # pipeline seconds per iteration.
-    dtype_bytes = np.empty(len(kernels))
-    pipe = np.empty(len(kernels))
-    failed = np.zeros(len(kernels), dtype=bool)
-    vectorized_flags: list[bool] = []
-    for i, (kernel, report) in enumerate(zip(kernels, reports)):
+    dtype_bytes = np.empty(n)
+    pipe = np.empty(n)
+    failed = np.zeros(n, dtype=bool)
+    vectorized = np.empty(n, dtype=bool)
+    for i, (kernel, report) in enumerate(zip(soa.kernels, reports)):
         dtype = execution_dtype(kernel, precision)
-        vectorized = report.effective and isa.supports(dtype)
-        vectorized_flags.append(vectorized)
+        vector = report.effective and isa.supports(dtype)
+        vectorized[i] = vector
         dtype_bytes[i] = dtype.bytes
         try:
-            pipe[i] = _pipe_seconds(
-                cpu.core, kernel.traits, dtype, vectorized,
-                report.efficiency if vectorized else 1.0,
+            pipe[i] = pipeline_time_per_iter(
+                cpu.core, kernel.traits, dtype, vector,
+                report.efficiency if vector else 1.0,
             )
         except ReproError:
             # The scalar fallback re-raises the authoritative error for
@@ -286,7 +354,7 @@ def _prelude(
         # Serial part: the master thread with the whole machine idle —
         # a degenerate single-core placement where every sharer count
         # is 1 and the slice is the full footprint. Master-independent
-        # (see class docstring), so any valid core represents it.
+        # (see the class docstring), so any valid core represents it.
         master = cpu.topology.numa_nodes[0][0]
         serial_iters = (1.0 - soa.parallel_fraction) * size
         mem1, _ = _class_memory_seconds(
@@ -302,21 +370,181 @@ def _prelude(
         )
         base_invalid = failed | (serial_time < 0)
 
-    for arr in (dtype_bytes, pipe, footprint_bytes, bytes_per_iter,
-                par_iters_total, serial_time, base_invalid):
-        arr.setflags(write=False)
     return _Prelude(
-        soa=soa,
-        size=size,
-        dtype_bytes=dtype_bytes,
         pipe=pipe,
-        vectorized=tuple(vectorized_flags),
         footprint_bytes=footprint_bytes,
         bytes_per_iter=bytes_per_iter,
         par_iters_total=par_iters_total,
         serial_time=serial_time,
         base_invalid=base_invalid,
+        vectorized=vectorized,
+        traffic_scale=soa.traffic_scale,
+        gather=soa.gather,
+        regions_per_rep=soa.regions_per_rep,
+        reps=soa.reps,
     )
+
+
+class _PreludeTable:
+    """One (machine, precision)'s prelude rows, at default sizes.
+
+    A row holds one (suite kernel, report) pair's :class:`_Prelude`
+    entries, one in each of ``columns``. Rows sit in layers as wide as
+    the suite:
+    ``held[layer]`` names, per suite position, the report that
+    position's row in that layer was built with (``None`` while it has
+    none). A kernel's first report takes layer 0, another report
+    (another compile configuration) the next free layer. A request looks
+    for its reports by identity (the compile table's report objects are
+    interned), first all in one layer, then kernel by kernel and by
+    value; builds the rows the table lacks in one :func:`_build_prelude`
+    sub-batch; and takes its rows as views when they run contiguously
+    (one kernel, a kernel class), else gathers them with one index
+    array. The whole suite found in one layer takes that layer as it
+    is.
+
+    A fill runs under ``lock``: it writes the rows' values into
+    ``bases``, then names their reports in ``held``, so a reader that
+    found all its rows finds their values in ``columns``, read-only
+    views of ``bases``, whatever fills run meanwhile. Reads take no
+    lock, and a row, once written, never changes.
+    """
+
+    def __init__(self, key: tuple[CPUModel, DType]) -> None:
+        self.cpu, self.precision = key
+        self.width = len(suite())
+        self.full = list(range(self.width))
+        self.held: list[list] = []
+        #: Per complete layer: its columns, as one prelude.
+        self.views: dict[int, _Prelude] = {}
+        self.bases = tuple(np.zeros(0, dt) for dt in _PRELUDE_DTYPES)
+        self.columns = self.bases
+        self.lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return sum(len(layer) - layer.count(None) for layer in self.held)
+
+    def prelude(self, positions, reports) -> _Prelude:
+        """The prelude of the kernels at ``positions`` with ``reports``;
+        ``positions`` is ``None`` for the whole suite in suite order."""
+        whole = positions is None
+        if whole:
+            positions = self.full
+        for layer, held in enumerate(self.held):
+            if all(map(is_, map(held.__getitem__, positions), reports)):
+                if whole or positions == self.full:
+                    return self._layer(layer)
+                base = layer * self.width
+                rows = [base + p for p in positions]
+                break
+        else:
+            rows = [self._row(p, r) for p, r in zip(positions, reports)]
+            if None in rows:
+                rows, built = self._fill(positions, reports)
+                if built is not None:
+                    return built
+        # Read after every row is found: a fill that grows the columns
+        # copies every row written before it.
+        columns = self.columns
+        idx = _index(rows)
+        return _Prelude(*[column[idx] for column in columns])
+
+    def _layer(self, layer: int) -> _Prelude:
+        """A complete layer, as it is: its rows never change again, so
+        one view serves every later request."""
+        pre = self.views.get(layer)
+        if pre is None:
+            span = slice(layer * self.width, (layer + 1) * self.width)
+            pre = self.views[layer] = _Prelude(*[
+                column[span] for column in self.columns
+            ])
+        return pre
+
+    def _row(self, p: int, report) -> int | None:
+        """The row of ``report`` at position ``p``: by identity, then by
+        value."""
+        held = self.held
+        for layer in range(len(held)):
+            if held[layer][p] is report:
+                return layer * self.width + p
+        for layer in range(len(held)):
+            if held[layer][p] == report:
+                return layer * self.width + p
+        return None
+
+    def _fill(self, positions, reports) -> tuple[list[int], _Prelude | None]:
+        """Find every pair's row, building the rows the table lacks.
+
+        Returns the pairs' rows and, when the fill built exactly those
+        rows in that order, the prelude it built for them."""
+        with self.lock:
+            rows: list[int] = []
+            built: dict[int, tuple[int, VectorizationReport]] = {}
+            #: position -> the (report, row) pairs this fill builds there
+            fresh: dict[int, list[tuple]] = {}
+            for p, report in zip(positions, reports):
+                row = self._row(p, report)
+                if row is None:
+                    for given, new in fresh.get(p, ()):
+                        if given is report or given == report:
+                            row = new
+                            break
+                if row is None:
+                    # The first layer free at ``p``, past those this
+                    # fill already took there.
+                    taken = fresh.get(p)
+                    layer = taken[-1][1] // self.width + 1 if taken else 0
+                    while layer < len(self.held) and (
+                        self.held[layer][p] is not None
+                    ):
+                        layer += 1
+                    row = layer * self.width + p
+                    built[row] = (p, report)
+                    fresh.setdefault(p, []).append((report, row))
+                rows.append(row)
+            if not built:
+                return rows, None
+            values = self._write(built)
+            return rows, values if list(built) == rows else None
+
+    def _write(self, built: dict) -> _Prelude:
+        """Build the ``row -> (position, report)`` rows of ``built`` in
+        one sub-batch, write them, growing the columns by whole layers,
+        then name their reports in ``held``; returns the sub-batch."""
+        pairs = list(built.values())
+        positions = [p for p, _ in pairs]
+        shared = suite()
+        soa = _suite_rows(tuple(shared[p] for p in positions), positions)
+        values = _build_prelude(
+            self.cpu, soa, self.precision, [r for _, r in pairs],
+            soa.default_sizes,
+        )
+        rows = _index(list(built))
+        layers = max(built) // self.width + 1
+        bases, columns = self.bases, self.columns
+        if len(bases[0]) < layers * self.width:
+            grown = []
+            for base in bases:
+                wider = np.zeros(layers * self.width, base.dtype)
+                wider[:len(base)] = base
+                grown.append(wider)
+            bases = tuple(grown)
+            columns = tuple(base.view() for base in bases)
+            for column in columns:
+                column.flags.writeable = False
+        for base, value in zip(bases, values):
+            base[rows] = value
+        self.bases, self.columns = bases, columns
+        held = self.held
+        while len(held) < layers:
+            held.append([None] * self.width)
+        for row, (p, report) in built.items():
+            held[row // self.width][p] = report
+        return values
+
+
+#: Prelude rows per (machine, precision).
+_PRELUDES = SuiteTables(_PreludeTable)
 
 
 def _class_memory_seconds(
@@ -549,9 +777,7 @@ def _predict_batch_impl(
             raise SimulationError("size and reps must be >= 1")
         sizes_key = tuple(sizes)
 
-    pre = _prelude(cpu, tuple(kernels), precision, tuple(reports),
-                   sizes_key)
-    soa = pre.soa
+    pre = _prelude(cpu, kernels, precision, reports, sizes_key)
     pipe = pre.pipe
     nthreads = len(cores)
     profile = placement_profile(cpu.topology, cores)
@@ -570,8 +796,8 @@ def _predict_batch_impl(
         slow_level = np.full(len(kernels), _DRAM_CODE - 1, dtype=np.int64)
         for cc in profile.classes:
             mem_secs, level_code = _class_memory_seconds(
-                cpu, slice_bytes, pre.bytes_per_iter, soa.traffic_scale,
-                soa.gather, nthreads, cc.cluster_sharers, cc.numa_sharers,
+                cpu, slice_bytes, pre.bytes_per_iter, pre.traffic_scale,
+                pre.gather, nthreads, cc.cluster_sharers, cc.numa_sharers,
                 dram_bandwidth_per_thread(
                     cpu, cc.representative, cores, profile
                 ),
@@ -584,9 +810,9 @@ def _predict_batch_impl(
 
         barrier = barrier_seconds(cpu, nthreads)
         rep_time = (
-            (pre.serial_time + slowest) + barrier * soa.regions_per_rep
+            (pre.serial_time + slowest) + barrier * pre.regions_per_rep
         )
-        seconds = rep_time * soa.reps
+        seconds = rep_time * pre.reps
 
         # A point is invalid wherever the scalar engine would raise:
         # non-finite or non-positive totals, negative components (the
@@ -602,7 +828,7 @@ def _predict_batch_impl(
 
     return _execution_results(
         invalid, seconds, rep_time, slow_level, slow_compute,
-        pre.vectorized, _level_names(cpu),
+        pre.vectorized.tolist(), _level_names(cpu),
     )
 
 
@@ -794,8 +1020,6 @@ def _predict_grid_impl(
             raise SimulationError("size and reps must be >= 1")
         sizes_key = tuple(sizes)
 
-    kernels_key = tuple(kernels)
-    reports_key = tuple(reports)
     # One prelude serves every configuration of a precision; evaluate
     # each precision's configurations as one 2-D group, then place its
     # rows at their grid positions (a one-precision grid is one group,
@@ -805,7 +1029,7 @@ def _predict_grid_impl(
         groups.setdefault(precision, []).append(i)
     columns: list[np.ndarray] | None = None
     for precision, idxs in groups.items():
-        pre = _prelude(cpu, kernels_key, precision, reports_key, sizes_key)
+        pre = _prelude(cpu, kernels, precision, reports, sizes_key)
         group = _predict_group(cpu, pre, [placements[i] for i in idxs])
         if len(groups) == 1:
             columns = list(group)
@@ -830,10 +1054,9 @@ def _predict_group(
     Returns the (configuration, kernel) arrays of
     :class:`GridPrediction`, in its field order.
     """
-    soa = pre.soa
     pipe = pre.pipe
     num_points = len(placements)
-    num_kernels = len(soa)
+    num_kernels = len(pipe)
 
     with np.errstate(all="ignore"):
         nthreads_col = np.array(
@@ -862,7 +1085,7 @@ def _predict_group(
         point_of_row = np.array(row_point)
         mem_rk, level_rk = _class_memory_rows(
             cpu, slice_pk[point_of_row], pre.bytes_per_iter,
-            soa.traffic_scale, soa.gather, rows,
+            pre.traffic_scale, pre.gather, rows,
         )
         t_rk = chunk_pk[point_of_row] * np.maximum(pipe, mem_rk)
         compute_rk = pipe >= mem_rk
@@ -903,9 +1126,9 @@ def _predict_group(
             [barrier_seconds(cpu, len(cores))] for cores in placements
         ])
         rep_time = (
-            (pre.serial_time + slowest) + barrier_col * soa.regions_per_rep
+            (pre.serial_time + slowest) + barrier_col * pre.regions_per_rep
         )
-        seconds = rep_time * soa.reps
+        seconds = rep_time * pre.reps
         # Same fused validity mask as ``predict_batch`` (``reps >= 1``
         # lets the ``seconds`` checks cover ``rep_time`` too).
         invalid = (
@@ -914,9 +1137,7 @@ def _predict_group(
             | (slowest < 0)
         )
 
-    vector_executed = np.broadcast_to(
-        np.array(pre.vectorized, dtype=bool), seconds.shape
-    )
+    vector_executed = np.broadcast_to(pre.vectorized, seconds.shape)
     return (
         seconds, invalid, rep_time, slow_level, slow_compute,
         vector_executed,

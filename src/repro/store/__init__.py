@@ -8,10 +8,10 @@ content-addressed, versioned, crash-safe on-disk
 optional disk tier; :func:`repro.suite.memo.SuiteCaches.persistent`
 attaches one, as ``repro sweep --store DIR`` does.
 
-A process-wide *default store* hook exists for the one cache that is
-module-level rather than object-level (the batch engine's
-``lower_kernels`` LRU): installing a default store gives that cache a
-disk tier too. Everything else takes its store explicitly.
+A process-wide *default store* hook exists for the one value that is
+module-level rather than object-level (the batch engine's one lowering
+of the suite, built by ``lower_kernels``): installing a default store
+gives it a disk tier too. Everything else takes its store explicitly.
 """
 
 from __future__ import annotations

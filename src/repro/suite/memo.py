@@ -54,8 +54,9 @@ class SuiteCaches:
     through.
 
     ``SuiteCaches()`` has none: reports resolve through the
-    in-process :func:`~repro.compiler.vectorizer.analyze_suite` LRU
-    alone, as they do with no ``caches`` at all.
+    in-process compile table
+    (:func:`~repro.compiler.vectorizer.analyze_suite`) alone, as they
+    do with no ``caches`` at all.
     """
 
     compile: CompileCache | None = None

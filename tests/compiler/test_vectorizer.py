@@ -6,6 +6,7 @@ from types import MappingProxyType
 
 import pytest
 
+import repro.compiler.vectorizer as vectorizer
 from repro.compiler.model import (
     CLANG_16,
     GCC_8_3,
@@ -18,7 +19,12 @@ from repro.compiler.vectorizer import (
     analyze_suite,
     suite_statistics,
 )
-from repro.kernels.registry import all_kernels, get_kernel
+from repro.kernels.registry import (
+    all_kernels,
+    clear_tables,
+    get_kernel,
+    suite,
+)
 from repro.machine.vector import (
     VectorISA,
     avx2,
@@ -166,8 +172,9 @@ class TestReports:
 
 
 class TestAnalyzeSuite:
-    """``analyze_suite``: per-kernel ``analyze`` for a whole tuple,
-    LRU-cached on every input ``analyze`` reads."""
+    """``analyze_suite``: per-kernel ``analyze`` for a whole tuple, kept
+    in a table per value of every input ``analyze`` reads but the
+    kernel."""
 
     @pytest.mark.parametrize("rollback", [False, True])
     @pytest.mark.parametrize("flavor", list(VectorFlavor))
@@ -190,15 +197,18 @@ class TestAnalyzeSuite:
                 else:
                     assert entry == expected
 
-    def test_repeat_returns_the_same_tuple(self, kernels):
-        analyze_suite.cache_clear()
-        suite = tuple(kernels)
-        first = analyze_suite(XUANTIE_GCC_8_4, suite, rvv_0_7_1(),
-                              VectorFlavor.VLS, False)
-        second = analyze_suite(XUANTIE_GCC_8_4, tuple(kernels),
-                               rvv_0_7_1(), VectorFlavor.VLS, False)
-        assert second is first
-        assert analyze_suite.cache_info().misses == 1
+    def test_repeat_returns_the_same_tuple(self, kernels, compile_counts):
+        """The suite gets the table's one tuple; any other list of its
+        kernels the table's report objects, compiled once."""
+        args = (XUANTIE_GCC_8_4,)
+        isa = (rvv_0_7_1(), VectorFlavor.VLS, False)
+        first = analyze_suite(*args, tuple(kernels), *isa)
+        second = analyze_suite(*args, tuple(kernels[::-1]), *isa)
+        assert all(a is b for a, b in zip(first, second[::-1]))
+        whole = analyze_suite(*args, suite(), *isa)
+        assert analyze_suite(*args, suite(), *isa) is whole
+        assert whole == first
+        assert compile_counts["analyze"] == len(kernels)
 
     def test_same_named_scalar_only_isa_gets_its_own_entry(self, kernels):
         suite = tuple(kernels)
@@ -224,12 +234,11 @@ class TestAnalyzeSuite:
             )
         ]
         assert len(variants) == len(dataclasses.fields(CLANG_16))
-        analyze_suite.cache_clear()
+        clear_tables()
         for compiler in (CLANG_16, *variants):
             analyze_suite(compiler, suite, rvv_1_0(), VectorFlavor.VLS,
                           False)
-        info = analyze_suite.cache_info()
-        assert (info.hits, info.misses) == (0, len(variants) + 1)
+        assert len(vectorizer._REPORTS) == len(variants) + 1
 
     @pytest.mark.parametrize("compiler", COMPILERS, ids=lambda c: c.name)
     def test_compiler_hash_agrees_with_equality(self, compiler):

@@ -63,13 +63,16 @@ def kernels_by_name(kernels):
 @pytest.fixture
 def compile_counts(monkeypatch):
     """Counts of ``analyze()`` calls and of ``analyze_suite`` lookups,
-    from a cleared compile LRU.
+    from empty tables.
 
-    The process-wide :func:`~repro.compiler.vectorizer.analyze_suite`
-    LRU is cleared first, so a count does not depend on which tests ran
-    before; every binding the program calls is wrapped.
+    Every per-configuration table (compile reports, the lowering,
+    prediction preludes) is emptied first by their one clearing hook,
+    :func:`~repro.kernels.registry.clear_tables`, so a count does not
+    depend on which tests ran before; every binding the program calls
+    is wrapped.
     """
     from repro.compiler import cache, vectorizer
+    from repro.kernels.registry import clear_tables
     from repro.suite import runner
 
     counts = {"analyze": 0, "analyze_suite": 0}
@@ -84,7 +87,7 @@ def compile_counts(monkeypatch):
         counts["analyze_suite"] += 1
         return real_suite(*args, **kwargs)
 
-    real_suite.cache_clear()
+    clear_tables()
     monkeypatch.setattr(vectorizer, "analyze", analyze)
     monkeypatch.setattr(runner, "analyze", analyze)
     monkeypatch.setattr(runner, "analyze_suite", analyze_suite)

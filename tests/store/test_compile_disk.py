@@ -4,7 +4,7 @@ A store-backed sweep writes its suite's reports as one ``compile/``
 artifact; a later process restores them in one read and compiles
 nothing. An unusable artifact warns and recomputes, to the same CSV as
 a sweep without a store. Counts of ``analyze()`` calls start from a
-cleared compile LRU (the ``compile_counts`` fixture).
+empty compile table (the ``compile_counts`` fixture).
 """
 
 import json
@@ -14,8 +14,8 @@ from dataclasses import replace
 import pytest
 
 from repro.compiler.model import XUANTIE_GCC_8_4, VectorFlavor
-from repro.compiler.vectorizer import analyze, analyze_suite
-from repro.kernels.registry import get_kernel
+from repro.compiler.vectorizer import analyze
+from repro.kernels.registry import clear_tables, get_kernel
 from repro.store import ArtifactStore, StoreWarning
 from repro.store.codecs import encode_report, jsonable_parts
 from repro.suite.config import Placement, Precision
@@ -68,8 +68,8 @@ class TestOneArtifactPerSuite:
         compiled = compile_counts["analyze"]
         compile_counts["analyze_suite"] = 0
         # A new handle over the same directory: fresh read counters, and
-        # the LRU emptied as a new process's is.
-        analyze_suite.cache_clear()
+        # the tables emptied as a new process's are.
+        clear_tables()
         reader = ArtifactStore(store.root)
         restored = _sweep(sg2042, reader)
         assert restored == first

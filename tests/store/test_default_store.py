@@ -90,20 +90,19 @@ class TestCliStoreScope:
     ):
         import repro.store
         from repro.cli import main
-        from repro.kernels.registry import get_kernel
+        from repro.kernels.registry import clear_tables, get_kernel
         from repro.machine.catalog import sg2042
-        from repro.perfmodel.batch import lower_kernels
         from repro.suite.sweep import sweep
 
         prior = repro.store.default_store()
         root = tmp_path / "store"
-        # A cleared LRU makes each lowering consult the default store,
-        # as a first lowering in a fresh process would.
-        lower_kernels.cache_clear()
+        # Empty tables make the suite's lowering consult the default
+        # store, as a first lowering in a fresh process would.
+        clear_tables()
         assert main([*self.ARGS, "--store", str(root)]) == 0
         assert repro.store.default_store() is prior
         assert len(list((root / "soa").glob("*.json"))) == 1
-        lower_kernels.cache_clear()
+        clear_tables()
         sweep(sg2042(), [get_kernel("DOT"), get_kernel("COPY")],
               threads=(1, 8))
         assert len(list((root / "soa").glob("*.json"))) == 1
@@ -122,9 +121,9 @@ class TestCliStoreScope:
 
 
 class TestSoaTier:
-    """The one module-level tier: ``lower_kernels`` over the default
-    store. ``__wrapped__`` skips the in-process LRU, as a fresh process
-    would."""
+    """The one module-level tier: the suite's lowering over the default
+    store. Emptying the tables first makes ``lower_kernels`` lower the
+    suite again, as a fresh process would."""
 
     KERNELS = ("TRIAD", "GEMM", "DOT")
 
@@ -152,14 +151,17 @@ class TestSoaTier:
 
     def test_a_second_process_restores_the_lowering(self, kernels,
                                                      default_store):
+        from repro.kernels.registry import clear_tables
         from repro.perfmodel.batch import lower_kernels
         from repro.store import ArtifactStore, set_default_store
 
-        lowered = lower_kernels.__wrapped__(kernels)
+        clear_tables()
+        lowered = lower_kernels(kernels)
         assert default_store.stats()["soa"].puts == 1
         reader = ArtifactStore(default_store.root)
         set_default_store(reader)
-        restored = lower_kernels.__wrapped__(kernels)
+        clear_tables()
+        restored = lower_kernels(kernels)
         assert reader.stats()["soa"].hits == 1
         assert reader.stats()["soa"].puts == 0
         assert restored.kernels == lowered.kernels
@@ -168,14 +170,17 @@ class TestSoaTier:
     def test_an_unusable_lowering_is_relowered_with_a_warning(
         self, kernels, default_store
     ):
+        from repro.kernels.registry import clear_tables
         from repro.perfmodel.batch import lower_kernels
         from repro.store import StoreWarning
 
-        lowered = lower_kernels.__wrapped__(kernels)
+        clear_tables()
+        lowered = lower_kernels(kernels)
         (path,) = (default_store.root / "soa").glob("*.json")
         record = json.loads(path.read_text())
         record["payload"]["arrays"]["reps"].pop()
         path.write_text(json.dumps(record))
+        clear_tables()
         with pytest.warns(StoreWarning, match="relowering"):
-            relowered = lower_kernels.__wrapped__(kernels)
+            relowered = lower_kernels(kernels)
         assert self._arrays(relowered) == self._arrays(lowered)

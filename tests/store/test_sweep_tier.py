@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.compiler.vectorizer import analyze_suite
-from repro.kernels.registry import get_kernel
+from repro.kernels.registry import clear_tables, get_kernel
 from repro.perfmodel import reference_mode
 from repro.resilience import chaos
 from repro.resilience.faults import FaultPlan, FaultRule
@@ -80,7 +79,7 @@ class TestGridSensitivity:
         self, store, sg2042, reference, compile_counts
     ):
         _sweep(store, cpu=sg2042)  # fills the store
-        analyze_suite.cache_clear()
+        clear_tables()
         compiled = compile_counts["analyze"]
         sub = dict(GRID, threads=(8,))
         reader = ArtifactStore(store.root)
@@ -102,7 +101,7 @@ class TestEveryPathAnswersLikeNoStore:
     def test_repeat_sweep_recomputes(self, store, sg2042, reference,
                                      engine, compile_counts):
         first = _sweep(store, cpu=sg2042, engine=engine)
-        analyze_suite.cache_clear()
+        clear_tables()
         compiled = compile_counts["analyze"]
         reader = ArtifactStore(store.root)
         second = _sweep(reader, cpu=sg2042, engine=engine)

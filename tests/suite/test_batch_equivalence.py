@@ -21,7 +21,7 @@ import pytest
 from repro import telemetry
 from repro.compiler.vectorizer import analyze
 from repro.kernels.base import Kernel, KernelClass, KernelTraits
-from repro.kernels.registry import all_kernels
+from repro.kernels.registry import all_kernels, suite
 from repro.machine import catalog
 from repro.machine.vector import DType
 from repro.perfmodel.batch import (
@@ -160,11 +160,18 @@ class TestBatchValidation:
     def test_empty_kernel_list_returns_empty(self, sg2042):
         assert predict_batch(sg2042, [], (0,), DType.FP64, []) == []
 
-    def test_lowering_is_cached(self, kernels):
-        soa_a = lower_kernels(tuple(kernels))
-        soa_b = lower_kernels(tuple(kernels))
-        assert soa_a is soa_b
-        assert len(soa_a) == len(kernels)
+    def test_the_suite_is_lowered_once(self, kernels):
+        """One lowering of the suite serves every kernel list: the suite
+        takes it as it is, a fresh list of the same kernels its rows."""
+        from repro.store.codecs import SOA_ARRAY_FIELDS
+
+        whole = lower_kernels(suite())
+        assert lower_kernels(suite()) is whole
+        fresh = lower_kernels(tuple(kernels))
+        assert fresh.kernels == tuple(kernels)
+        for name in SOA_ARRAY_FIELDS:
+            assert getattr(fresh, name).tolist() == getattr(
+                whole, name).tolist()
 
 
 class TestPredictGrid:

@@ -2,7 +2,7 @@
 
 :class:`SuiteCaches` carries nothing but the optional ``--store`` tier
 of compile reports; without one, reports resolve through the process's
-``analyze_suite`` LRU. Predictions are never cached: running the same
+compile table (``analyze_suite``). Predictions are never cached: running the same
 suite twice reuses every compile report and computes every prediction
 again, to the same bits.
 """
@@ -10,8 +10,7 @@ again, to the same bits.
 import pytest
 
 from repro import telemetry
-from repro.compiler.vectorizer import analyze_suite
-from repro.kernels.registry import all_kernels
+from repro.kernels.registry import all_kernels, clear_tables
 from repro.store import ArtifactStore
 from repro.suite.config import RunConfig
 from repro.suite.memo import SuiteCaches
@@ -43,7 +42,7 @@ class TestSuiteCaches:
         config = RunConfig(threads=4)
         first = run_suite(sg2042, config, kernels=KERNELS,
                           caches=SuiteCaches.persistent(store))
-        analyze_suite.cache_clear()
+        clear_tables()
         second = run_suite(sg2042, config, kernels=KERNELS,
                            caches=SuiteCaches.persistent(
                                ArtifactStore(store.root)))

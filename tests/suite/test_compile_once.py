@@ -1,18 +1,23 @@
-"""A sweep resolves its compile reports once, through the one LRU.
+"""A sweep resolves its compile reports once, through the one table.
 
 Every grid point of a sweep shares one compile configuration and
 ``analyze`` is pure, so a sweep looks its kernels' reports up once in
-the process's :func:`~repro.compiler.vectorizer.analyze_suite` LRU, and
-a repeated sweep compiles nothing. Counts start from a cleared LRU (the
+the process's compile table
+(:func:`~repro.compiler.vectorizer.analyze_suite`), on any engine, and
+a repeated sweep compiles nothing. Counts start from empty tables (the
 ``compile_counts`` fixture), so they hold in any test order.
 """
 
 import sys
 import threading
 
+import pytest
+
 from repro import telemetry
-from repro.compiler.vectorizer import analyze_suite
-from repro.kernels.registry import get_kernel
+from repro.kernels.registry import clear_tables, get_kernel
+from repro.perfmodel.placement import reference_mode
+from repro.resilience import chaos
+from repro.resilience.faults import transient_plan
 from repro.suite.config import Placement, Precision, RunConfig
 from repro.suite.runner import run_suite
 from repro.suite.sweep import sweep
@@ -62,14 +67,31 @@ class TestResolveOnce:
         assert compile_counts["analyze_suite"] == before + 1
         assert resumed.points == full.points
 
-    def test_a_scalar_sweep_resolves_each_point(self, sg2042,
-                                                compile_counts):
-        """The scalar engine predicts point by point, each point's
-        ``run_suite`` resolving its reports through the LRU."""
+    def test_a_scalar_sweep_resolves_once(self, sg2042, compile_counts):
+        """The scalar engine predicts point by point, but the grid
+        resolves its reports once and hands each point's ``run_suite``
+        its entries, with no prediction."""
         scalar = _sweep(sg2042, engine="scalar")
-        assert scalar == _sweep(sg2042)
-        assert compile_counts["analyze_suite"] == 24 + 1
+        assert compile_counts["analyze_suite"] == 1
         assert compile_counts["analyze"] == len(KERNELS)
+        assert scalar == _sweep(sg2042)
+
+    @pytest.mark.parametrize("mode", ["chaos", "reference"])
+    def test_an_unbatched_sweep_resolves_once(self, sg2042, mode,
+                                              compile_counts):
+        """A chaos plan and ``reference_mode()`` keep a batch sweep off
+        the batch engine; its grid still resolves once."""
+        if mode == "chaos":
+            # A plan that injects nothing still forces the scalar path.
+            context = chaos.inject_faults(
+                transient_plan(seed=7, probability=0.0)
+            )
+        else:
+            context = reference_mode()
+        with context:
+            unbatched = _sweep(sg2042)
+        assert compile_counts["analyze_suite"] == 1
+        assert unbatched == _sweep(sg2042)
 
 
 class TestCompileSpans:
@@ -85,26 +107,43 @@ class TestCompileSpans:
         assert "compile.analyze" not in second.telemetry.phase_counts
         assert second == first
 
+    def test_a_scalar_sweep_records_one_resolve(self, sg2042,
+                                                compile_counts):
+        with telemetry.telemetry_session():
+            scalar = _sweep(sg2042, engine="scalar")
+        phases = scalar.telemetry.phase_counts
+        assert len(scalar.rows) == 24
+        assert phases["compile.resolve"] == 1
+        assert phases["compile.analyze"] == len(KERNELS)
+        assert phases["suite.run"] == 24
+
 
 class TestConcurrentMisses:
     def test_racing_misses_give_equal_results(self, sg2042):
-        """Threads that miss the compile LRU together may each compile
-        the suite; ``analyze`` is pure, so every result is the same."""
+        """Eight threads that fill one empty table together, each with
+        its own kernel list, get the results of a filled table: rows
+        are set once, under the table's lock."""
         config = RunConfig(threads=4)
-        kernels = [get_kernel(name) for name in KERNELS]
-        expected = run_suite(sg2042, config, kernels=kernels)
-        analyze_suite.cache_clear()
+        lists = [
+            [get_kernel(name) for name in KERNELS[i % len(KERNELS):]
+             + KERNELS[:i % len(KERNELS)]][: 2 + i % 5]
+            for i in range(8)
+        ]
+        expected = [run_suite(sg2042, config, kernels=kernels)
+                    for kernels in lists]
+        clear_tables()
         barrier = threading.Barrier(8, timeout=60)
-        results = []
+        results = {}
 
-        def work():
+        def work(i):
             barrier.wait()
-            results.append(run_suite(sg2042, config, kernels=kernels))
+            results[i] = run_suite(sg2042, config, kernels=lists[i])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=work) for _ in range(8)]
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(8)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -112,5 +151,4 @@ class TestConcurrentMisses:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert len(results) == 8
-        assert all(result == expected for result in results)
+        assert [results[i] for i in range(8)] == expected

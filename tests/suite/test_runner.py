@@ -5,20 +5,20 @@ from dataclasses import replace
 import pytest
 
 import repro.compiler.vectorizer as vectorizer
+import repro.perfmodel.batch as batch
 import repro.suite.runner as runner
-from repro.compiler.vectorizer import analyze, analyze_suite
+from repro.compiler.vectorizer import analyze
 from repro.kernels.base import KernelClass
-from repro.kernels.registry import all_kernels, get_kernel, kernels_in_class
+from repro.kernels.registry import (
+    all_kernels,
+    clear_tables,
+    get_kernel,
+    kernels_in_class,
+)
 from repro.machine.vector import DType
-from repro.perfmodel.batch import _prelude, lower_kernels
 from repro.resilience.retry import FailureRecord, RetrySpec
 from repro.suite.config import RunConfig
-from repro.suite.runner import (
-    SuiteResult,
-    _scaled_sizes,
-    run_suite,
-    verify_kernel,
-)
+from repro.suite.runner import SuiteResult, run_suite, verify_kernel
 from repro.suite.sweep import sweep
 from repro.util.errors import ConfigError
 
@@ -95,9 +95,9 @@ class TestRunSuite:
 
 
 class TestSharedKernelInstances:
-    """``run_suite`` and ``sweep`` run each suite kernel as its class's
-    shared instance; the batch engine's caches are keyed on kernel
-    identity."""
+    """Any instance of a suite class stands for the class's rows in the
+    per-configuration tables; a shim with traits of its own keeps
+    them."""
 
     def test_shim_keeps_its_own_traits(self, sg2042):
         kernel = get_kernel("TRIAD")
@@ -117,10 +117,11 @@ class TestSharedKernelInstances:
         ).points
         assert point.seconds == shimmed
 
-    def test_fresh_lists_reuse_cache_entries(self, sg2042):
-        caches = (lower_kernels, _prelude, _scaled_sizes, analyze_suite)
-        for cache in caches:
-            cache.cache_clear()
+    def test_fresh_lists_leave_one_table_per_configuration(self, sg2042):
+        """Fresh kernel lists, the default suite and a sweep share one
+        compile table, one lowering and one prelude table (one machine,
+        one precision), whose rows are the suite's 64 kernels."""
+        clear_tables()
         config = RunConfig(threads=4)
 
         def calls():
@@ -128,13 +129,20 @@ class TestSharedKernelInstances:
             run_suite(sg2042, config, kernels=all_kernels())
             sweep(sg2042, all_kernels(), threads=(1, 4))
 
+        def tables():
+            return [tables.tables() for tables in (
+                vectorizer._REPORTS, batch._LOWERING, batch._PRELUDES,
+            )]
+
         calls()
-        sizes = [cache.cache_info().currsize for cache in caches]
-        assert all(0 < size < cache.cache_info().maxsize
-                   for size, cache in zip(sizes, caches))
+        held = tables()
+        assert [len(each) for each in held] == [1, 1, 1]
+        (prelude,) = held[2]
+        assert len(prelude) == 64
         for _ in range(3):
             calls()
-        assert [cache.cache_info().currsize for cache in caches] == sizes
+        assert tables() == held
+        assert len(prelude) == 64
 
 
 class TestSuiteCompileReuse:
@@ -151,7 +159,7 @@ class TestSuiteCompileReuse:
             calls.append(args[1].name)
             return analyze(*args, **kwargs)
 
-        # The suite LRU's binding and the per-kernel path's.
+        # The compile table's binding and the per-kernel path's.
         monkeypatch.setattr(vectorizer, "analyze", counting)
         monkeypatch.setattr(runner, "analyze", counting)
         second = run_suite(sg2042, RunConfig(threads=64))

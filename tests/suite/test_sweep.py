@@ -10,8 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro import telemetry
-from repro.compiler.vectorizer import analyze_suite
-from repro.kernels.registry import get_kernel
+from repro.kernels.registry import clear_tables, get_kernel
 from repro.store import ArtifactStore, StoreWarning
 from repro.suite.config import Placement, Precision
 from repro.suite.memo import SuiteCaches
@@ -148,7 +147,7 @@ class TestRepeatedKernels:
             first = sweep(sg2042, kernels,
                           caches=SuiteCaches.persistent(store),
                           **self.GRID)
-            analyze_suite.cache_clear()
+            clear_tables()
             reader = ArtifactStore(store.root)
             second = sweep(sg2042, kernels,
                            caches=SuiteCaches.persistent(reader),

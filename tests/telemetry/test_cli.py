@@ -5,7 +5,7 @@ import json
 
 
 from repro.cli import main
-from repro.compiler.vectorizer import analyze_suite
+from repro.kernels.registry import clear_tables
 from tests.telemetry.schema import (
     PIPELINE_PHASES,
     validate_chrome_trace,
@@ -19,9 +19,10 @@ SWEEP_ARGS = ["--kernels", "TRIAD,DAXPY", "--threads", "1,4",
 
 class TestTraceCommand:
     def test_trace_sweep_writes_chrome_trace(self, tmp_path, capsys):
-        # A fresh process's compile LRU: the sweep compiles its kernels,
+        # A fresh process's compile tables: the sweep compiles its
+        # kernels,
         # so the trace holds ``compile.analyze`` spans.
-        analyze_suite.cache_clear()
+        clear_tables()
         trace = tmp_path / "trace.json"
         rc = main(["trace", "sweep", *SWEEP_ARGS,
                    "--trace-out", str(trace)])

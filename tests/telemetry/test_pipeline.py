@@ -8,8 +8,7 @@ carry no summary at all.
 
 
 from repro import telemetry
-from repro.compiler.vectorizer import analyze_suite
-from repro.kernels.registry import all_kernels
+from repro.kernels.registry import all_kernels, clear_tables
 from repro.machine import catalog
 from repro.resilience import chaos, transient_plan
 from repro.resilience.retry import FailurePolicy, RetrySpec
@@ -65,8 +64,8 @@ class TestSweepTelemetry:
         assert result.telemetry is None
 
     def test_phase_coverage(self):
-        # From a cold compile LRU, so the sweep compiles its kernels.
-        analyze_suite.cache_clear()
+        # From empty compile tables, so the sweep compiles its kernels.
+        clear_tables()
         with telemetry.telemetry_session() as (rec, _):
             result = sweep(CPU, KERNELS, **GRID)
         names = {r.name for r in rec.records()}
