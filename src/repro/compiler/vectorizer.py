@@ -221,7 +221,10 @@ def analyze_suite(
             compiler, shared[i], target, flavor, rollback, rec
         ))
     if kernels is suite():
-        return table.whole
+        # A fill sets ``whole`` after its last row: a reader that found
+        # every row set may still be ahead of it.
+        whole = table.whole
+        return tuple(rows) if whole is None else whole
     return tuple([rows[i] for i in positions])
 
 
@@ -234,23 +237,22 @@ def intern_reports(
     reports: tuple[VectorizationReport, ...],
 ) -> tuple[VectorizationReport, ...]:
     """``reports`` of ``kernels`` (read from elsewhere, such as a
-    ``--store`` composite) as the compile table's own objects.
+    ``--store`` composite), with each one equal to the report
+    :func:`analyze` already put in its compile table row replaced by
+    that row's object.
 
-    A row the table lacks takes the given report; a report equal to its
-    row becomes the row's object. A report that differs from its row
-    (a stale artifact) is returned as given and not kept.
+    The table is never filled from ``reports``: a row the table lacks,
+    or one that differs (a stale artifact), leaves the given report as
+    it is, so a request without a store always gets :func:`analyze`'s
+    reports.
     """
     positions = suite_positions(kernels)
     if positions is None:
         return reports
-    table = _REPORTS((compiler, target, flavor, rollback))
-    given = dict(zip(positions, reports))
-    rows = table.rows
-    if any(rows[i] is _UNSET for i in given):
-        table.fill(given, given.__getitem__)
+    rows = _REPORTS((compiler, target, flavor, rollback)).rows
     return tuple([
-        rows[i] if rows[i] is report or rows[i] == report else report
-        for i, report in zip(positions, reports)
+        row if row is report or row == report else report
+        for row, report in zip(map(rows.__getitem__, positions), reports)
     ])
 
 

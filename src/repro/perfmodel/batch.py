@@ -15,8 +15,9 @@ the scalar model as array expressions over the kernel axis:
   :func:`~repro.perfmodel.pipeline.pipeline_time_per_iter`, one float
   per kernel — they depend on the kernel, not the placement — and with
   the other placement-independent arrays form the *prelude*, kept per
-  (machine, precision) as one row per (suite kernel, report), so each
-  is built once per process whatever kernel lists arrive;
+  (machine, precision, size scale) as one row per (suite kernel,
+  report), so each is built once per process whatever kernel lists
+  arrive;
 * the serving-level decision becomes a masked first-fit select over the
   cache levels, with sharers/bandwidths taken per *placement symmetry
   class* (:mod:`repro.perfmodel.placement`) as Python scalars from the
@@ -127,7 +128,7 @@ def lower_kernels(kernels: tuple[Kernel, ...]) -> KernelSoA:
     if kernels is suite():
         return _LOWERING(())
     positions = suite_positions(kernels)
-    if positions is None:
+    if not positions:
         return _lower_kernels_impl(kernels)
     return _suite_rows(kernels, positions)
 
@@ -286,22 +287,75 @@ def _prelude(
 ) -> _Prelude:
     """The placement-independent arrays of a batch.
 
-    Suite kernels at their default sizes take their rows from the
-    (machine, precision) table (:class:`_PreludeTable`), which builds
-    each (kernel, report) row once per process. Explicit sizes and
-    kernels outside the suite build their prelude here, on every call.
+    Suite kernels take their rows from the (machine, precision, size
+    scale) table (:class:`_PreludeTable`), which builds each (kernel,
+    report) row once per process: at their default sizes (scale 1), or
+    at sizes that are the suite's sizes at a scale
+    :func:`scaled_sizes` gave. Other sizes and kernels outside the
+    suite build their prelude here, on every call.
     """
-    if sizes is None:
-        if kernels is suite():
-            return _PRELUDES((cpu, precision)).prelude(None, reports)
-        positions = suite_positions(kernels)
-        if positions is not None:
-            return _PRELUDES((cpu, precision)).prelude(positions, reports)
+    whole = kernels is suite()
+    positions = None if whole else suite_positions(kernels)
+    if whole or positions:
+        scale = 1.0 if sizes is None else _scale_of(positions, sizes)
+        if scale is not None:
+            return _PRELUDES((cpu, precision, scale)).prelude(
+                positions, reports
+            )
     soa = lower_kernels(tuple(kernels))
     return _build_prelude(
         cpu, soa, precision, reports,
         soa.default_sizes if sizes is None else _frozen(sizes),
     )
+
+
+def scaled_size(kernel: Kernel, scale: float) -> int:
+    """``kernel``'s problem size at size ``scale``: its default size
+    times ``scale``, rounded, and at least 1."""
+    return max(1, int(round(kernel.default_size * scale)))
+
+
+def _suite_sizes(scale: float) -> tuple[float, tuple[int, ...]]:
+    return scale, tuple(scaled_size(kernel, scale) for kernel in suite())
+
+
+#: The suite's problem sizes per size scale, as ``(scale, sizes)``.
+_SIZES = SuiteTables(_suite_sizes)
+
+
+def scaled_sizes(
+    kernels: Sequence[Kernel], scale: float
+) -> tuple[int, ...] | None:
+    """The ``sizes`` of :func:`predict_batch` and :func:`predict_grid`
+    for ``kernels`` at size ``scale``: ``None`` (each kernel's default
+    size) at scale 1, else :func:`scaled_size` per kernel.
+
+    Suite kernels take theirs from the suite's sizes at ``scale``, made
+    once per scale, which names the scale whose prelude table their
+    rows come from.
+    """
+    if scale == 1.0:
+        return None
+    if kernels is suite():
+        return _SIZES(scale)[1]
+    positions = suite_positions(kernels)
+    if positions is None:
+        return tuple(scaled_size(kernel, scale) for kernel in kernels)
+    full = _SIZES(scale)[1]
+    return tuple([full[p] for p in positions])
+
+
+def _scale_of(positions: list[int] | None,
+              sizes: tuple[int, ...]) -> float | None:
+    """A scale :func:`scaled_sizes` sized the suite at whose sizes at
+    ``positions`` (``None``: the whole suite) are ``sizes``, or
+    ``None``. Two scales that give the same sizes give the same rows."""
+    for scale, full in _SIZES.tables():
+        if positions is not None:
+            full = tuple([full[p] for p in positions])
+        if full == sizes:
+            return scale
+    return None
 
 
 def _build_prelude(
@@ -386,7 +440,7 @@ def _build_prelude(
 
 
 class _PreludeTable:
-    """One (machine, precision)'s prelude rows, at default sizes.
+    """One (machine, precision, size scale)'s prelude rows.
 
     A row holds one (suite kernel, report) pair's :class:`_Prelude`
     entries, one in each of ``columns``. Rows sit in layers as wide as
@@ -410,8 +464,10 @@ class _PreludeTable:
     lock, and a row, once written, never changes.
     """
 
-    def __init__(self, key: tuple[CPUModel, DType]) -> None:
-        self.cpu, self.precision = key
+    def __init__(self, key: tuple[CPUModel, DType, float]) -> None:
+        self.cpu, self.precision, scale = key
+        #: Each suite kernel's problem size at the table's scale.
+        self.sizes = _frozen(_SIZES(scale)[1])
         self.width = len(suite())
         self.full = list(range(self.width))
         self.held: list[list] = []
@@ -440,9 +496,7 @@ class _PreludeTable:
         else:
             rows = [self._row(p, r) for p, r in zip(positions, reports)]
             if None in rows:
-                rows, built = self._fill(positions, reports)
-                if built is not None:
-                    return built
+                rows = self._fill(positions, reports)
         # Read after every row is found: a fill that grows the columns
         # copies every row written before it.
         columns = self.columns
@@ -472,11 +526,9 @@ class _PreludeTable:
                 return layer * self.width + p
         return None
 
-    def _fill(self, positions, reports) -> tuple[list[int], _Prelude | None]:
-        """Find every pair's row, building the rows the table lacks.
-
-        Returns the pairs' rows and, when the fill built exactly those
-        rows in that order, the prelude it built for them."""
+    def _fill(self, positions, reports) -> list[int]:
+        """Find every pair's row, building the rows the table lacks;
+        returns the pairs' rows."""
         with self.lock:
             rows: list[int] = []
             built: dict[int, tuple[int, VectorizationReport]] = {}
@@ -502,22 +554,21 @@ class _PreludeTable:
                     built[row] = (p, report)
                     fresh.setdefault(p, []).append((report, row))
                 rows.append(row)
-            if not built:
-                return rows, None
-            values = self._write(built)
-            return rows, values if list(built) == rows else None
+            if built:
+                self._write(built)
+            return rows
 
-    def _write(self, built: dict) -> _Prelude:
+    def _write(self, built: dict) -> None:
         """Build the ``row -> (position, report)`` rows of ``built`` in
         one sub-batch, write them, growing the columns by whole layers,
-        then name their reports in ``held``; returns the sub-batch."""
+        then name their reports in ``held``."""
         pairs = list(built.values())
         positions = [p for p, _ in pairs]
         shared = suite()
         soa = _suite_rows(tuple(shared[p] for p in positions), positions)
         values = _build_prelude(
             self.cpu, soa, self.precision, [r for _, r in pairs],
-            soa.default_sizes,
+            self.sizes[_index(positions)],
         )
         rows = _index(list(built))
         layers = max(built) // self.width + 1
@@ -540,10 +591,9 @@ class _PreludeTable:
             held.append([None] * self.width)
         for row, (p, report) in built.items():
             held[row // self.width][p] = report
-        return values
 
 
-#: Prelude rows per (machine, precision).
+#: Prelude rows per (machine, precision, size scale).
 _PRELUDES = SuiteTables(_PreludeTable)
 
 

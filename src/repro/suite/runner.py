@@ -36,7 +36,13 @@ from repro.kernels.registry import suite
 from repro.machine.cpu import CPUModel
 from repro.machine.vector import DType
 from repro.openmp.affinity import assign_cores
-from repro.perfmodel.batch import GridPrediction, predict_batch, predict_grid
+from repro.perfmodel.batch import (
+    GridPrediction,
+    predict_batch,
+    predict_grid,
+    scaled_size,
+    scaled_sizes,
+)
 from repro.perfmodel.execution import ExecutionResult, simulate_kernel
 from repro.perfmodel.placement import reference_active
 from repro.resilience import chaos
@@ -195,21 +201,6 @@ _DISABLED_REPORT = VectorizationReport(
 )
 
 
-def _scaled_size(kernel: Kernel, config: RunConfig) -> int:
-    return max(1, int(round(kernel.default_size * config.size_scale)))
-
-
-def _batch_sizes(
-    kernels: Sequence[Kernel], config: RunConfig
-) -> tuple[int, ...] | None:
-    """The ``sizes`` a batch prediction of ``kernels`` takes: ``None``
-    (each kernel's default size, which :func:`_scaled_size` gives at
-    scale 1) unless ``config`` scales them."""
-    if config.size_scale == 1.0:
-        return None
-    return tuple(_scaled_size(kernel, config) for kernel in kernels)
-
-
 #: ``{kernel name: (report, prediction)}`` as produced by the batch
 #: prefetchers and consumed by :func:`_run_one_kernel`.
 _Prefetched = dict[str, tuple[VectorizationReport, "ExecutionResult | None"]]
@@ -312,7 +303,7 @@ def _prefetch(
     if batch and resolved:
         predictions = predict_batch(
             cpu, resolved, cores, config.precision, reports,
-            _batch_sizes(resolved, config),
+            scaled_sizes(resolved, config.size_scale),
         )
     else:
         predictions = [None] * len(resolved)
@@ -430,7 +421,7 @@ def grid_prefetch(
             precision=config.precision,
             kernels=resolved,
             reports=reports,
-            sizes=_batch_sizes(resolved, config),
+            sizes=scaled_sizes(resolved, config.size_scale),
         )
         out[i] = PointPrefetch(compiler, plan)
         if predict and resolved:
@@ -517,7 +508,7 @@ def _run_one_kernel(
     if prediction is None:
         prediction = _predict_scalar(
             kernel, cpu, cores, config.precision, report,
-            _scaled_size(kernel, config),
+            scaled_size(kernel, config.size_scale),
         )
     seconds = prediction.seconds
     if noise_mean is not None:

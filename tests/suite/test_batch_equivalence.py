@@ -172,6 +172,10 @@ class TestBatchValidation:
         for name in SOA_ARRAY_FIELDS:
             assert getattr(fresh, name).tolist() == getattr(
                 whole, name).tolist()
+        empty = lower_kernels(())
+        assert empty.kernels == () and len(empty) == 0
+        for name in SOA_ARRAY_FIELDS:
+            assert getattr(empty, name).tolist() == []
 
 
 class TestPredictGrid:

@@ -5,8 +5,9 @@ prediction prelude on the machine, the precision, the kernel and its
 report; neither depends on the kernel list a request names. So the
 compile table keeps one row per suite kernel per compile configuration,
 and the prelude table one row per (kernel, report) per (machine,
-precision), whatever subsets arrive, and every request gets the bits it
-would get alone. Counts start from empty tables (``clear_tables``).
+precision, size scale), whatever subsets arrive, and every request gets
+the bits it would get alone. Counts start from empty tables
+(``clear_tables``).
 """
 
 import itertools
@@ -118,7 +119,7 @@ class TestLayers:
         tuned = [[replace(r, efficiency=r.efficiency * f) for r in base]
                  for f in (0.5, 0.25)]
         clear_tables()
-        table = batch._PRELUDES((sg2042, DType.FP64))
+        table = batch._PRELUDES((sg2042, DType.FP64, 1.0))
         positions = suite_positions(kernels)
         table.prelude(positions[:2], base[:2])
         table.prelude(positions[:1], tuned[0][:1])
@@ -176,24 +177,155 @@ class TestEqualBits:
             sg2042, EXACT, kernels=[triad]).time("TRIAD")
         assert run_suite(sg2042, EXACT, kernels=kernels) == first
 
-    def test_store_reports_become_the_tables_rows(self, sg2042, tmp_path,
-                                                  compile_counts):
-        """A ``--store`` read fills the compile table: later storeless
-        requests compile nothing and get the restored report objects."""
+    def test_store_reports_never_fill_the_compile_table(
+        self, sg2042, tmp_path, compile_counts
+    ):
+        """A ``--store`` read restores its reports without compiling but
+        leaves the compile table as it is: a later storeless request
+        compiles its kernels, and a store read after that gets the
+        table's own report objects."""
         kernels = kernels_in_class("stream")
         store = ArtifactStore(tmp_path / "store")
-        caches = SuiteCaches.persistent(store)
-        written = run_suite(sg2042, EXACT, kernels=kernels, caches=caches)
+        written = run_suite(sg2042, EXACT, kernels=kernels,
+                            caches=SuiteCaches.persistent(store))
         clear_tables()
         compiled = compile_counts["analyze"]
         restored = run_suite(sg2042, EXACT, kernels=kernels,
                              caches=SuiteCaches.persistent(
                                  ArtifactStore(store.root)))
-        plain = run_suite(sg2042, EXACT, kernels=kernels)
         assert compile_counts["analyze"] == compiled
-        assert restored == written == plain
+        plain = run_suite(sg2042, EXACT, kernels=kernels)
+        assert compile_counts["analyze"] == compiled + len(kernels)
+        again = run_suite(sg2042, EXACT, kernels=kernels,
+                          caches=SuiteCaches.persistent(
+                              ArtifactStore(store.root)))
+        assert restored == written == plain == again
         for name, run in plain.runs.items():
-            assert restored.runs[name].report is run.report
+            assert again.runs[name].report is run.report
+
+    def test_a_stale_composite_stays_out_of_storeless_results(
+        self, sg2042, tmp_path
+    ):
+        """A composite that decodes but differs from what ``analyze``
+        gives (written by an older model) is served as read to its
+        ``--store`` request only; storeless requests before and after it
+        equal a fresh compile."""
+        from repro.store.codecs import decode_report, encode_report
+
+        kernels = kernels_in_class("stream")
+        store = ArtifactStore(tmp_path / "store")
+        written = []
+        put = store.put
+
+        def recording(namespace, key, payload, *args, **kwargs):
+            written.append((namespace, key))
+            return put(namespace, key, payload, *args, **kwargs)
+
+        store.put = recording
+        run_suite(sg2042, EXACT, kernels=kernels,
+                  caches=SuiteCaches.persistent(store))
+        ((namespace, key),) = [
+            (ns, k) for ns, k in written if ns == "compile"
+        ]
+        payload = store.get(namespace, key)
+        stale = [
+            encode_report(replace(decode_report(entry),
+                                  efficiency=0.5, reason="stale"))
+            for entry in payload["reports"]
+        ]
+        store.put(namespace, key, {"reports": stale})
+
+        def fresh():
+            clear_tables()
+            return run_suite(sg2042, EXACT, kernels=kernels)
+
+        expected = fresh()
+        for first_storeless in (False, True):
+            clear_tables()
+            if first_storeless:
+                assert run_suite(sg2042, EXACT, kernels=kernels) == expected
+            read = run_suite(sg2042, EXACT, kernels=kernels,
+                             caches=SuiteCaches.persistent(
+                                 ArtifactStore(store.root)))
+            assert {run.report.reason for run in read.runs.values()} == {
+                "stale"}
+            assert read != expected
+            assert run_suite(sg2042, EXACT, kernels=kernels) == expected
+        assert fresh() == expected
+
+
+class TestScaledSizes:
+    SCALE = 16.0
+
+    def test_a_scale_takes_its_own_prelude_table(self, sg2042,
+                                                 prelude_rows):
+        """Whole suites at a size scale over several thread counts (the
+        sockets sequel) build each (precision, kernel) row once in a
+        (machine, precision, scale) table, subsets at that scale after
+        them build nothing, and every result equals the scalar
+        engine's."""
+        scaled = replace(EXACT, size_scale=self.SCALE)
+        runs = {}
+        for precision in PRECISIONS:
+            for threads in (1, 4, 16, 64):
+                config = replace(scaled, threads=threads,
+                                 precision=precision)
+                runs[config] = run_suite(sg2042, config)
+        assert prelude_rows["rows"] == 64 * len(PRECISIONS)
+        keys = [(t.cpu, t.precision, t.sizes.tolist())
+                for t in batch._PRELUDES.tables()]
+        assert len(keys) == len(PRECISIONS)
+        subset = kernels_in_class("stream") + kernels_in_class("apps")
+        for config, whole in runs.items():
+            part = run_suite(sg2042, config, kernels=subset)
+            assert part == run_suite(sg2042, config, kernels=subset,
+                                     engine="scalar")
+            for name, run in part.runs.items():
+                assert whole.runs[name] == run
+        assert prelude_rows["rows"] == 64 * len(PRECISIONS)
+        for config in list(runs)[::3]:
+            assert runs[config] == run_suite(sg2042, config,
+                                             engine="scalar")
+
+    def test_default_and_scaled_rows_never_mix(self, sg2042,
+                                               prelude_rows):
+        """A scaled request after default-size ones (and the other way
+        round) gets its own table's rows: the bits it gets alone."""
+        kernels = kernels_in_class("stream")
+        scaled = replace(EXACT, size_scale=self.SCALE)
+        alone = {}
+        for config in (EXACT, scaled):
+            clear_tables()
+            alone[config] = run_suite(sg2042, config, kernels=kernels)
+        clear_tables()
+        for config in (EXACT, scaled, EXACT, scaled):
+            assert run_suite(sg2042, config, kernels=kernels) == alone[
+                config]
+        assert alone[EXACT] != alone[scaled]
+        assert len(batch._PRELUDES) == 2
+
+    def test_unscaled_explicit_sizes_build_directly(self, sg2042):
+        """Sizes no scale gave take no table row, and equal the scalar
+        model at those sizes."""
+        from repro.compiler.model import XUANTIE_GCC_8_4
+        from repro.compiler.vectorizer import analyze
+        from repro.machine.vector import DType
+        from repro.openmp.affinity import assign_cores
+        from repro.perfmodel.execution import simulate_kernel
+
+        clear_tables()
+        kernels = [get_kernel(name) for name in ("TRIAD", "DOT")]
+        reports = [analyze(XUANTIE_GCC_8_4, k, sg2042.core.isa)
+                   for k in kernels]
+        sizes = (12_345, 6_789)
+        cores = assign_cores(sg2042.topology, 4, Placement.CYCLIC)
+        got = batch.predict_batch(sg2042, kernels, cores, DType.FP64,
+                                  reports, sizes)
+        assert len(batch._PRELUDES) == 0
+        for kernel, report, size, result in zip(kernels, reports, sizes,
+                                                got):
+            assert result == simulate_kernel(
+                kernel, sg2042, cores, DType.FP64, report, size)
 
 
 class TestConcurrentFills:
@@ -221,6 +353,41 @@ class TestConcurrentFills:
                 assert len(table) == len(pairs)
         finally:
             sys.setswitchinterval(interval)
+
+    def test_the_whole_suite_racing_subset_fills(self, sg2042):
+        """Threads asking for the default suite race threads that fill
+        the same empty compile and prelude tables with class subsets:
+        each gets the bits it gets alone."""
+        subsets = [None, *class_subsets()[:3], None, *class_subsets()[-3:]]
+        configs = [EXACT] * len(subsets)
+        expected = [run_suite(sg2042, EXACT, kernels=subset)
+                    for subset in subsets]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(self.ROUNDS):
+                clear_tables()
+                assert self._race(sg2042, configs, subsets) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_the_suite_read_before_its_tuple_is_set(self, sg2042):
+        """A fill sets the table's whole-suite tuple after its last row;
+        a reader that finds every row set in between still gets every
+        report."""
+        from repro.compiler.model import XUANTIE_GCC_8_4, VectorFlavor
+        from repro.kernels.registry import suite
+
+        clear_tables()
+        isa = sg2042.core.isa
+        expected = vectorizer.analyze_suite(XUANTIE_GCC_8_4, suite(), isa)
+        table = vectorizer._REPORTS(
+            (XUANTIE_GCC_8_4, isa, VectorFlavor.VLS, False)
+        )
+        table.whole = None  # every row set, the tuple not yet
+        got = vectorizer.analyze_suite(XUANTIE_GCC_8_4, suite(), isa)
+        assert got == expected
+        assert all(a is b for a, b in zip(got, expected))
 
     @staticmethod
     def _race(cpu, configs, subsets) -> list:
