@@ -9,11 +9,14 @@ SG2042, ``noise_sigma=0`` — four ways:
   grid point) — the engine's behaviour before any fast path existed;
 * **fast**: the default path — placement symmetry-class dedup, the
   warm compile and prelude tables, batch engine;
-* **cold scalar**: ``engine="scalar"`` from empty tables — what a cold
-  (never-before-seen) grid cost before the batch engine;
-* **cold batch**: ``engine="batch"`` from empty tables — the cold path
-  now: one compile per kernel, one vectorized NumPy pass per
-  configuration.
+* **cold scalar**: the scalar model over the same cells from empty
+  tables — the compile table's reports, then one
+  :func:`~repro.perfmodel.execution.simulate_kernel` call for each
+  kernel at each grid point, with no suite or sweep machinery around
+  it: what a cold (never-before-seen) grid costs without the batch
+  engine;
+* **cold batch**: :func:`sweep` from empty tables — the cold path:
+  one compile per kernel, one vectorized NumPy pass for the grid.
 
 One more variant measures the persistent store — what a *second
 process* pays over a store a prior process filled:
@@ -63,14 +66,17 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro.compiler.vectorizer import analyze_suite
 from repro.kernels.base import KernelClass
 from repro.kernels.registry import all_kernels, clear_tables, kernels_in_class
 from repro.machine import catalog
+from repro.openmp.affinity import assign_cores
+from repro.perfmodel.execution import simulate_kernel
 from repro.perfmodel.placement import reference_mode
 from repro.store import ArtifactStore
-from repro.suite.config import Placement, Precision
+from repro.suite.config import Placement, Precision, RunConfig
 from repro.suite.memo import SuiteCaches
-from repro.suite.sweep import SweepResult, sweep
+from repro.suite.sweep import SweepPoint, SweepResult, sweep
 
 FULL_THREADS = (1, 4, 8, 16, 32, 64)
 REDUCED_THREADS = (1, 8, 64)
@@ -276,6 +282,34 @@ def _class_subset_stream(cpu, grid: dict) -> dict:
     }
 
 
+def _scalar_sweep(cpu, kernels: list, grid: dict) -> SweepResult:
+    """The grid's points through the scalar model alone.
+
+    The kernels' reports come from the compile table, as a sweep's do;
+    then one :func:`simulate_kernel` call per kernel per grid point, in
+    :func:`sweep`'s grid x kernel order. With one run and no noise a
+    point's seconds are its prediction's, so the result equals the
+    sweep's.
+    """
+    config = RunConfig()
+    reports = analyze_suite(
+        config.resolve_compiler(cpu), tuple(kernels), cpu.core.isa,
+        config.flavor, config.rollback,
+    )
+    points = []
+    for threads, placement, precision in itertools.product(
+        grid["threads"], grid["placements"], grid["precisions"]
+    ):
+        cores = assign_cores(cpu.topology, threads, placement)
+        for kernel, report in zip(kernels, reports):
+            prediction = simulate_kernel(kernel, cpu, cores, precision,
+                                         report)
+            points.append(SweepPoint(cpu.name, threads, placement,
+                                     precision, kernel.name,
+                                     prediction.seconds))
+    return SweepResult(tuple(points))
+
+
 def _best_of_rounds(variants: dict, rounds: int = BENCH_RUNS) -> dict:
     """Best wall time of each variant over ``rounds`` rounds.
 
@@ -325,15 +359,15 @@ def run_benchmark(reduced: bool = False) -> dict:
 
     # Cold comparison: what a never-before-seen grid costs. Both sides
     # start from empty tables each attempt; the scalar side then
-    # predicts kernel by kernel at each point (the pre-batch cold
-    # behaviour), the batch side the whole grid in one pass.
+    # predicts kernel by kernel at each point, the batch side the whole
+    # grid in one pass.
     def run_cold_scalar():
         clear_tables()
-        return sweep(cpu, kernels=kernels, engine="scalar", **grid), None
+        return _scalar_sweep(cpu, kernels, grid), None
 
     def run_cold_batch():
         clear_tables()
-        return sweep(cpu, kernels=kernels, engine="batch", **grid), None
+        return sweep(cpu, kernels=kernels, **grid), None
 
     ref_seconds, (ref, _) = _best_of(run_reference)
     fast_seconds, (fast, _) = _best_of(run_fast)
@@ -356,14 +390,14 @@ def run_benchmark(reduced: bool = False) -> dict:
     sub_threads = tuple(grid["threads"][::2])
     sub_grid = dict(grid, threads=sub_threads)
     with tempfile.TemporaryDirectory(prefix="bench-store-") as tmp:
-        sweep(cpu, kernels=kernels, engine="batch",
+        sweep(cpu, kernels=kernels,
               caches=SuiteCaches.persistent(ArtifactStore(tmp)), **grid)
 
         def run_warm_subgrid():
             clear_tables()
             store = ArtifactStore(tmp)
             return (
-                sweep(cpu, kernels=kernels, engine="batch",
+                sweep(cpu, kernels=kernels,
                       caches=SuiteCaches.persistent(store), **sub_grid),
                 store,
             )
@@ -377,10 +411,10 @@ def run_benchmark(reduced: bool = False) -> dict:
     subset_stream = _class_subset_stream(cpu, grid)
 
     assert fast == ref, "fast path diverged from the reference sweep"
-    assert cold_scalar == ref, "scalar engine diverged from the reference"
+    assert cold_scalar == ref, "scalar model diverged from the reference"
     assert cold_batch == ref, "batch engine diverged from the reference"
     ref_csv = ref.to_csv()
-    for name, result in (("fast path", fast), ("scalar engine", cold_scalar),
+    for name, result in (("fast path", fast), ("scalar model", cold_scalar),
                          ("batch engine", cold_batch)):
         assert result.to_csv() == ref_csv, (
             f"{name} CSV differs from the reference sweep's"
@@ -462,7 +496,7 @@ def run_benchmark(reduced: bool = False) -> dict:
     clear_tables()
     with telemetry.telemetry_session():
         start = time.perf_counter()
-        traced = sweep(cpu, kernels=kernels, engine="batch", **grid)
+        traced = sweep(cpu, kernels=kernels, **grid)
         traced_seconds = time.perf_counter() - start
     assert traced == ref, "traced sweep diverged from the reference"
     assert traced.to_csv() == ref_csv, (

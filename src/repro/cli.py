@@ -91,13 +91,6 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", default="1,8,32")
     parser.add_argument("--placements", default="cyclic,cluster")
     parser.add_argument("--precisions", default="fp32")
-    parser.add_argument(
-        "--engine", default="batch", choices=["batch", "scalar"],
-        help="prediction engine: 'batch' evaluates each "
-        "configuration's whole kernel list in one vectorized NumPy "
-        "pass, 'scalar' calls the model once per kernel "
-        "(bit-identical results)",
-    )
 
 
 def _parse_grid(args: argparse.Namespace):
@@ -411,7 +404,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 retry=_retry_spec(args),
                 checkpoint=args.checkpoint,
                 caches=caches,
-                engine=args.engine,
             )
         finally:
             elapsed = time.perf_counter() - started
@@ -438,8 +430,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"\nbest overall: {best_t} threads, {best_pl.value}, "
                   f"{best_pr.label}")
     if result.failures:
-        print()
-        print(result.failure_summary())
+        if args.csv:
+            # stdout stays one CSV.
+            print(result.failure_summary(), file=sys.stderr)
+        else:
+            print()
+            print(result.failure_summary())
     if not args.csv and result.telemetry is not None:
         print()
         print(result.telemetry.render())
@@ -488,7 +484,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             cpu = _resolve_cpu(args)
             if cpu is None:
                 return 2
-            result = sweep(cpu, *_parse_grid(args), engine=args.engine)
+            result = sweep(cpu, *_parse_grid(args))
             summary = result.telemetry
         elif args.target in ALL_EXPERIMENTS:
             ALL_EXPERIMENTS[args.target](fast=args.fast)

@@ -1,12 +1,12 @@
 """The seven CPUs the paper measures, served from the data registry.
 
-The calibrated parameters live in the schema-validated JSON documents
-under ``repro/registry/data/machines/`` (one document per machine; see
-``docs/REGISTRY.md``). Each factory here is a thin lookup into
-:func:`repro.registry.default_registry`, pinned byte-identical to the
-reference Python constructors in :mod:`repro.machine._reference` by
-test — so a catalog CPU and its registry-loaded twin share one
-``machine_digest`` and therefore the same :mod:`repro.store` artifacts.
+The calibrated parameters live only in the schema-validated JSON
+documents under ``repro/registry/data/machines/`` (one document per
+machine; see ``docs/REGISTRY.md``, and ``docs/MODEL.md`` §4 for why each
+fitted value is what it is). Each factory here is a thin lookup into
+:func:`repro.registry.default_registry`, so a catalog CPU and its
+registry-loaded twin share one ``machine_digest`` and therefore the
+same :mod:`repro.store` artifacts; the digests are pinned by test.
 
 The registry caches parsed documents but constructs per call, so the
 factories keep returning fresh immutable instances — callers may use

@@ -40,7 +40,7 @@ point across machines, placements and dtypes.
 errors: a kernel whose batch evaluation cannot produce a valid
 (finite, positive) prediction gets ``None`` in the returned list (a
 ``True`` in :func:`predict_grid`'s ``invalid`` mask), and
-the caller re-runs it through the scalar engine so failure semantics
+the caller re-runs it through the scalar model so failure semantics
 (error types, messages, retry accounting) stay byte-identical. Chaos
 fault plans and :func:`~repro.perfmodel.placement.reference_mode` are
 handled one layer up (:mod:`repro.suite.runner` forces the scalar
@@ -793,7 +793,7 @@ def _predict_batch_impl(
     with this (machine, placement, precision): same inputs, bit-identical
     outputs. Entries are ``None`` where the batched evaluation could not
     produce a valid prediction (non-finite or non-positive time) — the
-    caller must re-run those kernels through the scalar engine, which
+    caller must re-run those kernels through the scalar model, which
     raises the authoritative :class:`SimulationError`.
 
     Args:
@@ -864,7 +864,7 @@ def _predict_batch_impl(
         )
         seconds = rep_time * pre.reps
 
-        # A point is invalid wherever the scalar engine would raise:
+        # A point is invalid wherever the scalar model would raise:
         # non-finite or non-positive totals, negative components (the
         # compose-time validation), or a per-kernel prelude failure.
         # ``seconds = rep_time * reps`` with ``reps >= 1`` (enforced at

@@ -156,7 +156,7 @@ def _socket_adjusted_share(
     sockets the whole placement spans and the thread count, never on
     which socket ``core`` sits in. That keeps the term identical for
     every core of a symmetry class, which is what lets the batch engine
-    reuse the scalar engine's per-class calls bit-for-bit.
+    reuse the scalar model's per-class calls bit-for-bit.
     """
     topo = cpu.topology
     spanned = topo.sockets_spanned(cores)

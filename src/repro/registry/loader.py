@@ -6,7 +6,8 @@ A registry root is a directory with one subdirectory per document kind
 JSON is the primary format (it is what :mod:`repro.machine.serialize`
 round-trips byte-identically); TOML is accepted for hand-written
 documents where Python ships :mod:`tomllib` (3.11+) — the dependency is
-gated, never installed.
+gated, never installed, and imported only when a ``.toml`` document is
+read.
 """
 
 from __future__ import annotations
@@ -17,11 +18,6 @@ from typing import Iterable, Sequence
 
 from repro.registry.schema import KINDS, RegistryDoc, parse_document
 from repro.util.errors import ConfigError
-
-try:  # Python 3.11+
-    import tomllib
-except ImportError:  # pragma: no cover - 3.10 fallback
-    tomllib = None  # type: ignore[assignment]
 
 SUFFIXES = (".json", ".toml")
 
@@ -49,11 +45,13 @@ def iter_kind_paths(
 def read_document_data(path: Path) -> object:
     """Parse one document file into plain Python data."""
     if path.suffix == ".toml":
-        if tomllib is None:
+        try:
+            import tomllib
+        except ImportError:  # pragma: no cover - Python 3.10
             raise ConfigError(
                 f"cannot read {path}: TOML documents need Python 3.11+ "
                 "(tomllib); rewrite the document as JSON"
-            )
+            ) from None
         try:
             return tomllib.loads(path.read_text(encoding="utf-8"))
         except tomllib.TOMLDecodeError as exc:

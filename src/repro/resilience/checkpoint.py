@@ -39,6 +39,8 @@ def thread_key(threads: object) -> int | str:
     ``4.5`` never match a point or grid of ``4`` (the plain sweep
     rejects them), and ``'x'`` keys without raising.
     """
+    if type(threads) is int and threads >= 1:
+        return threads  # what RunConfig stores, without building one
     try:
         return RunConfig(threads=threads).threads
     except ReproError:

@@ -13,6 +13,15 @@ with exponential backoff), failures are recorded on the result instead
 of aborting the suite, and a chaos :class:`FaultPlan` can be installed
 to test all of it deterministically. The default policy (ABORT, no
 retry) reproduces the historical behaviour bit-for-bit.
+
+There is one prediction path: the batch engine
+(:mod:`repro.perfmodel.batch`) predicts a suite's kernels in one
+vectorized pass. :func:`~repro.perfmodel.execution.simulate_kernel`,
+the scalar model the batch engine is pinned bit-identical to, predicts
+a kernel on its own in two cases: for every kernel while a chaos plan
+or :func:`~repro.perfmodel.placement.reference_mode` is active (one
+rule, :func:`predicts_in_batch`, decides this for suites and sweeps),
+and for each kernel the batch pass abstains on.
 """
 
 from __future__ import annotations
@@ -221,7 +230,7 @@ def _resolve_suite_reports(
     (:func:`~repro.compiler.vectorizer.analyze_suite`). Kernels whose
     compilation failed are dropped — the per-kernel policy loop re-runs
     them and owns the failure, so error types, messages and attempt
-    counts are identical to the scalar engine. When none is dropped,
+    counts are identical to the scalar model's. When none is dropped,
     ``kernels`` and the looked-up reports come back as they are, so the
     whole suite reaches the batch engine as the suite.
     """
@@ -271,13 +280,25 @@ def _finish_prefetch(
     """Pair one configuration's reports with its batch predictions.
 
     A ``None`` prediction is an abstention, or a kernel left to the
-    scalar engine: the policy loop's scalar path predicts it, or raises
+    scalar model: the policy loop's scalar path predicts it, or raises
     the authoritative error for it.
     """
     return {
         kernel.name: (report, prediction)
         for kernel, report, prediction in zip(kernels, reports, predictions)
     }
+
+
+def predicts_in_batch() -> bool:
+    """Whether a suite's kernels are predicted in one batch pass.
+
+    Not while a chaos fault plan or :func:`reference_mode` is active:
+    both are per-call state a batched evaluation cannot replay, so each
+    kernel then goes through :func:`simulate_kernel` on its own.
+    :func:`run_suite`'s prefetch and a sweep's :func:`grid_prefetch`
+    both ask here.
+    """
+    return chaos.active_plan() is None and not reference_active()
 
 
 def _prefetch(
@@ -287,20 +308,20 @@ def _prefetch(
     compiler,
     cores: tuple[int, ...],
     caches: SuiteCaches | None,
-    batch: bool,
 ) -> _Prefetched:
-    """Resolve one configuration's reports once and, with ``batch``,
-    predict the whole configuration in one pass.
+    """Resolve one configuration's reports once and, where
+    :func:`predicts_in_batch`, predict the whole configuration in one
+    pass.
 
     Returns ``{kernel name: (report, prediction)}``. Kernels whose
     compilation failed are absent; a ``None`` prediction means the
-    scalar path predicts the kernel (``batch`` off) or owns the error
+    scalar path predicts the kernel (no batch pass) or owns the error
     the batch engine abstained on.
     """
     resolved, reports = _resolve_suite_reports(
         kernels, cpu, config, compiler, caches
     )
-    if batch and resolved:
+    if resolved and predicts_in_batch():
         predictions = predict_batch(
             cpu, resolved, cores, config.precision, reports,
             scaled_sizes(resolved, config.size_scale),
@@ -350,7 +371,6 @@ def grid_prefetch(
     kernels: list[Kernel],
     jobs: list[tuple[RunConfig, list[Kernel]] | None],
     caches: SuiteCaches | None,
-    predict: bool = True,
 ) -> list[PointPrefetch | None]:
     """Batch-prefetch a whole sweep grid ahead of its suite runs.
 
@@ -371,7 +391,7 @@ def grid_prefetch(
     seconds; no ``ExecutionResult`` is built for a grid row until
     :meth:`PointPrefetch.prefetched` asks for one, which yields
     exactly what :func:`_prefetch` would have produced for the
-    configuration. With ``predict`` off (the scalar engine, a chaos
+    configuration. Where :func:`predicts_in_batch` says no (a chaos
     plan, ``reference_mode()``) only the reports are resolved: each
     point's entries carry no prediction, and its ``run_suite`` predicts
     kernel by kernel.
@@ -382,6 +402,7 @@ def grid_prefetch(
     error surfaces in the right place with unchanged semantics.
     """
     out: list[PointPrefetch | None] = [None] * len(jobs)
+    predict = predicts_in_batch()
     #: compile configuration -> (resolved kernels, their reports, both
     #: by kernel name)
     resolutions: dict[tuple, tuple] = {}
@@ -473,7 +494,7 @@ def _predict_scalar(
     report: VectorizationReport,
     size: int,
 ) -> ExecutionResult:
-    """One scalar-engine model evaluation, traced when telemetry is on.
+    """One scalar model evaluation, traced when telemetry is on.
 
     The off path costs one recorder lookup per call — and this function
     is only reached when a kernel was not batch-prefetched, so the
@@ -594,7 +615,6 @@ def run_suite(
     policy: FailurePolicy = FailurePolicy.ABORT,
     retry: RetrySpec | None = None,
     caches: SuiteCaches | None = None,
-    engine: str = "batch",
     prefetched: _Prefetched | None = None,
 ) -> SuiteResult:
     """Run (predict) the whole suite on ``cpu`` under ``config``.
@@ -618,31 +638,21 @@ def run_suite(
             (:func:`~repro.compiler.vectorizer.analyze_suite`) alone.
             Caching never changes results — every layer is keyed on
             everything its values depend on.
-        engine: ``"batch"`` (default) predicts the whole kernel list in
-            one vectorized pass
-            (:func:`repro.perfmodel.batch.predict_batch`) and assembles
-            the suite in one pass. ``"scalar"`` is the reference: one
-            :func:`simulate_kernel` call per kernel, bit-identical to
-            batch. Either engine averages the noise of all kernels in
-            one :func:`~repro.util.rng.noise_means` pass. Scalar is
-            also the fallback: batch silently degrades to it while a
-            chaos fault plan or :func:`reference_mode` is active (both
-            are per-call state a batched evaluation cannot replay), and
-            per kernel wherever the batch pass abstains — so failure
-            semantics are byte-identical too.
         prefetched: Pre-computed ``{kernel name: (report, prediction)}``
             from :func:`grid_prefetch` — a sweep passes this so a whole
-            grid is predicted in one pass. When given, the batch
-            engine's own prefetch is skipped (the work, compile
-            resolution included, already happened grid-side).
+            grid is predicted in one pass. When given, the suite's own
+            prefetch is skipped (the work, compile resolution included,
+            already happened grid-side).
+
+    The whole kernel list is predicted in one vectorized pass
+    (:func:`repro.perfmodel.batch.predict_batch`), or kernel by kernel
+    through :func:`simulate_kernel` in the cases the module docstring
+    names; either way the noise of all kernels is averaged in one
+    :func:`~repro.util.rng.noise_means` pass.
     """
     kernels = suite() if kernels is None else list(kernels)
     if not kernels:
         raise ConfigError("kernel list is empty")
-    if engine not in ("scalar", "batch"):
-        raise ConfigError(
-            f"unknown engine {engine!r}; expected 'scalar' or 'batch'"
-        )
     if isinstance(policy, str):
         policy = FailurePolicy.from_label(policy)
     rec = telemetry.recorder()
@@ -655,8 +665,7 @@ def run_suite(
     with rec.span(
         "suite.run", cpu=cpu.name, threads=config.threads,
         placement=config.placement.value,
-        precision=config.precision.label, engine=engine,
-        kernels=len(kernels),
+        precision=config.precision.label, kernels=len(kernels),
     ):
         validate_cpu(cpu)
         chaos.raise_if_fault(FaultSite.MACHINE)
@@ -666,12 +675,7 @@ def run_suite(
         spec = retry if retry is not None else RetrySpec()
         if prefetched is None:
             prefetched = _prefetch(
-                kernels, cpu, config, compiler, cores, caches,
-                batch=(
-                    engine == "batch"
-                    and chaos.active_plan() is None
-                    and not reference_active()
-                ),
+                kernels, cpu, config, compiler, cores, caches
             )
 
         # One noise pass for the whole suite; the bulk fold and the
@@ -682,8 +686,8 @@ def run_suite(
         # plan, no tracing spans), the per-kernel policy loop below is
         # pure assembly plus noise scaling — do both in one pass.
         # Any kernel that would take a different branch (missing entry,
-        # batch abstention or scalar engine, non-finite time) drops to
-        # the loop, so failure semantics stay byte-identical.
+        # no batch prediction, non-finite time) drops to the loop, so
+        # failure semantics stay byte-identical.
         if not traced and chaos.active_plan() is None:
             bulk = _bulk_runs(kernels, prefetched, means)
             if bulk is not None:

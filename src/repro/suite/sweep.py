@@ -14,21 +14,21 @@ Sweeps are also fast: every grid point shares one compile
 configuration, so a sweep resolves its kernels' reports once, through
 the process's compile table
 (:func:`~repro.compiler.vectorizer.analyze_suite`, and the ``--store``
-tier when one is attached), on any engine, and the batch engine
-predicts the whole grid in one vectorized pass before the grid points
-are assembled, one after another, in grid order. An untraced batch
-sweep turns each grid point's row of predicted seconds straight into
-its :class:`SweepRow`, by the fold rule
-:func:`~repro.suite.runner.run_suite` uses
+tier when one is attached), and the batch engine predicts the whole
+grid in one vectorized pass before the grid points are assembled, one
+after another, in grid order. An untraced sweep turns each grid
+point's row of predicted seconds straight into its :class:`SweepRow`,
+by the fold rule :func:`~repro.suite.runner.run_suite` uses
 (:func:`~repro.suite.runner.fold_seconds`), with no per-cell
 ``ExecutionResult`` in between. A grid point goes through
 ``run_suite`` instead when the sweep is traced (its ``suite.run`` and
 ``kernel.run`` spans), checkpointed (per-kernel records with attempt
-counts), under a chaos plan or ``reference_mode()``, on the scalar
-engine, or when the fold gives up on it (an invalid configuration or
-machine, a kernel that failed to compile, a batch abstention, a time
-that is not finite and positive). Both paths give the same rows and
-failures.
+counts), under a chaos plan or ``reference_mode()`` (where the scalar
+model predicts each kernel, by the rule of
+:func:`~repro.suite.runner.predicts_in_batch`), or when the fold gives
+up on it (an invalid configuration or machine, a kernel that failed to
+compile, a batch abstention, a time that is not finite and positive).
+Both paths give the same rows and failures.
 
 A :class:`SweepResult` is a table of those rows, one per emitted grid
 point. The CSV, the CLI's table and the service's ``/sweep`` body read
@@ -47,8 +47,6 @@ from typing import Iterable, NamedTuple, Sequence
 from repro import telemetry
 from repro.kernels.base import Kernel
 from repro.machine.cpu import CPUModel
-from repro.perfmodel.placement import reference_active
-from repro.resilience import chaos
 from repro.resilience.checkpoint import (
     SweepCheckpoint,
     point_key,
@@ -401,20 +399,21 @@ def sweep(
     retry: RetrySpec | None = None,
     checkpoint: str | Path | None = None,
     caches: SuiteCaches | None = None,
-    engine: str = "batch",
 ) -> SweepResult:
     """Run the full configuration grid and collect its points.
 
-    Grid points run one after another, in grid order; with the batch
-    engine their predictions come from one whole-grid pass made before
-    the first point runs, and an untraced, uncheckpointed sweep builds
-    each grid point's row from that pass directly (see the module
-    docstring for the points that still run through
-    :func:`run_suite`). Rows, and so points, come in grid x kernel
-    order.
+    Grid points run one after another, in grid order; their predictions
+    come from one whole-grid pass made before the first point runs, and
+    an untraced, uncheckpointed sweep builds each grid point's row from
+    that pass directly (see the module docstring for the points that
+    still run through :func:`run_suite`). Rows, and so points, come in
+    grid x kernel order.
 
-    A kernel named twice is run once: the first kernel of each name is
-    kept, before the grid is hashed or run.
+    A kernel named twice is run once, and so is a thread count,
+    placement or precision given twice: the first of each is kept,
+    before the grid is hashed or run. Thread counts repeat when their
+    :func:`thread_key`\\ s are equal, so ``4`` and ``4.0`` stay two
+    values (and ``4.0`` fails as ``RunConfig`` rejects it).
 
     Args:
         policy: Failure policy forwarded to :func:`run_suite`; non-ABORT
@@ -430,45 +429,34 @@ def sweep(
             (:func:`~repro.compiler.vectorizer.analyze_suite`) alone,
             so a kernel compiled by an earlier call, in any kernel
             list, is not compiled again.
-        engine: Prediction engine forwarded to :func:`run_suite`:
-            ``"batch"`` (default) evaluates each configuration's whole
-            kernel list in one vectorized NumPy pass, ``"scalar"`` is
-            the historical one-call-per-kernel path. Bit-identical;
-            batch degrades to scalar under chaos plans and
-            ``reference_mode()``.
     """
     if not kernels:
         raise ConfigError("kernel list is empty")
     if not threads or not placements or not precisions:
         raise ConfigError("sweep axes must be non-empty")
-    if engine not in ("scalar", "batch"):
-        raise ConfigError(
-            f"unknown engine {engine!r}; expected 'scalar' or 'batch'"
-        )
     if isinstance(policy, str):
         policy = FailurePolicy.from_label(policy)
-    # One kernel per name, the first of any repeats: the grid hash then
-    # agrees with the points the grid emits.
-    by_name: dict[str, Kernel] = {}
-    for kernel in kernels:
-        by_name.setdefault(kernel.name, kernel)
-    kernel_list = list(by_name.values())
+    # The first of any repeats on each axis: the grid hash then agrees
+    # with the points the grid emits, and no point is emitted twice.
+    kernel_list = _first_of_each(kernels, lambda kernel: kernel.name)
+    threads = _first_of_each(threads, thread_key)
+    placements = list(dict.fromkeys(placements))
+    precisions = list(dict.fromkeys(precisions))
 
     rec = telemetry.recorder()
     if not rec.active:
         return _run_sweep(
             cpu, kernel_list, threads, placements, precisions, runs,
-            noise_sigma, policy, retry, checkpoint, caches, engine,
+            noise_sigma, policy, retry, checkpoint, caches,
         )
     mark = rec.mark()
     with rec.span(
         "sweep", cpu=cpu.name, kernels=len(kernel_list),
         grid_points=len(threads) * len(placements) * len(precisions),
-        engine=engine,
     ):
         result = _run_sweep(
             cpu, kernel_list, threads, placements, precisions, runs,
-            noise_sigma, policy, retry, checkpoint, caches, engine,
+            noise_sigma, policy, retry, checkpoint, caches,
         )
     reg = telemetry.metrics()
     reg.counter("sweep.runs").inc()
@@ -479,6 +467,15 @@ def sweep(
         result.rows, result.failures,
         telemetry.TelemetrySummary.capture(rec, reg, since=mark),
     )
+
+
+def _first_of_each(values: Iterable, key) -> list:
+    """``values`` without repeats, the first of each kept, in order;
+    two values repeat when their ``key``\\ s are equal."""
+    firsts: dict = {}
+    for value in values:
+        firsts.setdefault(key(value), value)
+    return list(firsts.values())
 
 
 def _run_sweep(
@@ -493,7 +490,6 @@ def _run_sweep(
     retry: RetrySpec | None,
     checkpoint: str | Path | None,
     caches: SuiteCaches | None,
-    engine: str,
 ) -> SweepResult:
     """The grid body behind :func:`sweep`'s validation + telemetry
     wrapper (arguments arrive normalized)."""
@@ -507,9 +503,9 @@ def _run_sweep(
     # points share a single 2-D ``predict_grid`` evaluation), then each
     # grid point folds its slice (or hands it to ``run_suite``).
     # Bit-identical to a per-point prefetch. Where the per-point batch
-    # prefetch would be skipped (scalar engine, chaos plans, reference
-    # mode) the grid still resolves its reports once, and each point's
-    # ``run_suite`` predicts kernel by kernel.
+    # prefetch would be skipped (chaos plans, reference mode) the grid
+    # still resolves its reports once, and each point's ``run_suite``
+    # predicts kernel by kernel.
     jobs: list[tuple[RunConfig, list[Kernel]] | None] = [None] * len(grid)
     for i, gp in enumerate(grid):
         try:
@@ -530,14 +526,7 @@ def _run_sweep(
     with telemetry.recorder().span(
         "sweep.prefetch", jobs=sum(1 for j in jobs if j is not None),
     ):
-        prefetches = grid_prefetch(
-            cpu, kernel_list, jobs, caches,
-            predict=(
-                engine == "batch"
-                and chaos.active_plan() is None
-                and not reference_active()
-            ),
-        )
+        prefetches = grid_prefetch(cpu, kernel_list, jobs, caches)
 
     # Row fold: a prefetched grid point's row of seconds becomes its
     # SweepRow directly, by the rule run_suite's bulk fold uses, with no
@@ -579,7 +568,7 @@ def _run_sweep(
                 )
                 outcome = run_suite(
                     cpu, config, kernels=gp.todo, policy=policy,
-                    retry=retry, caches=caches, engine=engine,
+                    retry=retry, caches=caches,
                     prefetched=(
                         None if prefetch is None else prefetch.prefetched()
                     ),

@@ -135,8 +135,9 @@ class TestSocketMemoryTerm:
 
     def test_batch_and_scalar_engines_agree_on_2s(self):
         """The socket term is placement-global, so the vectorized batch
-        engine and the scalar engine stay bit-identical."""
+        engine and the scalar model stay bit-identical."""
         from repro.kernels.registry import get_kernel
+        from repro.perfmodel.placement import reference_mode
         from repro.suite.config import RunConfig
         from repro.suite.runner import run_suite
 
@@ -144,8 +145,9 @@ class TestSocketMemoryTerm:
         kernels = [get_kernel("TRIAD"), get_kernel("GEMM")]
         config = RunConfig(threads=128, precision="fp32", runs=1,
                            noise_sigma=0.0)
-        scalar = run_suite(cpu, config, kernels, engine="scalar")
-        batch = run_suite(cpu, config, kernels, engine="batch")
+        with reference_mode():
+            scalar = run_suite(cpu, config, kernels)
+        batch = run_suite(cpu, config, kernels)
         for name in ("TRIAD", "GEMM"):
             assert scalar.runs[name].seconds == batch.runs[name].seconds
 

@@ -1,6 +1,10 @@
-"""Registry behaviour: envelopes, layering, validators, lint."""
+"""Registry behaviour: envelopes, layering, validators, lint, TOML."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -221,3 +225,24 @@ class TestRegistryLint:
         assert report.exit_code == 3
         assert any(f.category == "compiler-table"
                    for f in report.findings)
+
+
+class TestToml:
+    """:mod:`tomllib` is imported only when a TOML document is read
+    (``tests/test_cli_registry.py`` reads one)."""
+
+    def test_loading_the_shipped_machines_imports_no_tomllib(self):
+        script = (
+            "import sys;"
+            "from repro.registry import default_registry;"
+            "registry = default_registry();"
+            "[registry.machine(n) for n in registry.machine_names()];"
+            "print('tomllib' in sys.modules)"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert proc.stdout.strip() == "False"

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +54,14 @@ def store(tmp_path):
 @pytest.fixture(scope="module")
 def reference(sg2042):
     """The storeless scalar answer every warm path must reproduce."""
-    return sweep(sg2042, kernels=KERNELS, engine="scalar", **GRID)
+    with reference_mode():
+        return sweep(sg2042, kernels=KERNELS, **GRID)
+
+
+def _path(mode: str):
+    """The context a ``mode`` sweep runs in: the batch engine, or the
+    scalar model under ``reference_mode()``."""
+    return reference_mode() if mode == "scalar" else nullcontext()
 
 
 def _envelope(root, namespace, key, payload):
@@ -97,14 +105,16 @@ class TestEveryPathAnswersLikeNoStore:
     same sweep without a store: a repeat, a checkpointed, a chaos and a
     reference-mode sweep all compute their grid."""
 
-    @pytest.mark.parametrize("engine", ["batch", "scalar"])
+    @pytest.mark.parametrize("mode", ["batch", "scalar"])
     def test_repeat_sweep_recomputes(self, store, sg2042, reference,
-                                     engine, compile_counts):
-        first = _sweep(store, cpu=sg2042, engine=engine)
+                                     mode, compile_counts):
+        with _path(mode):
+            first = _sweep(store, cpu=sg2042)
         clear_tables()
         compiled = compile_counts["analyze"]
         reader = ArtifactStore(store.root)
-        second = _sweep(reader, cpu=sg2042, engine=engine)
+        with _path(mode):
+            second = _sweep(reader, cpu=sg2042)
         assert first == second == reference
         assert [p.seconds for p in second.points] == [
             p.seconds for p in reference.points
@@ -144,11 +154,12 @@ class TestEveryPathAnswersLikeNoStore:
 
 
 class TestNoSweepArtifacts:
-    @pytest.mark.parametrize("engine", ["batch", "scalar"])
+    @pytest.mark.parametrize("mode", ["batch", "scalar"])
     def test_store_sweeps_create_no_sweep_directory(self, store, sg2042,
-                                                    engine):
-        _sweep(store, cpu=sg2042, engine=engine)
-        _sweep(store, cpu=sg2042, engine=engine)
+                                                    mode):
+        with _path(mode):
+            _sweep(store, cpu=sg2042)
+            _sweep(store, cpu=sg2042)
         assert store.artifact_count("compile") > 0
         assert not (store.root / "sweep").exists()
         assert set(store.stats()) == {"compile"}

@@ -1,15 +1,18 @@
 """Golden equivalence: the batch engine is bit-identical to scalar.
 
-The vectorized whole-suite engine (:mod:`repro.perfmodel.batch` +
-``run_suite(engine="batch")``) replays the scalar model's float64
-operations as NumPy array expressions; nothing it does is allowed to
-change a single bit of any result, failure record or grid ordering.
-These tests pin that contract: golden full grids on the SG2042 and AMD
-Rome, a seeded randomized sweep over every catalog machine, the noisy
-suite-level fold against the per-kernel loop and ``np.mean``, failure-
-policy equivalence (including the scalar-fallback path), equality over
-one store, the chaos/reference-mode scalar degradation, and the process
-worker pool.
+The vectorized whole-suite engine (:mod:`repro.perfmodel.batch`, which
+``run_suite`` and ``sweep`` predict with) replays the scalar model's
+float64 operations as NumPy array expressions; nothing it does is
+allowed to change a single bit of any result, failure record or grid
+ordering. The scalar side of each comparison runs under
+``reference_mode()``, where every kernel goes through
+``simulate_kernel`` and its per-core scan. These tests pin that
+contract: golden full grids on the SG2042 and AMD Rome, a seeded
+randomized sweep over every catalog machine, the noisy suite-level fold
+against the per-kernel loop and ``np.mean``, failure-policy equivalence
+(including the scalar-fallback path), equality over one store, the
+chaos/reference-mode scalar degradation, and the removed ``engine``
+argument.
 """
 
 import random
@@ -38,7 +41,7 @@ from repro.suite.config import Placement, Precision, RunConfig
 from repro.suite.memo import SuiteCaches
 from repro.suite.runner import run_suite
 from repro.suite.sweep import sweep
-from repro.util.errors import ConfigError, ReproError
+from repro.util.errors import ReproError
 from repro.util.rng import derive_seed, noise_factors
 
 THREADS = (1, 5, 8, 64)
@@ -50,7 +53,7 @@ PRECISIONS = (Precision.FP32, Precision.FP64)
 NOISY_RUNS = (1, 5, 8, 9, 17)
 
 
-def grid_sweep(cpu, engine, **kwargs):
+def grid_sweep(cpu, **kwargs):
     threads = tuple(
         t for t in THREADS if t <= cpu.topology.num_cores
     )
@@ -60,30 +63,37 @@ def grid_sweep(cpu, engine, **kwargs):
         threads=threads,
         placements=PLACEMENTS,
         precisions=PRECISIONS,
-        engine=engine,
         **kwargs,
     )
 
 
+def scalar_run_suite(*args, **kwargs):
+    """``run_suite`` through ``simulate_kernel``, kernel by kernel."""
+    with reference_mode():
+        return run_suite(*args, **kwargs)
+
+
 class TestGoldenGrids:
     def test_sg2042_batch_matches_scalar(self, sg2042):
-        scalar = grid_sweep(sg2042, "scalar")
-        batch = grid_sweep(sg2042, "batch")
+        with reference_mode():
+            scalar = grid_sweep(sg2042)
+        batch = grid_sweep(sg2042)
         assert batch == scalar
 
     def test_amd_rome_batch_matches_scalar(self, amd_rome):
-        scalar = grid_sweep(amd_rome, "scalar")
-        batch = grid_sweep(amd_rome, "batch")
+        with reference_mode():
+            scalar = grid_sweep(amd_rome)
+        batch = grid_sweep(amd_rome)
         assert batch == scalar
 
     def test_batch_matches_scalar_over_one_store(self, sg2042, tmp_path):
-        # Both engines resolve the suite through the same store tier:
-        # one artifact, written by the first and read by the second.
+        # Both paths resolve the suite through the same store tier: one
+        # artifact, written by the first and read by the second.
         store = ArtifactStore(tmp_path / "store")
-        scalar = grid_sweep(sg2042, "scalar",
-                            caches=SuiteCaches.persistent(store))
-        batch = grid_sweep(sg2042, "batch",
-                           caches=SuiteCaches.persistent(store))
+        with reference_mode():
+            scalar = grid_sweep(sg2042,
+                                caches=SuiteCaches.persistent(store))
+        batch = grid_sweep(sg2042, caches=SuiteCaches.persistent(store))
         assert batch == scalar
         assert store.artifact_count("compile") == 1
 
@@ -340,7 +350,7 @@ class TestPredictGrid:
 
 
 class _ExplodingKernel(Kernel):
-    """Overflows the time prediction to +inf: the scalar engine raises
+    """Overflows the time prediction to +inf: the scalar model raises
     ``SimulationError`` and the batch engine must abstain (return None)
     so the recorded failure is byte-identical."""
 
@@ -366,14 +376,10 @@ class TestFailureEquivalence:
     def test_exploding_kernel_fails_identically_under_skip(self, sg2042):
         kernels = [all_kernels()[0], _ExplodingKernel(), all_kernels()[1]]
         config = RunConfig(threads=8)
-        scalar = run_suite(
+        scalar = scalar_run_suite(
             sg2042, config, kernels=kernels, policy="skip",
-            engine="scalar",
         )
-        batch = run_suite(
-            sg2042, config, kernels=kernels, policy="skip",
-            engine="batch",
-        )
+        batch = run_suite(sg2042, config, kernels=kernels, policy="skip")
         assert batch == scalar
         assert len(batch.failures) == 1
         assert batch.failures[0].kernel == "EXPLODER"
@@ -384,35 +390,33 @@ class TestFailureEquivalence:
         kernels = [_ExplodingKernel()]
         config = RunConfig(threads=8)
         with pytest.raises(ReproError) as scalar_exc:
-            run_suite(sg2042, config, kernels=kernels, engine="scalar")
+            scalar_run_suite(sg2042, config, kernels=kernels)
         with pytest.raises(ReproError) as batch_exc:
-            run_suite(sg2042, config, kernels=kernels, engine="batch")
+            run_suite(sg2042, config, kernels=kernels)
         assert str(batch_exc.value) == str(scalar_exc.value)
         assert type(batch_exc.value) is type(scalar_exc.value)
 
     def test_retry_attempt_counts_match(self, sg2042):
         kernels = [all_kernels()[0], _ExplodingKernel()]
         config = RunConfig(threads=2)
-        scalar = run_suite(
+        scalar = scalar_run_suite(
             sg2042, config, kernels=kernels, policy="retry",
-            engine="scalar",
         )
-        batch = run_suite(
-            sg2042, config, kernels=kernels, policy="retry",
-            engine="batch",
-        )
+        batch = run_suite(sg2042, config, kernels=kernels, policy="retry")
         assert batch == scalar
         assert batch.failures[0].attempts == scalar.failures[0].attempts
 
 
 class TestRunSuiteEngine:
-    def test_unknown_engine_rejected(self, sg2042):
-        with pytest.raises(ConfigError):
-            run_suite(sg2042, RunConfig(threads=1), engine="gpu")
+    @pytest.mark.parametrize("engine", ["batch", "scalar"])
+    def test_run_suite_takes_no_engine(self, sg2042, engine):
+        with pytest.raises(TypeError, match="engine"):
+            run_suite(sg2042, RunConfig(threads=1), engine=engine)
 
-    def test_unknown_sweep_engine_rejected(self, sg2042):
-        with pytest.raises(ConfigError):
-            sweep(sg2042, kernels=all_kernels()[:1], engine="gpu")
+    @pytest.mark.parametrize("engine", ["batch", "scalar"])
+    def test_sweep_takes_no_engine(self, sg2042, engine):
+        with pytest.raises(TypeError, match="engine"):
+            sweep(sg2042, kernels=all_kernels()[:1], engine=engine)
 
     @pytest.mark.parametrize("runs", NOISY_RUNS)
     @pytest.mark.parametrize("machine", sorted(catalog.all_cpus()))
@@ -422,12 +426,12 @@ class TestRunSuiteEngine:
             threads=min(8, cpu.topology.num_cores), noise_sigma=0.05,
             runs=runs,
         )
-        scalar = run_suite(cpu, config, engine="scalar")
-        batch = run_suite(cpu, config, engine="batch")
+        scalar = scalar_run_suite(cpu, config)
+        batch = run_suite(cpu, config)
         # Tracing routes every kernel through the per-kernel loop; the
         # untraced run takes the whole-suite bulk fold.
         with telemetry.telemetry_session():
-            traced = run_suite(cpu, config, engine="batch")
+            traced = run_suite(cpu, config)
         assert batch == scalar
         assert traced == batch
 
@@ -453,14 +457,14 @@ class TestRunSuiteEngine:
 
     def test_vectorize_disabled_matches_scalar(self, sg2042):
         config = RunConfig(threads=4, vectorize=False)
-        scalar = run_suite(sg2042, config, engine="scalar")
-        batch = run_suite(sg2042, config, engine="batch")
+        scalar = scalar_run_suite(sg2042, config)
+        batch = run_suite(sg2042, config)
         assert batch == scalar
 
     def test_size_scale_matches_scalar(self, sg2042):
         config = RunConfig(threads=4, size_scale=0.37)
-        scalar = run_suite(sg2042, config, engine="scalar")
-        batch = run_suite(sg2042, config, engine="batch")
+        scalar = scalar_run_suite(sg2042, config)
+        batch = run_suite(sg2042, config)
         assert batch == scalar
 
 
@@ -471,7 +475,7 @@ class TestForcedScalarDegradation:
             with chaos.inject_faults(
                 transient_plan(seed=7, probability=0.0)
             ):
-                result = run_suite(sg2042, config, engine="batch")
+                result = run_suite(sg2042, config)
         # The batch prefetch must not have run: under an active plan
         # every kernel takes the scalar path, one prediction each, from
         # the suite's one compile resolution.
@@ -482,22 +486,28 @@ class TestForcedScalarDegradation:
 
     def test_reference_mode_forces_scalar(self, sg2042):
         config = RunConfig(threads=8)
-        plain = run_suite(sg2042, config, engine="scalar")
-        with reference_mode():
-            referenced = run_suite(sg2042, config, engine="batch")
+        plain = run_suite(sg2042, config)
+        with telemetry.telemetry_session():
+            with reference_mode():
+                referenced = run_suite(sg2042, config)
         assert referenced == plain
+        phases = referenced.telemetry.phase_counts
+        assert phases["predict.scalar"] == 64
+        assert "predict.batch" not in phases
+        assert phases["compile.resolve"] == 1
 
-    def test_chaos_faults_fire_identically_under_batch(self, sg2042):
+    def test_chaos_faults_fire_identically_on_the_reference_path(
+        self, sg2042
+    ):
         kernels = all_kernels()[:6]
         plan = transient_plan(seed=11, probability=0.5)
         with chaos.inject_faults(plan):
-            scalar = sweep(
-                sg2042, kernels=kernels, threads=(1, 4),
-                policy="skip", engine="scalar",
+            plain = sweep(
+                sg2042, kernels=kernels, threads=(1, 4), policy="skip",
             )
-        with chaos.inject_faults(plan):
-            batch = sweep(
-                sg2042, kernels=kernels, threads=(1, 4),
-                policy="skip", engine="batch",
+        with chaos.inject_faults(plan), reference_mode():
+            referenced = sweep(
+                sg2042, kernels=kernels, threads=(1, 4), policy="skip",
             )
-        assert batch == scalar
+        assert plain.failures
+        assert referenced == plain

@@ -7,10 +7,13 @@ suite twice reuses every compile report and computes every prediction
 again, to the same bits.
 """
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro import telemetry
 from repro.kernels.registry import all_kernels, clear_tables
+from repro.perfmodel.placement import reference_mode
 from repro.store import ArtifactStore
 from repro.suite.config import RunConfig
 from repro.suite.memo import SuiteCaches
@@ -51,21 +54,20 @@ class TestSuiteCaches:
 
 
 class TestPredictionsAreRecomputed:
-    @pytest.mark.parametrize("engine", ["batch", "scalar"])
-    def test_repeat_run_recomputes_bit_identically(self, sg2042, engine,
+    @pytest.mark.parametrize("mode", ["batch", "scalar"])
+    def test_repeat_run_recomputes_bit_identically(self, sg2042, mode,
                                                    compile_counts):
         config = RunConfig(threads=8)
-        with telemetry.telemetry_session():
-            first = run_suite(sg2042, config, kernels=KERNELS,
-                              engine=engine)
-            second = run_suite(sg2042, config, kernels=KERNELS,
-                               engine=engine)
+        path = reference_mode() if mode == "scalar" else nullcontext()
+        with telemetry.telemetry_session(), path:
+            first = run_suite(sg2042, config, kernels=KERNELS)
+            second = run_suite(sg2042, config, kernels=KERNELS)
         assert second == first
         # The second run reuses every compile report but predicts
         # every kernel again.
         assert compile_counts["analyze"] == len(KERNELS)
         assert "compile.analyze" not in second.telemetry.phase_counts
-        phase = "predict.batch" if engine == "batch" else "predict.scalar"
+        phase = "predict.batch" if mode == "batch" else "predict.scalar"
         for result in (first, second):
             assert result.telemetry.phase_counts["compile.resolve"] == 1
             assert phase in result.telemetry.phase_counts

@@ -3,8 +3,9 @@
 Every grid point of a sweep shares one compile configuration and
 ``analyze`` is pure, so a sweep looks its kernels' reports up once in
 the process's compile table
-(:func:`~repro.compiler.vectorizer.analyze_suite`), on any engine, and
-a repeated sweep compiles nothing. Counts start from empty tables (the
+(:func:`~repro.compiler.vectorizer.analyze_suite`), also where the
+scalar model predicts it point by point, and a repeated sweep compiles
+nothing. Counts start from empty tables (the
 ``compile_counts`` fixture), so they hold in any test order.
 """
 
@@ -67,20 +68,13 @@ class TestResolveOnce:
         assert compile_counts["analyze_suite"] == before + 1
         assert resumed.points == full.points
 
-    def test_a_scalar_sweep_resolves_once(self, sg2042, compile_counts):
-        """The scalar engine predicts point by point, but the grid
-        resolves its reports once and hands each point's ``run_suite``
-        its entries, with no prediction."""
-        scalar = _sweep(sg2042, engine="scalar")
-        assert compile_counts["analyze_suite"] == 1
-        assert compile_counts["analyze"] == len(KERNELS)
-        assert scalar == _sweep(sg2042)
-
     @pytest.mark.parametrize("mode", ["chaos", "reference"])
     def test_an_unbatched_sweep_resolves_once(self, sg2042, mode,
                                               compile_counts):
-        """A chaos plan and ``reference_mode()`` keep a batch sweep off
-        the batch engine; its grid still resolves once."""
+        """A chaos plan and ``reference_mode()`` keep a sweep off the
+        batch engine: the scalar model predicts point by point, but the
+        grid resolves its reports once and hands each point's
+        ``run_suite`` its entries, with no prediction."""
         if mode == "chaos":
             # A plan that injects nothing still forces the scalar path.
             context = chaos.inject_faults(
@@ -91,6 +85,7 @@ class TestResolveOnce:
         with context:
             unbatched = _sweep(sg2042)
         assert compile_counts["analyze_suite"] == 1
+        assert compile_counts["analyze"] == len(KERNELS)
         assert unbatched == _sweep(sg2042)
 
 
@@ -109,8 +104,8 @@ class TestCompileSpans:
 
     def test_a_scalar_sweep_records_one_resolve(self, sg2042,
                                                 compile_counts):
-        with telemetry.telemetry_session():
-            scalar = _sweep(sg2042, engine="scalar")
+        with telemetry.telemetry_session(), reference_mode():
+            scalar = _sweep(sg2042)
         phases = scalar.telemetry.phase_counts
         assert len(scalar.rows) == 24
         assert phases["compile.resolve"] == 1

@@ -16,6 +16,7 @@ from repro.kernels.registry import (
     kernels_in_class,
 )
 from repro.machine.vector import DType
+from repro.perfmodel.placement import reference_mode
 from repro.resilience.retry import FailureRecord, RetrySpec
 from repro.suite.config import RunConfig
 from repro.suite.runner import SuiteResult, run_suite, verify_kernel
@@ -109,9 +110,9 @@ class TestSharedKernelInstances:
         plain = run_suite(sg2042, config, kernels=[kernel]).time("TRIAD")
         shimmed = run_suite(sg2042, config, kernels=[shim]).time("TRIAD")
         assert shimmed != plain
-        assert shimmed == run_suite(
-            sg2042, config, kernels=[shim], engine="scalar"
-        ).time("TRIAD")
+        with reference_mode():
+            scalar = run_suite(sg2042, config, kernels=[shim])
+        assert shimmed == scalar.time("TRIAD")
         (point,) = sweep(
             sg2042, [shim], threads=(8,), precisions=(config.precision,)
         ).points
@@ -177,8 +178,9 @@ class TestSuiteCompileReuse:
         retry = RetrySpec(max_retries=2)
         batch = run_suite(sg2042, config, kernels=kernels, policy="retry",
                           retry=retry)
-        scalar = run_suite(sg2042, config, kernels=kernels,
-                           policy="retry", retry=retry, engine="scalar")
+        with reference_mode():
+            scalar = run_suite(sg2042, config, kernels=kernels,
+                               policy="retry", retry=retry)
         assert batch == scalar
         assert [f.attempts for f in batch.failures] == [3, 3]
         assert all("VLA" in f.message for f in batch.failures)

@@ -26,6 +26,7 @@ from repro.kernels.registry import (
     kernels_in_class,
     suite_positions,
 )
+from repro.perfmodel.placement import reference_mode
 from repro.store import ArtifactStore
 from repro.suite.config import Placement, Precision, RunConfig
 from repro.suite.memo import SuiteCaches
@@ -47,6 +48,12 @@ def class_subsets() -> list[list]:
         for size in range(1, len(classes) + 1)
         for picked in itertools.combinations(range(len(classes)), size)
     ]
+
+
+def scalar_run_suite(*args, **kwargs):
+    """``run_suite`` through ``simulate_kernel``, kernel by kernel."""
+    with reference_mode():
+        return run_suite(*args, **kwargs)
 
 
 def _tables() -> list[int]:
@@ -149,8 +156,7 @@ class TestEqualBits:
         whole = run_suite(sg2042, EXACT)
         after = run_suite(sg2042, EXACT, kernels=subset)
         assert after == before
-        assert after == run_suite(sg2042, EXACT, kernels=subset,
-                                  engine="scalar")
+        assert after == scalar_run_suite(sg2042, EXACT, kernels=subset)
         for name, run in after.runs.items():
             assert whole.runs[name] == run
         clear_tables()
@@ -161,7 +167,7 @@ class TestEqualBits:
     def test_a_retuned_shim_bypasses_the_tables(self, sg2042):
         """A shim carries traits of its own, so no table row can stand
         for it: its request computes everything directly, every time,
-        and still equals the scalar engine."""
+        and still equals the scalar model."""
         clear_tables()
         triad = get_kernel("TRIAD")
         shim = type(triad)()
@@ -171,8 +177,7 @@ class TestEqualBits:
         kernels = [shim, get_kernel("DOT")]
         first = run_suite(sg2042, EXACT, kernels=kernels)
         assert _tables() == [0, 0, 0]
-        assert first == run_suite(sg2042, EXACT, kernels=kernels,
-                                  engine="scalar")
+        assert first == scalar_run_suite(sg2042, EXACT, kernels=kernels)
         assert first.time("TRIAD") != run_suite(
             sg2042, EXACT, kernels=[triad]).time("TRIAD")
         assert run_suite(sg2042, EXACT, kernels=kernels) == first
@@ -263,7 +268,7 @@ class TestScaledSizes:
         sockets sequel) build each (precision, kernel) row once in a
         (machine, precision, scale) table, subsets at that scale after
         them build nothing, and every result equals the scalar
-        engine's."""
+        model's."""
         scaled = replace(EXACT, size_scale=self.SCALE)
         runs = {}
         for precision in PRECISIONS:
@@ -278,14 +283,13 @@ class TestScaledSizes:
         subset = kernels_in_class("stream") + kernels_in_class("apps")
         for config, whole in runs.items():
             part = run_suite(sg2042, config, kernels=subset)
-            assert part == run_suite(sg2042, config, kernels=subset,
-                                     engine="scalar")
+            assert part == scalar_run_suite(sg2042, config,
+                                            kernels=subset)
             for name, run in part.runs.items():
                 assert whole.runs[name] == run
         assert prelude_rows["rows"] == 64 * len(PRECISIONS)
         for config in list(runs)[::3]:
-            assert runs[config] == run_suite(sg2042, config,
-                                             engine="scalar")
+            assert runs[config] == scalar_run_suite(sg2042, config)
 
     def test_default_and_scaled_rows_never_mix(self, sg2042,
                                                prelude_rows):

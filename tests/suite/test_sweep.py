@@ -198,3 +198,63 @@ class TestRepeatedKernels:
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
         assert len(outputs[0].splitlines()) == 1 + 2  # header + 2 rows
+
+
+class TestRepeatedAxisValues:
+    """A thread count, placement or precision given twice is swept
+    once: the result is the grid without the repeats."""
+
+    KERNELS = ("TRIAD", "GEMM")
+
+    def _sweep(self, cpu, **grid):
+        return sweep(cpu, [get_kernel(name) for name in self.KERNELS],
+                     **grid)
+
+    @pytest.mark.parametrize("repeated, plain", [
+        (dict(threads=[8, 16, 16]), dict(threads=[8, 16])),
+        (dict(threads=[16, 8, 16, 8]), dict(threads=[16, 8])),
+        (dict(placements=[Placement.BLOCK, Placement.CYCLIC,
+                          Placement.BLOCK]),
+         dict(placements=[Placement.BLOCK, Placement.CYCLIC])),
+        (dict(precisions=[Precision.FP32, Precision.FP32]),
+         dict(precisions=[Precision.FP32])),
+    ])
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_result_is_the_grid_without_repeats(self, sg2042, repeated,
+                                                plain, traced):
+        if traced:
+            with telemetry.telemetry_session():
+                result = self._sweep(sg2042, **repeated)
+        else:
+            result = self._sweep(sg2042, **repeated)
+        expected = self._sweep(sg2042, **plain)
+        assert result == expected
+        assert result.rows == expected.rows
+        assert result.to_csv() == expected.to_csv()
+        assert result.best_overall() == expected.best_overall()
+
+    def test_best_overall_counts_each_point_once(self, sg2042):
+        result = self._sweep(sg2042, threads=[8, 16, 16])
+        assert [row.threads for row in result.rows] == [8, 16]
+        seconds = {row.threads: sum(row.seconds) for row in result.rows}
+        assert seconds[16] < seconds[8]
+        assert result.best_overall()[0] == 16
+
+    def test_checkpointed_sweep_hashes_the_grid_without_repeats(
+        self, sg2042, tmp_path
+    ):
+        path = tmp_path / "sweep.jsonl"
+        first = self._sweep(sg2042, threads=[1, 4, 4], checkpoint=path)
+        # The same grid without repeats resumes the same checkpoint.
+        resumed = self._sweep(sg2042, threads=[1, 4], checkpoint=path)
+        assert resumed == first == self._sweep(sg2042, threads=[1, 4])
+
+    def test_thread_counts_compare_by_thread_key(self, sg2042):
+        with pytest.raises(ConfigError, match="threads"):
+            self._sweep(sg2042, threads=[4, 4.0])
+        result = self._sweep(sg2042, threads=[4, 4.0],
+                             policy="skip")
+        assert [row.threads for row in result.rows] == [4]
+        assert [(f.threads, f.kernel) for f in result.failures] == [
+            (4.0, "*")
+        ]

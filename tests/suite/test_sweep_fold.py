@@ -1,14 +1,13 @@
 """The sweep's row fold, its result table and its CSV rendering.
 
-An untraced batch sweep turns each grid point's row of predicted
-seconds straight into that point's ``SweepRow``, by the rule
-``run_suite``'s bulk fold uses, without calling ``run_suite``, without
-building an ``ExecutionResult`` and without building a ``SweepPoint``.
-These tests count the calls and objects that remain and pin the fold
-against the paths that still go through ``run_suite``: traced,
-scalar-engine and reference-mode sweeps, and the points the fold gives
-up on. They also pin ``SweepResult.to_csv`` to ``render_csv`` over the
-same points.
+An untraced sweep turns each grid point's row of predicted seconds
+straight into that point's ``SweepRow``, by the rule ``run_suite``'s
+bulk fold uses, without calling ``run_suite``, without building an
+``ExecutionResult`` and without building a ``SweepPoint``. These tests
+count the calls and objects that remain and pin the fold against the
+paths that still go through ``run_suite``: traced, chaos and
+reference-mode sweeps, and the points the fold gives up on. They also
+pin ``SweepResult.to_csv`` to ``render_csv`` over the same points.
 """
 
 import asyncio
@@ -71,6 +70,13 @@ def _grid_sweep(cpu, **kwargs):
     )
 
 
+def _reference_sweep(cpu, **kwargs):
+    """:func:`_grid_sweep` through ``simulate_kernel``, kernel by
+    kernel, with its per-core scan."""
+    with reference_mode():
+        return _grid_sweep(cpu, **kwargs)
+
+
 class TestFoldSkipsRunSuite:
     def test_untraced_batch_sweep_makes_no_run_suite_call(
         self, sg2042, run_suite_calls
@@ -90,13 +96,11 @@ class TestFoldSkipsRunSuite:
             _grid_sweep(sg2042)
         assert len(run_suite_calls) == 2 * 2 * 2
 
-    @pytest.mark.parametrize("mode", ["scalar", "reference", "chaos"])
+    @pytest.mark.parametrize("mode", ["reference", "chaos"])
     def test_other_paths_run_each_grid_point(
         self, sg2042, run_suite_calls, mode
     ):
-        if mode == "scalar":
-            _grid_sweep(sg2042, engine="scalar")
-        elif mode == "reference":
+        if mode == "reference":
             with reference_mode():
                 _grid_sweep(sg2042)
         else:
@@ -158,7 +162,7 @@ class TestFoldBuildsNoResults:
             out.invalid[2, 0] = True
             return out
 
-        expected = _grid_sweep(sg2042, engine="scalar")
+        expected = _reference_sweep(sg2042)
         monkeypatch.setattr(runner_mod, "predict_grid", abstaining)
         run_suite_calls.clear()
         result = _grid_sweep(sg2042)
@@ -341,14 +345,10 @@ class TestFoldEquivalence:
         folded = _grid_sweep(cpu, runs=runs, noise_sigma=noise_sigma)
         with telemetry_session():
             traced = _grid_sweep(cpu, runs=runs, noise_sigma=noise_sigma)
-        scalar = _grid_sweep(
-            cpu, runs=runs, noise_sigma=noise_sigma, engine="scalar"
+        reference = _reference_sweep(
+            cpu, runs=runs, noise_sigma=noise_sigma
         )
-        with reference_mode():
-            reference = _grid_sweep(
-                cpu, runs=runs, noise_sigma=noise_sigma
-            )
-        for other in (traced, scalar, reference):
+        for other in (traced, reference):
             assert other.points == folded.points
             assert other.failures == folded.failures
         assert [p.seconds for p in folded.points] == [
@@ -406,7 +406,8 @@ class TestFallbackPoints:
             threads=(1, 8), placements=(Placement.CYCLIC,),
             precisions=(Precision.FP64,),
         )
-        expected = sweep(sg2042, KERNELS, engine="scalar", **grid)
+        with reference_mode():
+            expected = sweep(sg2042, KERNELS, **grid)
         real = runner_mod.predict_grid
         abstained = []
 
@@ -437,7 +438,8 @@ class TestFallbackPoints:
             threads=(1, 8), placements=(Placement.CYCLIC,),
             precisions=(Precision.FP64,),
         )
-        expected = sweep(sg2042, KERNELS, engine="scalar", **grid)
+        with reference_mode():
+            expected = sweep(sg2042, KERNELS, **grid)
         real = runner_mod.analyze_suite
 
         def dropping(compiler, kernels, *args, **kwargs):

@@ -10,7 +10,7 @@ Each case is a function returning the bytes it pins: a fixed grid on
 each of the nine registry machines, quiet (one run, no noise) and noisy,
 and the paths that do not fold: a kernel named twice, SKIP and RETRY
 under a chaos plan, a checkpointed and a checkpoint-resumed grid, a
-traced grid, the scalar engine and ``reference_mode()``. The
+traced grid and ``reference_mode()``. The
 ``points-*`` cases pin the ``repr`` of a result's points and failures,
 every float to its last bit. The CLI case
 pins ``repro sweep``'s table and ``--stats-out`` record; the ``/sweep``
@@ -127,10 +127,6 @@ def _traced() -> bytes:
     return result.to_csv().encode()
 
 
-def _scalar() -> bytes:
-    return _sg2042_sweep(engine="scalar").to_csv().encode()
-
-
 def _reference() -> bytes:
     with reference_mode():
         return _sg2042_sweep().to_csv().encode()
@@ -215,7 +211,6 @@ CASES = {
     "checkpointed": lambda: _checkpointed(resume=False),
     "checkpoint-resumed": lambda: _checkpointed(resume=True),
     "traced": _traced,
-    "scalar": _scalar,
     "reference": _reference,
     "cli-table": _cli_table,
     "serve-sg2042": lambda: _serve_body(SWEEP_REQUEST),
@@ -244,7 +239,6 @@ PINNED: dict[str, str] = {
     "points-chaos-skip": "c1f166fb473d981bdde0b75ea054f78e",
     "points-sg2042-noisy": "013a74ae728b552c2e36afa1ddb9691b",
     "reference": "0155e9554f1b33b5bb9ef041d03d34fe",
-    "scalar": "0155e9554f1b33b5bb9ef041d03d34fe",
     "serve-failures": "4ddf46c71ec86aca0e0b77471a8fd4ff",
     "serve-sg2042": "7a09ccdd20a98280ae9a3994b3245225",
     "serve-sg2044": "b47653b65f780424acd8c5a4f6197b13",

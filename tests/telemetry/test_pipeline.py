@@ -10,6 +10,7 @@ carry no summary at all.
 from repro import telemetry
 from repro.kernels.registry import all_kernels, clear_tables
 from repro.machine import catalog
+from repro.perfmodel.placement import reference_mode
 from repro.resilience import chaos, transient_plan
 from repro.resilience.retry import FailurePolicy, RetrySpec
 from repro.suite.config import Placement, Precision, RunConfig
@@ -110,9 +111,9 @@ class TestSweepTelemetry:
             traced = sweep(CPU, KERNELS, **GRID)
         assert traced == plain
 
-    def test_scalar_engine_records_scalar_predictions(self):
-        with telemetry.telemetry_session():
-            result = sweep(CPU, KERNELS, engine="scalar", **GRID)
+    def test_reference_mode_records_scalar_predictions(self):
+        with telemetry.telemetry_session(), reference_mode():
+            result = sweep(CPU, KERNELS, **GRID)
         assert "predict.scalar" in result.telemetry.phase_counts
         assert "predict.grid" not in result.telemetry.phase_counts
 

@@ -1,5 +1,7 @@
 """CLI tests for the analysis/measure/sweep/chart surfaces."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.resilience.faults import transient_plan
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -69,14 +72,31 @@ class TestSweep:
         assert main(["sweep", "--kernels", "BOGUS"]) == 2
         assert "unknown kernel" in capsys.readouterr().err
 
-    def test_engine_flag_is_bit_identical(self, capsys):
-        args = ["sweep", "--kernels", "TRIAD,GEMM", "--threads", "1,8",
-                "--placements", "block", "--precisions", "fp64", "--csv"]
-        assert main(args + ["--engine", "batch"]) == 0
-        batch_out = capsys.readouterr().out
-        assert main(args + ["--engine", "scalar"]) == 0
-        scalar_out = capsys.readouterr().out
-        assert batch_out == scalar_out
+    def test_csv_output_with_failures_stays_csv(self, capsys, tmp_path):
+        plan = tmp_path / "plan.json"
+        plan.write_text(transient_plan(seed=3, probability=0.5).to_json())
+        assert main(["sweep", "--kernels", "TRIAD,GEMM,DOT,COPY",
+                     "--threads", "1,8", "--placements", "block",
+                     "--precisions", "fp64", "--csv",
+                     "--fault-plan", str(plan),
+                     "--on-failure", "skip"]) == 0
+        captured = capsys.readouterr()
+        rows = list(csv.reader(io.StringIO(captured.out)))
+        assert rows[0] == ["cpu", "threads", "placement", "precision",
+                           "kernel", "seconds"]
+        assert len(rows) > 1
+        assert all(len(row) == 6 for row in rows)
+        assert "failure(s):" in captured.err
+        assert "failure(s):" not in captured.out
+
+    def test_repeated_threads_run_once(self, capsys):
+        args = ["sweep", "--kernels", "TRIAD,GEMM", "--placements",
+                "block", "--precisions", "fp64"]
+        assert main([*args, "--threads", "8,16,16"]) == 0
+        repeated = capsys.readouterr().out
+        assert main([*args, "--threads", "8,16"]) == 0
+        assert repeated == capsys.readouterr().out
+        assert "best overall: 16 threads" in repeated
 
     def test_profile_writes_report_to_stderr(self, capsys):
         assert main(["sweep", "--kernels", "TRIAD", "--threads", "1",
@@ -144,6 +164,21 @@ class TestGridFlags:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--engine", "scalar"],
+        ["trace", "sweep", "--engine", "batch"],
+    ])
+    def test_engine_is_unrecognized(self, argv, capsys):
+        # Parse only: were the flag accepted, main() would run the
+        # command.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert (
+            "unrecognized arguments: --engine"
+            in capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--memo-cap", "10"],

@@ -113,6 +113,29 @@ class TestMachineResolution:
                      "--registry-path", str(tmp_path)]) == 0
         assert "CLI Machine" in capsys.readouterr().out
 
+    def test_registry_path_loads_a_toml_document(self, tmp_path, capsys):
+        folder = tmp_path / "placements"
+        folder.mkdir()
+        # Named after its policy, as a placement must be: it overrides
+        # the shipped block.json.
+        (folder / "block.toml").write_text(
+            'schema = "repro.placement/v1"\n'
+            'name = "block"\n'
+            "\n"
+            "[doc]\n"
+            'policy = "block"\n'
+            'description = "Block placement, from TOML."\n',
+            encoding="utf-8",
+        )
+        root = ["--registry-path", str(tmp_path)]
+        assert main(["registry", "show", "placements", "block",
+                     *root]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["doc"] == {
+            "policy": "block", "description": "Block placement, from TOML.",
+        }
+        assert main(["registry", "validate", *root]) == 0
+
 
 class TestStoreRegistryMachines:
     """``sweep --store`` resolves registry machines like every other
