@@ -26,6 +26,14 @@ process* pays over a store a prior process filled:
   filled — restores the suite's compile reports from the store and
   predicts the grid afresh.
 
+One more measures the noise draw:
+
+* **noisy**: the warm grid at the paper's noise (``runs=5``,
+  ``noise_sigma=0.02``), timed against the same grid with every noise
+  row forced through the per-seed generator (the tables of the array
+  replay patched away), in interleaved rounds; the two CSVs must be
+  byte-identical.
+
 And one stream measures the per-configuration tables:
 
 * **class-subset stream**: the grid once for each of the 63 non-empty
@@ -282,6 +290,50 @@ def _class_subset_stream(cpu, grid: dict) -> dict:
     }
 
 
+#: The paper's noise: five runs, 2% lognormal jitter.
+NOISE = {"runs": 5, "noise_sigma": 0.02}
+
+
+def _noisy_sweeps(cpu, kernels: list, grid: dict) -> tuple[dict, str]:
+    """The warm grid at :data:`NOISE`, replayed and per seed: the
+    JSON-ready record and the CSV.
+
+    The per-seed side patches :func:`repro.util.rng._ziggurat_tables`
+    to report no tables, which sends every row through the generator
+    set to its seed's start state. Both sides run in interleaved rounds
+    and their CSVs must match byte for byte.
+    """
+    from repro.util import rng
+
+    real = rng._ziggurat_tables
+
+    def run_replayed():
+        return sweep(cpu, kernels=kernels, **grid, **NOISE), None
+
+    def run_per_seed():
+        rng._ziggurat_tables = lambda: None
+        try:
+            return sweep(cpu, kernels=kernels, **grid, **NOISE), None
+        finally:
+            rng._ziggurat_tables = real
+
+    run_replayed()  # the tables are read at the first noisy draw
+    timed = _best_of_rounds({
+        "replayed": run_replayed, "per_seed": run_per_seed,
+    })
+    replayed_seconds, (replayed, _) = timed["replayed"]
+    per_seed_seconds, (per_seed, _) = timed["per_seed"]
+    csv = replayed.to_csv()
+    assert csv == per_seed.to_csv(), (
+        "the noisy sweep's CSV differs from the per-seed generator's"
+    )
+    return {
+        **NOISE,
+        "seconds": round(replayed_seconds, 6),
+        "per_seed_seconds": round(per_seed_seconds, 6),
+    }, csv
+
+
 def _scalar_sweep(cpu, kernels: list, grid: dict) -> SweepResult:
     """The grid's points through the scalar model alone.
 
@@ -409,6 +461,7 @@ def run_benchmark(reduced: bool = False) -> dict:
     cold_compiles = _count_compiles(run_cold_batch)
     repeat_compiles = _count_compiles(run_fast)
     subset_stream = _class_subset_stream(cpu, grid)
+    noisy, noisy_csv = _noisy_sweeps(cpu, kernels, grid)
 
     assert fast == ref, "fast path diverged from the reference sweep"
     assert cold_scalar == ref, "scalar model diverged from the reference"
@@ -419,6 +472,7 @@ def run_benchmark(reduced: bool = False) -> dict:
         assert result.to_csv() == ref_csv, (
             f"{name} CSV differs from the reference sweep's"
         )
+    assert noisy_csv != ref_csv, "the noisy sweep drew no noise"
     sub_set = set(sub_threads)
     sub_ref = SweepResult(
         points=tuple(p for p in ref.points if p.threads in sub_set)
@@ -520,6 +574,7 @@ def run_benchmark(reduced: bool = False) -> dict:
         "cold_speedup": round(cold_speedup, 2),
         "cold_speedup_floor": cold_floor,
         "warm_subgrid_seconds": round(warm_subgrid_seconds, 6),
+        "noisy": noisy,
         "bit_identical": True,
         "csv_identical": True,
         "compile_cache": {
@@ -537,6 +592,11 @@ def run_benchmark(reduced: bool = False) -> dict:
 
 def _report(record: dict) -> str:
     stream = record["class_subset_stream"]
+    noisy = record["noisy"]
+    noisy_label = (
+        f"fast, noisy (runs {noisy['runs']}, sigma "
+        f"{noisy['noise_sigma']}):"
+    )
     return (
         f"full-grid sweep fast path ({record['mode']} grid, "
         f"{record['predictions']} predictions):\n"
@@ -544,6 +604,9 @@ def _report(record: dict) -> str:
         f"{record['reference_seconds'] * 1e3:9.1f} ms\n"
         f"  fast (dedup + warm tables + batch):   "
         f"{record['fast_seconds'] * 1e3:9.1f} ms\n"
+        f"  {noisy_label:<37}{noisy['seconds'] * 1e3:9.1f} ms  (per-seed "
+        f"generator: {noisy['per_seed_seconds'] * 1e3:.1f} ms, "
+        f"CSV-identical)\n"
         f"  speedup: {record['speedup']:6.1f}x  "
         f"(floor {record['speedup_floor']}x)   bit-identical: "
         f"{record['bit_identical']}   CSV-identical: "

@@ -20,7 +20,8 @@ after another, in grid order. An untraced sweep turns each grid
 point's row of predicted seconds straight into its :class:`SweepRow`,
 by the fold rule :func:`~repro.suite.runner.run_suite` uses
 (:func:`~repro.suite.runner.fold_seconds`), with no per-cell
-``ExecutionResult`` in between. A grid point goes through
+``ExecutionResult`` in between, and draws the run-to-run noise of all
+its folded grid points in one call. A grid point goes through
 ``run_suite`` instead when the sweep is traced (its ``suite.run`` and
 ``kernel.run`` spans), checkpointed (per-kernel records with attempt
 counts), under a chaos plan or ``reference_mode()`` (where the scalar
@@ -413,7 +414,9 @@ def sweep(
     placement or precision given twice: the first of each is kept,
     before the grid is hashed or run. Thread counts repeat when their
     :func:`thread_key`\\ s are equal, so ``4`` and ``4.0`` stay two
-    values (and ``4.0`` fails as ``RunConfig`` rejects it).
+    values (and ``4.0`` fails as ``RunConfig`` rejects it). A placement
+    or precision may be given by its label (``"block"``, ``"fp32"``),
+    which stands for its member, repeats included.
 
     Args:
         policy: Failure policy forwarded to :func:`run_suite`; non-ABORT
@@ -437,11 +440,18 @@ def sweep(
     if isinstance(policy, str):
         policy = FailurePolicy.from_label(policy)
     # The first of any repeats on each axis: the grid hash then agrees
-    # with the points the grid emits, and no point is emitted twice.
+    # with the points the grid emits, and no point is emitted twice. A
+    # label repeats the member it names.
     kernel_list = _first_of_each(kernels, lambda kernel: kernel.name)
     threads = _first_of_each(threads, thread_key)
-    placements = list(dict.fromkeys(placements))
-    precisions = list(dict.fromkeys(precisions))
+    placements = list(dict.fromkeys(
+        Placement.from_label(p) if isinstance(p, str) else p
+        for p in placements
+    ))
+    precisions = list(dict.fromkeys(
+        Precision.from_label(p) if isinstance(p, str) else p
+        for p in precisions
+    ))
 
     rec = telemetry.recorder()
     if not rec.active:
@@ -539,17 +549,22 @@ def _run_sweep(
         and not telemetry.recorder().active
         and _machine_valid(cpu)
     )
+    folds = [
+        i for i, prefetch in enumerate(prefetches)
+        if fold and prefetch is not None and prefetch.seconds is not None
+    ]
+    # The noise of every folded grid point, in one draw.
+    means = dict(zip(folds, _noise_means(cpu, [
+        (jobs[i][0], prefetches[i].compiler, grid[i].todo) for i in folds
+    ])))
     cpu_name = cpu.name
     # Without a checkpoint every grid point runs every kernel.
     names = tuple(kernel.name for kernel in kernel_list)
     rows: list[SweepRow] = []
     failures: list[SweepFailure] = []
-    for gp, job, prefetch in zip(grid, jobs, prefetches):
-        if fold and prefetch is not None and prefetch.seconds is not None:
-            folded = fold_seconds(
-                prefetch.seconds,
-                _noise_means(cpu, job[0], prefetch.compiler, gp.todo),
-            )
+    for i, (gp, prefetch) in enumerate(zip(grid, prefetches)):
+        if i in means:
+            folded = fold_seconds(prefetch.seconds, means[i])
             if folded is not None:
                 rows.append(SweepRow(
                     cpu_name, gp.threads, gp.placement, gp.precision,

@@ -258,3 +258,60 @@ class TestRepeatedAxisValues:
         assert [(f.threads, f.kernel) for f in result.failures] == [
             (4.0, "*")
         ]
+
+
+class TestAxisLabels:
+    """A placement or precision may be given by its label; it stands for
+    its member, in the CSV, the checkpoint and the repeats."""
+
+    KERNELS = ("TRIAD", "GEMM")
+    ENUMS = dict(
+        placements=[Placement.BLOCK, Placement.CLUSTER],
+        precisions=[Precision.FP32, Precision.FP64],
+    )
+
+    def _sweep(self, cpu, **grid):
+        return sweep(cpu, [get_kernel(name) for name in self.KERNELS],
+                     threads=(1, 8), **grid)
+
+    @pytest.mark.parametrize("grid", [
+        dict(placements=["block", "cluster"],
+             precisions=[Precision.FP32, Precision.FP64]),
+        dict(placements=[Placement.BLOCK, Placement.CLUSTER],
+             precisions=["fp32", "fp64"]),
+        dict(placements=["block", Placement.CLUSTER],
+             precisions=["fp32", Precision.FP64]),
+    ], ids=["placement-labels", "precision-labels", "mixed"])
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_labels_give_the_enum_csv(self, sg2042, grid, noisy):
+        noise = dict(runs=5, noise_sigma=0.02) if noisy else {}
+        got = self._sweep(sg2042, **grid, **noise)
+        want = self._sweep(sg2042, **self.ENUMS, **noise)
+        assert got.to_csv().encode() == want.to_csv().encode()
+        assert got == want
+
+    def test_checkpointed_sweep_with_labels_runs(self, sg2042, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        labels = dict(placements=["block", "cluster"],
+                      precisions=["fp32", "fp64"])
+        first = self._sweep(sg2042, checkpoint=path, **labels)
+        # The enum grid is the same grid: it resumes the checkpoint.
+        resumed = self._sweep(sg2042, checkpoint=path, **self.ENUMS)
+        assert first == resumed == self._sweep(sg2042, **self.ENUMS)
+        assert first.to_csv() == resumed.to_csv()
+
+    @pytest.mark.parametrize("axis, values, member", [
+        ("placements", ["block", Placement.BLOCK], Placement.BLOCK),
+        ("placements", [Placement.CYCLIC, "cyclic"], Placement.CYCLIC),
+        ("precisions", ["fp32", Precision.FP32], Precision.FP32),
+    ])
+    def test_label_and_member_repeat(self, sg2042, axis, values, member):
+        result = self._sweep(sg2042, **{axis: values})
+        assert len(result.rows) == 2  # one per thread count
+        assert result == self._sweep(sg2042, **{axis: [member]})
+
+    def test_unknown_label_rejected(self, sg2042):
+        with pytest.raises(ConfigError, match="placement"):
+            self._sweep(sg2042, placements=["diagonal"])
+        with pytest.raises(ConfigError, match="dtype"):
+            self._sweep(sg2042, precisions=["fp128"])

@@ -2,12 +2,14 @@
 
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.kernels.registry import kernel_names
+from repro.util import rng
 from repro.util.errors import ConfigError
 from repro.util.rng import (
     _seed_words,
@@ -250,3 +252,161 @@ class TestNoiseMeans:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert got == want
+
+
+def craft_word(bits, word):
+    """Set ``bits`` (a PCG64) so its next output is ``word``.
+
+    PCG64 steps its LCG, then outputs XSL-RR of the new state, which is
+    the state's low word when its high 64 bits are zero; so the state
+    one step (``inc = 1``) before ``word`` is crafted by the inverse
+    multiplier."""
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    bits.state = {
+        "bit_generator": "PCG64",
+        "state": {
+            "state": (word - 1) * pow(mult, -1, 2**128) % 2**128,
+            "inc": 1,
+        },
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+class TestArrayReplay:
+    """``noise_means`` replays PCG64 and the ziggurat's fast path in
+    arrays; rows off the fast path go through a per-seed generator.
+    Either way the bytes are ``noise_factors``'s."""
+
+    def test_matches_noise_factors(self, monkeypatch):
+        rows = {"all": 0, "generator": 0}
+        real = rng._generator_draws
+
+        def counting(words, slow, draws):
+            rows["all"] += len(draws)
+            rows["generator"] += len(slow)
+            real(words, slow, draws)
+
+        monkeypatch.setattr(rng, "_generator_draws", counting)
+
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        @given(
+            st.lists(
+                st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**63 - 1),
+                min_size=1, max_size=12,
+            ),
+            st.integers(1, 20),
+            st.floats(0, 3, exclude_min=True),
+        )
+        def check(seeds, runs, sigma):
+            want = np.array([mean_of_factors(s, runs, sigma) for s in seeds])
+            assert noise_means(seeds, runs, sigma).tobytes() == (
+                want.tobytes()
+            )
+            assert noise_means(np.array(seeds, np.uint64), runs,
+                               sigma).tobytes() == want.tobytes()
+
+        assert rng._ziggurat_tables() is not None
+        check()
+        # Both paths ran: rows replayed in arrays, and rows off the
+        # fast path drawn by the generator.
+        assert 0 < rows["generator"] < rows["all"]
+
+    @pytest.mark.parametrize("layout", ["int64", "strided", "big-endian"])
+    def test_array_seeds_in_any_layout(self, layout):
+        seeds = np.array(EDGE_SEEDS + SUITE_SEEDS, np.uint64)
+        arrays = {
+            "int64": seeds.astype(np.int64),
+            "strided": np.repeat(seeds, 2)[::2],
+            "big-endian": seeds.astype(">u8"),
+        }
+        assert noise_means(arrays[layout], 5).tobytes() == (
+            noise_means(seeds.tolist(), 5).tobytes()
+        )
+
+    def test_tables(self):
+        tables = rng._ziggurat_tables()
+        assert tables is not None
+        wi, ki = tables
+        assert wi.shape == ki.shape == (512,)
+        # Index 256 + i is layer i with the sign bit set.
+        assert (wi[256:] == -wi[:256]).all()
+        assert (ki[256:] == ki[:256]).all()
+        assert (wi[:256] > 0).all()
+        assert [layer for layer in range(256) if ki[layer] == 0] == [1]
+        assert (ki[:256] <= 2**52).all()
+        bits = np.random.PCG64(0)
+        normal = np.random.Generator(bits).standard_normal
+        for layer in range(256):
+            threshold = int(ki[layer])
+            if threshold == 0:
+                continue
+            word = layer | (threshold - 1) << 9
+            craft_word(bits, word)
+            assert normal() == (threshold - 1) * wi[layer], layer
+            # One word drawn: the state is the one that output ``word``.
+            assert bits.state["state"]["state"] == word, layer
+        assert (ki[:256] / 2**52).mean() >= 0.98
+
+    @pytest.mark.parametrize("corrupt", ["thresholds", "craft"])
+    def test_corrupt_tables_warn_and_match(self, monkeypatch, corrupt):
+        monkeypatch.setattr(rng, "_ziggurat", rng._UNREAD)
+        if corrupt == "thresholds":
+            # One above NumPy's on every layer whose floor is exact.
+            real = rng._thresholds
+            monkeypatch.setattr(rng, "_thresholds", lambda wi: real(wi) + 1)
+        else:
+            # Crafted states no longer output the words they should.
+            monkeypatch.setattr(rng, "_PCG_MULT_INV", rng._PCG_MULT_INV + 2)
+        seeds = EDGE_SEEDS + SUITE_SEEDS
+        want = np.array([mean_of_factors(s, 5, 0.02) for s in seeds])
+        with pytest.warns(RuntimeWarning, match="ziggurat"):
+            got = noise_means(seeds, 5, 0.02)
+        assert got.tobytes() == want.tobytes()
+        assert rng._ziggurat is None
+        # One warning: later draws take the generator silently.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert noise_means(seeds, 5, 0.02).tobytes() == want.tobytes()
+
+    def test_threads_racing_the_first_draw(self, monkeypatch):
+        monkeypatch.setattr(rng, "_ziggurat", rng._UNREAD)
+        reads = []
+        real = rng._read_ziggurat
+
+        def counting():
+            reads.append(threading.get_ident())
+            return real()
+
+        monkeypatch.setattr(rng, "_read_ziggurat", counting)
+        jobs = [(SUITE_SEEDS[8 * i:8 * i + 13], 1 + i) for i in range(8)]
+        # The serial bytes, from the reference (a serial noise_means
+        # call would read the tables before the race).
+        want = [
+            np.array([mean_of_factors(s, runs, 0.02) for s in seeds])
+            .tobytes()
+            for seeds, runs in jobs
+        ]
+        got = [None] * len(jobs)
+        barrier = threading.Barrier(len(jobs))
+
+        def work(i):
+            barrier.wait()
+            got[i] = noise_means(*jobs[i]).tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(i,))
+                for i in range(len(jobs))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == want
+        assert len(reads) == 1
