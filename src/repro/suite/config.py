@@ -36,6 +36,13 @@ Placement = PlacementPolicy
 DEFAULT_RUNS = 5
 
 
+def as_member(kind: type[Placement] | type[Precision], value):
+    """``value`` as a :data:`Placement` or :data:`Precision` member (the
+    ``kind``): a string is a member's label (``"cyclic"``, ``"fp32"``),
+    and anything else is returned as it is."""
+    return kind.from_label(value) if isinstance(value, str) else value
+
+
 def _as_float(name: str, value: object) -> float:
     """``value`` as a Python float; bools and non-reals raise
     :class:`ConfigError` naming ``name``."""
@@ -83,14 +90,12 @@ class RunConfig:
     def __post_init__(self) -> None:
         # Accept string shorthands ("fp32", "cyclic", "vla") for
         # ergonomic CLI/example use.
-        if isinstance(self.precision, str):
-            object.__setattr__(
-                self, "precision", DType.from_label(self.precision)
-            )
-        if isinstance(self.placement, str):
-            object.__setattr__(
-                self, "placement", PlacementPolicy.from_label(self.placement)
-            )
+        object.__setattr__(
+            self, "precision", as_member(Precision, self.precision)
+        )
+        object.__setattr__(
+            self, "placement", as_member(Placement, self.placement)
+        )
         if isinstance(self.flavor, str):
             object.__setattr__(
                 self, "flavor", VectorFlavor(self.flavor.lower())

@@ -149,46 +149,30 @@ class SuiteResult:
 
 
 def _noise_means(
-    cpu: CPUModel,
-    suites: Sequence[tuple[RunConfig, Compiler, Sequence[Kernel]]],
-) -> list[list[float] | None]:
-    """Each suite's kernels' mean noise factors over ``config.runs``
-    runs, one list per ``(config, compiler, kernels)`` suite.
+    cpu: CPUModel, config: RunConfig, compiler, kernels: list[Kernel]
+) -> list[float] | None:
+    """Each kernel's mean noise factor over ``config.runs`` runs.
 
-    The suites share ``runs`` and ``noise_sigma`` (a sweep's grid points
-    do). Kernel ``name`` is seeded with ``derive_seed(cpu.name, name,
-    threads, placement, precision, vectorize, compiler, flavor)``, and
-    :func:`~repro.util.rng.noise_means` averages every suite's kernels
-    in one call, with the bits of one ``np.random.default_rng(seed)``
-    per kernel.
+    Kernel ``name`` is seeded with ``derive_seed(cpu.name, name, threads,
+    placement, precision, vectorize, compiler, flavor)``, and
+    :func:`~repro.util.rng.noise_means` averages the whole suite in one
+    pass with the bits of one ``np.random.default_rng(seed)`` per kernel.
 
-    ``None`` per suite under zero sigma (the deterministic default of
-    sweeps and golden tests): every mean would be exactly 1.0, so each
-    run is its prediction, bit for bit, without the seeds and the NumPy
+    ``None`` under zero sigma (the deterministic default of sweeps and
+    golden tests): every mean would be exactly 1.0, so each run is its
+    prediction, bit for bit, without the seeds and the NumPy
     round-trip."""
-    if not suites or suites[0][0].noise_sigma == 0:
-        return [None] * len(suites)
-    seeds = [
-        seed_deriver(
-            (cpu.name,),
-            (
-                config.threads, config.placement.value,
-                config.precision.label, config.vectorize, compiler.name,
-                config.flavor.value,
-            ),
-        ).seeds([kernel.name for kernel in kernels])
-        for config, compiler, kernels in suites
-    ]
-    config = suites[0][0]
-    means = noise_means(
-        np.concatenate(seeds), config.runs, config.noise_sigma
-    ).tolist()
-    out = []
-    start = 0
-    for suite_seeds in seeds:
-        out.append(means[start:start + len(suite_seeds)])
-        start += len(suite_seeds)
-    return out
+    if config.noise_sigma == 0:
+        return None
+    seeds = seed_deriver(
+        (cpu.name,),
+        (
+            config.threads, config.placement.value,
+            config.precision.label, config.vectorize, compiler.name,
+            config.flavor.value,
+        ),
+    ).seeds([kernel.name for kernel in kernels])
+    return noise_means(seeds, config.runs, config.noise_sigma).tolist()
 
 
 def _resolve_report(
@@ -693,7 +677,7 @@ def run_suite(
 
         # One noise pass for the whole suite; the bulk fold and the
         # per-kernel loop both multiply by its means.
-        (means,) = _noise_means(cpu, [(config, compiler, kernels)])
+        means = _noise_means(cpu, config, compiler, kernels)
         # Bulk fold: when every kernel arrived prefetched with a real
         # prediction and nothing can intervene per kernel (no chaos
         # plan, no tracing spans), the per-kernel policy loop below is

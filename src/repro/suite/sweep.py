@@ -20,8 +20,7 @@ after another, in grid order. An untraced sweep turns each grid
 point's row of predicted seconds straight into its :class:`SweepRow`,
 by the fold rule :func:`~repro.suite.runner.run_suite` uses
 (:func:`~repro.suite.runner.fold_seconds`), with no per-cell
-``ExecutionResult`` in between, and draws the run-to-run noise of all
-its folded grid points in one call. A grid point goes through
+``ExecutionResult`` in between. A grid point goes through
 ``run_suite`` instead when the sweep is traced (its ``suite.run`` and
 ``kernel.run`` spans), checkpointed (per-kernel records with attempt
 counts), under a chaos plan or ``reference_mode()`` (where the scalar
@@ -55,7 +54,7 @@ from repro.resilience.checkpoint import (
 )
 from repro.resilience.retry import FailurePolicy, FailureRecord, RetrySpec
 from repro.resilience.validate import validate_cpu
-from repro.suite.config import Placement, Precision, RunConfig
+from repro.suite.config import Placement, Precision, RunConfig, as_member
 from repro.suite.memo import SuiteCaches
 from repro.suite.runner import (
     SuiteResult,
@@ -445,12 +444,10 @@ def sweep(
     kernel_list = _first_of_each(kernels, lambda kernel: kernel.name)
     threads = _first_of_each(threads, thread_key)
     placements = list(dict.fromkeys(
-        Placement.from_label(p) if isinstance(p, str) else p
-        for p in placements
+        as_member(Placement, placement) for placement in placements
     ))
     precisions = list(dict.fromkeys(
-        Precision.from_label(p) if isinstance(p, str) else p
-        for p in precisions
+        as_member(Precision, precision) for precision in precisions
     ))
 
     rec = telemetry.recorder()
@@ -549,22 +546,17 @@ def _run_sweep(
         and not telemetry.recorder().active
         and _machine_valid(cpu)
     )
-    folds = [
-        i for i, prefetch in enumerate(prefetches)
-        if fold and prefetch is not None and prefetch.seconds is not None
-    ]
-    # The noise of every folded grid point, in one draw.
-    means = dict(zip(folds, _noise_means(cpu, [
-        (jobs[i][0], prefetches[i].compiler, grid[i].todo) for i in folds
-    ])))
     cpu_name = cpu.name
     # Without a checkpoint every grid point runs every kernel.
     names = tuple(kernel.name for kernel in kernel_list)
     rows: list[SweepRow] = []
     failures: list[SweepFailure] = []
-    for i, (gp, prefetch) in enumerate(zip(grid, prefetches)):
-        if i in means:
-            folded = fold_seconds(prefetch.seconds, means[i])
+    for gp, job, prefetch in zip(grid, jobs, prefetches):
+        if fold and prefetch is not None and prefetch.seconds is not None:
+            folded = fold_seconds(
+                prefetch.seconds,
+                _noise_means(cpu, job[0], prefetch.compiler, gp.todo),
+            )
             if folded is not None:
                 rows.append(SweepRow(
                     cpu_name, gp.threads, gp.placement, gp.precision,

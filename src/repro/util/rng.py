@@ -488,9 +488,6 @@ def _fast_draws(
     return draws, slow
 
 
-_GENERATORS = threading.local()
-
-
 def _generator_draws(
     words: np.ndarray, rows: np.ndarray, draws: np.ndarray
 ) -> None:
@@ -499,15 +496,12 @@ def _generator_draws(
 
     PCG64 turns ``w0..w3`` into ``inc = (w2 << 64 | w3) << 1 | 1`` and
     ``state = (inc + (w0 << 64 | w1)) * M + inc`` (mod 2**128), which is
-    installed in a generator of this thread's before each row.
+    installed in one generator, local to the call, before each row.
     """
     if not len(rows):
         return
-    local = _GENERATORS.__dict__
-    if "bits" not in local:
-        local["bits"] = np.random.PCG64(0)
-        local["normal"] = np.random.Generator(local["bits"]).standard_normal
-    bits, normal = local["bits"], local["normal"]
+    bits = np.random.PCG64(0)
+    normal = np.random.Generator(bits).standard_normal
     pcg = {"state": 0, "inc": 0}
     state = {
         "bit_generator": "PCG64", "state": pcg,
@@ -526,8 +520,7 @@ def noise_means(
     runs: int,
     sigma: float = DEFAULT_NOISE_SIGMA,
 ) -> np.ndarray:
-    """Each seed's mean of ``runs`` noise factors, for a whole suite (or
-    many suites) at once.
+    """Each seed's mean of ``runs`` noise factors, for a whole suite.
 
     Bit for bit ``np.add.reduce(noise_factors(seed, runs, sigma)) /
     runs`` (which is what ``np.mean`` computes) for every seed, without
@@ -536,8 +529,7 @@ def noise_means(
     or a 1-D NumPy integer array (:meth:`SeedDeriver.seeds`), below
     2**63, the range of :func:`derive_seed`. Concurrent calls share
     only the ziggurat tables, read once and never written: the
-    generator of the rows off the fast path is per thread, and set
-    before each row.
+    generator of the rows off the fast path is local to the call.
     """
     seeds, runs = _noise_args(seeds, runs, sigma)
     if not len(seeds):

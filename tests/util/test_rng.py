@@ -312,11 +312,10 @@ class TestArrayReplay:
         # fast path drawn by the generator.
         assert 0 < rows["generator"] < rows["all"]
 
-    @pytest.mark.parametrize("layout", ["int64", "strided", "big-endian"])
+    @pytest.mark.parametrize("layout", ["strided", "big-endian"])
     def test_array_seeds_in_any_layout(self, layout):
         seeds = np.array(EDGE_SEEDS + SUITE_SEEDS, np.uint64)
         arrays = {
-            "int64": seeds.astype(np.int64),
             "strided": np.repeat(seeds, 2)[::2],
             "big-endian": seeds.astype(">u8"),
         }
