@@ -16,7 +16,7 @@ from typing import Callable
 from repro.machine.cache import CacheHierarchy
 from repro.machine.cpu import CPUModel
 from repro.suite.config import RunConfig
-from repro.suite.runner import run_suite
+from repro.suite.runner import run_suites
 from repro.util.errors import ConfigError
 
 #: Relative parameter bump applied by default (+25%).
@@ -114,20 +114,19 @@ def sensitivities(
     """Compute the elasticity of total suite time to each knob."""
     if bump <= 0:
         raise ConfigError("bump must be positive")
-    baseline = run_suite(cpu, config).total_seconds()
-    out = []
-    for knob, mutate in KNOBS.items():
-        bumped_cpu = mutate(cpu, 1.0 + bump)
-        bumped = run_suite(bumped_cpu, config).total_seconds()
-        out.append(
-            Sensitivity(
-                knob=knob,
-                baseline_seconds=baseline,
-                bumped_seconds=bumped,
-                bump=bump,
-            )
+    baseline, *bumped = run_suites(
+        [(cpu, config)]
+        + [(mutate(cpu, 1.0 + bump), config) for mutate in KNOBS.values()]
+    )
+    return [
+        Sensitivity(
+            knob=knob,
+            baseline_seconds=baseline.total_seconds(),
+            bumped_seconds=result.total_seconds(),
+            bump=bump,
         )
-    return out
+        for knob, result in zip(KNOBS, bumped)
+    ]
 
 
 def render_sensitivities(

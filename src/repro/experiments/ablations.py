@@ -20,15 +20,15 @@ shape depends on the mechanism under test:
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Sequence
 
-from repro.experiments.common import ExperimentResult, fast_config
+from repro.experiments.common import ExperimentResult, fast_config, run_groups
 from repro.kernels.base import KernelClass
 from repro.machine import catalog
 from repro.machine.cache import CacheHierarchy, Sharing
 from repro.machine.cpu import CPUModel
 from repro.suite.config import Placement, Precision, RunConfig
 from repro.suite.report import class_speedups
-from repro.suite.runner import run_suite
 from repro.util.units import KIB
 
 
@@ -87,49 +87,41 @@ def _free_barriers(cpu: CPUModel) -> CPUModel:
                    fork_join_ns=0.0)
 
 
-def _stream_speedup(
-    cpu: CPUModel, threads: int, placement: Placement, fast: bool
-) -> float:
-    base = run_suite(
-        cpu, fast_config(RunConfig(threads=1, precision=Precision.FP32),
-                         fast)
-    )
-    run = run_suite(
-        cpu,
+def _class_speedups(
+    cpus: Sequence[CPUModel],
+    klass: KernelClass,
+    points: Sequence[tuple[int, Placement]],
+    fast: bool,
+) -> list[list[float]]:
+    """Per machine, ``klass``'s FP32 speedup over one thread at each
+    ``(threads, placement)`` point: each machine's 1-thread baseline
+    runs once, and every suite in one ``run_suites`` call."""
+    configs = [
         fast_config(
             RunConfig(threads=threads, precision=Precision.FP32,
                       placement=placement),
             fast,
-        ),
-    )
-    return class_speedups(base, run)[KernelClass.STREAM][0]
-
-
-def _apps_speedup(cpu: CPUModel, threads: int, fast: bool) -> float:
-    base = run_suite(
-        cpu, fast_config(RunConfig(threads=1, precision=Precision.FP32),
-                         fast)
-    )
-    run = run_suite(
-        cpu,
-        fast_config(
-            RunConfig(threads=threads, precision=Precision.FP32,
-                      placement=Placement.CYCLIC),
-            fast,
-        ),
-    )
-    return class_speedups(base, run)[KernelClass.APPS][0]
+        )
+        for threads, placement in ((1, Placement.BLOCK), *points)
+    ]
+    return [
+        [class_speedups(base, run)[klass][0] for run in runs]
+        for base, *runs in run_groups(
+            [[(cpu, config) for config in configs] for cpu in cpus]
+        )
+    ]
 
 
 def ablation_l3_slicing(fast: bool = False) -> ExperimentResult:
     """Unified vs per-NUMA-sliced L3: the block/cyclic gap at 32
     threads."""
     sliced = catalog.sg2042()
-    unified = _unified_l3(sliced)
+    cpus = (sliced, _unified_l3(sliced))
     rows = []
-    for cpu in (sliced, unified):
-        block = _stream_speedup(cpu, 32, Placement.BLOCK, fast)
-        cyclic = _stream_speedup(cpu, 32, Placement.CYCLIC, fast)
+    for cpu, (block, cyclic) in zip(cpus, _class_speedups(
+        cpus, KernelClass.STREAM,
+        ((32, Placement.BLOCK), (32, Placement.CYCLIC)), fast,
+    )):
         rows.append(
             (cpu.name, f"{block:.2f}", f"{cyclic:.2f}",
              f"{cyclic / block:.1f}x")
@@ -151,11 +143,12 @@ def ablation_l3_slicing(fast: bool = False) -> ExperimentResult:
 def ablation_l3_contention(fast: bool = False) -> ExperimentResult:
     """L3 crossbar contention: the 64-thread stream collapse."""
     base = catalog.sg2042()
-    no_contention = _no_l3_contention(base)
+    cpus = (base, _no_l3_contention(base))
     rows = []
-    for cpu in (base, no_contention):
-        s32 = _stream_speedup(cpu, 32, Placement.CYCLIC, fast)
-        s64 = _stream_speedup(cpu, 64, Placement.CYCLIC, fast)
+    for cpu, (s32, s64) in zip(cpus, _class_speedups(
+        cpus, KernelClass.STREAM,
+        ((32, Placement.CYCLIC), (64, Placement.CYCLIC)), fast,
+    )):
         rows.append(
             (cpu.name, f"{s32:.2f}", f"{s64:.2f}",
              "collapses" if s64 < 0.7 * s32 else "keeps scaling")
@@ -176,11 +169,12 @@ def ablation_l3_contention(fast: bool = False) -> ExperimentResult:
 def ablation_l2_sharing(fast: bool = False) -> ExperimentResult:
     """Cluster-shared L2: the Table 3 cluster-placement advantage."""
     base = catalog.sg2042()
-    private = _private_l2(base)
+    cpus = (base, _private_l2(base))
     rows = []
-    for cpu in (base, private):
-        cyclic = _stream_speedup(cpu, 16, Placement.CYCLIC, fast)
-        cluster = _stream_speedup(cpu, 16, Placement.CLUSTER, fast)
+    for cpu, (cyclic, cluster) in zip(cpus, _class_speedups(
+        cpus, KernelClass.STREAM,
+        ((16, Placement.CYCLIC), (16, Placement.CLUSTER)), fast,
+    )):
         rows.append(
             (cpu.name, f"{cyclic:.2f}", f"{cluster:.2f}",
              f"{cluster / cyclic:.2f}x")
@@ -201,11 +195,12 @@ def ablation_l2_sharing(fast: bool = False) -> ExperimentResult:
 def ablation_barrier(fast: bool = False) -> ExperimentResult:
     """Fork-join cost: the apps class's poor scaling."""
     base = catalog.sg2042()
-    free = _free_barriers(base)
+    cpus = (base, _free_barriers(base))
     rows = []
-    for cpu in (base, free):
-        s2 = _apps_speedup(cpu, 2, fast)
-        s64 = _apps_speedup(cpu, 64, fast)
+    for cpu, (s2, s64) in zip(cpus, _class_speedups(
+        cpus, KernelClass.APPS,
+        ((2, Placement.CYCLIC), (64, Placement.CYCLIC)), fast,
+    )):
         rows.append((cpu.name, f"{s2:.2f}", f"{s64:.2f}"))
     return ExperimentResult(
         exp_id="ablation_barrier",

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 from repro.kernels.base import KernelClass
 from repro.machine.cpu import CPUModel
 from repro.suite.config import Placement, RunConfig
 from repro.suite.report import class_summaries
-from repro.suite.runner import SuiteResult, run_suite
+from repro.suite.runner import SuiteRequest, SuiteResult, run_suites
 from repro.util.errors import ConfigError
 from repro.util.stats import Summary
 from repro.util.tables import render_csv, render_table
@@ -141,13 +142,25 @@ def relative_chart_data(
     return tuple(bars)
 
 
-def best_threaded_run(
+def run_groups(
+    groups: Sequence[Sequence[SuiteRequest]],
+) -> list[list[SuiteResult]]:
+    """Each group's results, in request order, from one
+    :func:`~repro.suite.runner.run_suites` call over every group's
+    requests."""
+    results = iter(run_suites([request for group in groups
+                               for request in group]))
+    return [list(islice(results, len(group))) for group in groups]
+
+
+def threaded_requests(
     cpu: CPUModel,
     precision,
     fast: bool = False,
     candidates: Sequence[tuple[int, Placement]] | None = None,
-) -> SuiteResult:
-    """The most performant threaded configuration for ``cpu``.
+) -> list[SuiteRequest]:
+    """The candidate threaded configurations for ``cpu``, whose
+    :func:`fastest` result is its most performant one.
 
     Section 3.3: on every x86 system the best thread count equals the
     physical core count; on the SG2042, 32 threads (cluster placement)
@@ -159,16 +172,34 @@ def best_threaded_run(
             candidates = [(32, Placement.CLUSTER), (64, Placement.CLUSTER)]
         else:
             candidates = [(cpu.num_cores, Placement.BLOCK)]
-    best: SuiteResult | None = None
-    for threads, placement in candidates:
-        config = fast_config(
-            RunConfig(
-                threads=threads, precision=precision, placement=placement
+    return [
+        SuiteRequest(
+            cpu,
+            fast_config(
+                RunConfig(
+                    threads=threads, precision=precision,
+                    placement=placement,
+                ),
+                fast,
             ),
-            fast,
         )
-        result = run_suite(cpu, config)
-        if best is None or result.total_seconds() < best.total_seconds():
-            best = result
-    assert best is not None
-    return best
+        for threads, placement in candidates
+    ]
+
+
+def fastest(results: Sequence[SuiteResult]) -> SuiteResult:
+    """The result with the smallest total time (the first of equals)."""
+    return min(results, key=SuiteResult.total_seconds)
+
+
+def best_threaded_run(
+    cpu: CPUModel,
+    precision,
+    fast: bool = False,
+    candidates: Sequence[tuple[int, Placement]] | None = None,
+) -> SuiteResult:
+    """The most performant threaded configuration for ``cpu``: the
+    :func:`fastest` of its :func:`threaded_requests`."""
+    return fastest(
+        run_suites(threaded_requests(cpu, precision, fast, candidates))
+    )

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 from repro.experiments.common import (
     ExperimentResult,
-    best_threaded_run,
     fast_config,
+    fastest,
+    run_groups,
+    threaded_requests,
 )
 from repro.machine import catalog
 from repro.suite.config import Precision, RunConfig
 from repro.suite.report import suite_average_relative
-from repro.suite.runner import run_suite
+from repro.suite.runner import SuiteRequest
 from repro.util.stats import from_relative
 
 #: The conclusions' stated factors: (label, paper value).
@@ -38,72 +40,72 @@ _PAPER = {
 }
 
 
+#: The paper cell of the Sandybridge rows, which print the loss.
+_SG2042_WINS = "SG2042 wins"
+
+
 def run(fast: bool = False) -> ExperimentResult:
     sg = catalog.sg2042()
     x86 = catalog.x86_cpus()
-    rows = []
+    v2 = catalog.visionfive_v2()
+
+    def single(cpu, precision):
+        return [SuiteRequest(
+            cpu, fast_config(RunConfig(threads=1, precision=precision), fast)
+        )]
+
+    def multi(cpu, precision):
+        return threaded_requests(cpu, precision, fast)
+
+    # (claim, paper, the baseline's candidate requests, the other
+    # machine's): each side is the fastest of its candidates.
+    claims = []
 
     # C920 vs U74 (V2) averages.
-    v2 = catalog.visionfive_v2()
     for precision, paper in ((Precision.FP64, "3-6x"),
                              (Precision.FP32, "5-10x")):
-        cfg = fast_config(RunConfig(threads=1, precision=precision), fast)
-        base = run_suite(v2, cfg)
-        sg_run = run_suite(sg, cfg)
-        measured = from_relative(suite_average_relative(base, sg_run))
-        rows.append(
-            (
-                f"C920 vs U74, single core, {precision.label}",
-                paper,
-                f"{measured:.1f}x",
-            )
-        )
+        claims.append((
+            f"C920 vs U74, single core, {precision.label}", paper,
+            single(v2, precision), single(sg, precision),
+        ))
 
     # x86 vs SG2042, single core and multithreaded.
-    for mode in ("single", "multi"):
+    for mode, requests in (("single", single), ("multi", multi)):
         for precision in (Precision.FP64, Precision.FP32):
-            if mode == "single":
-                cfg = fast_config(
-                    RunConfig(threads=1, precision=precision), fast
-                )
-                base = run_suite(sg, cfg)
-            else:
-                base = best_threaded_run(sg, precision, fast)
             for name, cpu in x86.items():
                 key = (mode, precision.label, name)
-                if key not in _PAPER:
-                    continue
-                if mode == "single":
-                    other = run_suite(cpu, cfg)
-                else:
-                    other = best_threaded_run(cpu, precision, fast)
-                measured = from_relative(
-                    suite_average_relative(base, other)
-                )
-                rows.append(
-                    (
+                if key in _PAPER:
+                    claims.append((
                         f"{cpu.name} vs SG2042, {mode}, "
                         f"{precision.label}",
                         f"{_PAPER[key]:.1f}x",
-                        f"{measured:.1f}x",
-                    )
-                )
+                        requests(sg, precision), requests(cpu, precision),
+                    ))
 
     # The Sandybridge multithreaded loss.
+    sandybridge = catalog.intel_sandybridge()
     for precision in (Precision.FP64, Precision.FP32):
-        base = best_threaded_run(sg, precision, fast)
-        sb = best_threaded_run(
-            catalog.intel_sandybridge(), precision, fast
-        )
-        measured = from_relative(suite_average_relative(base, sb))
-        rows.append(
-            (
-                f"Sandybridge vs SG2042, multi, {precision.label}",
-                "SG2042 wins",
-                f"{measured:.2f}x"
-                + (" (SG2042 wins)" if measured < 1 else ""),
+        claims.append((
+            f"Sandybridge vs SG2042, multi, {precision.label}",
+            _SG2042_WINS,
+            multi(sg, precision), multi(sandybridge, precision),
+        ))
+
+    results = run_groups(
+        [side for claim in claims for side in claim[2:]]
+    )
+    rows = []
+    for i, (claim, paper, _, _) in enumerate(claims):
+        measured = from_relative(suite_average_relative(
+            fastest(results[2 * i]), fastest(results[2 * i + 1])
+        ))
+        if paper == _SG2042_WINS:
+            text = f"{measured:.2f}x" + (
+                " (SG2042 wins)" if measured < 1 else ""
             )
-        )
+        else:
+            text = f"{measured:.1f}x"
+        rows.append((claim, paper, text))
 
     return ExperimentResult(
         exp_id="conclusions",

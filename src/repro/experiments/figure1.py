@@ -17,7 +17,7 @@ from repro.experiments.common import (
 )
 from repro.machine import catalog
 from repro.suite.config import Precision, RunConfig
-from repro.suite.runner import run_suite
+from repro.suite.runner import SuiteRequest, run_suites
 
 
 def run(fast: bool = False) -> ExperimentResult:
@@ -26,18 +26,25 @@ def run(fast: bool = False) -> ExperimentResult:
     sg = catalog.sg2042()
 
     def single(cpu, precision):
-        return run_suite(
+        return SuiteRequest(
             cpu,
             fast_config(RunConfig(threads=1, precision=precision), fast),
         )
 
-    baseline = single(v2, Precision.FP64)
+    configurations = (
+        ("VisionFive V2 / FP32", v2, Precision.FP32),
+        ("VisionFive V1 / FP64", v1, Precision.FP64),
+        ("VisionFive V1 / FP32", v1, Precision.FP32),
+        ("SG2042 / FP64", sg, Precision.FP64),
+        ("SG2042 / FP32", sg, Precision.FP32),
+    )
+    baseline, *results = run_suites(
+        [single(v2, Precision.FP64)]
+        + [single(cpu, precision) for _, cpu, precision in configurations]
+    )
     others = [
-        ("VisionFive V2 / FP32", single(v2, Precision.FP32)),
-        ("VisionFive V1 / FP64", single(v1, Precision.FP64)),
-        ("VisionFive V1 / FP32", single(v1, Precision.FP32)),
-        ("SG2042 / FP64", single(sg, Precision.FP64)),
-        ("SG2042 / FP32", single(sg, Precision.FP32)),
+        (label, result)
+        for (label, _, _), result in zip(configurations, results)
     ]
     return ExperimentResult(
         exp_id="figure1",

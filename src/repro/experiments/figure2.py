@@ -17,28 +17,29 @@ from repro.experiments.common import (
 )
 from repro.machine import catalog
 from repro.suite.config import Precision, RunConfig
-from repro.suite.runner import run_suite
+from repro.suite.runner import SuiteRequest, run_suites
 
 
 def run(fast: bool = False) -> ExperimentResult:
     sg = catalog.sg2042()
+    precisions = (Precision.FP32, Precision.FP64)
+    results = run_suites([
+        SuiteRequest(
+            sg,
+            fast_config(
+                RunConfig(
+                    threads=1, precision=precision, vectorize=vectorize
+                ),
+                fast,
+            ),
+        )
+        for precision in precisions
+        for vectorize in (False, True)
+    ])
 
     rows = []
-    for precision in (Precision.FP32, Precision.FP64):
-        scalar = run_suite(
-            sg,
-            fast_config(
-                RunConfig(threads=1, precision=precision, vectorize=False),
-                fast,
-            ),
-        )
-        vectorized = run_suite(
-            sg,
-            fast_config(
-                RunConfig(threads=1, precision=precision, vectorize=True),
-                fast,
-            ),
-        )
+    for i, precision in enumerate(precisions):
+        scalar, vectorized = results[2 * i:2 * i + 2]
         rows.extend(
             relative_figure_rows(
                 scalar,

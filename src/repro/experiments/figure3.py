@@ -22,7 +22,7 @@ from repro.machine import catalog
 from repro.machine.vector import DType
 from repro.suite.config import Precision, RunConfig
 from repro.suite.report import kernel_relative
-from repro.suite.runner import run_suite
+from repro.suite.runner import SuiteRequest, run_suites
 
 
 def _prove_rollback_path(flavor: VectorFlavor) -> int:
@@ -49,30 +49,26 @@ def run(fast: bool = False) -> ExperimentResult:
     vls_insns = _prove_rollback_path(VectorFlavor.VLS)
     vla_insns = _prove_rollback_path(VectorFlavor.VLA)
 
-    gcc = run_suite(
-        sg,
-        fast_config(RunConfig(threads=1, precision=Precision.FP32), fast),
-        kernels=polybench,
-    )
-    clang = {}
-    for flavor in (VectorFlavor.VLS, VectorFlavor.VLA):
-        clang[flavor] = run_suite(
+    def fp32(**options) -> SuiteRequest:
+        return SuiteRequest(
             sg,
             fast_config(
-                RunConfig(
-                    threads=1,
-                    precision=Precision.FP32,
-                    compiler="clang-16",
-                    flavor=flavor,
-                    rollback=True,
-                ),
+                RunConfig(threads=1, precision=Precision.FP32, **options),
                 fast,
             ),
-            kernels=polybench,
+            polybench,
         )
 
-    rel_vls = kernel_relative(gcc, clang[VectorFlavor.VLS])
-    rel_vla = kernel_relative(gcc, clang[VectorFlavor.VLA])
+    gcc, vls, vla = run_suites([
+        fp32(),
+        *(
+            fp32(compiler="clang-16", flavor=flavor, rollback=True)
+            for flavor in (VectorFlavor.VLS, VectorFlavor.VLA)
+        ),
+    ])
+
+    rel_vls = kernel_relative(gcc, vls)
+    rel_vla = kernel_relative(gcc, vla)
 
     rows = tuple(
         (

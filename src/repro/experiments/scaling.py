@@ -17,7 +17,7 @@ from repro.experiments.common import (
 from repro.machine import catalog
 from repro.suite.config import Placement, Precision, RunConfig
 from repro.suite.report import class_speedups
-from repro.suite.runner import run_suite
+from repro.suite.runner import run_suites
 
 
 def scaling_table(
@@ -28,27 +28,25 @@ def scaling_table(
     notes: tuple[str, ...] = (),
 ) -> ExperimentResult:
     sg = catalog.sg2042()
-    base_cfg = fast_config(
-        RunConfig(threads=1, precision=Precision.FP32), fast
-    )
-    baseline = run_suite(sg, base_cfg)
-
     sweep = FAST_THREAD_SWEEP if fast else THREAD_SWEEP
+    configs = [RunConfig(threads=1, precision=Precision.FP32)] + [
+        RunConfig(
+            threads=threads,
+            precision=Precision.FP32,
+            placement=placement,
+        )
+        for threads in sweep
+    ]
+    baseline, *results = run_suites(
+        [(sg, fast_config(config, fast)) for config in configs]
+    )
+
     headers = ["Threads"]
     for klass in CLASS_ORDER:
         headers.extend([f"{klass.value} speedup", "PE"])
 
     rows = []
-    for threads in sweep:
-        cfg = fast_config(
-            RunConfig(
-                threads=threads,
-                precision=Precision.FP32,
-                placement=placement,
-            ),
-            fast,
-        )
-        result = run_suite(sg, cfg)
+    for threads, result in zip(sweep, results):
         speedups = class_speedups(baseline, result)
         row: list[object] = [threads]
         for klass in CLASS_ORDER:

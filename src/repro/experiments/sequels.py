@@ -25,7 +25,7 @@ from repro.kernels.base import KernelClass
 from repro.machine.cpu import CPUModel
 from repro.openmp.affinity import assign_cores
 from repro.suite.config import Placement, RunConfig
-from repro.suite.runner import SuiteResult, run_suite
+from repro.suite.runner import SuiteResult, run_suites
 
 
 def _registry_machine(name: str) -> CPUModel:
@@ -51,8 +51,7 @@ def run_crossover(fast: bool = False) -> ExperimentResult:
     )
     old = _registry_machine("sg2042")
     new = _registry_machine("sophon_sg2044")
-    old_result = run_suite(old, config)
-    new_result = run_suite(new, config)
+    old_result, new_result = run_suites([(old, config), (new, config)])
 
     rows = []
     speedups: dict[str, list[float]] = {}
@@ -122,25 +121,31 @@ def run_scaling(fast: bool = False) -> ExperimentResult:
          (base_threads, 64, 128) if fast
          else (base_threads, 32, 64, 128)),
     )
+
+    def config(threads: int) -> RunConfig:
+        return fast_config(
+            RunConfig(
+                threads=threads,
+                precision="fp32",
+                placement=Placement.BLOCK,
+                noise_sigma=0.0,
+                # STREAM-style sizing: big enough that per-thread slices
+                # cannot fall back into L2/L3 at high thread counts —
+                # the socket question is a DRAM question.
+                size_scale=16.0,
+            ),
+            fast,
+        )
+
+    results = iter(run_suites([
+        (cpu, config(threads))
+        for _, cpu, threads_sweep in sweeps for threads in threads_sweep
+    ]))
     rows = []
     totals: dict[tuple[str, int], float] = {}
     stream_totals: dict[tuple[str, int], float] = {}
     for label, cpu, threads_sweep in sweeps:
-        for threads in threads_sweep:
-            config = fast_config(
-                RunConfig(
-                    threads=threads,
-                    precision="fp32",
-                    placement=Placement.BLOCK,
-                    noise_sigma=0.0,
-                    # STREAM-style sizing: big enough that per-thread
-                    # slices cannot fall back into L2/L3 at high thread
-                    # counts — the socket question is a DRAM question.
-                    size_scale=16.0,
-                ),
-                fast,
-            )
-            result = run_suite(cpu, config)
+        for threads, result in zip(threads_sweep, results):
             total = _suite_seconds(result)
             totals[(label, threads)] = total
             stream_totals[(label, threads)] = _stream_seconds(result)

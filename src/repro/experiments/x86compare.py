@@ -10,15 +10,17 @@ from __future__ import annotations
 
 from repro.experiments.common import (
     ExperimentResult,
-    best_threaded_run,
     fast_config,
+    fastest,
     figure_headers,
     relative_chart_data,
     relative_figure_rows,
+    run_groups,
+    threaded_requests,
 )
 from repro.machine import catalog
 from repro.suite.config import Precision, RunConfig
-from repro.suite.runner import run_suite
+from repro.suite.runner import run_suites
 
 
 def single_core_figure(
@@ -28,12 +30,10 @@ def single_core_figure(
     notes: tuple[str, ...] = (),
 ) -> ExperimentResult:
     sg = catalog.sg2042()
+    x86 = list(catalog.x86_cpus().values())
     cfg = fast_config(RunConfig(threads=1, precision=precision), fast)
-    baseline = run_suite(sg, cfg)
-    others = [
-        (cpu.name, run_suite(cpu, cfg))
-        for cpu in catalog.x86_cpus().values()
-    ]
+    baseline, *results = run_suites([(cpu, cfg) for cpu in (sg, *x86)])
+    others = [(cpu.name, result) for cpu, result in zip(x86, results)]
     return ExperimentResult(
         exp_id=exp_id,
         title=(
@@ -55,11 +55,14 @@ def multithreaded_figure(
     notes: tuple[str, ...] = (),
 ) -> ExperimentResult:
     sg = catalog.sg2042()
-    baseline = best_threaded_run(sg, precision, fast)
-    others = [
-        (cpu.name, best_threaded_run(cpu, precision, fast))
-        for cpu in catalog.x86_cpus().values()
+    x86 = list(catalog.x86_cpus().values())
+    baseline, *results = [
+        fastest(candidates)
+        for candidates in run_groups([
+            threaded_requests(cpu, precision, fast) for cpu in (sg, *x86)
+        ])
     ]
+    others = [(cpu.name, result) for cpu, result in zip(x86, results)]
     return ExperimentResult(
         exp_id=exp_id,
         title=(

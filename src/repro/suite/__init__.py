@@ -4,7 +4,8 @@ Couples the kernel suite, the compiler model and the performance model
 into runnable experiments: a :class:`~repro.suite.config.RunConfig`
 describes one configuration (threads, placement, precision, compiler,
 vector flavour), ``run_suite`` produces per-kernel times averaged over
-five simulated runs (like the paper), and :mod:`repro.suite.report`
+five simulated runs (like the paper), ``run_suites`` produces many
+suites' in one call, and :mod:`repro.suite.report`
 aggregates them into the paper's class-level bars, whiskers, speedups
 and parallel efficiencies.
 """
@@ -18,13 +19,21 @@ from repro.suite.report import (
     failure_summary,
     kernel_relative,
 )
-from repro.suite.runner import SuiteResult, run_suite, verify_kernel
+from repro.suite.runner import (
+    SuiteRequest,
+    SuiteResult,
+    run_suite,
+    run_suites,
+    verify_kernel,
+)
 
 __all__ = [
     "RunConfig",
     "Precision",
     "Placement",
     "run_suite",
+    "run_suites",
+    "SuiteRequest",
     "SuiteResult",
     "verify_kernel",
     "class_summaries",

@@ -4,7 +4,10 @@
 the thread placement, compiles each kernel through the compiler model,
 asks the performance model for the time, injects seeded run-to-run noise
 and averages over the configured number of runs — mirroring how the paper
-collected its numbers (five runs, -O3, pinned threads).
+collected its numbers (five runs, -O3, pinned threads). ``run_suites``
+gives many configurations' results in one call, as an experiment needs
+them: it predicts each machine's configurations in one grid pass and
+draws their noise together, and each result equals ``run_suite``'s.
 
 The execution path is hardened for the flaky-hardware reality behind
 those numbers: each kernel runs in isolation under a
@@ -29,7 +32,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -149,30 +152,45 @@ class SuiteResult:
 
 
 def _noise_means(
-    cpu: CPUModel, config: RunConfig, compiler, kernels: list[Kernel]
-) -> list[float] | None:
-    """Each kernel's mean noise factor over ``config.runs`` runs.
+    suites: Sequence[tuple[CPUModel, RunConfig, Compiler, Sequence[Kernel]]],
+) -> list[list[float] | None]:
+    """Each suite's kernels' mean noise factors over ``config.runs``
+    runs, one list per ``(cpu, config, compiler, kernels)`` suite.
 
     Kernel ``name`` is seeded with ``derive_seed(cpu.name, name, threads,
-    placement, precision, vectorize, compiler, flavor)``, and
-    :func:`~repro.util.rng.noise_means` averages the whole suite in one
-    pass with the bits of one ``np.random.default_rng(seed)`` per kernel.
+    placement, precision, vectorize, compiler, flavor)``. The suites
+    that share ``runs`` and ``noise_sigma`` are averaged in one
+    :func:`~repro.util.rng.noise_means` call, with the bits of one
+    ``np.random.default_rng(seed)`` per kernel, so a draw's fixed cost
+    is paid once for all of them.
 
-    ``None`` under zero sigma (the deterministic default of sweeps and
-    golden tests): every mean would be exactly 1.0, so each run is its
-    prediction, bit for bit, without the seeds and the NumPy
+    ``None`` for a suite under zero sigma (the deterministic default of
+    sweeps and golden tests): every mean would be exactly 1.0, so each
+    run is its prediction, bit for bit, without the seeds and the NumPy
     round-trip."""
-    if config.noise_sigma == 0:
-        return None
-    seeds = seed_deriver(
-        (cpu.name,),
-        (
-            config.threads, config.placement.value,
-            config.precision.label, config.vectorize, compiler.name,
-            config.flavor.value,
-        ),
-    ).seeds([kernel.name for kernel in kernels])
-    return noise_means(seeds, config.runs, config.noise_sigma).tolist()
+    out: list[list[float] | None] = [None] * len(suites)
+    draws: dict[tuple[int, float], list[int]] = {}
+    for i, (_, config, _, _) in enumerate(suites):
+        if config.noise_sigma != 0:
+            draws.setdefault((config.runs, config.noise_sigma), []).append(i)
+    for (runs, sigma), members in draws.items():
+        seeds = []
+        for i in members:
+            cpu, config, compiler, kernels = suites[i]
+            seeds.append(seed_deriver(
+                (cpu.name,),
+                (
+                    config.threads, config.placement.value,
+                    config.precision.label, config.vectorize,
+                    compiler.name, config.flavor.value,
+                ),
+            ).seeds([kernel.name for kernel in kernels]))
+        means = noise_means(np.concatenate(seeds), runs, sigma).tolist()
+        start = 0
+        for i, suite_seeds in zip(members, seeds):
+            out[i] = means[start:start + len(suite_seeds)]
+            start += len(suite_seeds)
+    return out
 
 
 def _resolve_report(
@@ -555,14 +573,19 @@ def fold_seconds(
     a suite whose every kernel was predicted. The rule of
     :func:`_run_one_kernel` for such a kernel, under the caller-checked
     preconditions (no chaos plan, untraced): a run is its predicted
-    seconds times its kernel's noise mean, finite and positive. A value
-    that is not gives up on the whole suite, so the loop raises the
-    identical :class:`SimulationError`. :func:`_bulk_runs` folds its
-    prefetched predictions' seconds through here; a sweep folds each
-    grid point's row of seconds from :func:`grid_prefetch`.
+    seconds times its kernel's noise mean, finite and positive. Without
+    noise the row is returned as it is: a prediction, and a grid row
+    with no ``invalid`` cell, is finite and positive already (the batch
+    engine's validity mask and ``ExecutionResult`` both reject anything
+    else). With noise, a product that is not gives up on the whole
+    suite, so the loop raises the identical :class:`SimulationError`.
+    :func:`_bulk_runs` folds its prefetched predictions' seconds through
+    here; a sweep folds each grid point's row of seconds from
+    :func:`grid_prefetch`.
     """
-    if means is not None:
-        seconds = [s * mean for s, mean in zip(seconds, means)]
+    if means is None:
+        return seconds
+    seconds = [s * mean for s, mean in zip(seconds, means)]
     for run_seconds in seconds:
         if not math.isfinite(run_seconds) or run_seconds <= 0:
             return None
@@ -677,7 +700,7 @@ def run_suite(
 
         # One noise pass for the whole suite; the bulk fold and the
         # per-kernel loop both multiply by its means.
-        means = _noise_means(cpu, config, compiler, kernels)
+        (means,) = _noise_means([(cpu, config, compiler, kernels)])
         # Bulk fold: when every kernel arrived prefetched with a real
         # prediction and nothing can intervene per kernel (no chaos
         # plan, no tracing spans), the per-kernel policy loop below is
@@ -779,6 +802,107 @@ def run_suite(
         failures=tuple(failures),
         telemetry=summary,
     )
+
+
+class SuiteRequest(NamedTuple):
+    """One suite :func:`run_suites` evaluates: the arguments of
+    ``run_suite(cpu, config, kernels)``, with ``kernels=None`` for the
+    whole suite."""
+
+    cpu: CPUModel
+    config: RunConfig
+    kernels: Sequence[Kernel] | None = None
+
+
+def _machine_valid(cpu: CPUModel) -> bool:
+    """Whether ``cpu`` passes the validation :func:`run_suite` runs
+    first (one machine object, so one verdict for all its suites)."""
+    try:
+        validate_cpu(cpu)
+    except ReproError:
+        return False
+    return True
+
+
+def run_suites(
+    requests: Iterable[SuiteRequest | tuple],
+) -> list[SuiteResult]:
+    """``[run_suite(*request) for request in requests]``, with the work
+    of all the requests done together.
+
+    A request is a :class:`SuiteRequest` or a ``(cpu, config)`` or
+    ``(cpu, config, kernels)`` tuple. Results come back in request
+    order, and equal requests (equal machines and configurations, the
+    same kernels) are evaluated once and share one :class:`SuiteResult`.
+
+    The distinct requests on one machine and kernel list are prefetched
+    by one :func:`grid_prefetch`, which resolves each compile
+    configuration once and predicts the configurations that share a
+    workload in one :func:`~repro.perfmodel.batch.predict_grid` pass.
+    Every request whose grid row is complete is folded by
+    :func:`_bulk_runs`, with the noise of all of them drawn in one
+    :func:`_noise_means` call: one :func:`~repro.util.rng.noise_means`
+    draw per (``runs``, ``noise_sigma``). A request goes through
+    :func:`run_suite`, with its prefetched entries, when the fold gives
+    up on it (a configuration that raises, a kernel that failed to
+    compile, a batch abstention, a time that is not finite and
+    positive), and so does every distinct request while telemetry is on
+    (its ``suite.run`` and ``kernel.run`` spans), a chaos plan or
+    ``reference_mode()`` is active (where the scalar model predicts each
+    kernel), or on a machine that fails validation. Those calls run in
+    request order, so the first request ``run_suite`` would fail on
+    raises its error. Each result equals ``run_suite``'s for the same
+    request.
+    """
+    slots: dict[tuple[CPUModel, RunConfig, tuple[Kernel, ...]], int] = {}
+    order = []
+    for request in requests:
+        cpu, config, kernels = SuiteRequest(*request)
+        key = (cpu, config, suite() if kernels is None else tuple(kernels))
+        order.append(slots.setdefault(key, len(slots)))
+    distinct = list(slots)
+
+    groups: dict[tuple[CPUModel, tuple[Kernel, ...]], list[int]] = {}
+    for i, (cpu, _, kernels) in enumerate(distinct):
+        groups.setdefault((cpu, kernels), []).append(i)
+    points: list[PointPrefetch | None] = [None] * len(distinct)
+    for (cpu, kernels), members in groups.items():
+        if not _machine_valid(cpu):
+            continue
+        kernel_list = list(kernels)
+        prefetches = grid_prefetch(
+            cpu, kernel_list,
+            [(distinct[i][1], kernel_list) for i in members], None,
+        )
+        for i, point in zip(members, prefetches):
+            points[i] = point
+
+    results: list[SuiteResult | None] = [None] * len(distinct)
+    if not telemetry.recorder().active:
+        folds = [
+            i for i, point in enumerate(points)
+            if point is not None and point.seconds is not None
+        ]
+        means = _noise_means([
+            (distinct[i][0], distinct[i][1], points[i].compiler,
+             distinct[i][2])
+            for i in folds
+        ])
+        for i, suite_means in zip(folds, means):
+            cpu, config, kernels = distinct[i]
+            runs = _bulk_runs(kernels, points[i].prefetched(), suite_means)
+            if runs is not None:
+                results[i] = SuiteResult(
+                    cpu_name=cpu.name, config=config, runs=runs,
+                )
+    for i, (cpu, config, kernels) in enumerate(distinct):
+        if results[i] is None:
+            point = points[i]
+            results[i] = run_suite(
+                cpu, config, kernels,
+                prefetched=None if point is None else point.prefetched(),
+            )
+    return [results[slot] for slot in order]
 
 
 def verify_kernel(

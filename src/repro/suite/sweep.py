@@ -53,11 +53,11 @@ from repro.resilience.checkpoint import (
     thread_key,
 )
 from repro.resilience.retry import FailurePolicy, FailureRecord, RetrySpec
-from repro.resilience.validate import validate_cpu
 from repro.suite.config import Placement, Precision, RunConfig, as_member
 from repro.suite.memo import SuiteCaches
 from repro.suite.runner import (
     SuiteResult,
+    _machine_valid,
     _noise_means,
     fold_seconds,
     grid_prefetch,
@@ -553,10 +553,10 @@ def _run_sweep(
     failures: list[SweepFailure] = []
     for gp, job, prefetch in zip(grid, jobs, prefetches):
         if fold and prefetch is not None and prefetch.seconds is not None:
-            folded = fold_seconds(
-                prefetch.seconds,
-                _noise_means(cpu, job[0], prefetch.compiler, gp.todo),
+            (means,) = _noise_means(
+                [(cpu, job[0], prefetch.compiler, gp.todo)]
             )
+            folded = fold_seconds(prefetch.seconds, means)
             if folded is not None:
                 rows.append(SweepRow(
                     cpu_name, gp.threads, gp.placement, gp.precision,
@@ -693,16 +693,6 @@ def _collect_point(
             cells.append((cpu, gp.threads, gp.placement, gp.precision,
                           kernel.name, seconds))
     rows.extend(_rows_of(cells))
-
-
-def _machine_valid(cpu: CPUModel) -> bool:
-    """Whether ``cpu`` passes the validation ``run_suite`` runs before
-    every grid point (one machine object, so one verdict per sweep)."""
-    try:
-        validate_cpu(cpu)
-    except ReproError:
-        return False
-    return True
 
 
 def _sweep_failure(

@@ -382,11 +382,11 @@ class TestFallbackPoints:
         self, sg2042, run_suite_calls, monkeypatch
     ):
         # Construction validates a CPUModel, so stand in for a machine
-        # that went bad later at the validator both modules call.
+        # that went bad later at the validator the sweep's machine check
+        # and run_suite both call.
         def invalid(cpu):
             raise ConfigError(f"machine description {cpu.name!r} is bad")
 
-        monkeypatch.setattr(sweep_mod, "validate_cpu", invalid)
         monkeypatch.setattr(runner_mod, "validate_cpu", invalid)
         result = sweep(
             sg2042, KERNELS, threads=(1, 8), placements=(Placement.BLOCK,),
@@ -467,20 +467,50 @@ class TestFallbackPoints:
             out = real(cpu, kernels, *args, **kwargs)
             i = [kernel.name for kernel in kernels].index("GEMM")
             # A time the batch engine's validity mask would have
-            # caught: the fold's own guard must catch it too.
+            # caught: where noise scales the row, the fold's own guard
+            # must catch it too.
             out.seconds[1, i] = bad_seconds
             return out
 
         monkeypatch.setattr(runner_mod, "predict_grid", corrupting)
         result = sweep(
             sg2042, KERNELS, threads=(1, 8), placements=(Placement.CYCLIC,),
-            precisions=(Precision.FP64,), policy=FailurePolicy.SKIP,
+            precisions=(Precision.FP64,), runs=5, noise_sigma=0.02,
+            policy=FailurePolicy.SKIP,
         )
         assert [(f.threads, f.kernel, f.error_type)
                 for f in result.failures] == [(8, "GEMM", "SimulationError")]
         assert [p.threads for p in result.points if p.kernel == "GEMM"] == [1]
         assert len(result.points) == 2 * len(KERNELS) - 1
         assert [c.threads for c in run_suite_calls] == [8]
+
+
+    def test_cell_the_mask_rejects_takes_the_per_kernel_loop(
+        self, sg2042, run_suite_calls
+    ):
+        # An infinite fork-join cost makes every multithreaded time
+        # infinite: the batch engine's mask rejects those cells, so a
+        # noise-free row folds only where no cell is rejected, and the
+        # rejected point's kernels raise the scalar model's error.
+        cpu = replace(sg2042, fork_join_ns=math.inf)
+        grid = dict(
+            threads=(1, 8), placements=(Placement.CYCLIC,),
+            precisions=(Precision.FP64,), policy=FailurePolicy.SKIP,
+        )
+        result = sweep(cpu, KERNELS, **grid)
+        assert [(f.threads, f.kernel, f.error_type, f.message)
+                for f in result.failures] == [
+            (8, kernel.name, "SimulationError",
+             "predicted time must be finite")
+            for kernel in KERNELS
+        ]
+        assert [p.threads for p in result.points] == [1] * len(KERNELS)
+        assert [c.threads for c in run_suite_calls] == [8]
+        with reference_mode():
+            expected = sweep(cpu, KERNELS, **grid)
+        assert (result.points, result.failures) == (
+            expected.points, expected.failures,
+        )
 
 
 def _render_csv(points) -> str:
