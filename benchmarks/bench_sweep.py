@@ -113,7 +113,7 @@ def _site_counts(configs: int, n_kernels: int) -> dict:
     prefetch: a hoisted flag test per compile miss (at most one per
     kernel) and per grid point, and a few recorder lookups and null
     spans per sweep (``sweep``, ``sweep.prefetch``, ``compile.resolve``,
-    the compile table's fill, ``predict_grid``, the fold test).
+    the compile table's fill, ``predict_grid``).
     :func:`_count_recorder_sites` checks the last two on every run.
     """
     return {
@@ -527,9 +527,10 @@ def run_benchmark(reduced: bool = False) -> dict:
     # Telemetry: (a) the off-path instrumentation overhead projection
     # must clear the <2% budget, with site counts that bound what an
     # untraced cold sweep really passes; (b) a traced cold-batch sweep
-    # must stay bit-identical to the reference (timed once,
-    # informational — span recording is real work the budget does not
-    # cover).
+    # must stay bit-identical to the reference and fold like an
+    # untraced one: no kernel.run span, at most one suite.run per grid
+    # point (timed once, informational — span recording is real work
+    # the budget does not cover).
     sites = _site_counts(configs, len(kernels))
     seen = _count_recorder_sites(run_cold_batch)
     assert (seen["lookups"] <= sites["lookups"]
@@ -548,7 +549,7 @@ def run_benchmark(reduced: bool = False) -> dict:
     from repro import telemetry
 
     clear_tables()
-    with telemetry.telemetry_session():
+    with telemetry.telemetry_session() as (recorder, _):
         start = time.perf_counter()
         traced = sweep(cpu, kernels=kernels, **grid)
         traced_seconds = time.perf_counter() - start
@@ -557,6 +558,14 @@ def run_benchmark(reduced: bool = False) -> dict:
         "traced sweep's CSV differs from the reference's"
     )
     assert traced.telemetry is not None and traced.telemetry.span_count
+    span_names = [record.name for record in recorder.records()]
+    assert "kernel.run" not in span_names, (
+        "a traced sweep ran a grid point through the per-kernel loop"
+    )
+    assert span_names.count("suite.run") <= configs, (
+        f"a traced sweep recorded {span_names.count('suite.run')} "
+        f"suite.run spans over {configs} grid points"
+    )
 
     return {
         "benchmark": "sweep_fastpath",
@@ -587,6 +596,7 @@ def run_benchmark(reduced: bool = False) -> dict:
         "class_subset_stream": subset_stream,
         "telemetry_overhead": telemetry_overhead,
         "traced_cold_batch_seconds": round(traced_seconds, 6),
+        "traced_cold_batch_spans": len(span_names),
     }
 
 
@@ -638,7 +648,8 @@ def _report(record: dict) -> str:
         f"projected (budget "
         f"{record['telemetry_overhead']['budget_fraction']:.0%}); "
         f"traced cold batch: "
-        f"{record['traced_cold_batch_seconds'] * 1e3:.1f} ms"
+        f"{record['traced_cold_batch_seconds'] * 1e3:.1f} ms, "
+        f"{record['traced_cold_batch_spans']} spans"
     )
 
 

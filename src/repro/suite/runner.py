@@ -25,6 +25,14 @@ a kernel on its own in two cases: for every kernel while a chaos plan
 or :func:`~repro.perfmodel.placement.reference_mode` is active (one
 rule, :func:`predicts_in_batch`, decides this for suites and sweeps),
 and for each kernel the batch pass abstains on.
+
+``run_suite``, ``run_suites`` and :func:`~repro.suite.sweep.sweep`
+share one prefetcher, :func:`grid_prefetch`, and one fold rule,
+:func:`fold_seconds`: a suite whose every kernel was batch-predicted
+becomes its result in one pass, and only a suite the fold gives up on
+runs the per-kernel policy loop. A telemetry session changes what is
+recorded, not which code computes: one ``suite.run`` span per suite,
+folded or not, and a ``kernel.run`` span per kernel of the loop.
 """
 
 from __future__ import annotations
@@ -225,8 +233,9 @@ _DISABLED_REPORT = VectorizationReport(
 )
 
 
-#: ``{kernel name: (report, prediction)}`` as produced by the batch
-#: prefetchers and consumed by :func:`_run_one_kernel`.
+#: ``{kernel name: (report, prediction)}`` as
+#: :meth:`PointPrefetch.prefetched` produces it and
+#: :func:`_run_one_kernel` consumes it.
 _Prefetched = dict[str, tuple[VectorizationReport, "ExecutionResult | None"]]
 
 
@@ -287,63 +296,16 @@ class _PrefetchPlan:
     sizes: tuple[int, ...] | None
 
 
-def _finish_prefetch(
-    kernels: Sequence[Kernel],
-    reports: Sequence[VectorizationReport],
-    predictions: Sequence["ExecutionResult | None"],
-) -> _Prefetched:
-    """Pair one configuration's reports with its batch predictions.
-
-    A ``None`` prediction is an abstention, or a kernel left to the
-    scalar model: the policy loop's scalar path predicts it, or raises
-    the authoritative error for it.
-    """
-    return {
-        kernel.name: (report, prediction)
-        for kernel, report, prediction in zip(kernels, reports, predictions)
-    }
-
-
 def predicts_in_batch() -> bool:
     """Whether a suite's kernels are predicted in one batch pass.
 
     Not while a chaos fault plan or :func:`reference_mode` is active:
     both are per-call state a batched evaluation cannot replay, so each
     kernel then goes through :func:`simulate_kernel` on its own.
-    :func:`run_suite`'s prefetch and a sweep's :func:`grid_prefetch`
-    both ask here.
+    :func:`grid_prefetch`, the one prefetcher of suites and sweeps, asks
+    here.
     """
     return chaos.active_plan() is None and not reference_active()
-
-
-def _prefetch(
-    kernels: Sequence[Kernel],
-    cpu: CPUModel,
-    config: RunConfig,
-    compiler,
-    cores: tuple[int, ...],
-    caches: SuiteCaches | None,
-) -> _Prefetched:
-    """Resolve one configuration's reports once and, where
-    :func:`predicts_in_batch`, predict the whole configuration in one
-    pass.
-
-    Returns ``{kernel name: (report, prediction)}``. Kernels whose
-    compilation failed are absent; a ``None`` prediction means the
-    scalar path predicts the kernel (no batch pass) or owns the error
-    the batch engine abstained on.
-    """
-    resolved, reports = _resolve_suite_reports(
-        kernels, cpu, config, compiler, caches
-    )
-    if resolved and predicts_in_batch():
-        predictions = predict_batch(
-            cpu, resolved, cores, config.precision, reports,
-            scaled_sizes(resolved, config.size_scale),
-        )
-    else:
-        predictions = [None] * len(resolved)
-    return _finish_prefetch(resolved, reports, predictions)
 
 
 @dataclass
@@ -369,16 +331,24 @@ class PointPrefetch:
     predictions: Sequence[ExecutionResult | None] = ()
 
     def prefetched(self) -> _Prefetched:
-        """The point's ``{kernel name: (report, prediction)}`` dict."""
+        """The point's ``{kernel name: (report, prediction)}`` dict.
+
+        A ``None`` prediction is an abstention, or a kernel left to the
+        scalar model: the policy loop's scalar path predicts it, or
+        raises the authoritative error for it.
+        """
         if self.grid is not None:
             predictions = self.grid.results(self.row)
         else:
             predictions = self.predictions or [None] * len(
                 self.plan.kernels
             )
-        return _finish_prefetch(
-            self.plan.kernels, self.plan.reports, predictions
-        )
+        return {
+            kernel.name: (report, prediction)
+            for kernel, report, prediction in zip(
+                self.plan.kernels, self.plan.reports, predictions
+            )
+        }
 
 
 def grid_prefetch(
@@ -387,7 +357,9 @@ def grid_prefetch(
     jobs: list[tuple[RunConfig, list[Kernel]] | None],
     caches: SuiteCaches | None,
 ) -> list[PointPrefetch | None]:
-    """Batch-prefetch a whole sweep grid ahead of its suite runs.
+    """Batch-prefetch configurations ahead of their suite runs: a
+    sweep's grid, one machine's :func:`run_suites` requests or one
+    :func:`run_suite` call.
 
     ``jobs`` carries one ``(config, kernels)`` pair per grid point (or
     ``None`` for points the sweep wants skipped), each job's kernels a
@@ -404,17 +376,16 @@ def grid_prefetch(
     Each returned :class:`PointPrefetch` hands its grid point the
     compiler its configuration resolved to, its plan and its row of
     seconds; no ``ExecutionResult`` is built for a grid row until
-    :meth:`PointPrefetch.prefetched` asks for one, which yields
-    exactly what :func:`_prefetch` would have produced for the
-    configuration. Where :func:`predicts_in_batch` says no (a chaos
-    plan, ``reference_mode()``) only the reports are resolved: each
-    point's entries carry no prediction, and its ``run_suite`` predicts
+    :meth:`PointPrefetch.prefetched` asks for one. Where
+    :func:`predicts_in_batch` says no (a chaos plan,
+    ``reference_mode()``) only the reports are resolved: each point's
+    entries carry no prediction, and its ``run_suite`` predicts
     kernel by kernel.
 
     A ``None`` entry in the result means this configuration could not
     be planned here (e.g. its placement or compiler resolution raises);
-    :func:`run_suite` then runs it unprefetched so the authoritative
-    error surfaces in the right place with unchanged semantics.
+    its :func:`run_suite` call then raises the authoritative error
+    before it would prefetch.
     """
     out: list[PointPrefetch | None] = [None] * len(jobs)
     predict = predicts_in_batch()
@@ -572,7 +543,7 @@ def fold_seconds(
     ``seconds`` holds one batch prediction's ``seconds`` per kernel of
     a suite whose every kernel was predicted. The rule of
     :func:`_run_one_kernel` for such a kernel, under the caller-checked
-    preconditions (no chaos plan, untraced): a run is its predicted
+    precondition that no chaos plan can fault it: a run is its predicted
     seconds times its kernel's noise mean, finite and positive. Without
     noise the row is returned as it is: a prediction, and a grid row
     with no ``invalid`` cell, is finite and positive already (the batch
@@ -581,7 +552,8 @@ def fold_seconds(
     suite, so the loop raises the identical :class:`SimulationError`.
     :func:`_bulk_runs` folds its prefetched predictions' seconds through
     here; a sweep folds each grid point's row of seconds from
-    :func:`grid_prefetch`.
+    :func:`grid_prefetch`. A telemetry session or a checkpoint changes
+    what is recorded of a fold, never whether it is taken.
     """
     if means is None:
         return seconds
@@ -659,10 +631,10 @@ def run_suite(
             Caching never changes results — every layer is keyed on
             everything its values depend on.
         prefetched: Pre-computed ``{kernel name: (report, prediction)}``
-            from :func:`grid_prefetch` — a sweep passes this so a whole
-            grid is predicted in one pass. When given, the suite's own
-            prefetch is skipped (the work, compile resolution included,
-            already happened grid-side).
+            from :meth:`PointPrefetch.prefetched` — a sweep passes this
+            so a whole grid is predicted in one pass. When given, the
+            suite's own :func:`grid_prefetch` call is skipped (the work,
+            compile resolution included, already happened grid-side).
 
     The whole kernel list is predicted in one vectorized pass
     (:func:`repro.perfmodel.batch.predict_batch`), or kernel by kernel
@@ -682,11 +654,7 @@ def run_suite(
     # The summary covers this call's spans only, so its cost does not
     # grow with the session's age.
     mark = rec.mark() if traced else None
-    with rec.span(
-        "suite.run", cpu=cpu.name, threads=config.threads,
-        placement=config.placement.value,
-        precision=config.precision.label, kernels=len(kernels),
-    ):
+    with _suite_span(rec, cpu, config, len(kernels)):
         validate_cpu(cpu)
         chaos.raise_if_fault(FaultSite.MACHINE)
         compiler = config.resolve_compiler(cpu)
@@ -694,107 +662,135 @@ def run_suite(
                              config.placement)
         spec = retry if retry is not None else RetrySpec()
         if prefetched is None:
-            prefetched = _prefetch(
-                kernels, cpu, config, compiler, cores, caches
+            (point,) = grid_prefetch(
+                cpu, kernels, [(config, kernels)], caches
             )
+            prefetched = point.prefetched()
 
         # One noise pass for the whole suite; the bulk fold and the
         # per-kernel loop both multiply by its means.
         (means,) = _noise_means([(cpu, config, compiler, kernels)])
         # Bulk fold: when every kernel arrived prefetched with a real
-        # prediction and nothing can intervene per kernel (no chaos
-        # plan, no tracing spans), the per-kernel policy loop below is
-        # pure assembly plus noise scaling — do both in one pass.
-        # Any kernel that would take a different branch (missing entry,
-        # no batch prediction, non-finite time) drops to the loop, so
-        # failure semantics stay byte-identical.
-        if not traced and chaos.active_plan() is None:
-            bulk = _bulk_runs(kernels, prefetched, means)
-            if bulk is not None:
-                return SuiteResult(
-                    cpu_name=cpu.name,
-                    config=config,
-                    runs=bulk,
-                    failures=(),
-                    telemetry=None,
-                )
-
-        runs: dict[str, KernelRun] = {}
+        # prediction and no chaos plan can fault a kernel, the
+        # per-kernel policy loop below is pure assembly plus noise
+        # scaling — do both in one pass. Any kernel that would take a
+        # different branch (missing entry, no batch prediction,
+        # non-finite time) drops to the loop, so failure semantics stay
+        # byte-identical.
+        runs = (
+            _bulk_runs(kernels, prefetched, means)
+            if chaos.active_plan() is None else None
+        )
         failures: list[FailureRecord] = []
-        for i, kernel in enumerate(kernels):
-            mean = None if means is None else means[i]
-            # First attempt runs inline for every policy: the fault-free
-            # path pays only this try/except, keeping the hardened
-            # runner seed-identical and essentially free next to the
-            # legacy one.
-            try:
-                if traced:
-                    with rec.span("kernel.run", kernel=kernel.name):
+        if runs is None:
+            runs = {}
+            for i, kernel in enumerate(kernels):
+                mean = None if means is None else means[i]
+                # First attempt runs inline for every policy: the fault-free
+                # path pays only this try/except, keeping the hardened
+                # runner seed-identical and essentially free next to the
+                # legacy one.
+                try:
+                    if traced:
+                        with rec.span("kernel.run", kernel=kernel.name):
+                            runs[kernel.name] = _run_one_kernel(
+                                kernel, cpu, config, compiler, cores,
+                                prefetched, mean,
+                            )
+                    else:
                         runs[kernel.name] = _run_one_kernel(
-                            kernel, cpu, config, compiler, cores,
-                            prefetched, mean,
+                            kernel, cpu, config, compiler, cores, prefetched,
+                            mean,
                         )
-                else:
-                    runs[kernel.name] = _run_one_kernel(
-                        kernel, cpu, config, compiler, cores, prefetched,
-                        mean,
-                    )
-                continue
-            except ReproError as exc:
-                if policy is FailurePolicy.ABORT:
-                    raise
-                if policy is FailurePolicy.SKIP or spec.max_retries == 0:
-                    failures.append(
-                        FailureRecord.from_exception(kernel.name, exc, 1)
-                    )
                     continue
-            # RETRY: attempt 1 is spent; sleep the first backoff here,
-            # then hand the rest of the budget to the retry engine (its
-            # attempt k is overall attempt k + 1, so its backoff base
-            # advances one step to keep the exponential schedule intact).
-            first_pause = spec.backoff_seconds(1)
-            if first_pause > 0:
-                time.sleep(first_pause)
-            try:
-                with rec.span("retry", kernel=kernel.name) as retry_span:
-                    run, engine_attempts = call_with_retry(
-                        lambda k=kernel, m=mean: _run_one_kernel(
-                            k, cpu, config, compiler, cores, prefetched,
-                            m,
-                        ),
-                        RetrySpec(
-                            max_retries=spec.max_retries - 1,
-                            backoff_base_s=(
-                                spec.backoff_base_s * spec.backoff_factor
+                except ReproError as exc:
+                    if policy is FailurePolicy.ABORT:
+                        raise
+                    if policy is FailurePolicy.SKIP or spec.max_retries == 0:
+                        failures.append(
+                            FailureRecord.from_exception(kernel.name, exc, 1)
+                        )
+                        continue
+                # RETRY: attempt 1 is spent; sleep the first backoff here,
+                # then hand the rest of the budget to the retry engine (its
+                # attempt k is overall attempt k + 1, so its backoff base
+                # advances one step to keep the exponential schedule intact).
+                first_pause = spec.backoff_seconds(1)
+                if first_pause > 0:
+                    time.sleep(first_pause)
+                try:
+                    with rec.span("retry", kernel=kernel.name) as retry_span:
+                        run, engine_attempts = call_with_retry(
+                            lambda k=kernel, m=mean: _run_one_kernel(
+                                k, cpu, config, compiler, cores, prefetched,
+                                m,
                             ),
-                            backoff_factor=spec.backoff_factor,
-                            deadline_s=spec.deadline_s,
-                            jitter=spec.jitter,
-                        ),
+                            RetrySpec(
+                                max_retries=spec.max_retries - 1,
+                                backoff_base_s=(
+                                    spec.backoff_base_s * spec.backoff_factor
+                                ),
+                                backoff_factor=spec.backoff_factor,
+                                deadline_s=spec.deadline_s,
+                                jitter=spec.jitter,
+                            ),
+                        )
+                        retry_span.set(attempts=engine_attempts + 1)
+                    runs[kernel.name] = KernelRun(
+                        kernel_name=run.kernel_name,
+                        klass=run.klass,
+                        seconds=run.seconds,
+                        prediction=run.prediction,
+                        report=run.report,
+                        attempts=engine_attempts + 1,
                     )
-                    retry_span.set(attempts=engine_attempts + 1)
-                runs[kernel.name] = KernelRun(
-                    kernel_name=run.kernel_name,
-                    klass=run.klass,
-                    seconds=run.seconds,
-                    prediction=run.prediction,
-                    report=run.report,
-                    attempts=engine_attempts + 1,
-                )
-            except RetryExhaustedError as exc:
-                failures.append(
-                    FailureRecord.from_exception(
-                        kernel.name, exc.last, exc.attempts + 1
+                except RetryExhaustedError as exc:
+                    failures.append(
+                        FailureRecord.from_exception(
+                            kernel.name, exc.last, exc.attempts + 1
+                        )
                     )
-                )
+    return _suite_result(rec, mark, cpu, config, runs, failures)
+
+
+def _suite_span(rec, cpu: CPUModel, config: RunConfig, kernels: int):
+    """The ``suite.run`` span of one suite: a :func:`run_suite` call, a
+    folded :func:`run_suites` request or a folded sweep grid point."""
+    return rec.span(
+        "suite.run", cpu=cpu.name, threads=config.threads,
+        placement=config.placement.value,
+        precision=config.precision.label, kernels=kernels,
+    )
+
+
+def _count_suite(kernel_runs: int, kernel_failures: int = 0):
+    """Count one suite in the session's ``suite.runs``,
+    ``suite.kernel_runs`` and ``suite.kernel_failures``; returns the
+    session's metrics registry."""
+    reg = telemetry.metrics()
+    reg.counter("suite.runs").inc()
+    reg.counter("suite.kernel_runs").inc(kernel_runs)
+    if kernel_failures:
+        reg.counter("suite.kernel_failures").inc(kernel_failures)
+    return reg
+
+
+def _suite_result(
+    rec,
+    mark: int | None,
+    cpu: CPUModel,
+    config: RunConfig,
+    runs: dict[str, KernelRun],
+    failures: Sequence[FailureRecord] = (),
+) -> SuiteResult:
+    """One suite's result. Under a session the suite is counted and the
+    result carries the summary of the spans its thread recorded since
+    ``mark``."""
     summary = None
-    if traced:
-        reg = telemetry.metrics()
-        reg.counter("suite.runs").inc()
-        reg.counter("suite.kernel_runs").inc(len(runs))
-        if failures:
-            reg.counter("suite.kernel_failures").inc(len(failures))
-        summary = telemetry.TelemetrySummary.capture(rec, reg, since=mark)
+    if rec.active:
+        summary = telemetry.TelemetrySummary.capture(
+            rec, _count_suite(len(runs), len(failures)), since=mark
+        )
     return SuiteResult(
         cpu_name=cpu.name,
         config=config,
@@ -842,17 +838,18 @@ def run_suites(
     Every request whose grid row is complete is folded by
     :func:`_bulk_runs`, with the noise of all of them drawn in one
     :func:`_noise_means` call: one :func:`~repro.util.rng.noise_means`
-    draw per (``runs``, ``noise_sigma``). A request goes through
-    :func:`run_suite`, with its prefetched entries, when the fold gives
-    up on it (a configuration that raises, a kernel that failed to
-    compile, a batch abstention, a time that is not finite and
-    positive), and so does every distinct request while telemetry is on
-    (its ``suite.run`` and ``kernel.run`` spans), a chaos plan or
-    ``reference_mode()`` is active (where the scalar model predicts each
-    kernel), or on a machine that fails validation. Those calls run in
-    request order, so the first request ``run_suite`` would fail on
-    raises its error. Each result equals ``run_suite``'s for the same
-    request.
+    draw per (``runs``, ``noise_sigma``). Under a telemetry session each
+    folded request records one ``suite.run`` span, is counted as
+    ``run_suite`` counts a suite, and its result carries the summary of
+    that span. A request goes through :func:`run_suite`, with its
+    prefetched entries, when the fold gives up on it (a configuration
+    that raises, a kernel that failed to compile, a batch abstention, a
+    time that is not finite and positive), and so does every distinct
+    request while a chaos plan or ``reference_mode()`` is active (where
+    the scalar model predicts each kernel), or on a machine that fails
+    validation. Those calls run in request order, so the first request
+    ``run_suite`` would fail on raises its error. Each result equals
+    ``run_suite``'s for the same request.
     """
     slots: dict[tuple[CPUModel, RunConfig, tuple[Kernel, ...]], int] = {}
     order = []
@@ -878,23 +875,28 @@ def run_suites(
             points[i] = point
 
     results: list[SuiteResult | None] = [None] * len(distinct)
-    if not telemetry.recorder().active:
-        folds = [
-            i for i, point in enumerate(points)
-            if point is not None and point.seconds is not None
-        ]
-        means = _noise_means([
-            (distinct[i][0], distinct[i][1], points[i].compiler,
-             distinct[i][2])
-            for i in folds
-        ])
-        for i, suite_means in zip(folds, means):
-            cpu, config, kernels = distinct[i]
-            runs = _bulk_runs(kernels, points[i].prefetched(), suite_means)
-            if runs is not None:
-                results[i] = SuiteResult(
-                    cpu_name=cpu.name, config=config, runs=runs,
-                )
+    folds = [
+        i for i, point in enumerate(points)
+        if point is not None and point.seconds is not None
+    ]
+    means = _noise_means([
+        (distinct[i][0], distinct[i][1], points[i].compiler, distinct[i][2])
+        for i in folds
+    ])
+    rec = telemetry.recorder()
+    traced = rec.active
+    mark = None
+    for i, suite_means in zip(folds, means):
+        cpu, config, kernels = distinct[i]
+        prefetched = points[i].prefetched()
+        if traced:
+            mark = rec.mark()
+            with _suite_span(rec, cpu, config, len(kernels)):
+                runs = _bulk_runs(kernels, prefetched, suite_means)
+        else:
+            runs = _bulk_runs(kernels, prefetched, suite_means)
+        if runs is not None:
+            results[i] = _suite_result(rec, mark, cpu, config, runs)
     for i, (cpu, config, kernels) in enumerate(distinct):
         if results[i] is None:
             point = points[i]

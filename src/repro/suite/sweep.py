@@ -16,19 +16,19 @@ the process's compile table
 (:func:`~repro.compiler.vectorizer.analyze_suite`, and the ``--store``
 tier when one is attached), and the batch engine predicts the whole
 grid in one vectorized pass before the grid points are assembled, one
-after another, in grid order. An untraced sweep turns each grid
-point's row of predicted seconds straight into its :class:`SweepRow`,
-by the fold rule :func:`~repro.suite.runner.run_suite` uses
+after another, in grid order. A sweep turns each grid point's row of
+predicted seconds straight into its :class:`SweepRow`, by the fold
+rule :func:`~repro.suite.runner.run_suite` uses
 (:func:`~repro.suite.runner.fold_seconds`), with no per-cell
-``ExecutionResult`` in between. A grid point goes through
-``run_suite`` instead when the sweep is traced (its ``suite.run`` and
-``kernel.run`` spans), checkpointed (per-kernel records with attempt
-counts), under a chaos plan or ``reference_mode()`` (where the scalar
-model predicts each kernel, by the rule of
-:func:`~repro.suite.runner.predicts_in_batch`), or when the fold gives
-up on it (an invalid configuration or machine, a kernel that failed to
-compile, a batch abstention, a time that is not finite and positive).
-Both paths give the same rows and failures.
+``ExecutionResult`` in between, traced or checkpointed alike: a
+telemetry session records the point's one ``suite.run`` span, and a
+checkpoint its kernels' records, one attempt each. A grid point goes
+through ``run_suite`` instead under a chaos plan or
+``reference_mode()`` (where the scalar model predicts each kernel, by
+the rule of :func:`~repro.suite.runner.predicts_in_batch`), or when
+the fold gives up on it (an invalid configuration or machine, a kernel
+that failed to compile, a batch abstention, a time that is not finite
+and positive). Both paths give the same rows and failures.
 
 A :class:`SweepResult` is a table of those rows, one per emitted grid
 point. The CSV, the CLI's table and the service's ``/sweep`` body read
@@ -56,9 +56,11 @@ from repro.resilience.retry import FailurePolicy, FailureRecord, RetrySpec
 from repro.suite.config import Placement, Precision, RunConfig, as_member
 from repro.suite.memo import SuiteCaches
 from repro.suite.runner import (
-    SuiteResult,
+    PointPrefetch,
+    _count_suite,
     _machine_valid,
     _noise_means,
+    _suite_span,
     fold_seconds,
     grid_prefetch,
     run_suite,
@@ -385,6 +387,13 @@ class _GridPoint:
     restored: dict[str, tuple[str, float]]
     todo: list[Kernel]
 
+    def config(self, runs: int, noise_sigma: float) -> RunConfig:
+        """The point's run configuration; raises for an invalid one."""
+        return RunConfig(
+            threads=self.threads, placement=self.placement,
+            precision=self.precision, runs=runs, noise_sigma=noise_sigma,
+        )
+
 
 def sweep(
     cpu: CPUModel,
@@ -404,10 +413,10 @@ def sweep(
 
     Grid points run one after another, in grid order; their predictions
     come from one whole-grid pass made before the first point runs, and
-    an untraced, uncheckpointed sweep builds each grid point's row from
-    that pass directly (see the module docstring for the points that
-    still run through :func:`run_suite`). Rows, and so points, come in
-    grid x kernel order.
+    each grid point's row is built from that pass directly (see the
+    module docstring for the points that still run through
+    :func:`run_suite`). Rows, and so points, come in grid x kernel
+    order.
 
     A kernel named twice is run once, and so is a thread count,
     placement or precision given twice: the first of each is kept,
@@ -504,6 +513,9 @@ def _run_sweep(
         cpu, kernel_list, threads, placements, precisions, runs,
         noise_sigma, checkpoint,
     )
+    rec = telemetry.recorder()
+    # Hoisted: an untraced grid point pays this test, no null span.
+    traced = rec.active
 
     # Whole-grid prefetch: one compile resolution and one vectorized
     # pass compute every grid point's predictions up front (uniform
@@ -516,36 +528,22 @@ def _run_sweep(
     jobs: list[tuple[RunConfig, list[Kernel]] | None] = [None] * len(grid)
     for i, gp in enumerate(grid):
         try:
-            jobs[i] = (
-                RunConfig(
-                    threads=gp.threads,
-                    placement=gp.placement,
-                    precision=gp.precision,
-                    runs=runs,
-                    noise_sigma=noise_sigma,
-                ),
-                gp.todo,
-            )
+            jobs[i] = (gp.config(runs, noise_sigma), gp.todo)
         except ReproError:
             # Invalid configuration: left unprefetched so run_suite
             # raises (or records) the error exactly as before.
             pass
-    with telemetry.recorder().span(
+    with rec.span(
         "sweep.prefetch", jobs=sum(1 for j in jobs if j is not None),
     ):
         prefetches = grid_prefetch(cpu, kernel_list, jobs, caches)
 
     # Row fold: a prefetched grid point's row of seconds becomes its
     # SweepRow directly, by the rule run_suite's bulk fold uses, with no
-    # ExecutionResult or SuiteResult in between. Traced sweeps keep
-    # run_suite for its spans, checkpointed ones for their per-kernel
-    # records; an invalid machine raises from run_suite, once per
-    # point, exactly as before.
-    fold = (
-        ckpt is None
-        and not telemetry.recorder().active
-        and _machine_valid(cpu)
-    )
+    # ExecutionResult or SuiteResult in between; a checkpoint records
+    # its kernels with one attempt each. An invalid machine raises from
+    # run_suite, once per point, exactly as before.
+    fold = _machine_valid(cpu)
     cpu_name = cpu.name
     # Without a checkpoint every grid point runs every kernel.
     names = tuple(kernel.name for kernel in kernel_list)
@@ -553,43 +551,63 @@ def _run_sweep(
     failures: list[SweepFailure] = []
     for gp, job, prefetch in zip(grid, jobs, prefetches):
         if fold and prefetch is not None and prefetch.seconds is not None:
-            (means,) = _noise_means(
-                [(cpu, job[0], prefetch.compiler, gp.todo)]
-            )
-            folded = fold_seconds(prefetch.seconds, means)
+            config = job[0]
+            if traced:
+                with _suite_span(rec, cpu, config, len(gp.todo)):
+                    folded = _fold_row(cpu, config, prefetch, gp.todo)
+                if folded is not None:
+                    _count_suite(len(folded))
+            else:
+                folded = _fold_row(cpu, config, prefetch, gp.todo)
             if folded is not None:
-                rows.append(SweepRow(
-                    cpu_name, gp.threads, gp.placement, gp.precision,
-                    names, tuple(folded),
-                ))
+                if ckpt is None:
+                    rows.append(SweepRow(
+                        cpu_name, gp.threads, gp.placement, gp.precision,
+                        names, tuple(folded),
+                    ))
+                else:
+                    _collect_point(
+                        cpu_name, kernel_list, ckpt, rows, failures, gp,
+                        [(kernel.name, seconds, 1)
+                         for kernel, seconds in zip(gp.todo, folded)],
+                    )
                 continue
-        outcome, error = None, None
+        ran, failed = [], ()
         try:
             if gp.todo:
-                config = RunConfig(
-                    threads=gp.threads,
-                    placement=gp.placement,
-                    precision=gp.precision,
-                    runs=runs,
-                    noise_sigma=noise_sigma,
-                )
                 outcome = run_suite(
-                    cpu, config, kernels=gp.todo, policy=policy,
-                    retry=retry, caches=caches,
+                    cpu, gp.config(runs, noise_sigma), kernels=gp.todo,
+                    policy=policy, retry=retry, caches=caches,
                     prefetched=(
                         None if prefetch is None else prefetch.prefetched()
                     ),
                 )
+                ran = [
+                    (name, run.seconds, run.attempts)
+                    for name, run in outcome.runs.items()
+                ]
+                failed = outcome.failures
         except ReproError as exc:
             if policy is FailurePolicy.ABORT:
                 raise
-            error = exc
+            failed = (FailureRecord.from_exception("*", exc, 1),)
         _collect_point(
-            cpu_name, kernel_list, ckpt, rows, failures, gp, outcome,
-            error,
+            cpu_name, kernel_list, ckpt, rows, failures, gp, ran, failed,
         )
 
     return SweepResult._of_rows(tuple(rows), tuple(failures))
+
+
+def _fold_row(
+    cpu: CPUModel,
+    config: RunConfig,
+    prefetch: PointPrefetch,
+    kernels: list[Kernel],
+) -> list[float] | None:
+    """A grid point's run-averaged seconds from its prefetched row, by
+    :func:`fold_seconds`, or ``None`` where that gives up."""
+    (means,) = _noise_means([(cpu, config, prefetch.compiler, kernels)])
+    return fold_seconds(prefetch.seconds, means)
 
 
 def _checkpoint_grid(
@@ -647,43 +665,36 @@ def _collect_point(
     rows: list[SweepRow],
     failures: list[SweepFailure],
     gp: _GridPoint,
-    outcome: SuiteResult | None,
-    error: ReproError | None,
+    ran: Iterable[tuple[str, float, int]],
+    failed: Iterable[FailureRecord] = (),
 ) -> None:
-    """Fold one grid point's outcome into the sweep's accumulators.
+    """Fold one grid point's outcome into the sweep's accumulators:
+    ``ran`` holds each kernel run at this point as ``(name, seconds,
+    attempts)``, ``failed`` the failure records of the rest.
 
     Called in grid order, so checkpoint records and result rows come
     out deterministic.
     """
     fresh: dict[str, tuple[str, float]] = {}
-    if error is not None:
-        failures.append(
-            _sweep_failure(
-                cpu_name, gp.threads, gp.placement, gp.precision,
-                FailureRecord.from_exception("*", error, 1),
-            )
+    for name, seconds, attempts in ran:
+        fresh[name] = (cpu_name, seconds)
+        if ckpt is not None:
+            ckpt.record({
+                "cpu": cpu_name,
+                # The stored int: JSON has no NumPy integers.
+                "threads": thread_key(gp.threads),
+                "placement": gp.placement.value,
+                "precision": gp.precision.label,
+                "kernel": name,
+                "seconds": seconds,
+                "attempts": attempts,
+            })
+    failures.extend(
+        _sweep_failure(
+            cpu_name, gp.threads, gp.placement, gp.precision, record,
         )
-    elif outcome is not None:
-        for name, run in outcome.runs.items():
-            fresh[name] = (cpu_name, run.seconds)
-            if ckpt is not None:
-                ckpt.record({
-                    "cpu": cpu_name,
-                    # The stored int: JSON has no NumPy integers.
-                    "threads": thread_key(gp.threads),
-                    "placement": gp.placement.value,
-                    "precision": gp.precision.label,
-                    "kernel": name,
-                    "seconds": run.seconds,
-                    "attempts": run.attempts,
-                })
-        failures.extend(
-            _sweep_failure(
-                cpu_name, gp.threads, gp.placement, gp.precision,
-                record,
-            )
-            for record in outcome.failures
-        )
+        for record in failed
+    )
     # Emit the cells in kernel order regardless of restore/run split.
     cells = []
     for kernel in kernel_list:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro.kernels.registry import all_kernels
@@ -93,3 +95,26 @@ def compile_counts(monkeypatch):
     monkeypatch.setattr(runner, "analyze_suite", analyze_suite)
     monkeypatch.setattr(cache, "analyze_suite", analyze_suite)
     return counts
+
+
+@pytest.fixture
+def per_kernel_loop():
+    """A context manager under which every ``run_suite`` call,
+    ``run_suites`` request and sweep grid point takes the per-kernel
+    policy loop, as a time the fold rejects does: ``fold_seconds`` gives
+    up in :mod:`repro.suite.runner` and :mod:`repro.suite.sweep`. The
+    batch predictions stay, so the loop scales each one by its noise.
+    """
+    from repro.suite import runner
+    from repro.suite import sweep
+
+    @contextlib.contextmanager
+    def forced():
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (runner, sweep):
+                patch.setattr(
+                    module, "fold_seconds", lambda seconds, means: None
+                )
+            yield
+
+    return forced

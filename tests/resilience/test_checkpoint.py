@@ -14,6 +14,7 @@ from repro.resilience.checkpoint import (
 )
 from repro.resilience.retry import FailurePolicy
 from repro.suite.config import Placement, Precision
+from repro.suite import runner as runner_mod
 from repro.suite import sweep as sweep_mod
 from repro.suite.sweep import sweep
 from repro.util.errors import CheckpointError, ConfigError
@@ -33,6 +34,22 @@ def grid_kernels():
 
 def run_grid(cpu, **kwargs):
     return sweep(cpu, grid_kernels(), **GRID, **kwargs)
+
+
+@pytest.fixture
+def no_recompute(monkeypatch):
+    """Call it to make any prediction fail the test: a ``run_suite``
+    call, a batch pass or a scalar evaluation."""
+
+    def install():
+        def exploding(*args, **kwargs):
+            raise AssertionError("should not recompute anything")
+
+        monkeypatch.setattr(sweep_mod, "run_suite", exploding)
+        for name in ("predict_grid", "predict_batch", "simulate_kernel"):
+            monkeypatch.setattr(runner_mod, name, exploding)
+
+    return install
 
 
 class TestSweepCheckpointFile:
@@ -129,28 +146,24 @@ class TestSweepResume:
         path.write_text("\n".join(lines[:5]) + "\n")
 
         ran: list[str] = []
-        real_run_suite = sweep_mod.run_suite
+        real_prefetch = sweep_mod.grid_prefetch
 
-        def counting_run_suite(cpu, config, kernels=None, **kwargs):
-            ran.extend(k.name for k in kernels)
-            return real_run_suite(cpu, config, kernels=kernels, **kwargs)
+        def counting_prefetch(cpu, kernels, jobs, caches):
+            ran.extend(k.name for job in jobs if job for k in job[1])
+            return real_prefetch(cpu, kernels, jobs, caches)
 
-        monkeypatch.setattr(sweep_mod, "run_suite", counting_run_suite)
+        monkeypatch.setattr(sweep_mod, "grid_prefetch", counting_prefetch)
         resumed = run_grid(sg2042, checkpoint=path)
         assert len(ran) == 2  # only the dropped points recompute
         assert [(p.kernel, p.threads, p.seconds) for p in resumed.points] \
             == [(p.kernel, p.threads, p.seconds) for p in full.points]
 
     def test_fully_checkpointed_sweep_runs_nothing(
-        self, sg2042, tmp_path, monkeypatch
+        self, sg2042, tmp_path, no_recompute
     ):
         path = tmp_path / "sweep.jsonl"
         full = run_grid(sg2042, checkpoint=path)
-
-        def exploding_run_suite(*args, **kwargs):
-            raise AssertionError("should not recompute anything")
-
-        monkeypatch.setattr(sweep_mod, "run_suite", exploding_run_suite)
+        no_recompute()
         resumed = run_grid(sg2042, checkpoint=path)
         assert [p.seconds for p in resumed.points] \
             == [p.seconds for p in full.points]
@@ -254,15 +267,11 @@ class TestRejectedThreadCounts:
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_numpy_thread_count_resumes(
-        self, sg2042, tmp_path, monkeypatch, policy
+        self, sg2042, tmp_path, no_recompute, policy
     ):
         path = tmp_path / "sweep.jsonl"
         first = self._sweep(sg2042, [4], checkpoint=path)
-
-        def exploding_run_suite(*args, **kwargs):
-            raise AssertionError("should not recompute anything")
-
-        monkeypatch.setattr(sweep_mod, "run_suite", exploding_run_suite)
+        no_recompute()
         resumed = self._sweep(
             sg2042, [np.int64(4)], checkpoint=path, policy=policy
         )

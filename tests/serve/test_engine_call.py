@@ -79,6 +79,39 @@ class TestOneCompileCache:
         assert not (tmp_path / "store").exists()
 
 
+class TestServedCallsFold:
+    def test_session_records_no_kernel_run(self, per_kernel_loop):
+        """The server's own telemetry session changes what is recorded
+        of an engine call, not how it computes: ``/predict`` and
+        ``/sweep`` fold, with one ``suite.run`` span each and no
+        ``kernel.run``, and answer with the per-kernel loop's bodies."""
+
+        async def scenario(server):
+            return [
+                await http_request(
+                    server.port, "POST", path, ENDPOINTS[path],
+                )
+                for path in ("/predict", "/sweep")
+            ]
+
+        folded, server = with_server(default_config(), scenario)
+        phases = server.final_summary.phase_counts
+        assert phases["suite.run"] == 2
+        assert "kernel.run" not in phases
+        with per_kernel_loop():
+            looped, looped_server = with_server(default_config(), scenario)
+        # One TRIAD run, then the sweep's TRIAD and DAXPY.
+        assert looped_server.final_summary.phase_counts["kernel.run"] == 3
+        assert [
+            (status, headers["etag"], body)
+            for status, headers, body in folded
+        ] == [
+            (status, headers["etag"], body)
+            for status, headers, body in looped
+        ]
+        assert [status for status, _, _ in folded] == [200, 200]
+
+
 class TestBreakerHearsEveryEngineCall:
     @pytest.mark.parametrize("path", sorted(ENDPOINTS))
     def test_success_is_reported(self, path):

@@ -420,7 +420,9 @@ class TestRunSuiteEngine:
 
     @pytest.mark.parametrize("runs", NOISY_RUNS)
     @pytest.mark.parametrize("machine", sorted(catalog.all_cpus()))
-    def test_noise_and_runs_match_scalar(self, all_cpus, machine, runs):
+    def test_noise_and_runs_match_scalar(
+        self, all_cpus, machine, runs, per_kernel_loop
+    ):
         cpu = all_cpus[machine]
         config = RunConfig(
             threads=min(8, cpu.topology.num_cores), noise_sigma=0.05,
@@ -428,11 +430,15 @@ class TestRunSuiteEngine:
         )
         scalar = scalar_run_suite(cpu, config)
         batch = run_suite(cpu, config)
-        # Tracing routes every kernel through the per-kernel loop; the
-        # untraced run takes the whole-suite bulk fold.
+        # The per-kernel loop scales each batch prediction by its own
+        # noise mean; the plain run takes the whole-suite bulk fold,
+        # traced or not.
+        with per_kernel_loop():
+            looped = run_suite(cpu, config)
         with telemetry.telemetry_session():
             traced = run_suite(cpu, config)
         assert batch == scalar
+        assert looped == batch
         assert traced == batch
 
     @pytest.mark.parametrize("runs", NOISY_RUNS)

@@ -177,21 +177,28 @@ class TestFallbacks:
         assert len(calls["run_suite"]) == 11
 
     def test_traced_session_runs_each_distinct_request(self):
+        # Folded or through the per-kernel loop (reference mode), each
+        # distinct request records one suite.run span and keeps a
+        # summary of its own; only the loop records kernel.run spans.
         requests = _mixed_requests()
         untraced = run_suites(requests)
         with telemetry.telemetry_session() as (recorder, _):
             results = run_suites(requests)
-        assert results == untraced
-        names = [record.name for record in recorder.records()]
-        assert names.count("suite.run") == 11
+        with telemetry.telemetry_session() as (looped, _), reference_mode():
+            referenced = run_suites(requests)
+        assert results == referenced == untraced
         distinct = {id(result): result for result in results}.values()
-        assert names.count("kernel.run") == sum(
-            len(result.runs) for result in distinct
-        )
-        assert all(
-            result.telemetry.phase_counts["suite.run"] == 1
-            for result in results
-        )
+        for session, outcome, kernel_runs in (
+            (recorder, results, 0),
+            (looped, referenced, sum(len(r.runs) for r in distinct)),
+        ):
+            names = [record.name for record in session.records()]
+            assert names.count("suite.run") == 11
+            assert names.count("kernel.run") == kernel_runs
+            assert all(
+                result.telemetry.phase_counts["suite.run"] == 1
+                for result in outcome
+            )
 
     def test_invalid_machine_raises_run_suites_error(self, monkeypatch):
         requests = _mixed_requests()

@@ -221,9 +221,11 @@ class TestRepeatedAxisValues:
     ])
     @pytest.mark.parametrize("traced", [False, True])
     def test_result_is_the_grid_without_repeats(self, sg2042, repeated,
-                                                plain, traced):
+                                                plain, traced,
+                                                per_kernel_loop):
         if traced:
-            with telemetry.telemetry_session():
+            # Each grid point through run_suite's per-kernel loop.
+            with telemetry.telemetry_session(), per_kernel_loop():
                 result = self._sweep(sg2042, **repeated)
         else:
             result = self._sweep(sg2042, **repeated)

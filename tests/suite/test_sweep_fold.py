@@ -1,16 +1,18 @@
 """The sweep's row fold, its result table and its CSV rendering.
 
-An untraced sweep turns each grid point's row of predicted seconds
-straight into that point's ``SweepRow``, by the rule ``run_suite``'s
-bulk fold uses, without calling ``run_suite``, without building an
-``ExecutionResult`` and without building a ``SweepPoint``. These tests
-count the calls and objects that remain and pin the fold against the
-paths that still go through ``run_suite``: traced, chaos and
-reference-mode sweeps, and the points the fold gives up on. They also
+A sweep turns each grid point's row of predicted seconds straight into
+that point's ``SweepRow``, by the rule ``run_suite``'s bulk fold uses,
+without calling ``run_suite``, without building an ``ExecutionResult``
+and without building a ``SweepPoint``, traced or checkpointed alike.
+These tests count the calls, spans and objects that remain and pin the
+fold against the paths that still go through ``run_suite``: chaos and
+reference-mode sweeps, the per-kernel loop with the batch predictions
+(``per_kernel_loop``), and the points the fold gives up on. They also
 pin ``SweepResult.to_csv`` to ``render_csv`` over the same points.
 """
 
 import asyncio
+import json
 import math
 import random
 import struct
@@ -24,7 +26,7 @@ import pytest
 import repro.perfmodel.batch as batch_mod
 import repro.suite.runner as runner_mod
 import repro.suite.sweep as sweep_mod
-from repro.kernels.registry import get_kernel
+from repro.kernels.registry import get_kernel, suite
 from repro.machine import catalog
 from repro.perfmodel.placement import reference_mode
 from repro.resilience import chaos
@@ -36,6 +38,7 @@ from repro.telemetry import telemetry_session
 from repro.util.errors import ConfigError
 from repro.util.tables import render_csv
 from tests.serve.helpers import http_request
+from tests.suite.test_sweep_pins import PINNED, _checkpointed, _digest
 
 KERNELS = [get_kernel(name) for name in (
     "TRIAD", "GEMM", "DOT", "COPY", "PI_REDUCE", "JACOBI_2D",
@@ -92,9 +95,13 @@ class TestFoldSkipsRunSuite:
     def test_traced_sweep_runs_each_grid_point(
         self, sg2042, run_suite_calls
     ):
-        with telemetry_session():
+        # Each grid point runs once, as a fold: one suite.run span, no
+        # run_suite call.
+        with telemetry_session() as (rec, _):
             _grid_sweep(sg2042)
-        assert len(run_suite_calls) == 2 * 2 * 2
+        names = [record.name for record in rec.records()]
+        assert names.count("suite.run") == 2 * 2 * 2
+        assert run_suite_calls == []
 
     @pytest.mark.parametrize("mode", ["reference", "chaos"])
     def test_other_paths_run_each_grid_point(
@@ -111,8 +118,47 @@ class TestFoldSkipsRunSuite:
     def test_checkpointed_sweep_runs_each_grid_point(
         self, sg2042, run_suite_calls, tmp_path
     ):
-        _grid_sweep(sg2042, checkpoint=tmp_path / "sweep.jsonl")
-        assert len(run_suite_calls) == 2 * 2 * 2
+        # Each grid point folds and records its kernels, one attempt
+        # each, without a run_suite call.
+        path = tmp_path / "sweep.jsonl"
+        _grid_sweep(sg2042, checkpoint=path)
+        records = [
+            json.loads(line) for line in path.read_text().splitlines()[1:]
+        ]
+        assert len(records) == 2 * 2 * 2 * len(KERNELS)
+        assert {record["attempts"] for record in records} == {1}
+        assert run_suite_calls == []
+
+    def test_traced_full_grid_folds_every_point(
+        self, sg2042, run_suite_calls
+    ):
+        kernels = suite()
+        grid = dict(
+            threads=(1, 2, 4, 8, 16, 32, 64), placements=tuple(Placement),
+            precisions=(Precision.FP32, Precision.FP64),
+        )
+        plain = sweep(sg2042, kernels, **grid)
+        with telemetry_session() as (rec, _):
+            traced = sweep(sg2042, kernels, **grid)
+        names = [record.name for record in rec.records()]
+        assert len(kernels) == 64 and len(traced.rows) == 42
+        assert run_suite_calls == []
+        assert names.count("kernel.run") == 0
+        assert names.count("suite.run") == 42
+        assert traced.telemetry.counters["suite.runs"] == 42
+        assert traced.telemetry.counters["suite.kernel_runs"] == 42 * 64
+        assert traced.to_csv() == plain.to_csv()
+
+    def test_traced_checkpoint_resume_gives_the_pinned_bytes(
+        self, run_suite_calls
+    ):
+        with telemetry_session() as (rec, _):
+            fresh = _checkpointed(resume=False)
+            resumed = _checkpointed(resume=True)
+        assert _digest(fresh) == PINNED["checkpointed"]
+        assert _digest(resumed) == PINNED["checkpoint-resumed"]
+        assert "kernel.run" not in {record.name for record in rec.records()}
+        assert run_suite_calls == []
 
 
 @pytest.fixture
@@ -147,10 +193,13 @@ class TestFoldBuildsNoResults:
     def test_traced_sweep_builds_each_grid_point(
         self, sg2042, built_rows, run_suite_calls
     ):
+        # Each grid point's row is built from the predict_grid arrays,
+        # traced as untraced: no ExecutionResult in between.
         with telemetry_session():
-            _grid_sweep(sg2042)
-        assert len(run_suite_calls) == 2 * 2 * 2
-        assert built_rows == [len(KERNELS)] * (2 * 2 * 2)
+            result = _grid_sweep(sg2042)
+        assert len(result.rows) == 2 * 2 * 2
+        assert run_suite_calls == []
+        assert built_rows == []
 
     def test_fallback_point_builds_only_its_own(
         self, sg2042, built_rows, run_suite_calls, monkeypatch
@@ -216,15 +265,15 @@ class TestRowsBuildNoPoints:
 
     @pytest.mark.parametrize("runs,noise_sigma", [(1, 0.0), (5, 0.05)])
     def test_untraced_sweep_and_csv_build_none(
-        self, sg2042, built_points, runs, noise_sigma
+        self, sg2042, built_points, per_kernel_loop, runs, noise_sigma
     ):
         result = _grid_sweep(sg2042, runs=runs, noise_sigma=noise_sigma)
         csv = result.to_csv()
         assert result.point_count == 2 * 2 * 2 * len(KERNELS)
         assert built_points == []
         # Reading the points builds each one once, equal to the points
-        # the run_suite path builds.
-        with telemetry_session():
+        # the per-kernel loop builds.
+        with per_kernel_loop():
             expected = _grid_sweep(
                 sg2042, runs=runs, noise_sigma=noise_sigma
             ).points
@@ -340,15 +389,19 @@ class TestFoldEquivalence:
         (1, 0.0), (1, 0.05), (5, 0.0), (5, 0.05),
     ])
     @pytest.mark.parametrize("machine", MACHINES)
-    def test_fold_equals_run_suite_paths(self, machine, runs, noise_sigma):
+    def test_fold_equals_run_suite_paths(
+        self, machine, runs, noise_sigma, per_kernel_loop
+    ):
         cpu = catalog.all_cpus()[machine]
         folded = _grid_sweep(cpu, runs=runs, noise_sigma=noise_sigma)
+        with per_kernel_loop():
+            looped = _grid_sweep(cpu, runs=runs, noise_sigma=noise_sigma)
         with telemetry_session():
             traced = _grid_sweep(cpu, runs=runs, noise_sigma=noise_sigma)
         reference = _reference_sweep(
             cpu, runs=runs, noise_sigma=noise_sigma
         )
-        for other in (traced, reference):
+        for other in (looped, traced, reference):
             assert other.points == folded.points
             assert other.failures == folded.failures
         assert [p.seconds for p in folded.points] == [
@@ -358,7 +411,7 @@ class TestFoldEquivalence:
 
 class TestFallbackPoints:
     def test_invalid_thread_count_fails_only_its_point(
-        self, sg2042, run_suite_calls
+        self, sg2042, run_suite_calls, per_kernel_loop
     ):
         grid = dict(
             threads=(1, 999, 8), placements=(Placement.BLOCK,),
@@ -373,10 +426,13 @@ class TestFallbackPoints:
         )
         # Only the invalid point reached run_suite; the others folded.
         assert [c.threads for c in run_suite_calls] == [999]
+        with per_kernel_loop():
+            looped = sweep(sg2042, KERNELS, **grid)
         with telemetry_session():
             traced = sweep(sg2042, KERNELS, **grid)
-        assert traced.points == result.points
-        assert traced.failures == result.failures
+        for other in (looped, traced):
+            assert other.points == result.points
+            assert other.failures == result.failures
 
     def test_invalid_machine_fails_every_point(
         self, sg2042, run_suite_calls, monkeypatch

@@ -13,6 +13,7 @@ import threading
 from repro import telemetry
 from repro.kernels.registry import all_kernels, get_kernel
 from repro.machine import catalog
+from repro.perfmodel.placement import reference_mode
 from repro.suite.config import Placement, Precision, RunConfig
 from repro.suite.runner import run_suite
 from repro.suite.sweep import sweep
@@ -62,9 +63,11 @@ class TestSuiteSummaryIsBounded:
         # Metrics stay the session's: they count every suite so far.
         assert last.counters["suite.runs"] == 1002
 
-    def test_concurrent_suites_keep_their_own_spans(self):
+    def test_concurrent_suites_keep_their_own_spans(self, per_kernel_loop):
         # More threads than a small host has cores, switching often, so
-        # the suites' spans interleave in the shared ring.
+        # the suites' spans interleave in the shared ring. Each suite
+        # takes the per-kernel loop, so its kernel.run spans count its
+        # kernels.
         names = ("TRIAD", "DAXPY", "GEMM", "COPY")
         lists = [[get_kernel(n) for n in names[:size]]
                  for size in (1, 2, 3, 4)]
@@ -82,7 +85,8 @@ class TestSuiteSummaryIsBounded:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with telemetry.telemetry_session() as (rec, _):
+            with telemetry.telemetry_session() as (rec, _), \
+                    per_kernel_loop():
                 threads = [threading.Thread(target=work, args=(slot,))
                            for slot in range(len(lists))]
                 for t in threads:
@@ -103,7 +107,10 @@ class TestSuiteSummaryIsBounded:
                    for summary in per_slot) == rec.mark() == len(rec)
 
     def test_ring_overflow_within_the_call_counts_its_evictions(self):
-        with telemetry.telemetry_session(max_spans=8) as (rec, _):
+        # Reference mode records a kernel.run and a predict.scalar span
+        # per kernel, more than the ring holds.
+        with telemetry.telemetry_session(max_spans=8) as (rec, _), \
+                reference_mode():
             run_suite(CPU, RunConfig(threads=4), kernels=KERNELS)
             evicted_before = rec.dropped
             assert evicted_before > 0

@@ -32,16 +32,25 @@ class TestSuiteTelemetry:
         assert result.telemetry is None
 
     def test_traced_suite_summary(self):
+        # The suite folds: one batch pass, no per-kernel span. Under
+        # reference mode its per-kernel loop records one kernel.run per
+        # kernel; both are counted the same way.
         with telemetry.telemetry_session():
             result = run_suite(CPU, RunConfig(threads=4),
+                               kernels=KERNELS)
+        with telemetry.telemetry_session(), reference_mode():
+            looped = run_suite(CPU, RunConfig(threads=4),
                                kernels=KERNELS)
         summary = result.telemetry
         assert summary is not None
         assert summary.phase_counts["suite.run"] == 1
-        assert summary.phase_counts["kernel.run"] == len(KERNELS)
-        assert summary.counters["suite.runs"] == 1
-        assert summary.counters["suite.kernel_runs"] == len(KERNELS)
-        assert summary.dropped_spans == 0
+        assert summary.phase_counts["predict.batch"] == 1
+        assert "kernel.run" not in summary.phase_counts
+        assert looped.telemetry.phase_counts["kernel.run"] == len(KERNELS)
+        for summary in (result.telemetry, looped.telemetry):
+            assert summary.counters["suite.runs"] == 1
+            assert summary.counters["suite.kernel_runs"] == len(KERNELS)
+            assert summary.dropped_spans == 0
 
     def test_traced_suite_bit_identical(self):
         plain = run_suite(CPU, RunConfig(threads=4), kernels=KERNELS)
@@ -66,14 +75,22 @@ class TestSweepTelemetry:
 
     def test_phase_coverage(self):
         # From empty compile tables, so the sweep compiles its kernels.
+        # The grid folds, so kernel.run is recorded only where the
+        # per-kernel loop runs: here under reference mode.
         clear_tables()
         with telemetry.telemetry_session() as (rec, _):
             result = sweep(CPU, KERNELS, **GRID)
         names = {r.name for r in rec.records()}
-        assert {"sweep", "sweep.prefetch", "suite.run", "kernel.run",
+        assert {"sweep", "sweep.prefetch", "suite.run",
                 "compile.resolve", "compile.analyze",
                 "predict.grid"} <= names
+        assert "kernel.run" not in names
         assert result.telemetry.phase_counts["sweep"] == 1
+        with telemetry.telemetry_session() as (rec, _), reference_mode():
+            sweep(CPU, KERNELS, **GRID)
+        assert {"kernel.run", "predict.scalar"} <= {
+            r.name for r in rec.records()
+        }
 
     def test_span_tree_roots_at_sweep(self):
         with telemetry.telemetry_session() as (rec, _):
