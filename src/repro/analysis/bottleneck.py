@@ -2,26 +2,23 @@
 
 For each kernel at a given (machine, config) point, report which
 resource bounds it — core pipeline, a cache level's bandwidth, DRAM, the
-serial fraction, or fork-join overhead — and estimate the speedup from
-relaxing that single resource. This is the analysis behind the paper's
-hardware wishlist (Section 4): it quantifies where the SG2042's time
-actually goes.
+serial fraction, or fork-join overhead — and how its time splits
+between them. This is the analysis behind the paper's hardware wishlist
+(Section 4): it quantifies where the SG2042's time actually goes. Its
+numbers are read from the batch engine's prediction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.compiler.vectorizer import analyze
 from repro.kernels.base import Kernel
 from repro.machine.cpu import CPUModel
 from repro.openmp.affinity import assign_cores
-from repro.perfmodel.execution import execution_dtype, simulate_kernel
-from repro.perfmodel.memory import memory_time_per_iter
-from repro.perfmodel.pipeline import pipeline_time_per_iter
-from repro.perfmodel.threading import barrier_seconds
+from repro.perfmodel.batch import predict_grid, scaled_sizes
 from repro.suite.config import RunConfig
-from repro.util.errors import ConfigError
+from repro.suite.runner import _resolve_report, _resolve_suite_reports
+from repro.util.errors import ConfigError, SimulationError
 
 
 @dataclass(frozen=True)
@@ -61,83 +58,52 @@ def attribute_bottlenecks(
     config: RunConfig,
     kernels: list[Kernel],
 ) -> list[BottleneckReport]:
-    """Attribute each kernel's predicted time to resources."""
+    """Attribute each kernel's predicted time to resources.
+
+    Reads the slowest thread's terms of ``config``'s
+    :func:`~repro.perfmodel.batch.predict_grid` row, at its size scale.
+    A kernel that does not compile raises its compile error; one the
+    engine cannot predict, :class:`SimulationError`.
+    """
     if not kernels:
         raise ConfigError("kernel list is empty")
     compiler = config.resolve_compiler(cpu)
     cores = assign_cores(cpu.topology, config.threads, config.placement)
-
-    reports = []
-    for kernel in kernels:
-        if config.vectorize:
-            vec = analyze(
-                compiler, kernel, cpu.core.isa,
-                flavor=config.flavor, rollback=config.rollback,
+    resolved, reports = _resolve_suite_reports(
+        kernels, cpu, config, compiler, None
+    )
+    if len(resolved) < len(kernels):
+        for kernel in kernels:  # the first that fails raises its error
+            _resolve_report(kernel, cpu, config, compiler)
+    grid = predict_grid(
+        cpu, kernels, [cores], [config.precision], reports,
+        scaled_sizes(kernels, config.size_scale),
+    )
+    rows = zip(
+        kernels, grid.invalid[0].tolist(), grid.seconds_per_rep[0].tolist(),
+        grid.compute_bound[0].tolist(), grid.level_code[0].tolist(),
+        *[term.tolist() for term in grid.decomposition(0)],
+    )
+    out = []
+    for (kernel, invalid, total, compute, level, serial, parallel,
+         overhead, pipe, mem) in rows:
+        if invalid:
+            raise SimulationError(
+                f"{kernel.name}: no valid prediction on {cpu.name} at "
+                f"{config.threads} thread(s), {config.placement.value}, "
+                f"{config.precision.label}"
             )
-        else:
-            from repro.compiler.vectorizer import VectorizationReport
-
-            vec = VectorizationReport(
-                vectorized=False, vector_path_executed=False,
-                flavor=None, efficiency=1.0, reason="disabled",
-            )
-        result = simulate_kernel(
-            kernel, cpu, cores, config.precision, vec
-        )
-        dtype = execution_dtype(kernel, config.precision)
-        vectorized = vec.effective and cpu.core.isa.supports(dtype)
-        pipe = pipeline_time_per_iter(
-            cpu.core, kernel.traits, dtype, vectorized,
-            vec.efficiency if vectorized else 1.0,
-        )
-        mem = memory_time_per_iter(
-            cpu, kernel, kernel.default_size, dtype, cores[0], cores
-        )
-        # Decompose one repetition.
-        traits = kernel.traits
-        n = kernel.default_size
-        chunk_iters = traits.parallel_fraction * n / len(cores)
-        parallel_time = chunk_iters * max(pipe, mem.seconds_per_iter)
-        serial_iters = (1 - traits.parallel_fraction) * n
-        mem1 = memory_time_per_iter(
-            cpu, kernel, n, dtype, cores[0], (cores[0],)
-        )
-        serial_time = serial_iters * max(pipe, mem1.seconds_per_iter)
-        overhead = (
-            barrier_seconds(cpu, len(cores)) * traits.regions_per_rep
-        )
-        total = parallel_time + serial_time + overhead
-        if total <= 0:
-            raise ConfigError(f"{kernel.name}: non-positive total time")
-
-        shares = (
-            parallel_time / total,
-            serial_time / total,
-            overhead / total,
-        )
+        shares = (parallel / total, serial / total, overhead / total)
         if shares[2] >= max(shares[0], shares[1]):
             bound = "overhead"
         elif shares[1] > shares[0]:
             bound = "serial"
-        elif pipe >= mem.seconds_per_iter:
+        elif compute:
             bound = "pipeline"
         else:
-            bound = mem.serving_level
-        balance = pipe / mem.seconds_per_iter
-        reports.append(
-            BottleneckReport(
-                kernel=kernel.name,
-                bound=bound,
-                parallel_share=shares[0],
-                serial_share=shares[1],
-                overhead_share=shares[2],
-                balance=balance,
-            )
-        )
-        # result retained for invariants: attribution must agree with
-        # the execution model's own verdict for parallel-bound kernels.
-        assert result.seconds > 0
-    return reports
+            bound = "DRAM" if level < 0 else grid.level_names[level]
+        out.append(BottleneckReport(kernel.name, bound, *shares, pipe / mem))
+    return out
 
 
 def render_bottleneck_report(

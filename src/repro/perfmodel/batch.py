@@ -928,6 +928,21 @@ def _execution_results(
     return results
 
 
+class Decomposition(NamedTuple):
+    """Where the slowest thread of one grid row spends a repetition, one
+    entry per kernel (:meth:`GridPrediction.decomposition`).
+
+    ``(serial + parallel) + overhead`` is the row's ``seconds_per_rep``
+    bit for bit, and its ``compute_bound`` is ``pipeline >= memory``.
+    """
+
+    serial: np.ndarray  # Amdahl serial part, seconds per repetition
+    parallel: np.ndarray  # slowest thread's chunk, seconds per repetition
+    overhead: np.ndarray  # fork-join barriers, seconds per repetition
+    pipeline: np.ndarray  # pipeline seconds per iteration
+    memory: np.ndarray  # slowest thread's memory seconds per iteration
+
+
 @dataclass(frozen=True, eq=False)
 class GridPrediction:
     """A whole grid's predictions, as (configuration, kernel) arrays.
@@ -940,7 +955,8 @@ class GridPrediction:
     level as ``level_code`` (an index into ``level_names``, or -1 for
     DRAM), ``compute_bound`` and ``vector_executed``. A caller that
     needs only the times reads the arrays; :meth:`results` builds a
-    row's ``ExecutionResult``\\ s for one that needs them.
+    row's ``ExecutionResult``\\ s for one that needs them, and
+    :meth:`decomposition` its slowest thread's terms.
     """
 
     seconds: np.ndarray  # float64
@@ -950,9 +966,25 @@ class GridPrediction:
     compute_bound: np.ndarray  # bool
     vector_executed: np.ndarray  # bool
     level_names: tuple[str, ...]
+    #: Per precision: its grid rows, then the prelude, the (row,
+    #: kernel) ``slowest`` and ``memory`` arrays and the ``barrier``
+    #: column that :meth:`decomposition` reads.
+    groups: tuple[tuple, ...] = ()
 
     def __len__(self) -> int:
         return len(self.seconds)
+
+    def decomposition(self, i: int) -> Decomposition:
+        """Configuration ``i``'s :class:`Decomposition`, built from its
+        precision's arrays; a grid with no kernels has none."""
+        for rows, pre, slowest, memory, barrier in self.groups:
+            if i in rows:
+                r = rows.index(i)
+                return Decomposition(
+                    pre.serial_time, slowest[r],
+                    barrier[r] * pre.regions_per_rep, pre.pipe, memory[r],
+                )
+        raise IndexError(f"no decomposition for configuration {i}")
 
     def results(self, i: int) -> list[ExecutionResult | None]:
         """Configuration ``i``'s result list, equal to
@@ -1078,9 +1110,13 @@ def _predict_grid_impl(
     for i, precision in enumerate(precisions):
         groups.setdefault(precision, []).append(i)
     columns: list[np.ndarray] | None = None
+    parts = []
     for precision, idxs in groups.items():
         pre = _prelude(cpu, kernels, precision, reports, sizes_key)
-        group = _predict_group(cpu, pre, [placements[i] for i in idxs])
+        group, arrays = _predict_group(
+            cpu, pre, [placements[i] for i in idxs]
+        )
+        parts.append((idxs, pre, *arrays))
         if len(groups) == 1:
             columns = list(group)
             break
@@ -1091,7 +1127,7 @@ def _predict_grid_impl(
             ]
         for column, values in zip(columns, group):
             column[idxs] = values
-    return GridPrediction(*columns, level_names=level_names)
+    return GridPrediction(*columns, level_names, tuple(parts))
 
 
 def _predict_group(
@@ -1102,7 +1138,8 @@ def _predict_group(
     """Evaluate one precision's configurations as a 2-D batch.
 
     Returns the (configuration, kernel) arrays of
-    :class:`GridPrediction`, in its field order.
+    :class:`GridPrediction`, in its field order, and the arrays of the
+    group's :attr:`GridPrediction.groups` entry after its prelude.
     """
     pipe = pre.pipe
     num_points = len(placements)
@@ -1138,14 +1175,14 @@ def _predict_group(
             pre.traffic_scale, pre.gather, rows,
         )
         t_rk = chunk_pk[point_of_row] * np.maximum(pipe, mem_rk)
-        compute_rk = pipe >= mem_rk
 
         # Slowest-class scan, batched by class *position*: every
         # configuration's j-th class updates together, preserving each
         # configuration's class order and the scalar scan's last-wins
-        # ``>=`` tie-break.
+        # ``>=`` tie-break. A cell no class updates keeps a NaN memory
+        # time, so it is not compute-bound.
         slowest = np.zeros((num_points, num_kernels))
-        slow_compute = np.zeros((num_points, num_kernels), dtype=bool)
+        slow_mem = np.full((num_points, num_kernels), np.nan)
         slow_level = np.full(
             (num_points, num_kernels), _DRAM_CODE - 1, dtype=np.int64
         )
@@ -1165,9 +1202,7 @@ def _predict_group(
             prev = slowest[pts]
             mask = t >= prev
             slowest[pts] = np.where(mask, t, prev)
-            slow_compute[pts] = np.where(
-                mask, compute_rk[sel], slow_compute[pts]
-            )
+            slow_mem[pts] = np.where(mask, mem_rk[sel], slow_mem[pts])
             slow_level[pts] = np.where(
                 mask, level_rk[sel], slow_level[pts]
             )
@@ -1189,6 +1224,6 @@ def _predict_group(
 
     vector_executed = np.broadcast_to(pre.vectorized, seconds.shape)
     return (
-        seconds, invalid, rep_time, slow_level, slow_compute,
+        seconds, invalid, rep_time, slow_level, pipe >= slow_mem,
         vector_executed,
-    )
+    ), (slowest, slow_mem, barrier_col)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.analysis.roofline import classify_kernels
 from repro.compiler.analysis import DECISIVE_FEATURES, derive_features
 from repro.compiler.model import CLANG_16
-from repro.compiler.vectorizer import analyze
+from repro.compiler.vectorizer import VectorizationReport, analyze
 from repro.kernels.ir_defs import ir_for
 from repro.kernels.registry import get_kernel
 from repro.machine.cpu import CPUModel
@@ -68,17 +68,22 @@ def explain_kernel(kernel_name: str, cpu: CPUModel) -> str:
     if isa.version == "0.7.1":
         verdicts.append(("Clang 16 (+rollback)", CLANG_16, True))
     lines += ["", f"compilation on the {cpu.core.name} ({isa.name}):"]
+    outcomes: list[VectorizationReport | ReproError] = []
     for label, candidate, rollback in verdicts:
         try:
-            verdict = analyze(
+            outcomes.append(analyze(
                 candidate, kernel, isa, flavor=config.flavor,
                 rollback=rollback,
-            ).reason
+            ))
+            verdict = outcomes[-1].reason
         except ReproError as exc:
             # A compiler that cannot target this machine is an explicit
             # gap, like a failed prediction below.
+            outcomes.append(exc)
             verdict = f"compilation failed ({type(exc).__name__}: {exc})"
         lines.append(f"  {label}: {verdict}")
+    # The predictions below take the default compiler's report.
+    report = outcomes[0]
 
     (point,) = classify_kernels(cpu, [kernel], DType.FP64)
     lines += [
@@ -96,10 +101,8 @@ def explain_kernel(kernel_name: str, cpu: CPUModel) -> str:
         (cpu.num_cores, PlacementPolicy.CLUSTER, DType.FP32),
     ):
         try:
-            report = analyze(
-                compiler, kernel, isa, flavor=config.flavor,
-                rollback=config.rollback,
-            )
+            if isinstance(report, ReproError):
+                raise report
             cores = assign_cores(cpu.topology, threads, placement)
             result = simulate_kernel(
                 kernel, cpu, cores, precision, report

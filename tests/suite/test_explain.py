@@ -5,7 +5,7 @@ import re
 import pytest
 
 from repro import telemetry
-from repro.compiler.model import XUANTIE_GCC_8_4
+from repro.compiler.model import CLANG_16, XUANTIE_GCC_8_4
 from repro.kernels.registry import all_kernels
 from repro.registry import registry_with_paths
 from repro.suite.config import RunConfig
@@ -50,6 +50,23 @@ class TestExplainKernel:
     def test_unknown_kernel(self, sg2042):
         with pytest.raises(ConfigError):
             explain_kernel("NOPE", sg2042)
+
+    def test_compiles_once_per_compiler(self, sg2042, monkeypatch):
+        """The predicted times reuse the default compiler's verdict."""
+        import repro.suite.explain as explain
+
+        compiled = []
+        analyze = explain.analyze
+
+        def counting(compiler, *args, **kwargs):
+            compiled.append(compiler.name)
+            return analyze(compiler, *args, **kwargs)
+
+        monkeypatch.setattr(explain, "analyze", counting)
+        explain_kernel("TRIAD", sg2042)
+        assert compiled == [
+            RunConfig().resolve_compiler(sg2042).name, CLANG_16.name,
+        ]
 
     def test_text_ignores_the_telemetry_session(self, sg2042):
         plain = explain_kernel("TRIAD", sg2042)
