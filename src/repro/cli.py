@@ -15,6 +15,7 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager, nullcontext
 
@@ -1043,12 +1044,21 @@ def main(argv: list[str] | None = None) -> int:
         "registry": _cmd_registry,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
     except ReproError as exc:
         if args.debug:
             raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro sweep ... | head``).
+        # Python flushes stdout again at exit, so point it at os.devnull
+        # first; exit 1, as Python does on EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -55,16 +55,18 @@ def run_crossover(fast: bool = False) -> ExperimentResult:
 
     rows = []
     speedups: dict[str, list[float]] = {}
-    for name in sorted(old_result.runs):
-        old_run = old_result.runs[name]
-        new_run = new_result.runs[name]
-        ratio = old_run.seconds / new_run.seconds
-        speedups.setdefault(old_run.klass.value, []).append(ratio)
+    new_seconds = dict(zip(new_result.names, new_result.seconds))
+    for name, klass, old_s in sorted(zip(
+        old_result.names, old_result.classes, old_result.seconds,
+    )):
+        new_s = new_seconds[name]
+        ratio = old_s / new_s
+        speedups.setdefault(klass.value, []).append(ratio)
         rows.append((
             name,
-            old_run.klass.value,
-            f"{old_run.seconds * 1e3:.3f}",
-            f"{new_run.seconds * 1e3:.3f}",
+            klass.value,
+            f"{old_s * 1e3:.3f}",
+            f"{new_s * 1e3:.3f}",
             f"{ratio:.2f}x",
             "SG2044" if ratio > 1.0 else "SG2042",
         ))
@@ -98,14 +100,10 @@ def run_crossover(fast: bool = False) -> ExperimentResult:
     )
 
 
-def _suite_seconds(result: SuiteResult) -> float:
-    return sum(run.seconds for run in result.runs.values())
-
-
 def _stream_seconds(result: SuiteResult) -> float:
     return sum(
-        run.seconds for run in result.runs.values()
-        if run.klass is KernelClass.STREAM
+        seconds for klass, seconds in zip(result.classes, result.seconds)
+        if klass is KernelClass.STREAM
     )
 
 
@@ -146,7 +144,7 @@ def run_scaling(fast: bool = False) -> ExperimentResult:
     stream_totals: dict[tuple[str, int], float] = {}
     for label, cpu, threads_sweep in sweeps:
         for threads, result in zip(threads_sweep, results):
-            total = _suite_seconds(result)
+            total = result.total_seconds()
             totals[(label, threads)] = total
             stream_totals[(label, threads)] = _stream_seconds(result)
             base = totals[(label, base_threads)]

@@ -19,11 +19,36 @@ from repro.util.stats import (
 )
 
 
-def _common_kernels(a: SuiteResult, b: SuiteResult) -> list[str]:
-    common = [k for k in a.runs if k in b.runs]
-    if not common:
-        raise ConfigError("results share no kernels")
-    return common
+def _pairs(a: SuiteResult, b: SuiteResult):
+    """``(name, a's seconds, b's seconds)`` for each kernel both results
+    ran, in ``a``'s kernel order."""
+    theirs = dict(zip(b.names, b.seconds))
+    return [
+        (name, seconds, theirs[name])
+        for name, seconds in zip(a.names, a.seconds)
+        if name in theirs
+    ]
+
+
+def _by_class(
+    result: SuiteResult, values: dict[str, float]
+) -> dict[KernelClass, list[float]]:
+    """``values`` of ``result``'s kernels grouped by class, in
+    :class:`KernelClass` order and ``result``'s kernel order within a
+    class."""
+    pairs = [
+        (klass, values[name])
+        for name, klass in zip(result.names, result.classes)
+        if name in values
+    ]
+    groups: dict[KernelClass, list[float]] = {}
+    for klass in KernelClass:
+        # An identity test per kernel: hashing an enum member runs
+        # Python code.
+        members = [value for member, value in pairs if member is klass]
+        if members:
+            groups[klass] = members
+    return groups
 
 
 def kernel_relative(
@@ -31,12 +56,13 @@ def kernel_relative(
 ) -> dict[str, float]:
     """Per-kernel signed times-faster/slower of ``other`` vs
     ``baseline`` (the figures' y-axis quantity)."""
-    return {
-        name: relative_to_baseline(
-            baseline.time(name), other.time(name)
-        )
-        for name in _common_kernels(baseline, other)
+    rel = {
+        name: relative_to_baseline(base, seconds)
+        for name, base, seconds in _pairs(baseline, other)
     }
+    if not rel:
+        raise ConfigError("results share no kernels")
+    return rel
 
 
 def class_summaries(
@@ -44,17 +70,12 @@ def class_summaries(
 ) -> dict[KernelClass, Summary]:
     """Class-level bar + whiskers of ``other`` relative to ``baseline``
     — one figure's worth of data."""
-    rel = kernel_relative(baseline, other)
-    out: dict[KernelClass, Summary] = {}
-    for klass in KernelClass:
-        values = [
-            rel[r.kernel_name]
-            for r in baseline.kernels_in_class(klass)
-            if r.kernel_name in rel
-        ]
-        if values:
-            out[klass] = summarize(values)
-    return out
+    return {
+        klass: summarize(values)
+        for klass, values in _by_class(
+            baseline, kernel_relative(baseline, other)
+        ).items()
+    }
 
 
 def class_speedups(
@@ -69,16 +90,13 @@ def class_speedups(
     if single_thread.config.threads != 1:
         raise ConfigError("baseline must be a single-thread run")
     threads = threaded.config.threads
+    speedups = {
+        name: speedup(t1, tp)
+        for name, t1, tp in _pairs(single_thread, threaded)
+    }
     out: dict[KernelClass, tuple[float, float]] = {}
-    for klass in KernelClass:
-        pairs = [
-            (r.seconds, threaded.time(r.kernel_name))
-            for r in single_thread.kernels_in_class(klass)
-            if r.kernel_name in threaded.runs
-        ]
-        if not pairs:
-            continue
-        s = arithmetic_mean([speedup(t1, tp) for t1, tp in pairs])
+    for klass, values in _by_class(single_thread, speedups).items():
+        s = arithmetic_mean(values)
         out[klass] = (s, parallel_efficiency(s, threads))
     return out
 
@@ -114,9 +132,9 @@ def failure_summary(result: SuiteResult) -> str:
     never as silently absent data.
     """
     if not result.failures:
-        return f"{result.cpu_name}: all {len(result.runs)} kernels ok"
+        return f"{result.cpu_name}: all {len(result.names)} kernels ok"
     lines = [
-        f"{result.cpu_name}: {len(result.runs)} kernels ok, "
+        f"{result.cpu_name}: {len(result.names)} kernels ok, "
         f"{len(result.failures)} failed"
     ]
     for record in result.failures:

@@ -38,8 +38,9 @@ folded or not, and a ``kernel.run`` span per kernel of the loop.
 from __future__ import annotations
 
 import math
+import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -94,34 +95,139 @@ class KernelRun:
     attempts: int = 1  # attempts it took under the retry policy
 
 
-@dataclass(frozen=True)
+#: Serializes the one-time build of a folded result's runs.
+_RUNS_LOCK = threading.Lock()
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class SuiteResult:
     """All kernel outcomes for one (machine, configuration) pair.
 
-    ``failures`` lists kernels that never produced a time under a
-    non-ABORT failure policy; reports render those as explicit gaps
-    instead of crashing.
+    The outcomes are held as three columns in kernel order: ``names``,
+    ``classes`` and ``seconds`` (run-averaged). ``time``,
+    ``class_means``, ``total_seconds`` and the reports
+    (:mod:`repro.suite.report`) read the columns. ``runs``, one
+    :class:`KernelRun` per kernel keyed by name, is built from a folded
+    suite's prefetched predictions when first read (once, also when
+    several threads read it together); a suite the per-kernel loop ran
+    holds its runs from the start.
+
+    ``SuiteResult(cpu_name, config, runs, failures=(), telemetry=None)``
+    builds a result from its runs. ``failures`` lists kernels that
+    never produced a time under a non-ABORT failure policy; reports
+    render those as explicit gaps instead of crashing. Equality is over
+    ``cpu_name``, ``config``, ``runs`` and ``failures``.
     """
 
     cpu_name: str
     config: RunConfig
-    runs: dict[str, KernelRun]
-    failures: tuple[FailureRecord, ...] = field(default_factory=tuple)
+    names: tuple[str, ...]
+    classes: tuple[KernelClass, ...]
+    seconds: tuple[float, ...]
+    failures: tuple[FailureRecord, ...] = ()
     #: Telemetry digest of this call (``None`` when telemetry was off):
     #: the spans it recorded on its thread, plus the session's metrics
     #: when it returned. Excluded from equality: identical results may
     #: carry different timings.
-    telemetry: "telemetry.TelemetrySummary | None" = field(
-        default=None, compare=False
-    )
+    telemetry: "telemetry.TelemetrySummary | None" = None
 
-    def __post_init__(self) -> None:
-        if not self.runs and not self.failures:
+    def __init__(
+        self,
+        cpu_name: str,
+        config: RunConfig,
+        runs: dict[str, KernelRun],
+        failures: tuple[FailureRecord, ...] = (),
+        telemetry: "telemetry.TelemetrySummary | None" = None,
+    ) -> None:
+        if not runs and not failures:
             raise ConfigError("suite result contains no kernels")
+        self._set(
+            cpu_name, config, tuple(runs),
+            tuple(run.klass for run in runs.values()),
+            tuple(run.seconds for run in runs.values()),
+            failures, telemetry, runs, None,
+        )
+
+    @classmethod
+    def _folded(
+        cls,
+        cpu_name: str,
+        config: RunConfig,
+        columns: tuple[tuple[str, ...], tuple[KernelClass, ...]],
+        seconds: list[float],
+        point: PointPrefetch,
+        telemetry: "telemetry.TelemetrySummary | None" = None,
+    ) -> SuiteResult:
+        """A folded suite: ``columns`` are its kernels' distinct names
+        and classes, ``seconds`` their run-averaged times, and ``point``
+        the prefetch its runs are built from when first read."""
+        result = object.__new__(cls)
+        result._set(
+            cpu_name, config, *columns, tuple(seconds), (), telemetry,
+            None, point,
+        )
+        return result
+
+    def _set(
+        self, cpu_name, config, names, classes, seconds, failures,
+        telemetry, runs, point,
+    ) -> None:
+        setattr_ = object.__setattr__
+        setattr_(self, "cpu_name", cpu_name)
+        setattr_(self, "config", config)
+        setattr_(self, "names", names)
+        setattr_(self, "classes", classes)
+        setattr_(self, "seconds", seconds)
+        setattr_(self, "failures", failures)
+        setattr_(self, "telemetry", telemetry)
+        setattr_(self, "_runs", runs)
+        setattr_(self, "_point", point)
+
+    @property
+    def runs(self) -> dict[str, KernelRun]:
+        """Each kernel's :class:`KernelRun`, keyed by name, in kernel
+        order."""
+        runs = self._runs
+        if runs is None:
+            with _RUNS_LOCK:
+                runs = self._runs
+                if runs is None:
+                    entries = self._point.prefetched()
+                    runs = {
+                        name: KernelRun(
+                            kernel_name=name,
+                            klass=klass,
+                            seconds=seconds,
+                            prediction=prediction,
+                            report=report,
+                        )
+                        for name, klass, seconds, (report, prediction) in zip(
+                            self.names, self.classes, self.seconds,
+                            entries.values(),
+                        )
+                    }
+                    object.__setattr__(self, "_runs", runs)
+                    object.__setattr__(self, "_point", None)
+        return runs
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self.cpu_name, self.config, self.runs, self.failures)
+            == (other.cpu_name, other.config, other.runs, other.failures)
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(cpu_name={self.cpu_name!r}, "
+            f"config={self.config!r}, runs={self.runs!r}, "
+            f"failures={self.failures!r}, telemetry={self.telemetry!r})"
+        )
 
     def time(self, kernel_name: str) -> float:
         key = kernel_name.upper()
-        if key not in self.runs:
+        if key not in self.names:
             failed = self.failed_kernels()
             if key in failed:
                 record = failed[key]
@@ -130,22 +236,23 @@ class SuiteResult:
                     f"{record.attempts} attempt(s): {record.message}"
                 )
             raise ConfigError(f"no result for kernel {kernel_name!r}")
-        return self.runs[key].seconds
-
-    def kernels_in_class(self, klass: KernelClass) -> list[KernelRun]:
-        return [r for r in self.runs.values() if r.klass == klass]
+        return self.seconds[self.names.index(key)]
 
     def class_means(self) -> dict[KernelClass, float]:
         """Mean kernel time per class (seconds)."""
         out: dict[KernelClass, float] = {}
         for klass in KernelClass:
-            members = self.kernels_in_class(klass)
+            members = [
+                seconds
+                for member, seconds in zip(self.classes, self.seconds)
+                if member is klass
+            ]
             if members:
-                out[klass] = arithmetic_mean([r.seconds for r in members])
+                out[klass] = arithmetic_mean(members)
         return out
 
     def total_seconds(self) -> float:
-        return sum(r.seconds for r in self.runs.values())
+        return sum(self.seconds)
 
     def failed_kernels(self) -> dict[str, FailureRecord]:
         """Failure records keyed by (upper-cased) kernel name."""
@@ -234,8 +341,8 @@ _DISABLED_REPORT = VectorizationReport(
 
 
 #: ``{kernel name: (report, prediction)}`` as
-#: :meth:`PointPrefetch.prefetched` produces it and
-#: :func:`_run_one_kernel` consumes it.
+#: :meth:`PointPrefetch.prefetched` produces it, and
+#: :func:`_run_one_kernel` and ``SuiteResult.runs`` consume it.
 _Prefetched = dict[str, tuple[VectorizationReport, "ExecutionResult | None"]]
 
 
@@ -312,15 +419,16 @@ def predicts_in_batch() -> bool:
 class PointPrefetch:
     """One grid point's share of :func:`grid_prefetch`.
 
-    ``seconds`` is the row a sweep folds: every kernel of the point's
-    job, in job order, as the batch pass predicted it, or ``None`` when
-    a kernel was dropped by a compile failure, the batch pass abstained
-    on one or the point was not predicted. :meth:`prefetched` builds the
-    ``{kernel name: (report, prediction)}`` dict :func:`run_suite`
-    takes, from row ``row`` of ``grid`` (or from ``predictions``, the
-    list :func:`~repro.perfmodel.batch.predict_batch` gave a point
-    predicted on its own, or with no prediction at all); a sweep asks
-    for it only for a point that goes through ``run_suite``.
+    ``seconds`` is the row a suite or sweep grid point folds: every
+    kernel of the point's job, in job order, as the batch pass predicted
+    it, or ``None`` when a kernel was dropped by a compile failure, the
+    batch pass abstained on one or the point was not predicted.
+    :meth:`prefetched` builds the ``{kernel name: (report,
+    prediction)}`` dict, from row ``row`` of ``grid`` (or from
+    ``predictions``, the list :func:`~repro.perfmodel.batch.predict_batch`
+    gave a point predicted on its own, or with no prediction at all). It
+    is asked for only by :func:`run_suite`'s per-kernel loop and by
+    ``SuiteResult.runs``, when a folded result's runs are first read.
     """
 
     compiler: Compiler
@@ -550,10 +658,10 @@ def fold_seconds(
     engine's validity mask and ``ExecutionResult`` both reject anything
     else). With noise, a product that is not gives up on the whole
     suite, so the loop raises the identical :class:`SimulationError`.
-    :func:`_bulk_runs` folds its prefetched predictions' seconds through
-    here; a sweep folds each grid point's row of seconds from
-    :func:`grid_prefetch`. A telemetry session or a checkpoint changes
-    what is recorded of a fold, never whether it is taken.
+    :func:`run_suite`, :func:`run_suites` and a sweep fold each
+    suite's, or grid point's, row of seconds from :func:`grid_prefetch`
+    through here. A telemetry session or a checkpoint changes what is
+    recorded of a fold, never whether it is taken.
     """
     if means is None:
         return seconds
@@ -564,41 +672,6 @@ def fold_seconds(
     return seconds
 
 
-def _bulk_runs(
-    kernels: list[Kernel],
-    prefetched: _Prefetched,
-    means: list[float] | None,
-) -> dict[str, KernelRun] | None:
-    """Assemble a whole suite's :class:`KernelRun`\\ s from a complete
-    prefetch, or ``None`` if any kernel needs the per-kernel loop: a
-    missing entry, a batch abstention, or a time
-    :func:`fold_seconds` rejects."""
-    entries = []
-    get = prefetched.get
-    for kernel in kernels:
-        entry = get(kernel.name)
-        if entry is None or entry[1] is None:
-            return None
-        entries.append(entry)
-    seconds = fold_seconds(
-        [prediction.seconds for _, prediction in entries], means
-    )
-    if seconds is None:
-        return None
-    return {
-        kernel.name: KernelRun(
-            kernel_name=kernel.name,
-            klass=kernel.klass,
-            seconds=run_seconds,
-            prediction=prediction,
-            report=report,
-        )
-        for kernel, (report, prediction), run_seconds in zip(
-            kernels, entries, seconds
-        )
-    }
-
-
 def run_suite(
     cpu: CPUModel,
     config: RunConfig,
@@ -607,7 +680,7 @@ def run_suite(
     policy: FailurePolicy = FailurePolicy.ABORT,
     retry: RetrySpec | None = None,
     caches: SuiteCaches | None = None,
-    prefetched: _Prefetched | None = None,
+    prefetched: PointPrefetch | None = None,
 ) -> SuiteResult:
     """Run (predict) the whole suite on ``cpu`` under ``config``.
 
@@ -630,17 +703,20 @@ def run_suite(
             (:func:`~repro.compiler.vectorizer.analyze_suite`) alone.
             Caching never changes results — every layer is keyed on
             everything its values depend on.
-        prefetched: Pre-computed ``{kernel name: (report, prediction)}``
-            from :meth:`PointPrefetch.prefetched` — a sweep passes this
-            so a whole grid is predicted in one pass. When given, the
-            suite's own :func:`grid_prefetch` call is skipped (the work,
-            compile resolution included, already happened grid-side).
+        prefetched: This configuration's :class:`PointPrefetch` from a
+            :func:`grid_prefetch` over many — :func:`run_suites` and a
+            sweep pass it so their configurations are predicted in one
+            pass. When given, the suite's own :func:`grid_prefetch`
+            call is skipped (the work, compile resolution included,
+            already happened grid-side).
 
     The whole kernel list is predicted in one vectorized pass
     (:func:`repro.perfmodel.batch.predict_batch`), or kernel by kernel
     through :func:`simulate_kernel` in the cases the module docstring
     names; either way the noise of all kernels is averaged in one
-    :func:`~repro.util.rng.noise_means` pass.
+    :func:`~repro.util.rng.noise_means` pass. A suite the fold takes
+    comes back as its three columns, and builds its runs only when
+    ``SuiteResult.runs`` is read.
     """
     kernels = suite() if kernels is None else list(kernels)
     if not kernels:
@@ -661,28 +737,32 @@ def run_suite(
         cores = assign_cores(cpu.topology, config.threads,
                              config.placement)
         spec = retry if retry is not None else RetrySpec()
-        if prefetched is None:
+        point = prefetched
+        if point is None:
             (point,) = grid_prefetch(
                 cpu, kernels, [(config, kernels)], caches
             )
-            prefetched = point.prefetched()
 
-        # One noise pass for the whole suite; the bulk fold and the
+        # One noise pass for the whole suite; the fold and the
         # per-kernel loop both multiply by its means.
         (means,) = _noise_means([(cpu, config, compiler, kernels)])
-        # Bulk fold: when every kernel arrived prefetched with a real
-        # prediction and no chaos plan can fault a kernel, the
-        # per-kernel policy loop below is pure assembly plus noise
-        # scaling — do both in one pass. Any kernel that would take a
-        # different branch (missing entry, no batch prediction,
-        # non-finite time) drops to the loop, so failure semantics stay
-        # byte-identical.
-        runs = (
-            _bulk_runs(kernels, prefetched, means)
-            if chaos.active_plan() is None else None
-        )
+        # Fold: when every kernel was batch-predicted and no chaos plan
+        # can fault a kernel, the per-kernel policy loop below is pure
+        # assembly plus noise scaling, so the suite is its row of
+        # seconds scaled by the means. Any kernel that would take a
+        # different branch (a compile failure, no batch prediction, a
+        # time that is not finite and positive) drops to the loop, so
+        # failure semantics stay byte-identical.
+        columns = _kernel_columns(kernels)
+        seconds = None
+        if (
+            point.seconds is not None and columns is not None
+            and chaos.active_plan() is None
+        ):
+            seconds = fold_seconds(point.seconds, means)
         failures: list[FailureRecord] = []
-        if runs is None:
+        if seconds is None:
+            entries = point.prefetched()
             runs = {}
             for i, kernel in enumerate(kernels):
                 mean = None if means is None else means[i]
@@ -695,11 +775,11 @@ def run_suite(
                         with rec.span("kernel.run", kernel=kernel.name):
                             runs[kernel.name] = _run_one_kernel(
                                 kernel, cpu, config, compiler, cores,
-                                prefetched, mean,
+                                entries, mean,
                             )
                     else:
                         runs[kernel.name] = _run_one_kernel(
-                            kernel, cpu, config, compiler, cores, prefetched,
+                            kernel, cpu, config, compiler, cores, entries,
                             mean,
                         )
                     continue
@@ -722,7 +802,7 @@ def run_suite(
                     with rec.span("retry", kernel=kernel.name) as retry_span:
                         run, engine_attempts = call_with_retry(
                             lambda k=kernel, m=mean: _run_one_kernel(
-                                k, cpu, config, compiler, cores, prefetched,
+                                k, cpu, config, compiler, cores, entries,
                                 m,
                             ),
                             RetrySpec(
@@ -750,7 +830,15 @@ def run_suite(
                             kernel.name, exc.last, exc.attempts + 1
                         )
                     )
-    return _suite_result(rec, mark, cpu, config, runs, failures)
+    if seconds is not None:
+        return SuiteResult._folded(
+            cpu.name, config, columns, seconds, point,
+            _summary(rec, mark, len(kernels)),
+        )
+    return SuiteResult(
+        cpu.name, config, runs, tuple(failures),
+        _summary(rec, mark, len(runs), len(failures)),
+    )
 
 
 def _suite_span(rec, cpu: CPUModel, config: RunConfig, kernels: int):
@@ -775,29 +863,43 @@ def _count_suite(kernel_runs: int, kernel_failures: int = 0):
     return reg
 
 
-def _suite_result(
-    rec,
-    mark: int | None,
-    cpu: CPUModel,
-    config: RunConfig,
-    runs: dict[str, KernelRun],
-    failures: Sequence[FailureRecord] = (),
-) -> SuiteResult:
-    """One suite's result. Under a session the suite is counted and the
-    result carries the summary of the spans its thread recorded since
-    ``mark``."""
-    summary = None
-    if rec.active:
-        summary = telemetry.TelemetrySummary.capture(
-            rec, _count_suite(len(runs), len(failures)), since=mark
-        )
-    return SuiteResult(
-        cpu_name=cpu.name,
-        config=config,
-        runs=runs,
-        failures=tuple(failures),
-        telemetry=summary,
+def _summary(
+    rec, mark: int | None, kernel_runs: int, kernel_failures: int = 0,
+) -> "telemetry.TelemetrySummary | None":
+    """The telemetry of one suite's result: ``None`` without a session;
+    under one the suite is counted, and the summary covers the spans
+    its thread recorded since ``mark``."""
+    if not rec.active:
+        return None
+    return telemetry.TelemetrySummary.capture(
+        rec, _count_suite(kernel_runs, kernel_failures), since=mark
     )
+
+
+def _record_fold(rec, cpu: CPUModel, config: RunConfig, kernels: int) -> int:
+    """Record the ``suite.run`` span of a fold that was taken, and
+    return the mark its summary reads from.
+
+    The fold is decided, and computed, before the span opens, so a fold
+    that gives up records no span of its own and leaves the suite's one
+    span to :func:`run_suite`."""
+    mark = rec.mark()
+    with _suite_span(rec, cpu, config, kernels):
+        pass
+    return mark
+
+
+def _kernel_columns(
+    kernels: Sequence[Kernel],
+) -> tuple[tuple[str, ...], tuple[KernelClass, ...]] | None:
+    """The ``names`` and ``classes`` columns of a folded suite over
+    ``kernels``, or ``None`` when a name repeats: runs are keyed by
+    name, so such a suite is left to the per-kernel loop, which keeps
+    one run per name."""
+    names = tuple(kernel.name for kernel in kernels)
+    if len(set(names)) != len(names):
+        return None
+    return names, tuple(kernel.klass for kernel in kernels)
 
 
 class SuiteRequest(NamedTuple):
@@ -836,20 +938,21 @@ def run_suites(
     configuration once and predicts the configurations that share a
     workload in one :func:`~repro.perfmodel.batch.predict_grid` pass.
     Every request whose grid row is complete is folded by
-    :func:`_bulk_runs`, with the noise of all of them drawn in one
-    :func:`_noise_means` call: one :func:`~repro.util.rng.noise_means`
-    draw per (``runs``, ``noise_sigma``). Under a telemetry session each
-    folded request records one ``suite.run`` span, is counted as
-    ``run_suite`` counts a suite, and its result carries the summary of
-    that span. A request goes through :func:`run_suite`, with its
-    prefetched entries, when the fold gives up on it (a configuration
-    that raises, a kernel that failed to compile, a batch abstention, a
-    time that is not finite and positive), and so does every distinct
-    request while a chaos plan or ``reference_mode()`` is active (where
-    the scalar model predicts each kernel), or on a machine that fails
-    validation. Those calls run in request order, so the first request
-    ``run_suite`` would fail on raises its error. Each result equals
-    ``run_suite``'s for the same request.
+    :func:`fold_seconds` into a result of three columns, with the noise
+    of all of them drawn in one :func:`_noise_means` call: one
+    :func:`~repro.util.rng.noise_means` draw per (``runs``,
+    ``noise_sigma``). Under a telemetry session each folded request
+    records one ``suite.run`` span, is counted as ``run_suite`` counts a
+    suite, and its result carries the summary of that span. A request
+    goes through :func:`run_suite`, with its :class:`PointPrefetch`,
+    when the fold gives up on it (a configuration that raises, a kernel
+    that failed to compile, a batch abstention, a time that is not
+    finite and positive, a kernel name given twice), and so does every
+    distinct request while a chaos plan or ``reference_mode()`` is
+    active (where the scalar model predicts each kernel), or on a
+    machine that fails validation. Those calls run in request order, so
+    the first request ``run_suite`` would fail on raises its error. Each
+    result equals ``run_suite``'s for the same request.
     """
     slots: dict[tuple[CPUModel, RunConfig, tuple[Kernel, ...]], int] = {}
     order = []
@@ -863,6 +966,7 @@ def run_suites(
     for i, (cpu, _, kernels) in enumerate(distinct):
         groups.setdefault((cpu, kernels), []).append(i)
     points: list[PointPrefetch | None] = [None] * len(distinct)
+    columns: list[tuple | None] = [None] * len(distinct)
     for (cpu, kernels), members in groups.items():
         if not _machine_valid(cpu):
             continue
@@ -871,13 +975,16 @@ def run_suites(
             cpu, kernel_list,
             [(distinct[i][1], kernel_list) for i in members], None,
         )
+        group_columns = _kernel_columns(kernels)
         for i, point in zip(members, prefetches):
             points[i] = point
+            columns[i] = group_columns
 
     results: list[SuiteResult | None] = [None] * len(distinct)
     folds = [
         i for i, point in enumerate(points)
         if point is not None and point.seconds is not None
+        and columns[i] is not None
     ]
     means = _noise_means([
         (distinct[i][0], distinct[i][1], points[i].compiler, distinct[i][2])
@@ -885,25 +992,25 @@ def run_suites(
     ])
     rec = telemetry.recorder()
     traced = rec.active
-    mark = None
     for i, suite_means in zip(folds, means):
         cpu, config, kernels = distinct[i]
-        prefetched = points[i].prefetched()
-        if traced:
-            mark = rec.mark()
-            with _suite_span(rec, cpu, config, len(kernels)):
-                runs = _bulk_runs(kernels, prefetched, suite_means)
-        else:
-            runs = _bulk_runs(kernels, prefetched, suite_means)
-        if runs is not None:
-            results[i] = _suite_result(rec, mark, cpu, config, runs)
+        point = points[i]
+        seconds = fold_seconds(point.seconds, suite_means)
+        if seconds is None:
+            continue
+        summary = (
+            _summary(
+                rec, _record_fold(rec, cpu, config, len(kernels)),
+                len(kernels),
+            )
+            if traced else None
+        )
+        results[i] = SuiteResult._folded(
+            cpu.name, config, columns[i], seconds, point, summary,
+        )
     for i, (cpu, config, kernels) in enumerate(distinct):
         if results[i] is None:
-            point = points[i]
-            results[i] = run_suite(
-                cpu, config, kernels,
-                prefetched=None if point is None else point.prefetched(),
-            )
+            results[i] = run_suite(cpu, config, kernels, prefetched=points[i])
     return [results[slot] for slot in order]
 
 

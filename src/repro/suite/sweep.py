@@ -60,7 +60,7 @@ from repro.suite.runner import (
     _count_suite,
     _machine_valid,
     _noise_means,
-    _suite_span,
+    _record_fold,
     fold_seconds,
     grid_prefetch,
     run_suite,
@@ -539,10 +539,12 @@ def _run_sweep(
         prefetches = grid_prefetch(cpu, kernel_list, jobs, caches)
 
     # Row fold: a prefetched grid point's row of seconds becomes its
-    # SweepRow directly, by the rule run_suite's bulk fold uses, with no
+    # SweepRow directly, by the rule run_suite's fold uses, with no
     # ExecutionResult or SuiteResult in between; a checkpoint records
-    # its kernels with one attempt each. An invalid machine raises from
-    # run_suite, once per point, exactly as before.
+    # its kernels with one attempt each. A fold is decided before its
+    # suite.run span opens, so a point the fold gives up on records only
+    # run_suite's span. An invalid machine raises from run_suite, once
+    # per point, exactly as before.
     fold = _machine_valid(cpu)
     cpu_name = cpu.name
     # Without a checkpoint every grid point runs every kernel.
@@ -552,14 +554,11 @@ def _run_sweep(
     for gp, job, prefetch in zip(grid, jobs, prefetches):
         if fold and prefetch is not None and prefetch.seconds is not None:
             config = job[0]
-            if traced:
-                with _suite_span(rec, cpu, config, len(gp.todo)):
-                    folded = _fold_row(cpu, config, prefetch, gp.todo)
-                if folded is not None:
-                    _count_suite(len(folded))
-            else:
-                folded = _fold_row(cpu, config, prefetch, gp.todo)
+            folded = _fold_row(cpu, config, prefetch, gp.todo)
             if folded is not None:
+                if traced:
+                    _record_fold(rec, cpu, config, len(gp.todo))
+                    _count_suite(len(folded))
                 if ckpt is None:
                     rows.append(SweepRow(
                         cpu_name, gp.threads, gp.placement, gp.precision,
@@ -578,9 +577,7 @@ def _run_sweep(
                 outcome = run_suite(
                     cpu, gp.config(runs, noise_sigma), kernels=gp.todo,
                     policy=policy, retry=retry, caches=caches,
-                    prefetched=(
-                        None if prefetch is None else prefetch.prefetched()
-                    ),
+                    prefetched=prefetch,
                 )
                 ran = [
                     (name, run.seconds, run.attempts)

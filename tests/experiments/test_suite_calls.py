@@ -6,6 +6,10 @@ for none of its suites, and draws the noise of all of them in one
 runs at sigma 0.02). ``fast=True`` runs are noise-free and draw nothing.
 The calls are counted wherever ``repro`` bound the two functions, so a
 module that calls either directly is counted too.
+
+The experiments read each kernel's time and class only, so a suite they
+fold stays its three columns: no experiment builds a ``KernelRun`` or
+asks a ``PointPrefetch`` for its predictions.
 """
 
 import sys
@@ -21,16 +25,20 @@ from tests.experiments.test_snapshot import SNAPSHOT_EXPERIMENTS
 SUITELESS = ("table4", "extension_mpi", "extension_yardsticks")
 
 
-def _count(monkeypatch, module, name) -> list:
-    """Count calls to ``module.name`` through every ``repro`` module
-    that holds it."""
-    real = getattr(module, name)
+def _count(monkeypatch, owner, name) -> list:
+    """Count calls to ``owner.name``: through every ``repro`` module
+    that holds it when ``owner`` is a module, else the class's
+    method."""
+    real = getattr(owner, name)
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, counting)
+        return calls
     for mod in list(sys.modules.values()):
         if (
             getattr(mod, "__name__", "").startswith("repro")
@@ -59,6 +67,14 @@ def test_one_noise_draw_and_no_run_suite_call(name, counted):
     ALL_EXPERIMENTS[name]()
     assert len(run_suite_calls) == 0
     assert len(draws) == (0 if name in SUITELESS else 1)
+
+
+@pytest.mark.parametrize("name", list(ALL_EXPERIMENTS))
+def test_no_kernel_run_and_no_prefetched_call(name, monkeypatch):
+    built = _count(monkeypatch, runner_mod.KernelRun, "__init__")
+    prefetched = _count(monkeypatch, runner_mod.PointPrefetch, "prefetched")
+    ALL_EXPERIMENTS[name]()
+    assert (len(built), len(prefetched)) == (0, 0)
 
 
 @pytest.mark.parametrize("name", SNAPSHOT_EXPERIMENTS)

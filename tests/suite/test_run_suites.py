@@ -98,7 +98,7 @@ def _mixed_requests():
 
 
 class TestEqualsRunSuite:
-    def test_mixed_requests(self, calls):
+    def test_mixed_requests(self, calls, per_kernel_loop):
         requests = _mixed_requests()
         results = run_suites(requests)
         assert calls["run_suite"] == []
@@ -116,6 +116,12 @@ class TestEqualsRunSuite:
         expected = [run_suite(*request) for request in requests]
         assert results == expected
         assert all(result.telemetry is None for result in results)
+        # Folded, noisy and noise-free alike, through run_suites and
+        # run_suite: the same results as the per-kernel loop's.
+        with per_kernel_loop():
+            looped = run_suites(requests)
+            looped_alone = [run_suite(*request) for request in requests]
+        assert looped == looped_alone == results
 
     def test_equal_requests_share_one_result(self):
         results = run_suites(_mixed_requests())
@@ -176,21 +182,29 @@ class TestFallbacks:
         # The 13 requests hold 11 distinct ones.
         assert len(calls["run_suite"]) == 11
 
-    def test_traced_session_runs_each_distinct_request(self):
-        # Folded or through the per-kernel loop (reference mode), each
-        # distinct request records one suite.run span and keeps a
-        # summary of its own; only the loop records kernel.run spans.
+    def test_traced_session_runs_each_distinct_request(
+        self, per_kernel_loop
+    ):
+        # Folded or through the per-kernel loop (reference mode, or a
+        # fold that gives up), each distinct request records one
+        # suite.run span and keeps a summary of its own; only the loop
+        # records kernel.run spans.
         requests = _mixed_requests()
         untraced = run_suites(requests)
         with telemetry.telemetry_session() as (recorder, _):
             results = run_suites(requests)
         with telemetry.telemetry_session() as (looped, _), reference_mode():
             referenced = run_suites(requests)
-        assert results == referenced == untraced
+        with telemetry.telemetry_session() as (gave_up, _):
+            with per_kernel_loop():
+                unfolded = run_suites(requests)
+        assert results == referenced == unfolded == untraced
         distinct = {id(result): result for result in results}.values()
+        looped_kernels = sum(len(r.runs) for r in distinct)
         for session, outcome, kernel_runs in (
             (recorder, results, 0),
-            (looped, referenced, sum(len(r.runs) for r in distinct)),
+            (looped, referenced, looped_kernels),
+            (gave_up, unfolded, looped_kernels),
         ):
             names = [record.name for record in session.records()]
             assert names.count("suite.run") == 11

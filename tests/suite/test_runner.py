@@ -1,6 +1,9 @@
 """Suite runner tests."""
 
-from dataclasses import replace
+import sys
+import threading
+import time
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -19,7 +22,12 @@ from repro.machine.vector import DType
 from repro.perfmodel.placement import reference_mode
 from repro.resilience.retry import FailureRecord, RetrySpec
 from repro.suite.config import RunConfig
-from repro.suite.runner import SuiteResult, run_suite, verify_kernel
+from repro.suite.runner import (
+    SuiteResult,
+    run_suite,
+    run_suites,
+    verify_kernel,
+)
 from repro.suite.sweep import sweep
 from repro.util.errors import ConfigError
 
@@ -220,6 +228,93 @@ class TestSuiteResultEdgeCases:
     def test_attempts_default_to_one(self, sg_result):
         assert all(r.attempts == 1 for r in sg_result.runs.values())
         assert sg_result.total_attempts() == 64
+
+
+class TestFoldedRuns:
+    """A folded result holds three columns and builds its runs on the
+    first read of ``runs``."""
+
+    CONFIG = RunConfig(threads=8, precision="fp32")
+
+    @pytest.fixture
+    def prefetched(self, monkeypatch):
+        """The ``PointPrefetch.prefetched`` calls, each made slow enough
+        for concurrent readers to overlap."""
+        calls = []
+        real = runner.PointPrefetch.prefetched
+
+        def slow(point):
+            calls.append(point)
+            time.sleep(0.01)
+            return real(point)
+
+        monkeypatch.setattr(runner.PointPrefetch, "prefetched", slow)
+        return calls
+
+    def test_columns_match_the_runs(self, sg2042, prefetched):
+        result = run_suite(sg2042, self.CONFIG)
+        assert prefetched == []
+        assert result.names == tuple(result.runs)
+        assert result.classes == tuple(
+            run.klass for run in result.runs.values()
+        )
+        assert result.seconds == tuple(
+            run.seconds for run in result.runs.values()
+        )
+
+    def test_two_reads_return_the_same_dict(self, sg2042, prefetched):
+        result = run_suite(sg2042, self.CONFIG)
+        assert result.runs is result.runs
+        assert len(prefetched) == 1
+
+    def test_concurrent_readers_build_the_runs_once(
+        self, sg2042, prefetched
+    ):
+        result = run_suite(sg2042, self.CONFIG)
+        barrier = threading.Barrier(8)
+        seen = []
+
+        def read():
+            barrier.wait(timeout=10)
+            seen.append(result.runs)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8
+        assert all(runs is seen[0] for runs in seen)
+        assert len(prefetched) == 1
+
+    def test_kernel_named_twice_keeps_one_run(self, sg2042):
+        kernels = [get_kernel(name) for name in ("TRIAD", "COPY", "TRIAD")]
+        result = run_suite(sg2042, self.CONFIG, kernels=kernels)
+        with reference_mode():
+            scalar = run_suite(sg2042, self.CONFIG, kernels=kernels)
+        assert result == scalar
+        assert result.names == ("TRIAD", "COPY")
+        assert run_suites([(sg2042, self.CONFIG, kernels)]) == [result]
+
+    @pytest.mark.parametrize("name", [
+        "cpu_name", "config", "names", "classes", "seconds", "failures",
+        "telemetry", "runs",
+    ])
+    def test_fields_are_frozen(self, sg2042, name):
+        folded = run_suite(sg2042, self.CONFIG)
+        built = SuiteResult(
+            folded.cpu_name, folded.config, dict(folded.runs)
+        )
+        assert built == folded
+        for result in (folded, built):
+            with pytest.raises(FrozenInstanceError):
+                setattr(result, name, None)
 
 
 class TestVerifyKernel:

@@ -92,16 +92,22 @@ class TestFoldSkipsRunSuite:
         _grid_sweep(sg2042, runs=5, noise_sigma=0.05)
         assert run_suite_calls == []
 
+    @pytest.mark.parametrize("gives_up", [False, True])
     def test_traced_sweep_runs_each_grid_point(
-        self, sg2042, run_suite_calls
+        self, sg2042, run_suite_calls, per_kernel_loop, gives_up
     ):
-        # Each grid point runs once, as a fold: one suite.run span, no
-        # run_suite call.
+        # Each grid point runs once, with one suite.run span: as a fold,
+        # with no run_suite call, or, where the fold gives up, through
+        # run_suite alone.
         with telemetry_session() as (rec, _):
-            _grid_sweep(sg2042)
+            if gives_up:
+                with per_kernel_loop():
+                    _grid_sweep(sg2042)
+            else:
+                _grid_sweep(sg2042)
         names = [record.name for record in rec.records()]
         assert names.count("suite.run") == 2 * 2 * 2
-        assert run_suite_calls == []
+        assert len(run_suite_calls) == (2 * 2 * 2 if gives_up else 0)
 
     @pytest.mark.parametrize("mode", ["reference", "chaos"])
     def test_other_paths_run_each_grid_point(

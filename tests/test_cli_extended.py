@@ -143,6 +143,24 @@ class TestGridFlags:
         assert "--threads" in lines[0]
         assert "Traceback" not in proc.stderr
 
+    def test_reader_closing_early_exits_quietly(self, tmp_path):
+        # 183 kB of table: more than the pipe holds, so the sweep is
+        # still writing when its reader goes away.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "sweep", "--cpu", "sg2042",
+             "--kernels", "all", "--threads", "1,2,4,8,16,32,64",
+             "--placements", "block,cyclic,cluster",
+             "--precisions", "fp32,fp64"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=_SRC),
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert stderr == b""
+
     @pytest.mark.parametrize("command", [["sweep"], ["trace", "sweep"]])
     @pytest.mark.parametrize("flag, value", [
         ("--threads", "0"), ("--placements", "foo"),
