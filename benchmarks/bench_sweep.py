@@ -60,6 +60,13 @@ the ``--reduced`` CI grid, whose runs are too quick to amortize fixed
 costs). Results land in ``BENCH_sweep.json`` next to the repo root to
 extend the perf trajectory.
 
+The times are the host's wall times, unscaled, and a shared virtual
+machine's speed moves between runs, so the record also holds
+perfbench's host probe (:func:`host_probe` of ``perfbench/common.py``,
+seconds for a fixed pure-Python workload), taken before and after the
+timed phases. Compare two records by their speedup ratios, or by their
+times divided by the probe.
+
 Run directly (``python benchmarks/bench_sweep.py [--reduced]``) or via
 pytest.
 """
@@ -67,6 +74,7 @@ pytest.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import itertools
 import json
 import sys
@@ -91,6 +99,9 @@ REDUCED_THREADS = (1, 8, 64)
 PLACEMENTS = (Placement.BLOCK, Placement.CYCLIC)
 PRECISIONS = (Precision.FP32, Precision.FP64)
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
+PERFBENCH_COMMON = (
+    Path(__file__).resolve().parent.parent / "perfbench" / "common.py"
+)
 
 #: Timing attempts per variant; the best is reported (measured-mode
 #: recipe: best-of is far less noise-sensitive than a single shot).
@@ -386,6 +397,18 @@ def _best_of(make_run, runs: int = BENCH_RUNS):
     return _best_of_rounds({None: make_run}, runs)[None]
 
 
+def _host_probe():
+    """perfbench's ``host_probe``, loaded from ``perfbench/common.py``
+    (a script directory, not a package): one call times a fixed
+    pure-Python workload on this host, now."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_common", PERFBENCH_COMMON
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.host_probe
+
+
 def _grid(reduced: bool) -> dict:
     return {
         "threads": REDUCED_THREADS if reduced else FULL_THREADS,
@@ -401,6 +424,8 @@ def run_benchmark(reduced: bool = False) -> dict:
     grid = _grid(reduced)
     floor = 1.5 if reduced else 5.0
     cold_floor = 1.5 if reduced else 3.2
+    host_probe = _host_probe()
+    probe_before = host_probe()
 
     def run_reference():
         with reference_mode():
@@ -566,6 +591,7 @@ def run_benchmark(reduced: bool = False) -> dict:
         f"a traced sweep recorded {span_names.count('suite.run')} "
         f"suite.run spans over {configs} grid points"
     )
+    probe_after = host_probe()
 
     return {
         "benchmark": "sweep_fastpath",
@@ -597,6 +623,10 @@ def run_benchmark(reduced: bool = False) -> dict:
         "telemetry_overhead": telemetry_overhead,
         "traced_cold_batch_seconds": round(traced_seconds, 6),
         "traced_cold_batch_spans": len(span_names),
+        "host_probe_seconds": {
+            "before": round(probe_before, 6),
+            "after": round(probe_after, 6),
+        },
     }
 
 
@@ -649,7 +679,10 @@ def _report(record: dict) -> str:
         f"{record['telemetry_overhead']['budget_fraction']:.0%}); "
         f"traced cold batch: "
         f"{record['traced_cold_batch_seconds'] * 1e3:.1f} ms, "
-        f"{record['traced_cold_batch_spans']} spans"
+        f"{record['traced_cold_batch_spans']} spans\n"
+        f"  host probe: {record['host_probe_seconds']['before'] * 1e3:.2f}"
+        f" ms before, {record['host_probe_seconds']['after'] * 1e3:.2f} ms"
+        f" after (compare records by speedups, or by times / probe)"
     )
 
 

@@ -26,13 +26,16 @@ or :func:`~repro.perfmodel.placement.reference_mode` is active (one
 rule, :func:`predicts_in_batch`, decides this for suites and sweeps),
 and for each kernel the batch pass abstains on.
 
-``run_suite``, ``run_suites`` and :func:`~repro.suite.sweep.sweep`
-share one prefetcher, :func:`grid_prefetch`, and one fold rule,
-:func:`fold_seconds`: a suite whose every kernel was batch-predicted
-becomes its result in one pass, and only a suite the fold gives up on
-runs the per-kernel policy loop. A telemetry session changes what is
-recorded, not which code computes: one ``suite.run`` span per suite,
-folded or not, and a ``kernel.run`` span per kernel of the loop.
+One body computes ``run_suite``'s one request and ``run_suites``'
+many, and :func:`~repro.suite.sweep.sweep`'s grid goes through the same
+two steps. :func:`_fold` is the only code that prefetches
+(:func:`grid_prefetch`), draws noise and folds (:func:`fold_seconds`):
+a suite whose every kernel was batch-predicted becomes its result in
+one pass. :func:`_run_loop` is the only per-kernel policy loop, and
+runs only a suite the fold gives up on. A telemetry session changes
+what is recorded, not which code computes: one ``suite.run`` span per
+suite (a taken fold's is short), and a ``kernel.run`` span per kernel
+of the loop.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from __future__ import annotations
 import math
 import threading
 import time
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from dataclasses import dataclass, replace
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -226,17 +229,18 @@ class SuiteResult:
         )
 
     def time(self, kernel_name: str) -> float:
-        key = kernel_name.upper()
-        if key not in self.names:
-            failed = self.failed_kernels()
-            if key in failed:
-                record = failed[key]
+        """The run-averaged seconds of the kernel named ``kernel_name``,
+        by :func:`kernel_named`'s rule."""
+        name = kernel_named(kernel_name, self.names)
+        if name is None:
+            record = self.failed_kernels().get(kernel_name.upper())
+            if record is not None:
                 raise ConfigError(
                     f"kernel {kernel_name!r} failed after "
                     f"{record.attempts} attempt(s): {record.message}"
                 )
             raise ConfigError(f"no result for kernel {kernel_name!r}")
-        return self.seconds[self.names.index(key)]
+        return self.seconds[self.names.index(name)]
 
     def class_means(self) -> dict[KernelClass, float]:
         """Mean kernel time per class (seconds)."""
@@ -264,6 +268,18 @@ class SuiteResult:
             sum(r.attempts for r in self.runs.values())
             + sum(f.attempts for f in self.failures)
         )
+
+
+def kernel_named(name: str, names: Collection[str]) -> str | None:
+    """The name in ``names`` that ``name`` looks up: ``name`` itself
+    when present, else the first that equals it case-insensitively
+    (registry names are upper case, so ``"triad"`` finds ``TRIAD``),
+    else ``None``. A result keys its kernels by ``Kernel.name`` as
+    given, so a kernel renamed ``"triad_v2"`` is found by that name."""
+    if name in names:
+        return name
+    key = name.upper()
+    return next((other for other in names if other.upper() == key), None)
 
 
 def _noise_means(
@@ -392,17 +408,6 @@ def _resolve_suite_reports(
     return resolved, reports
 
 
-@dataclass
-class _PrefetchPlan:
-    """One configuration's prediction work."""
-
-    cores: tuple[int, ...]
-    precision: DType
-    kernels: Sequence[Kernel]
-    reports: Sequence[VectorizationReport]
-    sizes: tuple[int, ...] | None
-
-
 def predicts_in_batch() -> bool:
     """Whether a suite's kernels are predicted in one batch pass.
 
@@ -417,22 +422,30 @@ def predicts_in_batch() -> bool:
 
 @dataclass
 class PointPrefetch:
-    """One grid point's share of :func:`grid_prefetch`.
+    """One grid point's share of :func:`grid_prefetch`: its
+    configuration's prediction work and what the batch pass made of it.
 
-    ``seconds`` is the row a suite or sweep grid point folds: every
-    kernel of the point's job, in job order, as the batch pass predicted
-    it, or ``None`` when a kernel was dropped by a compile failure, the
-    batch pass abstained on one or the point was not predicted.
-    :meth:`prefetched` builds the ``{kernel name: (report,
-    prediction)}`` dict, from row ``row`` of ``grid`` (or from
-    ``predictions``, the list :func:`~repro.perfmodel.batch.predict_batch`
-    gave a point predicted on its own, or with no prediction at all). It
-    is asked for only by :func:`run_suite`'s per-kernel loop and by
-    ``SuiteResult.runs``, when a folded result's runs are first read.
+    The work: the ``compiler`` and ``cores`` the configuration resolved
+    to, its ``precision``, the job's ``kernels`` that compiled with
+    their ``reports``, and their problem ``sizes``. ``seconds`` is the
+    row a suite or sweep grid point folds: every kernel of the point's
+    job, in job order, as the batch pass predicted it, or ``None`` when
+    a kernel was dropped by a compile failure, the batch pass abstained
+    on one or the point was not predicted. :meth:`prefetched` builds the
+    ``{kernel name: (report, prediction)}`` dict, from row ``row`` of
+    ``grid`` (or from ``predictions``, the list
+    :func:`~repro.perfmodel.batch.predict_batch` gave a point predicted
+    on its own, or with no prediction at all). It is asked for only by
+    the per-kernel loop (:func:`_run_loop`) and by ``SuiteResult.runs``,
+    when a folded result's runs are first read.
     """
 
     compiler: Compiler
-    plan: _PrefetchPlan
+    cores: tuple[int, ...]
+    precision: DType
+    kernels: Sequence[Kernel]
+    reports: Sequence[VectorizationReport]
+    sizes: tuple[int, ...] | None
     seconds: list[float] | None = None
     grid: GridPrediction | None = None
     row: int = 0
@@ -448,26 +461,25 @@ class PointPrefetch:
         if self.grid is not None:
             predictions = self.grid.results(self.row)
         else:
-            predictions = self.predictions or [None] * len(
-                self.plan.kernels
-            )
+            predictions = self.predictions or [None] * len(self.kernels)
         return {
             kernel.name: (report, prediction)
             for kernel, report, prediction in zip(
-                self.plan.kernels, self.plan.reports, predictions
+                self.kernels, self.reports, predictions
             )
         }
 
 
 def grid_prefetch(
     cpu: CPUModel,
-    kernels: list[Kernel],
+    kernels: Sequence[Kernel],
     jobs: list[tuple[RunConfig, list[Kernel]] | None],
     caches: SuiteCaches | None,
 ) -> list[PointPrefetch | None]:
     """Batch-prefetch configurations ahead of their suite runs: a
-    sweep's grid, one machine's :func:`run_suites` requests or one
-    :func:`run_suite` call.
+    sweep's grid, or the requests on one machine and kernel list of a
+    :func:`run_suites` or :func:`run_suite` call. Only :func:`_fold`
+    calls it.
 
     ``jobs`` carries one ``(config, kernels)`` pair per grid point (or
     ``None`` for points the sweep wants skipped), each job's kernels a
@@ -481,19 +493,17 @@ def grid_prefetch(
     pin the same cores included — and a workload with one
     configuration through :func:`~repro.perfmodel.batch.predict_batch`.
 
-    Each returned :class:`PointPrefetch` hands its grid point the
-    compiler its configuration resolved to, its plan and its row of
-    seconds; no ``ExecutionResult`` is built for a grid row until
-    :meth:`PointPrefetch.prefetched` asks for one. Where
-    :func:`predicts_in_batch` says no (a chaos plan,
+    Each returned :class:`PointPrefetch` hands its grid point its
+    configuration's work and its row of seconds; no ``ExecutionResult``
+    is built for a grid row until :meth:`PointPrefetch.prefetched` asks
+    for one. Where :func:`predicts_in_batch` says no (a chaos plan,
     ``reference_mode()``) only the reports are resolved: each point's
-    entries carry no prediction, and its ``run_suite`` predicts
+    entries carry no prediction, and its per-kernel loop predicts
     kernel by kernel.
 
     A ``None`` entry in the result means this configuration could not
     be planned here (e.g. its placement or compiler resolution raises);
-    its :func:`run_suite` call then raises the authoritative error
-    before it would prefetch.
+    its :func:`_run_loop` then raises the authoritative error.
     """
     out: list[PointPrefetch | None] = [None] * len(jobs)
     predict = predicts_in_batch()
@@ -513,8 +523,8 @@ def grid_prefetch(
                 cpu.topology, config.threads, config.placement
             )
         except ReproError:
-            # Leave this point to run_suite, which reproduces the error
-            # under its own policy handling.
+            # Leave this point to the per-kernel loop, which reproduces
+            # the error under its own policy handling.
             continue
         key = (compiler, config.vectorize, config.flavor, config.rollback)
         resolution = resolutions.get(key)
@@ -531,14 +541,10 @@ def grid_prefetch(
             # A checkpoint restored part of this point.
             resolved = [k for k in todo if k.name in by_name]
             reports = [by_name[k.name] for k in resolved]
-        plan = _PrefetchPlan(
-            cores=cores,
-            precision=config.precision,
-            kernels=resolved,
-            reports=reports,
-            sizes=scaled_sizes(resolved, config.size_scale),
+        out[i] = PointPrefetch(
+            compiler, cores, config.precision, resolved, reports,
+            scaled_sizes(resolved, config.size_scale),
         )
-        out[i] = PointPrefetch(compiler, plan)
         if predict and resolved:
             # Workload identity: one compile configuration fixes each
             # kernel's report, and the scale its size.
@@ -547,20 +553,19 @@ def grid_prefetch(
             ).append(i)
 
     for idxs in buckets.values():
-        first = out[idxs[0]].plan
+        first = out[idxs[0]]
         if len(idxs) == 1:
-            point = out[idxs[0]]
-            point.predictions = predict_batch(
+            first.predictions = predict_batch(
                 cpu, first.kernels, first.cores, first.precision,
                 first.reports, first.sizes,
             )
-            if all(p is not None for p in point.predictions):
-                point.seconds = [p.seconds for p in point.predictions]
+            if all(p is not None for p in first.predictions):
+                first.seconds = [p.seconds for p in first.predictions]
             continue
         grid = predict_grid(
             cpu, first.kernels,
-            [out[i].plan.cores for i in idxs],
-            [out[i].plan.precision for i in idxs],
+            [out[i].cores for i in idxs],
+            [out[i].precision for i in idxs],
             first.reports, first.sizes,
         )
         abstained = grid.invalid.any(axis=1).tolist()
@@ -575,7 +580,7 @@ def grid_prefetch(
     # A kernel dropped by a compile failure has no entry in its point's
     # row, which then covers only part of the job.
     for point, job in zip(out, jobs):
-        if point is not None and len(point.plan.kernels) != len(job[1]):
+        if point is not None and len(point.kernels) != len(job[1]):
             point.seconds = None
     return out
 
@@ -650,18 +655,18 @@ def fold_seconds(
 
     ``seconds`` holds one batch prediction's ``seconds`` per kernel of
     a suite whose every kernel was predicted. The rule of
-    :func:`_run_one_kernel` for such a kernel, under the caller-checked
-    precondition that no chaos plan can fault it: a run is its predicted
-    seconds times its kernel's noise mean, finite and positive. Without
-    noise the row is returned as it is: a prediction, and a grid row
-    with no ``invalid`` cell, is finite and positive already (the batch
-    engine's validity mask and ``ExecutionResult`` both reject anything
-    else). With noise, a product that is not gives up on the whole
-    suite, so the loop raises the identical :class:`SimulationError`.
-    :func:`run_suite`, :func:`run_suites` and a sweep fold each
-    suite's, or grid point's, row of seconds from :func:`grid_prefetch`
-    through here. A telemetry session or a checkpoint changes what is
-    recorded of a fold, never whether it is taken.
+    :func:`_run_one_kernel` for such a kernel, under the precondition
+    that no chaos plan can fault it (a row is complete only where
+    :func:`predicts_in_batch` let the batch engine predict it): a run is
+    its predicted seconds times its kernel's noise mean, finite and
+    positive. Without noise the row is returned as it is: a prediction,
+    and a grid row with no ``invalid`` cell, is finite and positive
+    already (the batch engine's validity mask and ``ExecutionResult``
+    both reject anything else). With noise, a product that is not gives
+    up on the whole suite, so the loop raises the identical
+    :class:`SimulationError`. Only :func:`_fold` calls it. A telemetry
+    session or a checkpoint changes what is recorded of a fold, never
+    whether it is taken.
     """
     if means is None:
         return seconds
@@ -672,169 +677,153 @@ def fold_seconds(
     return seconds
 
 
-def run_suite(
+def _fold(
+    groups: Sequence[tuple[
+        CPUModel, Sequence[Kernel],
+        Sequence[tuple[RunConfig, Sequence[Kernel]] | None],
+    ]],
+    caches: SuiteCaches | None,
+) -> list[list[tuple[PointPrefetch | None, list[float] | None]]]:
+    """Prefetch, draw noise and fold: the one place where suites, and
+    sweep grid points, are computed together.
+
+    A group is ``(cpu, kernels, jobs)``: the requests of one
+    :func:`run_suites` or :func:`run_suite` call on one machine and
+    kernel list, or a sweep's whole grid, checkpoint subsets included.
+    A job is ``(config, kernels)``, its kernels a subsequence of the
+    group's, or ``None``.
+
+    Each group on a valid machine gets one :func:`grid_prefetch`;
+    validity is asked of :func:`_machine_valid` once per machine
+    object. Every
+    job whose row of seconds is complete, in every group, shares one
+    :func:`_noise_means` call and is folded by :func:`fold_seconds`.
+
+    Returns each group's jobs' ``(prefetch, seconds)``: the job's
+    :class:`PointPrefetch` (``None`` where it could not be planned) and
+    its run-averaged seconds, or ``None`` where it needs the per-kernel
+    loop (:func:`_run_loop`).
+    """
+    verdicts: dict[int, bool] = {}
+    out: list[list[tuple[PointPrefetch | None, list[float] | None]]] = []
+    complete: list[tuple[list, int]] = []
+    suites = []
+    for cpu, kernels, jobs in groups:
+        if id(cpu) not in verdicts:
+            verdicts[id(cpu)] = _machine_valid(cpu)
+        points = (
+            grid_prefetch(cpu, kernels, jobs, caches)
+            if verdicts[id(cpu)] else [None] * len(jobs)
+        )
+        folds = []
+        for point, job in zip(points, jobs):
+            if point is not None and point.seconds is not None:
+                complete.append((folds, len(folds)))
+                suites.append((cpu, job[0], point.compiler, job[1]))
+            folds.append((point, None))
+        out.append(folds)
+    for (folds, j), means in zip(complete, _noise_means(suites)):
+        point = folds[j][0]
+        folds[j] = (point, fold_seconds(point.seconds, means))
+    return out
+
+
+def _run_loop(
     cpu: CPUModel,
     config: RunConfig,
-    kernels: list[Kernel] | None = None,
-    *,
-    policy: FailurePolicy = FailurePolicy.ABORT,
-    retry: RetrySpec | None = None,
-    caches: SuiteCaches | None = None,
-    prefetched: PointPrefetch | None = None,
+    kernels: Sequence[Kernel],
+    point: PointPrefetch | None,
+    policy: FailurePolicy,
+    retry: RetrySpec | None,
+    mark: int | None,
 ) -> SuiteResult:
-    """Run (predict) the whole suite on ``cpu`` under ``config``.
+    """The per-kernel policy loop: one suite, each kernel isolated
+    under ``policy`` (``retry`` is the RETRY budget, ``RetrySpec()``
+    when ``None``), in one ``suite.run`` span.
 
-    Args:
-        cpu: Machine model (re-validated before the run).
-        config: The run configuration.
-        kernels: Subset to run; defaults to the whole suite
-            (:func:`~repro.kernels.registry.suite`). A suite kernel's
-            compile report and prelude are rows of the compile and
-            batch tables, held once per configuration whatever list
-            or instance it arrives in.
-        policy: What a kernel failure does to the rest of the suite —
-            ABORT (default, historical behaviour), SKIP (record and
-            continue) or RETRY (retry per ``retry``, then record).
-        retry: Attempt/backoff budget for the RETRY policy; defaults to
-            ``RetrySpec()`` (3 retries, no sleeping). Ignored otherwise.
-        caches: The store tier of the suite's compile reports
-            (:meth:`SuiteCaches.persistent`). ``None`` (the default)
-            resolves them through the in-process compile table
-            (:func:`~repro.compiler.vectorizer.analyze_suite`) alone.
-            Caching never changes results — every layer is keyed on
-            everything its values depend on.
-        prefetched: This configuration's :class:`PointPrefetch` from a
-            :func:`grid_prefetch` over many — :func:`run_suites` and a
-            sweep pass it so their configurations are predicted in one
-            pass. When given, the suite's own :func:`grid_prefetch`
-            call is skipped (the work, compile resolution included,
-            already happened grid-side).
-
-    The whole kernel list is predicted in one vectorized pass
-    (:func:`repro.perfmodel.batch.predict_batch`), or kernel by kernel
-    through :func:`simulate_kernel` in the cases the module docstring
-    names; either way the noise of all kernels is averaged in one
-    :func:`~repro.util.rng.noise_means` pass. A suite the fold takes
-    comes back as its three columns, and builds its runs only when
-    ``SuiteResult.runs`` is read.
+    It raises as :func:`run_suite` does, in this order: an empty kernel
+    list, then :func:`validate_cpu`, the chaos ``MACHINE`` site, the
+    compiler resolution and :func:`assign_cores`. Each kernel takes its
+    report and prediction from ``point``, :func:`_fold`'s prefetch
+    (``None`` where none was made), and the scalar model predicts a
+    kernel the batch pass did not. It draws the suite's noise itself,
+    and never prefetches or folds. Under a telemetry session the
+    result's summary covers the spans recorded since ``mark``.
     """
-    kernels = suite() if kernels is None else list(kernels)
     if not kernels:
         raise ConfigError("kernel list is empty")
-    if isinstance(policy, str):
-        policy = FailurePolicy.from_label(policy)
     rec = telemetry.recorder()
     # One boolean, hoisted out of the per-kernel loop: the telemetry-off
     # path pays a local-variable check per kernel, nothing more.
     traced = rec.active
-    # The summary covers this call's spans only, so its cost does not
-    # grow with the session's age.
-    mark = rec.mark() if traced else None
+    spec = retry if retry is not None else RetrySpec()
+    runs: dict[str, KernelRun] = {}
+    failures: list[FailureRecord] = []
     with _suite_span(rec, cpu, config, len(kernels)):
         validate_cpu(cpu)
         chaos.raise_if_fault(FaultSite.MACHINE)
         compiler = config.resolve_compiler(cpu)
         cores = assign_cores(cpu.topology, config.threads,
                              config.placement)
-        spec = retry if retry is not None else RetrySpec()
-        point = prefetched
-        if point is None:
-            (point,) = grid_prefetch(
-                cpu, kernels, [(config, kernels)], caches
-            )
-
-        # One noise pass for the whole suite; the fold and the
-        # per-kernel loop both multiply by its means.
         (means,) = _noise_means([(cpu, config, compiler, kernels)])
-        # Fold: when every kernel was batch-predicted and no chaos plan
-        # can fault a kernel, the per-kernel policy loop below is pure
-        # assembly plus noise scaling, so the suite is its row of
-        # seconds scaled by the means. Any kernel that would take a
-        # different branch (a compile failure, no batch prediction, a
-        # time that is not finite and positive) drops to the loop, so
-        # failure semantics stay byte-identical.
-        columns = _kernel_columns(kernels)
-        seconds = None
-        if (
-            point.seconds is not None and columns is not None
-            and chaos.active_plan() is None
-        ):
-            seconds = fold_seconds(point.seconds, means)
-        failures: list[FailureRecord] = []
-        if seconds is None:
-            entries = point.prefetched()
-            runs = {}
-            for i, kernel in enumerate(kernels):
-                mean = None if means is None else means[i]
-                # First attempt runs inline for every policy: the fault-free
-                # path pays only this try/except, keeping the hardened
-                # runner seed-identical and essentially free next to the
-                # legacy one.
-                try:
-                    if traced:
-                        with rec.span("kernel.run", kernel=kernel.name):
-                            runs[kernel.name] = _run_one_kernel(
-                                kernel, cpu, config, compiler, cores,
-                                entries, mean,
-                            )
-                    else:
+        entries = {} if point is None else point.prefetched()
+        for i, kernel in enumerate(kernels):
+            mean = None if means is None else means[i]
+            # First attempt runs inline for every policy: the fault-free
+            # path pays only this try/except, keeping the hardened
+            # runner seed-identical and essentially free next to the
+            # legacy one.
+            try:
+                if traced:
+                    with rec.span("kernel.run", kernel=kernel.name):
                         runs[kernel.name] = _run_one_kernel(
-                            kernel, cpu, config, compiler, cores, entries,
-                            mean,
+                            kernel, cpu, config, compiler, cores,
+                            entries, mean,
                         )
-                    continue
-                except ReproError as exc:
-                    if policy is FailurePolicy.ABORT:
-                        raise
-                    if policy is FailurePolicy.SKIP or spec.max_retries == 0:
-                        failures.append(
-                            FailureRecord.from_exception(kernel.name, exc, 1)
-                        )
-                        continue
-                # RETRY: attempt 1 is spent; sleep the first backoff here,
-                # then hand the rest of the budget to the retry engine (its
-                # attempt k is overall attempt k + 1, so its backoff base
-                # advances one step to keep the exponential schedule intact).
-                first_pause = spec.backoff_seconds(1)
-                if first_pause > 0:
-                    time.sleep(first_pause)
-                try:
-                    with rec.span("retry", kernel=kernel.name) as retry_span:
-                        run, engine_attempts = call_with_retry(
-                            lambda k=kernel, m=mean: _run_one_kernel(
-                                k, cpu, config, compiler, cores, entries,
-                                m,
-                            ),
-                            RetrySpec(
-                                max_retries=spec.max_retries - 1,
-                                backoff_base_s=(
-                                    spec.backoff_base_s * spec.backoff_factor
-                                ),
-                                backoff_factor=spec.backoff_factor,
-                                deadline_s=spec.deadline_s,
-                                jitter=spec.jitter,
-                            ),
-                        )
-                        retry_span.set(attempts=engine_attempts + 1)
-                    runs[kernel.name] = KernelRun(
-                        kernel_name=run.kernel_name,
-                        klass=run.klass,
-                        seconds=run.seconds,
-                        prediction=run.prediction,
-                        report=run.report,
-                        attempts=engine_attempts + 1,
+                else:
+                    runs[kernel.name] = _run_one_kernel(
+                        kernel, cpu, config, compiler, cores, entries,
+                        mean,
                     )
-                except RetryExhaustedError as exc:
+                continue
+            except ReproError as exc:
+                if policy is FailurePolicy.ABORT:
+                    raise
+                if policy is FailurePolicy.SKIP or spec.max_retries == 0:
                     failures.append(
-                        FailureRecord.from_exception(
-                            kernel.name, exc.last, exc.attempts + 1
-                        )
+                        FailureRecord.from_exception(kernel.name, exc, 1)
                     )
-    if seconds is not None:
-        return SuiteResult._folded(
-            cpu.name, config, columns, seconds, point,
-            _summary(rec, mark, len(kernels)),
-        )
+                    continue
+            # RETRY: attempt 1 is spent; sleep the first backoff here,
+            # then hand the rest of the budget to the retry engine (its
+            # attempt k is overall attempt k + 1, so its backoff base
+            # advances one step to keep the exponential schedule intact).
+            first_pause = spec.backoff_seconds(1)
+            if first_pause > 0:
+                time.sleep(first_pause)
+            try:
+                with rec.span("retry", kernel=kernel.name) as retry_span:
+                    run, engine_attempts = call_with_retry(
+                        lambda k=kernel, m=mean: _run_one_kernel(
+                            k, cpu, config, compiler, cores, entries, m,
+                        ),
+                        replace(
+                            spec, max_retries=spec.max_retries - 1,
+                            backoff_base_s=(
+                                spec.backoff_base_s * spec.backoff_factor
+                            ),
+                        ),
+                    )
+                    retry_span.set(attempts=engine_attempts + 1)
+                runs[kernel.name] = replace(
+                    run, attempts=engine_attempts + 1
+                )
+            except RetryExhaustedError as exc:
+                failures.append(
+                    FailureRecord.from_exception(
+                        kernel.name, exc.last, exc.attempts + 1
+                    )
+                )
     return SuiteResult(
         cpu.name, config, runs, tuple(failures),
         _summary(rec, mark, len(runs), len(failures)),
@@ -842,8 +831,9 @@ def run_suite(
 
 
 def _suite_span(rec, cpu: CPUModel, config: RunConfig, kernels: int):
-    """The ``suite.run`` span of one suite: a :func:`run_suite` call, a
-    folded :func:`run_suites` request or a folded sweep grid point."""
+    """The ``suite.run`` span of one suite: the per-kernel loop's, or
+    the short span of a fold that was taken (a folded request or sweep
+    grid point)."""
     return rec.span(
         "suite.run", cpu=cpu.name, threads=config.threads,
         placement=config.placement.value,
@@ -876,19 +866,6 @@ def _summary(
     )
 
 
-def _record_fold(rec, cpu: CPUModel, config: RunConfig, kernels: int) -> int:
-    """Record the ``suite.run`` span of a fold that was taken, and
-    return the mark its summary reads from.
-
-    The fold is decided, and computed, before the span opens, so a fold
-    that gives up records no span of its own and leaves the suite's one
-    span to :func:`run_suite`."""
-    mark = rec.mark()
-    with _suite_span(rec, cpu, config, kernels):
-        pass
-    return mark
-
-
 def _kernel_columns(
     kernels: Sequence[Kernel],
 ) -> tuple[tuple[str, ...], tuple[KernelClass, ...]] | None:
@@ -913,13 +890,63 @@ class SuiteRequest(NamedTuple):
 
 
 def _machine_valid(cpu: CPUModel) -> bool:
-    """Whether ``cpu`` passes the validation :func:`run_suite` runs
+    """Whether ``cpu`` passes the validation the per-kernel loop runs
     first (one machine object, so one verdict for all its suites)."""
     try:
         validate_cpu(cpu)
     except ReproError:
         return False
     return True
+
+
+def run_suite(
+    cpu: CPUModel,
+    config: RunConfig,
+    kernels: list[Kernel] | None = None,
+    *,
+    policy: FailurePolicy = FailurePolicy.ABORT,
+    retry: RetrySpec | None = None,
+    caches: SuiteCaches | None = None,
+) -> SuiteResult:
+    """Run (predict) the whole suite on ``cpu`` under ``config``.
+
+    Args:
+        cpu: Machine model (re-validated before the run).
+        config: The run configuration.
+        kernels: Subset to run; defaults to the whole suite
+            (:func:`~repro.kernels.registry.suite`). A suite kernel's
+            compile report and prelude are rows of the compile and
+            batch tables, held once per configuration whatever list
+            or instance it arrives in.
+        policy: What a kernel failure does to the rest of the suite —
+            ABORT (default, historical behaviour), SKIP (record and
+            continue) or RETRY (retry per ``retry``, then record).
+        retry: Attempt/backoff budget for the RETRY policy; defaults to
+            ``RetrySpec()`` (3 retries, no sleeping). Ignored otherwise.
+        caches: The store tier of the suite's compile reports
+            (:meth:`SuiteCaches.persistent`). ``None`` (the default)
+            resolves them through the in-process compile table
+            (:func:`~repro.compiler.vectorizer.analyze_suite`) alone.
+            Caching never changes results — every layer is keyed on
+            everything its values depend on.
+
+    The one request goes through the body :func:`run_suites` evaluates
+    each of its requests with (:func:`_evaluate`), so the two agree: the
+    whole kernel list is predicted in one vectorized pass
+    (:func:`repro.perfmodel.batch.predict_batch`), or kernel by kernel
+    through :func:`simulate_kernel` in the cases the module docstring
+    names; either way the noise of all kernels is averaged in one
+    :func:`~repro.util.rng.noise_means` pass. A suite the fold takes
+    comes back as its three columns, and builds its runs only when
+    ``SuiteResult.runs`` is read.
+    """
+    if isinstance(policy, str):
+        policy = FailurePolicy.from_label(policy)
+    (result,) = _evaluate(
+        [(cpu, config, suite() if kernels is None else tuple(kernels))],
+        policy, retry, caches,
+    )
+    return result
 
 
 def run_suites(
@@ -932,26 +959,7 @@ def run_suites(
     ``(cpu, config, kernels)`` tuple. Results come back in request
     order, and equal requests (equal machines and configurations, the
     same kernels) are evaluated once and share one :class:`SuiteResult`.
-
-    The distinct requests on one machine and kernel list are prefetched
-    by one :func:`grid_prefetch`, which resolves each compile
-    configuration once and predicts the configurations that share a
-    workload in one :func:`~repro.perfmodel.batch.predict_grid` pass.
-    Every request whose grid row is complete is folded by
-    :func:`fold_seconds` into a result of three columns, with the noise
-    of all of them drawn in one :func:`_noise_means` call: one
-    :func:`~repro.util.rng.noise_means` draw per (``runs``,
-    ``noise_sigma``). Under a telemetry session each folded request
-    records one ``suite.run`` span, is counted as ``run_suite`` counts a
-    suite, and its result carries the summary of that span. A request
-    goes through :func:`run_suite`, with its :class:`PointPrefetch`,
-    when the fold gives up on it (a configuration that raises, a kernel
-    that failed to compile, a batch abstention, a time that is not
-    finite and positive, a kernel name given twice), and so does every
-    distinct request while a chaos plan or ``reference_mode()`` is
-    active (where the scalar model predicts each kernel), or on a
-    machine that fails validation. Those calls run in request order, so
-    the first request ``run_suite`` would fail on raises its error. Each
+    The distinct requests go through :func:`run_suite`'s body, so each
     result equals ``run_suite``'s for the same request.
     """
     slots: dict[tuple[CPUModel, RunConfig, tuple[Kernel, ...]], int] = {}
@@ -960,58 +968,78 @@ def run_suites(
         cpu, config, kernels = SuiteRequest(*request)
         key = (cpu, config, suite() if kernels is None else tuple(kernels))
         order.append(slots.setdefault(key, len(slots)))
-    distinct = list(slots)
-
-    groups: dict[tuple[CPUModel, tuple[Kernel, ...]], list[int]] = {}
-    for i, (cpu, _, kernels) in enumerate(distinct):
-        groups.setdefault((cpu, kernels), []).append(i)
-    points: list[PointPrefetch | None] = [None] * len(distinct)
-    columns: list[tuple | None] = [None] * len(distinct)
-    for (cpu, kernels), members in groups.items():
-        if not _machine_valid(cpu):
-            continue
-        kernel_list = list(kernels)
-        prefetches = grid_prefetch(
-            cpu, kernel_list,
-            [(distinct[i][1], kernel_list) for i in members], None,
-        )
-        group_columns = _kernel_columns(kernels)
-        for i, point in zip(members, prefetches):
-            points[i] = point
-            columns[i] = group_columns
-
-    results: list[SuiteResult | None] = [None] * len(distinct)
-    folds = [
-        i for i, point in enumerate(points)
-        if point is not None and point.seconds is not None
-        and columns[i] is not None
-    ]
-    means = _noise_means([
-        (distinct[i][0], distinct[i][1], points[i].compiler, distinct[i][2])
-        for i in folds
-    ])
-    rec = telemetry.recorder()
-    traced = rec.active
-    for i, suite_means in zip(folds, means):
-        cpu, config, kernels = distinct[i]
-        point = points[i]
-        seconds = fold_seconds(point.seconds, suite_means)
-        if seconds is None:
-            continue
-        summary = (
-            _summary(
-                rec, _record_fold(rec, cpu, config, len(kernels)),
-                len(kernels),
-            )
-            if traced else None
-        )
-        results[i] = SuiteResult._folded(
-            cpu.name, config, columns[i], seconds, point, summary,
-        )
-    for i, (cpu, config, kernels) in enumerate(distinct):
-        if results[i] is None:
-            results[i] = run_suite(cpu, config, kernels, prefetched=points[i])
+    results = _evaluate(list(slots), FailurePolicy.ABORT, None, None)
     return [results[slot] for slot in order]
+
+
+def _evaluate(
+    requests: Sequence[tuple[CPUModel, RunConfig, tuple[Kernel, ...]]],
+    policy: FailurePolicy,
+    retry: RetrySpec | None,
+    caches: SuiteCaches | None,
+) -> list[SuiteResult]:
+    """The results of distinct ``(cpu, config, kernels)`` requests, in
+    order: the body of :func:`run_suite` and :func:`run_suites`.
+
+    The requests on one machine and kernel list are one :func:`_fold`
+    group, so one :func:`grid_prefetch` resolves each compile
+    configuration once and predicts the configurations that share a
+    workload in one :func:`~repro.perfmodel.batch.predict_grid` pass,
+    and all the requests' noise is drawn in one :func:`_noise_means`
+    call: one :func:`~repro.util.rng.noise_means` draw per (``runs``,
+    ``noise_sigma``). Folds come first. Then, in request order, a
+    folded request becomes a result of three columns and any other
+    goes through :func:`_run_loop`, so the first request that fails
+    raises its error. The loop takes a request the fold gave up on (a
+    configuration that raises, a kernel that failed to compile, a batch
+    abstention, a time that is not finite and positive, a kernel name
+    given twice), and every request while a chaos plan or
+    ``reference_mode()`` is active, or on a machine that fails
+    validation.
+
+    Under a telemetry session each result records one ``suite.run``
+    span, the short span of a taken fold or the loop's, and is counted
+    as a suite. Its summary covers the spans the call recorded since
+    the previous result's, the first result's also the fold's grid
+    passes.
+    """
+    groups: dict[tuple[CPUModel, tuple[Kernel, ...]], list[int]] = {}
+    for i, (cpu, _, kernels) in enumerate(requests):
+        groups.setdefault((cpu, kernels), []).append(i)
+    rec = telemetry.recorder()
+    mark = rec.mark() if rec.active else None
+    folds = _fold(
+        [
+            (cpu, kernels, [(requests[i][1], kernels) for i in members])
+            for (cpu, kernels), members in groups.items()
+        ],
+        caches,
+    )
+    outcomes: list = [None] * len(requests)
+    for ((_, kernels), members), group in zip(groups.items(), folds):
+        columns = _kernel_columns(kernels)
+        for i, (point, seconds) in zip(members, group):
+            outcomes[i] = (point, seconds if columns else None, columns)
+    results = []
+    for (cpu, config, kernels), (point, seconds, columns) in zip(
+        requests, outcomes
+    ):
+        if results and mark is not None:
+            mark = rec.mark()
+        if seconds is None:
+            result = _run_loop(
+                cpu, config, kernels, point, policy, retry, mark,
+            )
+        else:
+            if mark is not None:
+                with _suite_span(rec, cpu, config, len(kernels)):
+                    pass
+            result = SuiteResult._folded(
+                cpu.name, config, columns, seconds, point,
+                _summary(rec, mark, len(kernels)),
+            )
+        results.append(result)
+    return results
 
 
 def verify_kernel(

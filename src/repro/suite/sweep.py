@@ -16,19 +16,22 @@ the process's compile table
 (:func:`~repro.compiler.vectorizer.analyze_suite`, and the ``--store``
 tier when one is attached), and the batch engine predicts the whole
 grid in one vectorized pass before the grid points are assembled, one
-after another, in grid order. A sweep turns each grid point's row of
-predicted seconds straight into its :class:`SweepRow`, by the fold
-rule :func:`~repro.suite.runner.run_suite` uses
-(:func:`~repro.suite.runner.fold_seconds`), with no per-cell
-``ExecutionResult`` in between, traced or checkpointed alike: a
-telemetry session records the point's one ``suite.run`` span, and a
-checkpoint its kernels' records, one attempt each. A grid point goes
-through ``run_suite`` instead under a chaos plan or
+after another, in grid order. The grid takes the two steps
+:func:`~repro.suite.runner.run_suite` and
+:func:`~repro.suite.runner.run_suites` take, and no code of its own:
+:func:`~repro.suite.runner._fold` prefetches the whole grid, draws its
+noise and folds each grid point whose row is complete, and
+:func:`~repro.suite.runner._run_loop`, the per-kernel policy loop, runs
+every other point. A folded point's seconds become its
+:class:`SweepRow` with no per-cell ``ExecutionResult`` in between,
+traced or checkpointed alike: a telemetry session records the point's
+one ``suite.run`` span, and a checkpoint its kernels' records, one
+attempt each. A grid point runs the loop under a chaos plan or
 ``reference_mode()`` (where the scalar model predicts each kernel, by
-the rule of :func:`~repro.suite.runner.predicts_in_batch`), or when
-the fold gives up on it (an invalid configuration or machine, a kernel
-that failed to compile, a batch abstention, a time that is not finite
-and positive). Both paths give the same rows and failures.
+the rule of :func:`~repro.suite.runner.predicts_in_batch`), or when the
+fold gives up on it (an invalid configuration or machine, a kernel that
+failed to compile, a batch abstention, a time that is not finite and
+positive). Both paths give the same rows and failures.
 
 A :class:`SweepResult` is a table of those rows, one per emitted grid
 point. The CSV, the CLI's table and the service's ``/sweep`` body read
@@ -56,14 +59,11 @@ from repro.resilience.retry import FailurePolicy, FailureRecord, RetrySpec
 from repro.suite.config import Placement, Precision, RunConfig, as_member
 from repro.suite.memo import SuiteCaches
 from repro.suite.runner import (
-    PointPrefetch,
     _count_suite,
-    _machine_valid,
-    _noise_means,
-    _record_fold,
-    fold_seconds,
-    grid_prefetch,
-    run_suite,
+    _fold,
+    _run_loop,
+    _suite_span,
+    kernel_named,
 )
 from repro.util.errors import ConfigError, ReproError
 from repro.util.rng import derive_seed
@@ -213,9 +213,11 @@ class SweepResult:
     def filtered(self, **criteria) -> list[SweepPoint]:
         """Points matching all given attribute values.
 
-        Kernel names are normalized here — the registry stores them
-        upper-case, so ``filtered(kernel="triad")`` matches ``TRIAD``
-        (and ``best_for_kernel`` inherits the same rule).
+        A kernel name is looked up by
+        :func:`~repro.suite.runner.kernel_named`'s rule: as given, else
+        case-insensitively, so ``filtered(kernel="triad")`` matches
+        ``TRIAD`` and a kernel renamed ``"triad_v2"`` is found by that
+        name (and ``best_for_kernel`` inherits the same rule).
         """
         unknown = sorted(set(criteria) - _POINT_ATTRS)
         if unknown:
@@ -223,8 +225,12 @@ class SweepResult:
                 f"unknown sweep point attribute(s) {unknown}; "
                 f"known: {sorted(_POINT_ATTRS)}"
             )
-        if isinstance(criteria.get("kernel"), str):
-            criteria["kernel"] = criteria["kernel"].upper()
+        name = criteria.get("kernel")
+        if isinstance(name, str):
+            named = kernel_named(name, dict.fromkeys(
+                kernel for row in self.rows for kernel in row.kernels
+            ))
+            criteria["kernel"] = name if named is None else named
         out = []
         for point in self.points:
             if all(
@@ -414,9 +420,8 @@ def sweep(
     Grid points run one after another, in grid order; their predictions
     come from one whole-grid pass made before the first point runs, and
     each grid point's row is built from that pass directly (see the
-    module docstring for the points that still run through
-    :func:`run_suite`). Rows, and so points, come in grid x kernel
-    order.
+    module docstring for the points that run the per-kernel loop).
+    Rows, and so points, come in grid x kernel order.
 
     A kernel named twice is run once, and so is a thread count,
     placement or precision given twice: the first of each is kept,
@@ -427,7 +432,8 @@ def sweep(
     which stands for its member, repeats included.
 
     Args:
-        policy: Failure policy forwarded to :func:`run_suite`; non-ABORT
+        policy: Failure policy of each point's per-kernel loop, as in
+            :func:`run_suite`; non-ABORT
             policies additionally catch whole-configuration failures
             (recorded with ``kernel="*"``) so the rest of the grid runs.
         retry: Retry budget for the RETRY policy.
@@ -517,67 +523,61 @@ def _run_sweep(
     # Hoisted: an untraced grid point pays this test, no null span.
     traced = rec.active
 
-    # Whole-grid prefetch: one compile resolution and one vectorized
-    # pass compute every grid point's predictions up front (uniform
-    # points share a single 2-D ``predict_grid`` evaluation), then each
-    # grid point folds its slice (or hands it to ``run_suite``).
-    # Bit-identical to a per-point prefetch. Where the per-point batch
-    # prefetch would be skipped (chaos plans, reference mode) the grid
-    # still resolves its reports once, and each point's ``run_suite``
-    # predicts kernel by kernel.
+    # Whole-grid fold: one compile resolution and one vectorized pass
+    # compute every grid point's predictions up front (uniform points
+    # share a single 2-D ``predict_grid`` evaluation), and every point
+    # whose row is complete is folded into its run-averaged seconds.
+    # Bit-identical to a per-point prefetch. Where the batch prefetch is
+    # skipped (chaos plans, reference mode) the grid still resolves its
+    # reports once, and each point's per-kernel loop predicts kernel by
+    # kernel.
     jobs: list[tuple[RunConfig, list[Kernel]] | None] = [None] * len(grid)
     for i, gp in enumerate(grid):
         try:
             jobs[i] = (gp.config(runs, noise_sigma), gp.todo)
         except ReproError:
-            # Invalid configuration: left unprefetched so run_suite
-            # raises (or records) the error exactly as before.
+            # Invalid configuration: left unprefetched, so the point's
+            # own build of it below raises (or records) the error.
             pass
     with rec.span(
         "sweep.prefetch", jobs=sum(1 for j in jobs if j is not None),
     ):
-        prefetches = grid_prefetch(cpu, kernel_list, jobs, caches)
+        (folds,) = _fold([(cpu, kernel_list, jobs)], caches)
 
-    # Row fold: a prefetched grid point's row of seconds becomes its
-    # SweepRow directly, by the rule run_suite's fold uses, with no
-    # ExecutionResult or SuiteResult in between; a checkpoint records
-    # its kernels with one attempt each. A fold is decided before its
-    # suite.run span opens, so a point the fold gives up on records only
-    # run_suite's span. An invalid machine raises from run_suite, once
-    # per point, exactly as before.
-    fold = _machine_valid(cpu)
+    # A folded grid point's seconds become its SweepRow directly, with
+    # no ExecutionResult or SuiteResult in between; a checkpoint records
+    # its kernels with one attempt each. Any other point with kernels
+    # left runs the per-kernel loop, which raises (or, under a non-ABORT
+    # policy, records) an invalid configuration or machine per point.
     cpu_name = cpu.name
     # Without a checkpoint every grid point runs every kernel.
     names = tuple(kernel.name for kernel in kernel_list)
     rows: list[SweepRow] = []
     failures: list[SweepFailure] = []
-    for gp, job, prefetch in zip(grid, jobs, prefetches):
-        if fold and prefetch is not None and prefetch.seconds is not None:
-            config = job[0]
-            folded = _fold_row(cpu, config, prefetch, gp.todo)
-            if folded is not None:
-                if traced:
-                    _record_fold(rec, cpu, config, len(gp.todo))
-                    _count_suite(len(folded))
-                if ckpt is None:
-                    rows.append(SweepRow(
-                        cpu_name, gp.threads, gp.placement, gp.precision,
-                        names, tuple(folded),
-                    ))
-                else:
-                    _collect_point(
-                        cpu_name, kernel_list, ckpt, rows, failures, gp,
-                        [(kernel.name, seconds, 1)
-                         for kernel, seconds in zip(gp.todo, folded)],
-                    )
-                continue
+    for gp, job, (point, seconds) in zip(grid, jobs, folds):
+        if seconds is not None:
+            if traced:
+                with _suite_span(rec, cpu, job[0], len(gp.todo)):
+                    pass
+                _count_suite(len(seconds))
+            if ckpt is None:
+                rows.append(SweepRow(
+                    cpu_name, gp.threads, gp.placement, gp.precision,
+                    names, tuple(seconds),
+                ))
+            else:
+                _collect_point(
+                    cpu_name, kernel_list, ckpt, rows, failures, gp,
+                    [(kernel.name, run_seconds, 1)
+                     for kernel, run_seconds in zip(gp.todo, seconds)],
+                )
+            continue
         ran, failed = [], ()
         try:
             if gp.todo:
-                outcome = run_suite(
-                    cpu, gp.config(runs, noise_sigma), kernels=gp.todo,
-                    policy=policy, retry=retry, caches=caches,
-                    prefetched=prefetch,
+                outcome = _run_loop(
+                    cpu, gp.config(runs, noise_sigma), gp.todo, point,
+                    policy, retry, rec.mark() if traced else None,
                 )
                 ran = [
                     (name, run.seconds, run.attempts)
@@ -593,18 +593,6 @@ def _run_sweep(
         )
 
     return SweepResult._of_rows(tuple(rows), tuple(failures))
-
-
-def _fold_row(
-    cpu: CPUModel,
-    config: RunConfig,
-    prefetch: PointPrefetch,
-    kernels: list[Kernel],
-) -> list[float] | None:
-    """A grid point's run-averaged seconds from its prefetched row, by
-    :func:`fold_seconds`, or ``None`` where that gives up."""
-    (means,) = _noise_means([(cpu, config, prefetch.compiler, kernels)])
-    return fold_seconds(prefetch.seconds, means)
 
 
 def _checkpoint_grid(

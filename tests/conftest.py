@@ -102,19 +102,17 @@ def per_kernel_loop():
     """A context manager under which every ``run_suite`` call,
     ``run_suites`` request and sweep grid point takes the per-kernel
     policy loop, as a time the fold rejects does: ``fold_seconds`` gives
-    up in :mod:`repro.suite.runner` and :mod:`repro.suite.sweep`. The
+    up in :mod:`repro.suite.runner`, where the one fold calls it. The
     batch predictions stay, so the loop scales each one by its noise.
     """
     from repro.suite import runner
-    from repro.suite import sweep
 
     @contextlib.contextmanager
     def forced():
         with pytest.MonkeyPatch.context() as patch:
-            for module in (runner, sweep):
-                patch.setattr(
-                    module, "fold_seconds", lambda seconds, means: None
-                )
+            patch.setattr(
+                runner, "fold_seconds", lambda seconds, means: None
+            )
             yield
 
     return forced

@@ -38,14 +38,14 @@ def run_grid(cpu, **kwargs):
 
 @pytest.fixture
 def no_recompute(monkeypatch):
-    """Call it to make any prediction fail the test: a ``run_suite``
-    call, a batch pass or a scalar evaluation."""
+    """Call it to make any prediction fail the test: a per-kernel
+    loop (``_run_loop``), a batch pass or a scalar evaluation."""
 
     def install():
         def exploding(*args, **kwargs):
             raise AssertionError("should not recompute anything")
 
-        monkeypatch.setattr(sweep_mod, "run_suite", exploding)
+        monkeypatch.setattr(sweep_mod, "_run_loop", exploding)
         for name in ("predict_grid", "predict_batch", "simulate_kernel"):
             monkeypatch.setattr(runner_mod, name, exploding)
 
@@ -146,13 +146,13 @@ class TestSweepResume:
         path.write_text("\n".join(lines[:5]) + "\n")
 
         ran: list[str] = []
-        real_prefetch = sweep_mod.grid_prefetch
+        real_prefetch = runner_mod.grid_prefetch
 
         def counting_prefetch(cpu, kernels, jobs, caches):
             ran.extend(k.name for job in jobs if job for k in job[1])
             return real_prefetch(cpu, kernels, jobs, caches)
 
-        monkeypatch.setattr(sweep_mod, "grid_prefetch", counting_prefetch)
+        monkeypatch.setattr(runner_mod, "grid_prefetch", counting_prefetch)
         resumed = run_grid(sg2042, checkpoint=path)
         assert len(ran) == 2  # only the dropped points recompute
         assert [(p.kernel, p.threads, p.seconds) for p in resumed.points] \

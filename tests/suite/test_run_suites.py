@@ -41,21 +41,22 @@ def _clang(flavor):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """The ``run_suite`` configs, ``noise_means`` draws and
-    ``grid_prefetch`` machines of the ``run_suites`` calls a test
-    makes."""
+    """The configs of the requests that ran the per-kernel loop
+    (``_run_loop``, counted as ``run_suite``: the path ``run_suite``
+    takes when its fold gives up), the ``noise_means`` draws and the
+    ``grid_prefetch`` machines of the calls a test makes."""
     counted = {"run_suite": [], "noise_means": [], "grid_prefetch": []}
 
-    def counting(name, record):
-        real = getattr(runner_mod, name)
+    def counting(name, record, attr=None):
+        real = getattr(runner_mod, attr or name)
 
         def call(*args, **kwargs):
             counted[name].append(record(*args))
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(runner_mod, name, call)
+        monkeypatch.setattr(runner_mod, attr or name, call)
 
-    counting("run_suite", lambda cpu, config, *rest: config)
+    counting("run_suite", lambda cpu, config, *rest: config, "_run_loop")
     counting("noise_means", lambda seeds, runs, sigma: (len(seeds), runs))
     counting("grid_prefetch", lambda cpu, *rest: cpu.name)
     return counted
@@ -251,6 +252,7 @@ class TestFallbacks:
         ]
         with reference_mode():
             expected = [run_suite(*request) for request in requests]
+        calls["run_suite"].clear()
         real_grid = runner_mod.predict_grid
         scalar = []
         real_scalar = runner_mod.simulate_kernel

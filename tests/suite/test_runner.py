@@ -214,9 +214,17 @@ class TestSuiteResultEdgeCases:
         assert result.class_means() == {}
         assert result.total_attempts() == 3
 
-    def test_time_is_case_insensitive(self, sg_result):
+    def test_time_is_case_insensitive(self, sg2042, sg_result):
         assert sg_result.time("triad") == sg_result.time("TRIAD")
         assert sg_result.time("Triad") == sg_result.time("TRIAD")
+        # A kernel keeps the name it ran under: a TRIAD copy renamed
+        # out of upper case is found by that name, and by its case.
+        renamed = type(get_kernel("TRIAD"))()
+        renamed.name = "triad_v2"
+        result = run_suite(sg2042, sg_result.config, kernels=[renamed])
+        assert result.names == ("triad_v2",)
+        assert result.time("triad_v2") == result.seconds[0]
+        assert result.time("TRIAD_V2") == result.seconds[0]
 
     def test_unknown_kernel_message_names_kernel(self, sg_result):
         with pytest.raises(ConfigError, match="NOPE"):
@@ -261,6 +269,29 @@ class TestFoldedRuns:
         assert result.seconds == tuple(
             run.seconds for run in result.runs.values()
         )
+
+    def test_one_kernel_resolves_its_compiler_and_cores_once(
+        self, sg2042, prefetched, monkeypatch
+    ):
+        counts = {"assign_cores": 0, "resolve_compiler": 0}
+        real_cores = runner.assign_cores
+        real_compiler = RunConfig.resolve_compiler
+
+        def assign_cores(*args, **kwargs):
+            counts["assign_cores"] += 1
+            return real_cores(*args, **kwargs)
+
+        def resolve_compiler(config, cpu):
+            counts["resolve_compiler"] += 1
+            return real_compiler(config, cpu)
+
+        monkeypatch.setattr(runner, "assign_cores", assign_cores)
+        monkeypatch.setattr(RunConfig, "resolve_compiler", resolve_compiler)
+        result = run_suite(sg2042, self.CONFIG, kernels=[get_kernel("TRIAD")])
+        # Folded: the per-kernel loop never asked for the prefetch.
+        assert prefetched == []
+        assert result.names == ("TRIAD",)
+        assert counts == {"assign_cores": 1, "resolve_compiler": 1}
 
     def test_two_reads_return_the_same_dict(self, sg2042, prefetched):
         result = run_suite(sg2042, self.CONFIG)

@@ -49,13 +49,24 @@ class TestSweep:
     def test_best_for_kernel_case_insensitive(self, small_sweep):
         assert small_sweep.best_for_kernel("triad").kernel == "TRIAD"
 
-    def test_filtered_kernel_case_insensitive(self, small_sweep):
+    def test_filtered_kernel_case_insensitive(self, sg2042, small_sweep):
         # filtered() normalizes like best_for_kernel: the registry
         # stores names upper-case, so lower-case criteria must match.
         lower = small_sweep.filtered(kernel="triad")
         upper = small_sweep.filtered(kernel="TRIAD")
         assert lower == upper
         assert len(lower) == 6
+        # A kernel keeps the name it ran under: a TRIAD copy renamed
+        # out of upper case is found by that name, and by its case.
+        renamed = type(get_kernel("TRIAD"))()
+        renamed.name = "triad_v2"
+        result = sweep(sg2042, [renamed, get_kernel("DOT")], threads=(1, 4))
+        points = result.filtered(kernel="triad_v2")
+        assert [(p.kernel, p.threads) for p in points] == [
+            ("triad_v2", 1), ("triad_v2", 4),
+        ]
+        assert result.filtered(kernel="TRIAD_V2") == points
+        assert result.best_for_kernel("triad_v2") in points
 
     def test_filtered_kernel_normalization_composes(self, small_sweep):
         points = small_sweep.filtered(kernel="gemm", threads=8)

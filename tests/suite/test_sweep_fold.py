@@ -54,15 +54,17 @@ def _threads(cpu) -> tuple[int, ...]:
 
 @pytest.fixture
 def run_suite_calls(monkeypatch):
-    """The configs of every ``run_suite`` call the sweep makes."""
+    """The configs of every grid point the sweep runs through the
+    per-kernel loop (``_run_loop``), the path ``run_suite`` takes when
+    its fold gives up."""
     calls = []
-    real = sweep_mod.run_suite
+    real = sweep_mod._run_loop
 
     def counting(cpu, config, *args, **kwargs):
         calls.append(config)
         return real(cpu, config, *args, **kwargs)
 
-    monkeypatch.setattr(sweep_mod, "run_suite", counting)
+    monkeypatch.setattr(sweep_mod, "_run_loop", counting)
     return calls
 
 
